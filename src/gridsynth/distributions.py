@@ -25,23 +25,19 @@ __all__ = [
     "MixtureParams",
     "make_rng",
     "substream",
-    "sample_uniform",
     "sample_gamma",
     "sample_weibull",
     "sample_beta",
     "sample_dirichlet",
     "sample_categorical",
-    "sample_halfnormal",
     "sample_negbinomial",
     "sample_truncnormal",
     "sample_mixture",
-    "logpdf_uniform",
     "logpdf_normal",
     "logpdf_gamma",
     "logpdf_weibull",
     "logpdf_beta",
     "logpdf_dirichlet",
-    "logpdf_categorical",
     "logpdf_halfnormal",
     "logpmf_negbinomial",
     "logpdf_truncnormal",
@@ -130,12 +126,6 @@ class MixtureParams:
 
 # ---------------------------------------------------------------------------
 # Samplers
-
-
-def sample_uniform(rng: Generator, low: float = 0.0, high: float = 1.0, size: int | None = None):
-    _require(high >= low, "uniform needs high >= low")
-    u = rng.random() if size is None else rng.random(size)
-    return low + (high - low) * u
 
 
 def sample_gamma(rng: Generator, shape: float, rate: float, size: int | None = None):
@@ -233,12 +223,6 @@ def sample_categorical(rng: Generator, probs, size: int | None = None):
     return np.searchsorted(cum, rng.random(size) * total, side="right").astype(np.int64)
 
 
-def sample_halfnormal(rng: Generator, sigma: float, size: int | None = None):
-    _require(sigma > 0.0, "halfnormal needs positive scale")
-    z = rng.standard_normal() if size is None else rng.standard_normal(size)
-    return sigma * np.abs(z)
-
-
 def sample_negbinomial(rng: Generator, mu: float, alpha: float, size: int | None = None):
     """Negative Binomial with mean ``mu`` and variance ``mu + mu^2/alpha``.
 
@@ -329,13 +313,6 @@ def sample_mixture(rng: Generator, mixture: MixtureParams, size: int | None = No
 # Log-densities
 
 
-def logpdf_uniform(x, low: float, high: float):
-    _require(high > low, "uniform needs high > low")
-    x = np.asarray(x, dtype=float)
-    out = np.where((x >= low) & (x <= high), -math.log(high - low), -np.inf)
-    return out if out.ndim else float(out)
-
-
 def logpdf_normal(x, mu: float, sigma: float):
     _require(sigma > 0.0, "normal needs positive scale")
     x = np.asarray(x, dtype=float)
@@ -387,17 +364,6 @@ def logpdf_dirichlet(x, concentration) -> float:
         return -np.inf
     norm = gammaln(conc.sum()) - gammaln(conc).sum()
     return float(norm + ((conc - 1.0) * np.log(x)).sum())
-
-
-def logpdf_categorical(k, probs):
-    p = np.asarray(probs, dtype=float)
-    _require(bool(np.all(p >= 0.0)), "categorical probabilities must be nonnegative")
-    _require(abs(float(p.sum()) - 1.0) < 1e-9, "categorical probabilities must sum to 1")
-    k = np.asarray(k)
-    valid = (k >= 0) & (k < p.size)
-    with np.errstate(divide="ignore"):
-        out = np.where(valid, np.log(p[np.clip(k, 0, p.size - 1)]), -np.inf)
-    return out if out.ndim else float(out)
 
 
 def logpdf_halfnormal(x, sigma: float):

@@ -30,6 +30,7 @@ __all__ = [
     "ParamSpace",
     "FitConfig",
     "PosteriorEnsemble",
+    "Posterior",
     "Hdi",
     "fit",
     "hdi",
@@ -109,21 +110,15 @@ class ParamSpace:
             idx.extend(range(lo, hi))
         return np.asarray(idx, dtype=int)
 
-    def to_constrained(self, z: np.ndarray) -> dict[str, float | np.ndarray]:
-        out: dict[str, float | np.ndarray] = {}
+    def constrain(self, z: np.ndarray) -> tuple[dict[str, float | np.ndarray], float]:
+        """Constrained values of ``z`` and the log-Jacobian of the transform."""
+        values: dict[str, float | np.ndarray] = {}
+        log_jacobian = 0.0
         for d in self.defs:
             lo, hi = self._offsets[d.name]
-            value, _ = _forward(d, z[lo:hi])
-            out[d.name] = value
-        return out
-
-    def log_jacobian(self, z: np.ndarray) -> float:
-        total = 0.0
-        for d in self.defs:
-            lo, hi = self._offsets[d.name]
-            _, lj = _forward(d, z[lo:hi])
-            total += lj
-        return total
+            values[d.name], lj = _forward(d, z[lo:hi])
+            log_jacobian += lj
+        return values, log_jacobian
 
     def to_unconstrained(self, values: dict[str, float | np.ndarray]) -> np.ndarray:
         z = np.empty(self.dim)
@@ -253,6 +248,16 @@ class PosteriorEnsemble:
         return hdi(arr, mass)
 
 
+@dataclass
+class Posterior:
+    """A fitted sub-model: its pooled ensemble, read one draw at a time."""
+
+    ensemble: PosteriorEnsemble
+
+    def draw(self, index: int) -> dict[str, float | np.ndarray]:
+        return self.ensemble.draw(index)
+
+
 def fit(
     log_posterior,
     space: ParamSpace,
@@ -262,7 +267,10 @@ def fit(
     """Sample the posterior of ``log_posterior`` over ``space``.
 
     ``log_posterior`` receives a dict of constrained parameter values and
-    returns a float (``-inf`` allowed away from the init point). Chains start
+    returns a float (``-inf`` allowed away from the init point); a proposal
+    whose constrained values overflow is rejected without calling it. At most
+    one ``UserWarning`` per call lists the scalars above the R-hat
+    threshold; ``ensemble.warnings`` holds one message per scalar. Chains start
     from ``init`` (or the transform origin) with per-chain jitter; step sizes
     adapt during warm-up only, so the kept draws target the exact posterior.
     """
@@ -270,10 +278,15 @@ def fit(
     init_z = space.to_unconstrained(init) if init else np.zeros(space.dim)
 
     def target(z: np.ndarray) -> float:
-        lp = log_posterior(space.to_constrained(z))
+        values, log_jacobian = space.constrain(z)
+        # an overflowed transform (exp of a large z) is a rejected proposal;
+        # the model never sees it
+        if not _all_finite(values):
+            return -np.inf
+        lp = log_posterior(values)
         if not np.isfinite(lp):
             return -np.inf
-        return float(lp) + space.log_jacobian(z)
+        return float(lp) + log_jacobian
 
     if not np.isfinite(target(init_z)):
         raise InitializationError("log-posterior is not finite at the initialization point")
@@ -355,12 +368,24 @@ def fit(
         "chains": config.chains,
         "kept_draws": int(config.chains * kept_per_chain),
     }
-    for n, r in zip(names, rhat):
-        if np.isfinite(r) and r > config.rhat_threshold:
-            msg = f"R-hat {r:.3f} above {config.rhat_threshold} for {n}"
-            ensemble.warnings.append(msg)
-            warnings.warn(msg, stacklevel=2)
+    high = [(n, r) for n, r in zip(names, rhat) if np.isfinite(r) and r > config.rhat_threshold]
+    ensemble.warnings = [f"R-hat {r:.3f} above {config.rhat_threshold} for {n}" for n, r in high]
+    if high:
+        listed = ", ".join(f"{n} ({r:.3f})" for n, r in high)
+        warnings.warn(
+            f"R-hat above {config.rhat_threshold} for {len(high)} scalars: {listed}",
+            stacklevel=2,
+        )
     return ensemble
+
+
+def _all_finite(values: dict[str, float | np.ndarray]) -> bool:
+    # math.isfinite for the scalars: np.isfinite costs about as much per call
+    # as the transform of a scalar parameter
+    return all(
+        math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
+        for v in values.values()
+    )
 
 
 def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
@@ -373,7 +398,7 @@ def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
         per_chain[d.name] = np.empty((chains, kept) + shape)
     for c in range(chains):
         for k in range(kept):
-            values = space.to_constrained(chain_draws[c, k])
+            values, _ = space.constrain(chain_draws[c, k])
             for d in space.defs:
                 per_chain[d.name][c, k] = values[d.name]
     names: list[str] = []

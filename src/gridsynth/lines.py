@@ -30,16 +30,15 @@ from .distributions import (
     logpdf_halfnormal,
     sample_mixture,
 )
-from .inference import FitConfig, ParamDef, ParamSpace, PosteriorEnsemble, fit
+from .inference import FitConfig, ParamDef, ParamSpace, Posterior, PosteriorEnsemble, fit
 from .phases import PhaseConfig
-from .topology import ZoneAssignment
+from .topology import ZoneAssignment, group_by_zone
 
 __all__ = [
     "MIXTURE_COMPONENTS",
     "LineGeometry",
     "ConductorSpec",
     "LineParams",
-    "LinePosterior",
     "gamma_from_mean_cv",
     "sample_line",
     "fit_line_model",
@@ -152,15 +151,6 @@ def sample_line(draw, zone: int, rng) -> LineParams:
     return LineParams(r1_ohm_per_km=r1, rho=rho)
 
 
-@dataclass
-class LinePosterior:
-    ensemble: PosteriorEnsemble
-    zone_count: int
-
-    def draw(self, index: int) -> dict:
-        return self.ensemble.draw(index)
-
-
 def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
     defs = [
         ParamDef(f"{prefix}_means", (MIXTURE_COMPONENTS,), "ordered_positive"),
@@ -210,7 +200,7 @@ def fit_line_model(
     rho: dict[str, float],
     zones: ZoneAssignment,
     config: FitConfig | None = None,
-) -> LinePosterior:
+) -> Posterior:
     """Fit both mixtures (resistance and ratio) over the line observations."""
     for name, data in (("r1", r1), ("rho", rho)):
         if any(v <= 0.0 for v in data.values()):
@@ -221,15 +211,8 @@ def fit_line_model(
             stacklevel=2,
         )
     z_count = zones.zone_count
-
-    def by_zone(data: dict[str, float]) -> list[np.ndarray]:
-        grouped: list[list[float]] = [[] for _ in range(z_count)]
-        for line_id, value in data.items():
-            grouped[zones.line_zone[line_id] - 1].append(float(value))
-        return [np.asarray(g) for g in grouped]
-
-    r_grouped = by_zone(r1)
-    rho_grouped = by_zone(rho)
+    r_grouped = group_by_zone(r1, zones.line_zone, z_count)
+    rho_grouped = group_by_zone(rho, zones.line_zone, z_count)
     r_space = _mixture_space("r", z_count)
     rho_space = _mixture_space("rho", z_count)
     r_values = np.concatenate([g for g in r_grouped if g.size]) if r1 else np.array([1.0])
@@ -249,7 +232,7 @@ def fit_line_model(
         diagnostics={"r": r_ens.diagnostics, "rho": rho_ens.diagnostics},
         warnings=r_ens.warnings + rho_ens.warnings,
     )
-    return LinePosterior(ensemble=merged, zone_count=z_count)
+    return Posterior(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ from .distributions import (
     logpdf_truncnormal,
     sample_truncnormal,
 )
-from .inference import FitConfig, ParamDef, ParamSpace, PosteriorEnsemble, fit
+from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
 from .phases import PhaseConfig
 
 __all__ = [
     "BusDemand",
-    "LoadPosterior",
     "power_factor_from_uniform",
     "draw_power_factor",
     "mean_vector",
@@ -115,19 +114,11 @@ def sample_demand(draw, config: PhaseConfig, rng, pf: float) -> BusDemand:
     return BusDemand(p_kw=p, q_kvar=q, pf=pf)
 
 
-@dataclass
-class LoadPosterior:
-    ensemble: PosteriorEnsemble
-
-    def draw(self, index: int) -> dict:
-        return self.ensemble.draw(index)
-
-
 def fit_load_model(
     demands: dict[str, np.ndarray],
     allocations: dict[str, PhaseConfig],
     config: FitConfig | None = None,
-) -> LoadPosterior:
+) -> Posterior:
     """Fit the demand hierarchy to observed per-bus 3-vectors (kW).
 
     Observations are grouped by each bus's configuration; entries on inactive
@@ -238,4 +229,4 @@ def fit_load_model(
         "sigma_p": max(sigma_scale * 0.5, 1e-3),
     }
     ensemble = fit(logpost, space, config, init=init)
-    return LoadPosterior(ensemble=ensemble)
+    return Posterior(ensemble)

@@ -26,8 +26,8 @@ from .distributions import (
     logpdf_halfnormal,
     sample_categorical,
 )
-from .inference import FitConfig, ParamDef, ParamSpace, PosteriorEnsemble, fit
-from .topology import NetworkTopology, RamificationHierarchy, ZoneAssignment
+from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
+from .topology import NetworkTopology, RamificationHierarchy, ZoneAssignment, group_by_zone
 
 __all__ = [
     "PhaseConfig",
@@ -148,10 +148,9 @@ def constrain(
 
 
 @dataclass
-class PhasePosterior:
+class PhasePosterior(Posterior):
     """Posterior over zone-level concentration rows and base probabilities."""
 
-    ensemble: PosteriorEnsemble
     zone_count: int
 
     def base_probs(self, draw: dict) -> np.ndarray:
@@ -177,9 +176,10 @@ def fit_phase_model(
     if not observed:
         raise ValueError("no observed phase configurations")
     z_count = zones.zone_count
-    counts = np.zeros((z_count, 7))
-    for bus, cfg in observed.items():
-        counts[zones.bus_zone[bus] - 1, cfg.index] += 1
+    indices = group_by_zone(
+        {bus: cfg.index for bus, cfg in observed.items()}, zones.bus_zone, z_count
+    )
+    counts = np.array([np.bincount(g.astype(int), minlength=7) for g in indices], dtype=float)
     empty = [z + 1 for z in range(z_count) if counts[z].sum() == 0]
     if empty:
         warnings.warn(

@@ -23,13 +23,11 @@ from .distributions import (
     sample_negbinomial,
     sample_weibull,
 )
-from .inference import FitConfig, ParamDef, ParamSpace, PosteriorEnsemble, fit
-from .topology import ZoneAssignment
+from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
+from .topology import ZoneAssignment, group_by_zone
 
 __all__ = [
     "BusReliability",
-    "CaidiPosterior",
-    "CaifiPosterior",
     "sample_caidi",
     "sample_caifi",
     "fit_caidi",
@@ -65,36 +63,11 @@ def sample_caifi(draw, zone: int, rng) -> int:
     return sample_negbinomial(rng, mu, alpha)
 
 
-@dataclass
-class CaidiPosterior:
-    ensemble: PosteriorEnsemble
-    zone_count: int
-
-    def draw(self, index: int) -> dict:
-        return self.ensemble.draw(index)
-
-
-@dataclass
-class CaifiPosterior:
-    ensemble: PosteriorEnsemble
-    zone_count: int
-
-    def draw(self, index: int) -> dict:
-        return self.ensemble.draw(index)
-
-
-def _group_by_zone(observations: dict[str, float], zones: ZoneAssignment) -> list[np.ndarray]:
-    grouped: list[list[float]] = [[] for _ in range(zones.zone_count)]
-    for bus, value in observations.items():
-        grouped[zones.bus_zone[bus] - 1].append(float(value))
-    return [np.asarray(g) for g in grouped]
-
-
 def fit_caidi(
     durations: dict[str, float],
     zones: ZoneAssignment,
     config: FitConfig | None = None,
-) -> CaidiPosterior:
+) -> Posterior:
     """Fit per-zone hurdle probabilities and Weibull duration parameters.
 
     One duration value per bus; zeros feed the hurdle only. Zones with no
@@ -102,10 +75,10 @@ def fit_caidi(
     """
     if not durations:
         raise ValueError("no duration observations")
+    z_count = zones.zone_count
+    grouped = group_by_zone(durations, zones.bus_zone, z_count)
     if any(v < 0.0 for v in durations.values()):
         raise ValueError("durations must be nonnegative")
-    grouped = _group_by_zone(durations, zones)
-    z_count = zones.zone_count
     n_zero = np.array([float(np.sum(g == 0.0)) for g in grouped])
     positives = [g[g > 0.0] for g in grouped]
     n_pos = np.array([float(p.size) for p in positives])
@@ -146,21 +119,21 @@ def fit_caidi(
         ),
     }
     ensemble = fit(logpost, space, config, init=init)
-    return CaidiPosterior(ensemble=ensemble, zone_count=z_count)
+    return Posterior(ensemble)
 
 
 def fit_caifi(
     counts: dict[str, int],
     zones: ZoneAssignment,
     config: FitConfig | None = None,
-) -> CaifiPosterior:
+) -> Posterior:
     """Fit per-zone Negative Binomial means and the global dispersion."""
     if not counts:
         raise ValueError("no count observations")
+    z_count = zones.zone_count
+    grouped = group_by_zone(counts, zones.bus_zone, z_count)
     if any(v < 0 or int(v) != v for v in counts.values()):
         raise ValueError("counts must be nonnegative integers")
-    grouped = _group_by_zone(counts, zones)
-    z_count = zones.zone_count
     empty = [z + 1 for z, g in enumerate(grouped) if g.size == 0]
     if empty:
         warnings.warn(f"zones without count observations keep the prior: {empty}", stacklevel=2)
@@ -189,4 +162,4 @@ def fit_caifi(
         "dispersion": 1.0,
     }
     ensemble = fit(logpost, space, config, init=init)
-    return CaifiPosterior(ensemble=ensemble, zone_count=z_count)
+    return Posterior(ensemble)

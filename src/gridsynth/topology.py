@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ __all__ = [
     "compute_distances",
     "shortest_path_tree",
     "assign_zones",
+    "group_by_zone",
     "build_hierarchy",
     "load_topology",
     "save_topology",
@@ -69,8 +71,7 @@ class NetworkTopology:
     """Immutable bus/line graph with a designated source bus.
 
     Validated on construction: unique ids, positive line lengths, known
-    endpoints, and full reachability from the source. Cycles are accepted
-    here; the power-flow validator is the component that requires radiality.
+    endpoints, and full reachability from the source. Cycles are accepted.
     """
 
     buses: tuple[Bus, ...]
@@ -248,6 +249,27 @@ def assign_zones(
         bus_distance_km={i: float(distances[i]) for i in ids},
         edges=edges,
     )
+
+
+def group_by_zone(
+    observations: dict[str, float], zone_of: dict[str, int], zone_count: int
+) -> list[np.ndarray]:
+    """Per-zone arrays of the observed values, zone 1 first, each in input order.
+
+    ``zone_of`` maps an id to its zone (``ZoneAssignment.bus_zone`` or
+    ``line_zone``). A value that is NaN or infinite, or an id with no zone,
+    raises ``ValueError`` naming the id.
+    """
+    grouped: list[list[float]] = [[] for _ in range(zone_count)]
+    for key, value in observations.items():
+        zone = zone_of.get(key)
+        if zone is None:
+            raise ValueError(f"{key!r} has no zone")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{key!r}: observation {value} is not finite")
+        grouped[zone - 1].append(value)
+    return [np.asarray(g) for g in grouped]
 
 
 def build_hierarchy(topology: NetworkTopology) -> RamificationHierarchy:

@@ -16,13 +16,11 @@ from gridsynth.distributions import (
     MixtureParams,
     ParameterError,
     logpdf_beta,
-    logpdf_categorical,
     logpdf_dirichlet,
     logpdf_gamma,
     logpdf_halfnormal,
     logpdf_mixture,
     logpdf_truncnormal,
-    logpdf_uniform,
     logpdf_weibull,
     logpmf_negbinomial,
     make_rng,
@@ -30,11 +28,9 @@ from gridsynth.distributions import (
     sample_categorical,
     sample_dirichlet,
     sample_gamma,
-    sample_halfnormal,
     sample_mixture,
     sample_negbinomial,
     sample_truncnormal,
-    sample_uniform,
     sample_weibull,
     substream,
 )
@@ -97,19 +93,6 @@ def test_beta_moments():
     draws = sample_beta(rng, a, b, N)
     assert_moments(draws, mean, var)
     assert np.all((draws > 0) & (draws < 1))
-
-
-def test_halfnormal_moments():
-    rng = make_rng(17)
-    s = 1.3
-    assert_moments(
-        sample_halfnormal(rng, s, N), s * math.sqrt(2 / math.pi), s * s * (1 - 2 / math.pi)
-    )
-
-
-def test_uniform_moments():
-    rng = make_rng(18)
-    assert_moments(sample_uniform(rng, 1.0, 4.0, N), 2.5, 9.0 / 12.0)
 
 
 def test_negbinomial_variance_example():
@@ -238,13 +221,6 @@ def test_logpdf_gamma_exponential_value():
     assert logpdf_gamma(-0.5, 2.0, 1.0) == -np.inf
 
 
-def test_logpdf_categorical_definition():
-    p = [0.1, 0.6, 0.3]
-    for k in range(3):
-        assert logpdf_categorical(k, p) == pytest.approx(math.log(p[k]))
-    assert logpdf_categorical(5, p) == -np.inf
-
-
 def test_gamma_logpdf_integrates_to_one():
     # trapezoid oracle over a fine grid
     x = np.linspace(1e-6, 12.0, 200_001)
@@ -280,8 +256,6 @@ def test_beta_dirichlet_uniform_logpdfs():
         float(gammaln(3.0))
     )
     assert logpdf_dirichlet([0.2, 0.3, 0.4], [1.0, 1.0, 1.0]) == -np.inf
-    assert logpdf_uniform(0.5, 0.0, 2.0) == pytest.approx(-math.log(2.0))
-    assert logpdf_uniform(2.5, 0.0, 2.0) == -np.inf
     assert logpdf_halfnormal(-0.1, 1.0) == -np.inf
 
 

@@ -1,11 +1,13 @@
 """Sampler-engine checks: transforms, HDI, conjugate oracles, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gridsynth.distributions import (
+    ParameterError,
     logpdf_beta,
     logpdf_dirichlet,
     logpdf_gamma,
@@ -44,7 +46,7 @@ FAST = FitConfig(chains=4, warmup=800, draws=800, thin=2, seed=42)
 def test_transform_round_trip(definition, z):
     space = ParamSpace([definition])
     z = np.asarray(z, dtype=float)
-    values = space.to_constrained(z)
+    values, _ = space.constrain(z)
     back = space.to_unconstrained(values)
     np.testing.assert_allclose(back, z, atol=1e-9)
 
@@ -67,7 +69,7 @@ def test_log_jacobian_matches_finite_differences(definition, z):
     dim = len(z)
 
     def free_coords(zz):
-        v = np.atleast_1d(np.asarray(space.to_constrained(zz)[definition.name]))
+        v = np.atleast_1d(np.asarray(space.constrain(zz)[0][definition.name]))
         return v[:dim]  # simplex drops its last (dependent) coordinate
 
     eps = 1e-6
@@ -78,7 +80,7 @@ def test_log_jacobian_matches_finite_differences(definition, z):
         zm[j] -= eps
         jac[:, j] = (free_coords(zp) - free_coords(zm)) / (2 * eps)
     numeric = math.log(abs(np.linalg.det(jac)))
-    assert space.log_jacobian(z) == pytest.approx(numeric, abs=1e-5)
+    assert space.constrain(z)[1] == pytest.approx(numeric, abs=1e-5)
 
 
 def test_simplex_support_of_draws():
@@ -86,7 +88,7 @@ def test_simplex_support_of_draws():
     rng = make_rng(3)
     for _ in range(200):
         z = rng.standard_normal(space.dim) * 3
-        vals = space.to_constrained(z)
+        vals, _ = space.constrain(z)
         w = vals["w"]
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) < 1e-12
         m = vals["m"]
@@ -208,6 +210,43 @@ def test_rhat_warning_on_stuck_chains():
     with pytest.warns(UserWarning, match="R-hat"):
         ensemble = fit(logpost, space, config)
     assert ensemble.warnings
+
+
+def test_one_rhat_warning_per_fit():
+    # the stuck bimodal target on every component of a vector parameter
+    space = ParamSpace([ParamDef("x", (3,), "real")])
+
+    def logpost(v):
+        x = v["x"]
+        return float(
+            np.sum(np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2))
+        )
+
+    config = FitConfig(chains=4, warmup=300, draws=300, thin=1, init_jitter=45.0, seed=11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ensemble = fit(logpost, space, config)
+    rhat_warnings = [str(w.message) for w in caught if "R-hat" in str(w.message)]
+    assert len(ensemble.warnings) >= 2
+    assert len(rhat_warnings) == 1
+    for message in ensemble.warnings:
+        assert message.rsplit(" ", 1)[1] in rhat_warnings[0]
+
+
+def test_overflowing_proposal_is_rejected():
+    # exp(z) overflows to inf for z > ~709.78; the model must never see it
+    space = ParamSpace([ParamDef("scale", (), "positive")])
+
+    def logpost(v):
+        return float(logpdf_gamma(1.0, 1.0, 1.0 / v["scale"]))
+
+    config = FitConfig(chains=2, warmup=50, draws=50, thin=1, seed=3)
+    with np.errstate(all="ignore"):  # draws near 1e308 overflow the R-hat sums too
+        ensemble = fit(logpost, space, config, init={"scale": math.exp(709.0)})
+    assert np.all(np.isfinite(ensemble.draws["scale"]))
+    # a model error on finite values still surfaces
+    with pytest.raises(ParameterError):
+        fit(lambda v: float(logpdf_gamma(1.0, 1.0, -v["scale"])), space, config)
 
 
 def test_acceptance_rate_near_target():

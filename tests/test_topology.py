@@ -13,6 +13,7 @@ from gridsynth.topology import (
     assign_zones,
     build_hierarchy,
     compute_distances,
+    group_by_zone,
     load_topology,
     save_topology,
     shortest_path_tree,
@@ -242,3 +243,9 @@ def test_topology_file_errors(tmp_path):
     p.write_text('{"source": "a", "buses": [{"id": "a"}], "lines": [{"id": "l"}]}')
     with pytest.raises(TopologyError, match="lines\\[0\\]"):
         load_topology(str(p))
+
+
+def test_group_by_zone_keeps_input_order():
+    zone_of = {"a": 1, "b": 2, "c": 1, "d": 2}
+    grouped = group_by_zone({"c": 3.0, "a": 1.0, "b": 2.0, "d": 4.0}, zone_of, 3)
+    assert [g.tolist() for g in grouped] == [[3.0, 1.0], [2.0, 4.0], []]
