@@ -248,11 +248,17 @@ def consistency_violations(
     allocation: dict[str, PhaseConfig],
     distances: dict[str, float],
 ) -> list[str]:
-    """Line ids where the downstream phase set is not a subset of the upstream one."""
+    """Line ids where the downstream phase set is not a subset of the upstream one.
+
+    The upstream end is the one closer to the source; between equidistant
+    ends, the one the shortest-path tree reaches first.
+    """
+    _, _, order = topology._tree
+    rank = {bus: i for i, bus in enumerate(order)}
     bad = []
     for line in topology.lines:
         du, dv = distances[line.from_bus], distances[line.to_bus]
-        if du < dv or (du == dv and line.from_bus < line.to_bus):
+        if du < dv or (du == dv and rank[line.from_bus] < rank[line.to_bus]):
             up, down = line.from_bus, line.to_bus
         else:
             up, down = line.to_bus, line.from_bus

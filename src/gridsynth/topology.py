@@ -72,12 +72,14 @@ class NetworkTopology:
 
     Validated on construction: unique ids, positive line lengths, known
     endpoints, and full reachability from the source. Cycles are accepted.
+    The shortest-path tree from the source is computed here, once.
     """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     source: str
     _adjacency: dict = field(init=False, repr=False, compare=False)
+    _tree: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bus_ids = [b.id for b in self.buses]
@@ -106,20 +108,10 @@ class NetworkTopology:
         for entries in adjacency.values():
             entries.sort()
         object.__setattr__(self, "_adjacency", adjacency)
-        reachable = self._reach()
-        if len(reachable) != len(self.buses):
-            raise DisconnectedGraphError([b for b in known if b not in reachable])
-
-    def _reach(self) -> set[str]:
-        seen = {self.source}
-        stack = [self.source]
-        while stack:
-            u = stack.pop()
-            for v, _, _ in self._adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+        tree = _dijkstra(adjacency, self.source)
+        if len(tree[0]) != len(self.buses):
+            raise DisconnectedGraphError([b for b in bus_ids if b not in tree[0]])
+        object.__setattr__(self, "_tree", tree)
 
     def neighbors(self, bus_id: str) -> list[tuple[str, float, str]]:
         """(neighbor, length_km, line_id) triples, sorted for determinism."""
@@ -127,12 +119,6 @@ class NetworkTopology:
 
     def degree(self, bus_id: str) -> int:
         return len(self._adjacency[bus_id])
-
-    def bus(self, bus_id: str) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(bus_id)
 
     @property
     def bus_ids(self) -> list[str]:
@@ -174,22 +160,22 @@ class RamificationHierarchy:
     nearest_ramification: dict[str, str]
 
 
-def shortest_path_tree(topology: NetworkTopology) -> tuple[dict[str, float], dict[str, str | None]]:
-    """Dijkstra distances from the source plus a deterministic predecessor map.
-
-    Ties in distance are broken toward the smaller predecessor bus id so the
-    tree (and everything derived from it) is reproducible.
-    """
-    dist: dict[str, float] = {topology.source: 0.0}
-    parent: dict[str, str | None] = {topology.source: None}
+def _dijkstra(adjacency: dict, source: str) -> tuple[dict, dict, list[str]]:
+    """``shortest_path_tree`` plus the order buses are popped in. A bus is
+    popped after its predecessor, so parents precede children in that order
+    even across a line too short to change the float distance."""
+    dist: dict[str, float] = {source: 0.0}
+    parent: dict[str, str | None] = {source: None}
+    order: list[str] = []
     done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, topology.source)]
+    heap: list[tuple[float, str]] = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if u in done:
             continue
         done.add(u)
-        for v, w, _ in topology.neighbors(u):
+        order.append(u)
+        for v, w, _ in adjacency[u]:
             nd = d + w
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
@@ -197,7 +183,18 @@ def shortest_path_tree(topology: NetworkTopology) -> tuple[dict[str, float], dic
                 heapq.heappush(heap, (nd, v))
             elif v not in done and nd == dist[v] and parent[v] is not None and u < parent[v]:
                 parent[v] = u
-    return dist, parent
+    return dist, parent, order
+
+
+def shortest_path_tree(topology: NetworkTopology) -> tuple[dict[str, float], dict[str, str | None]]:
+    """Dijkstra distances from the source plus a deterministic predecessor map.
+
+    Ties in distance are broken toward the smaller predecessor bus id so the
+    tree (and everything derived from it) is reproducible. The tree is
+    computed once when the topology is built; these are copies of it.
+    """
+    dist, parent, _ = topology._tree
+    return dict(dist), dict(parent)
 
 
 def compute_distances(topology: NetworkTopology) -> dict[str, float]:
@@ -211,10 +208,11 @@ def assign_zones(
 ) -> ZoneAssignment:
     """Partition buses into equal-frequency distance bins.
 
-    Lines take the zone of their upstream endpoint (the one closer to the
-    source; ties broken toward the smaller bus id). Requesting more bins than
-    there are distinct quantile edges degrades gracefully: duplicate edges are
-    merged and a warning is emitted.
+    Lines take the zone of their upstream endpoint, the one closer to the
+    source. Zones never decrease with distance, so that is the smaller of the
+    two endpoint zones, and equidistant endpoints share a zone. Requesting
+    more bins than there are distinct quantile edges degrades gracefully:
+    duplicate edges are merged and a warning is emitted.
     """
     if zone_count < 1:
         raise TopologyError(f"zone count must be >= 1, got {zone_count}")
@@ -233,14 +231,9 @@ def assign_zones(
     # side='left' puts a value equal to an edge into the lower zone
     zones = np.searchsorted(inner, values, side="left") + 1
     bus_zone = {i: int(z) for i, z in zip(ids, zones)}
-    line_zone: dict[str, int] = {}
-    for line in lines:
-        du, dv = distances[line.from_bus], distances[line.to_bus]
-        if du < dv or (du == dv and line.from_bus < line.to_bus):
-            upstream = line.from_bus
-        else:
-            upstream = line.to_bus
-        line_zone[line.id] = bus_zone[upstream]
+    line_zone = {
+        line.id: min(bus_zone[line.from_bus], bus_zone[line.to_bus]) for line in lines
+    }
     edges = (float(values.min()),) + tuple(float(e) for e in inner) + (float(values.max()),)
     return ZoneAssignment(
         zone_count=effective,
@@ -274,24 +267,19 @@ def group_by_zone(
 
 def build_hierarchy(topology: NetworkTopology) -> RamificationHierarchy:
     """Identify ramification nodes and their parent order along the feeder."""
-    dist, tree_parent = shortest_path_tree(topology)
+    _, tree_parent, order = topology._tree
     ram = {b for b in topology.bus_ids if topology.degree(b) > 2}
     ram.add(topology.source)
-
-    def first_ram_ancestor(bus: str) -> str:
-        node = tree_parent[bus]
-        while node is not None:
-            if node in ram:
-                return node
-            node = tree_parent[node]
-        return topology.source
-
-    parent = {r: first_ram_ancestor(r) for r in ram if r != topology.source}
-    nearest = {v: first_ram_ancestor(v) for v in topology.bus_ids if v not in ram}
-    # ancestors are strictly closer to the source, so distance order is topological
-    ordered = tuple(sorted(ram, key=lambda b: (dist[b], b)))
+    # order lists every bus after its tree parent, so above[p] is set before v reads it
+    above: dict[str, str] = {}
+    for v in order[1:]:
+        p = tree_parent[v]
+        above[v] = p if p in ram else above[p]
+    ordered = tuple(b for b in order if b in ram)
     return RamificationHierarchy(
-        ramification_set=ordered, parent=parent, nearest_ramification=nearest
+        ramification_set=ordered,
+        parent={r: above[r] for r in ordered[1:]},
+        nearest_ramification={v: above[v] for v in topology.bus_ids if v not in ram},
     )
 
 

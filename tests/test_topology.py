@@ -1,14 +1,20 @@
 """Graph distance, zone-binning, and ramification-hierarchy checks."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsynth.distributions import make_rng
+from gridsynth.phases import allocate, consistency_violations
 from gridsynth.topology import (
     Bus,
     DisconnectedGraphError,
     Line,
     NetworkTopology,
+    RamificationHierarchy,
     TopologyError,
     assign_zones,
     build_hierarchy,
@@ -249,3 +255,97 @@ def test_group_by_zone_keeps_input_order():
     zone_of = {"a": 1, "b": 2, "c": 1, "d": 2}
     grouped = group_by_zone({"c": 3.0, "a": 1.0, "b": 2.0, "d": 4.0}, zone_of, 3)
     assert [g.tolist() for g in grouped] == [[3.0, 1.0], [2.0, 4.0], []]
+
+
+def test_line_shorter_than_distance_resolution():
+    # m-a is too short to change the float distance: dist[a] == dist[m], and a
+    # sorts before m by id although a hangs off m
+    buses = tuple(Bus(i) for i in ("src", "m", "x", "a", "p", "q"))
+    lines = (
+        Line("l1", "src", "m", 1.0),
+        Line("l2", "m", "x", 1.0),
+        Line("l3", "m", "a", 1e-17),
+        Line("l4", "a", "p", 1.0),
+        Line("l5", "a", "q", 1.0),
+    )
+    topo = NetworkTopology(buses=buses, lines=lines, source="src")
+    d = compute_distances(topo)
+    assert d["a"] == d["m"]
+    h = build_hierarchy(topo)
+    assert h.ramification_set == ("src", "m", "a")
+    assert h.parent == {"m": "src", "a": "m"}
+    zones = assign_zones(d, topo.lines, 2)
+    base = np.full((zones.zone_count, 7), 1.0 / 7.0)
+    for seed in range(200):
+        allocation = allocate(topo, h, zones, base, make_rng(seed))
+        assert consistency_violations(topo, allocation, d) == []
+
+
+def _walk_to_root_hierarchy(topology):
+    """Reference: the walk-to-root hierarchy, ordered by (distance, bus id)."""
+    dist, tree_parent = shortest_path_tree(topology)
+    ram = {b for b in topology.bus_ids if topology.degree(b) > 2}
+    ram.add(topology.source)
+
+    def first_ram_ancestor(bus):
+        node = tree_parent[bus]
+        while node is not None:
+            if node in ram:
+                return node
+            node = tree_parent[node]
+        return topology.source
+
+    parent = {r: first_ram_ancestor(r) for r in ram if r != topology.source}
+    nearest = {v: first_ram_ancestor(v) for v in topology.bus_ids if v not in ram}
+    ordered = tuple(sorted(ram, key=lambda b: (dist[b], b)))
+    return RamificationHierarchy(
+        ramification_set=ordered, parent=parent, nearest_ramification=nearest
+    )
+
+
+@st.composite
+def radial_trees(draw):
+    """Random radial feeders: bus i hangs off an earlier bus, ids shuffled so
+    that id order says nothing about the tree, and lengths on a half-km grid
+    often enough to give distance ties."""
+    n = draw(st.integers(1, 40))
+    names = [f"b{k:02d}" for k in draw(st.permutations(range(n)))]
+    length = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.1, 5.0))
+    lines = tuple(
+        Line(f"l{i:02d}", names[draw(st.integers(0, i - 1))], names[i], draw(length))
+        for i in range(1, n)
+    )
+    return NetworkTopology(buses=tuple(Bus(b) for b in names), lines=lines, source=names[0])
+
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY
+@given(radial_trees())
+def test_hierarchy_matches_walk_to_root(topo):
+    h = build_hierarchy(topo)
+    assert h == _walk_to_root_hierarchy(topo)
+    position = {b: i for i, b in enumerate(h.ramification_set)}
+    assert h.ramification_set[0] == topo.source
+    assert all(position[p] < position[c] for c, p in h.parent.items())
+
+
+@PROPERTY
+@given(radial_trees(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_allocation_and_zones_on_random_trees(topo, zone_count, seed):
+    d = compute_distances(topo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        zones = assign_zones(d, topo.lines, zone_count)
+    rng = make_rng(seed)
+    base = rng.random((zones.zone_count, 7))
+    allocation = allocate(topo, build_hierarchy(topo), zones, base, rng)
+    assert set(allocation) == set(topo.bus_ids)
+    assert consistency_violations(topo, allocation, d) == []
+    for line in topo.lines:
+        near = min((line.from_bus, line.to_bus), key=lambda b: (d[b], b))
+        assert zones.line_zone[line.id] == zones.bus_zone[near]
+    for bus, zone in zones.bus_zone.items():
+        lo, hi = zones.edges[zone - 1], zones.edges[zone]
+        assert (lo <= d[bus] if zone == 1 else lo < d[bus]) and d[bus] <= hi
