@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -21,8 +20,6 @@ from scipy.special import gammaln, log_ndtr, ndtr
 
 __all__ = [
     "ParameterError",
-    "GammaParams",
-    "MixtureParams",
     "make_rng",
     "substream",
     "sample_gamma",
@@ -32,7 +29,6 @@ __all__ = [
     "sample_categorical",
     "sample_negbinomial",
     "sample_truncnormal",
-    "sample_mixture",
     "logpdf_normal",
     "logpdf_gamma",
     "logpdf_weibull",
@@ -41,7 +37,6 @@ __all__ = [
     "logpdf_halfnormal",
     "logpmf_negbinomial",
     "logpdf_truncnormal",
-    "logpdf_mixture",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -54,6 +49,17 @@ class ParameterError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ParameterError(message)
+
+
+def _require_gamma(shape: float, rate: float) -> None:
+    _require(
+        math.isfinite(shape) and shape > 0.0,
+        f"gamma shape must be finite and positive, got {shape}",
+    )
+    _require(
+        math.isfinite(rate) and rate > 0.0,
+        f"gamma rate must be finite and positive, got {rate}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -79,52 +85,6 @@ def substream(seed: int, *path: object) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# Parameter containers
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate parameterization; mean = shape / rate."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        _require(
-            math.isfinite(self.shape) and self.shape > 0.0,
-            f"gamma shape must be finite and positive, got {self.shape}",
-        )
-        _require(
-            math.isfinite(self.rate) and self.rate > 0.0,
-            f"gamma rate must be finite and positive, got {self.rate}",
-        )
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-
-@dataclass(frozen=True)
-class MixtureParams:
-    """Finite Gamma mixture with weights on the simplex."""
-
-    components: tuple[GammaParams, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _require(len(self.components) >= 1, "mixture needs at least one component")
-        _require(
-            len(self.weights) == len(self.components),
-            "weights and components must have equal length",
-        )
-        _require(all(w >= 0.0 for w in self.weights), "mixture weights must be nonnegative")
-        _require(
-            abs(sum(self.weights) - 1.0) < 1e-12,
-            f"mixture weights must sum to 1 within 1e-12, got {sum(self.weights)}",
-        )
-
-
-# ---------------------------------------------------------------------------
 # Samplers
 
 
@@ -133,10 +93,10 @@ def sample_gamma(rng: Generator, shape: float, rate: float, size: int | None = N
 
     Shapes below one are boosted through Gamma(shape + 1) * U^(1/shape).
     """
-    params = GammaParams(shape, rate)
+    _require_gamma(shape, rate)
     if size is None:
-        return _gamma_mt_scalar(rng, params.shape) / params.rate
-    return _gamma_mt_batch(rng, params.shape, int(size)) / params.rate
+        return _gamma_mt_scalar(rng, shape) / rate
+    return _gamma_mt_batch(rng, shape, int(size)) / rate
 
 
 def _gamma_mt_scalar(rng: Generator, alpha: float) -> float:
@@ -293,22 +253,6 @@ def _truncnorm_robert(rng: Generator, a: float, n: int) -> np.ndarray:
     return out
 
 
-def sample_mixture(rng: Generator, mixture: MixtureParams, size: int | None = None):
-    """Draw from a Gamma mixture: pick a component, then sample it."""
-    if size is None:
-        k = sample_categorical(rng, mixture.weights)
-        comp = mixture.components[k]
-        return sample_gamma(rng, comp.shape, comp.rate)
-    ks = sample_categorical(rng, mixture.weights, size)
-    out = np.empty(size)
-    for k, comp in enumerate(mixture.components):
-        mask = ks == k
-        m = int(mask.sum())
-        if m:
-            out[mask] = sample_gamma(rng, comp.shape, comp.rate, m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Log-densities
 
@@ -322,15 +266,10 @@ def logpdf_normal(x, mu: float, sigma: float):
 
 
 def logpdf_gamma(x, shape: float, rate: float):
-    params = GammaParams(shape, rate)
+    _require_gamma(shape, rate)
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        body = (
-            params.shape * math.log(params.rate)
-            - gammaln(params.shape)
-            + (params.shape - 1.0) * np.log(x)
-            - params.rate * x
-        )
+        body = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
     out = np.where(x > 0.0, body, -np.inf)
     return out if out.ndim else float(out)
 
@@ -399,18 +338,4 @@ def logpdf_truncnormal(x, mu: float, sigma: float, lower: float):
     log_tail = log_ndtr((mu - lower) / sigma)
     body = logpdf_normal(x, mu, sigma) - log_tail
     out = np.where(x >= lower, body, -np.inf)
-    return out if out.ndim else float(out)
-
-
-def logpdf_mixture(x, mixture: MixtureParams):
-    """log sum_k w_k Gamma(x; alpha_k, beta_k), stabilized with log-sum-exp."""
-    x = np.asarray(x, dtype=float)
-    terms = np.full((len(mixture.components),) + x.shape, -np.inf)
-    for k, (w, comp) in enumerate(zip(mixture.weights, mixture.components)):
-        if w > 0.0:
-            terms[k] = math.log(w) + logpdf_gamma(x, comp.shape, comp.rate)
-    peak = np.max(terms, axis=0)
-    with np.errstate(invalid="ignore"):
-        out = peak + np.log(np.sum(np.exp(terms - peak), axis=0))
-    out = np.where(np.isfinite(peak), out, -np.inf)
     return out if out.ndim else float(out)

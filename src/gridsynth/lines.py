@@ -22,13 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
-    GammaParams,
-    MixtureParams,
     ParameterError,
     logpdf_dirichlet,
     logpdf_gamma,
     logpdf_halfnormal,
-    sample_mixture,
+    sample_categorical,
+    sample_gamma,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, PosteriorEnsemble, fit
 from .phases import PhaseConfig
@@ -37,9 +36,7 @@ from .topology import ZoneAssignment, group_by_zone
 __all__ = [
     "MIXTURE_COMPONENTS",
     "LineGeometry",
-    "ConductorSpec",
     "LineParams",
-    "gamma_from_mean_cv",
     "sample_line",
     "fit_line_model",
     "carson_primitive",
@@ -52,26 +49,6 @@ __all__ = [
 MIXTURE_COMPONENTS = 3
 
 
-def gamma_from_mean_cv(mean: float, cv: float) -> GammaParams:
-    """Gamma with the given mean and coefficient of variation:
-    shape = 1/cv^2, rate = 1/(cv^2 * mean)."""
-    if not (mean > 0.0 and cv > 0.0):
-        raise ParameterError(f"mean and cv must be positive, got {mean}, {cv}")
-    return GammaParams(shape=1.0 / cv**2, rate=1.0 / (cv**2 * mean))
-
-
-@dataclass(frozen=True)
-class ConductorSpec:
-    """Physical conductor data for the impedance build."""
-
-    gmr_m: float
-    r_ac_ohm_per_km: float
-
-    def __post_init__(self) -> None:
-        if not (self.gmr_m > 0.0 and self.r_ac_ohm_per_km > 0.0):
-            raise ParameterError("conductor gmr and resistance must be positive")
-
-
 @dataclass(frozen=True)
 class LineGeometry:
     """Crossarm spacings plus Carson constants.
@@ -79,7 +56,7 @@ class LineGeometry:
     Phases sit at A=(0,0), B=(d_ab,0) and C placed by trilateration from
     d_ac/d_bc (collinear for the default 0.6/0.6/1.2 m spacings). The neutral,
     when enabled, runs ``neutral_offset_m`` above the midpoint of the active
-    conductors and defaults to the phase conductor's properties.
+    conductors and has the phase conductor's GMR and resistance.
     """
 
     d_ab_m: float = 0.6
@@ -89,8 +66,6 @@ class LineGeometry:
     earth_resistivity_ohm_m: float = 100.0
     include_neutral: bool = True
     neutral_offset_m: float = 1.2
-    neutral_gmr_m: float | None = None
-    neutral_r_ac_ohm_per_km: float | None = None
 
     def __post_init__(self) -> None:
         spacings = (self.d_ab_m, self.d_bc_m, self.d_ac_m)
@@ -114,6 +89,9 @@ class LineGeometry:
         return (self.d_ab_m * self.d_bc_m * self.d_ac_m) ** (1.0 / 3.0)
 
 
+_DEFAULT_GEOMETRY = LineGeometry()
+
+
 @dataclass(frozen=True)
 class LineParams:
     """Sampled per-km parameters; ``x1 = rho * r1`` holds exactly."""
@@ -135,19 +113,34 @@ class LineParams:
 # Mixture model
 
 
-def _mixture_from_draw(draw, prefix: str, zone: int) -> MixtureParams:
+def _gamma_shape_rates(means, cv):
+    """Gamma components with the given means and one shared coefficient of
+    variation: shape = 1/cv^2, rate_k = 1/(cv^2 * mean_k)."""
+    return 1.0 / cv**2, 1.0 / (cv**2 * means)
+
+
+def _sample_mixture(draw, prefix: str, zone: int, rng) -> float:
     means = np.asarray(draw[f"{prefix}_means"], dtype=float)
     cv = float(draw[f"{prefix}_cv"])
     weights = np.asarray(draw[f"{prefix}_weights_z{zone}"], dtype=float)
-    components = tuple(gamma_from_mean_cv(float(m), cv) for m in means)
-    return MixtureParams(components=components, weights=tuple(weights / weights.sum()))
+    means_list = means.tolist()
+    weights_list = weights.tolist()
+    if len(weights_list) != len(means_list):
+        raise ParameterError(f"{prefix} weights and means must have equal length")
+    if not all(math.isfinite(m) and m > 0.0 for m in (*means_list, cv)):
+        raise ParameterError(f"{prefix} means and cv must be finite and positive")
+    if not (all(w >= 0.0 for w in weights_list) and 0.0 < sum(weights_list) < math.inf):
+        raise ParameterError(f"{prefix} weights must be nonnegative with a finite positive sum")
+    shape, rates = _gamma_shape_rates(means, cv)
+    k = sample_categorical(rng, weights / weights.sum())
+    return float(sample_gamma(rng, shape, rates[k]))
 
 
 def sample_line(draw, zone: int, rng) -> LineParams:
     """Draw (R1, rho) from the zone's mixtures; the impedance matrix is
     attached separately once the line's phase configuration is known."""
-    r1 = float(sample_mixture(rng, _mixture_from_draw(draw, "r", zone)))
-    rho = float(sample_mixture(rng, _mixture_from_draw(draw, "rho", zone)))
+    r1 = _sample_mixture(draw, "r", zone, rng)
+    rho = _sample_mixture(draw, "rho", zone, rng)
     return LineParams(r1_ohm_per_km=r1, rho=rho)
 
 
@@ -168,11 +161,13 @@ def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
         lp = float(logpdf_halfnormal(means[0], 1.0))
         lp += float(np.sum(logpdf_halfnormal(np.diff(means), 1.0)))
         lp += float(logpdf_halfnormal(cv, 0.5))
-        shape = 1.0 / cv**2
-        rates = 1.0 / (cv**2 * means)
+        shape, rates = _gamma_shape_rates(means, cv)
         for z, values in enumerate(grouped, start=1):
             weights = v[f"{prefix}_weights_z{z}"]
             lp += logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS))
+            # a weight that underflowed to 0 is off the simplex: stop before np.log(0)
+            if lp == -np.inf:
+                return lp
             if values.size == 0:
                 continue
             comp = np.stack(
@@ -241,38 +236,35 @@ def fit_line_model(
 
 def carson_primitive(
     positions: list[tuple[float, float]],
-    conductors: list[ConductorSpec],
+    gmr_m: float,
+    r_ac_ohm_per_km: float,
     frequency_hz: float,
     earth_resistivity_ohm_m: float,
 ) -> np.ndarray:
-    """Primitive impedance matrix (ohm/km) from the modified Carson equations.
+    """Primitive impedance matrix (ohm/km) from the modified Carson equations,
+    for conductors that all have GMR ``gmr_m`` and AC resistance
+    ``r_ac_ohm_per_km``.
 
-    Self terms: r_i + pi^2 f 1e-4 + j 4pi f 1e-4 ln(D_e / gmr_i); mutual terms
+    Self terms: r + pi^2 f 1e-4 + j 4pi f 1e-4 ln(D_e / gmr); mutual terms
     replace gmr with the conductor spacing. D_e = 658.368 sqrt(rho_e / f) m is
     the equivalent earth-return depth.
     """
+    if not (gmr_m > 0.0 and r_ac_ohm_per_km > 0.0):
+        raise ParameterError("conductor gmr and resistance must be positive")
     n = len(positions)
-    if n != len(conductors):
-        raise ParameterError("positions and conductors must align")
     p_term = math.pi**2 * frequency_hz * 1e-4
     q_coef = 4.0 * math.pi * frequency_hz * 1e-4
     depth = 658.368 * math.sqrt(earth_resistivity_ohm_m / frequency_hz)
     z = np.empty((n, n), dtype=complex)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                z[i, j] = (
-                    conductors[i].r_ac_ohm_per_km
-                    + p_term
-                    + 1j * q_coef * math.log(depth / conductors[i].gmr_m)
-                )
-            else:
-                dx = positions[i][0] - positions[j][0]
-                dy = positions[i][1] - positions[j][1]
-                d = math.hypot(dx, dy)
-                if d <= 0.0:
-                    raise ParameterError("coincident conductors")
-                z[i, j] = p_term + 1j * q_coef * math.log(depth / d)
+        z[i, i] = r_ac_ohm_per_km + p_term + 1j * q_coef * math.log(depth / gmr_m)
+        for j in range(i):
+            dx = positions[i][0] - positions[j][0]
+            dy = positions[i][1] - positions[j][1]
+            d = math.hypot(dx, dy)
+            if d <= 0.0:
+                raise ParameterError("coincident conductors")
+            z[i, j] = z[j, i] = p_term + 1j * q_coef * math.log(depth / d)
     return z
 
 
@@ -290,38 +282,31 @@ def kron_reduce(z: np.ndarray, keep: int) -> np.ndarray:
 def carson_zabc(
     params: LineParams,
     config: PhaseConfig,
-    geometry: LineGeometry | None = None,
-    conductor: ConductorSpec | None = None,
+    geometry: LineGeometry = _DEFAULT_GEOMETRY,
 ) -> np.ndarray:
     """3x3 phase impedance matrix (ohm/km) for the line's configuration.
 
-    When ``conductor`` is omitted it is derived from the sampled pair: the AC
-    resistance is R1 and the GMR is chosen so a transposed three-phase line
-    reproduces X1 (gmr = GMD * exp(-x1 / (4 pi f 1e-4))). Only the active
-    conductors (plus the neutral) enter the primitive matrix; inactive phases
-    are zero rows/columns of the returned container.
+    The conductor is derived from the sampled pair: the AC resistance is R1
+    and the GMR is chosen so a transposed three-phase line reproduces X1
+    (gmr = GMD * exp(-x1 / (4 pi f 1e-4))). Only the active conductors (plus
+    the neutral) enter the primitive matrix; inactive phases are zero
+    rows/columns of the returned container.
     """
-    geometry = geometry or LineGeometry()
-    if conductor is None:
-        q_coef = 4.0 * math.pi * geometry.frequency_hz * 1e-4
-        gmr = geometry.gmd_m() * math.exp(-params.x1_ohm_per_km / q_coef)
-        conductor = ConductorSpec(gmr_m=gmr, r_ac_ohm_per_km=params.r1_ohm_per_km)
+    q_coef = 4.0 * math.pi * geometry.frequency_hz * 1e-4
+    gmr = geometry.gmd_m() * math.exp(-params.x1_ohm_per_km / q_coef)
     phase_pos = geometry.phase_positions()
     active = config.phase_list
     positions = [phase_pos[p] for p in active]
-    conductors = [conductor] * len(active)
     if geometry.include_neutral:
         xs = [p[0] for p in positions]
         ys = [p[1] for p in positions]
         positions.append((sum(xs) / len(xs), sum(ys) / len(ys) + geometry.neutral_offset_m))
-        conductors.append(
-            ConductorSpec(
-                gmr_m=geometry.neutral_gmr_m or conductor.gmr_m,
-                r_ac_ohm_per_km=geometry.neutral_r_ac_ohm_per_km or conductor.r_ac_ohm_per_km,
-            )
-        )
     zprim = carson_primitive(
-        positions, conductors, geometry.frequency_hz, geometry.earth_resistivity_ohm_m
+        positions,
+        gmr,
+        params.r1_ohm_per_km,
+        geometry.frequency_hz,
+        geometry.earth_resistivity_ohm_m,
     )
     zred = kron_reduce(zprim, len(active))
     out = np.zeros((3, 3), dtype=complex)
@@ -335,10 +320,9 @@ def carson_zabc(
 def attach_zabc(
     params: LineParams,
     config: PhaseConfig,
-    geometry: LineGeometry | None = None,
-    conductor: ConductorSpec | None = None,
+    geometry: LineGeometry = _DEFAULT_GEOMETRY,
 ) -> LineParams:
-    return replace(params, z_abc=carson_zabc(params, config, geometry, conductor))
+    return replace(params, z_abc=carson_zabc(params, config, geometry))
 
 
 def positive_sequence(z_abc: np.ndarray) -> complex:

@@ -199,6 +199,9 @@ def fit_phase_model(
             base = values[f"base_z{z}"]
             lp += float(np.sum(logpdf_halfnormal(conc, 1.0)))
             lp += logpdf_dirichlet(base, conc)
+            # a probability that underflowed to 0 is off the simplex: stop before np.log(0)
+            if lp == -np.inf:
+                return lp
             lp += float(np.dot(counts[z - 1], np.log(base)))
         return lp
 
@@ -218,25 +221,27 @@ def allocate(
     base: np.ndarray,
     rng,
     prohibited: tuple[PhaseConfig, ...] = (),
-    source_config: PhaseConfig = PhaseConfig.ABC,
 ) -> dict[str, PhaseConfig]:
     """Draw one subset-consistent allocation from zone base probabilities.
 
-    ``base`` is a (Z, 7) matrix (one posterior draw). Ramification nodes are
-    sampled in topological order from the constrained categorical; all other
-    buses copy their nearest upstream ramification node.
+    ``base`` is a (Z, 7) matrix (one posterior draw). The source is
+    three-phase; the other ramification nodes are sampled in topological
+    order from the constrained categorical, which is computed once per
+    (zone, parent configuration), so a fallback warns once per pair. All
+    other buses copy their nearest upstream ramification node.
     """
     base = np.asarray(base, dtype=float)
     if base.shape != (zones.zone_count, 7):
         raise ValueError(
             f"base matrix shape {base.shape} does not match zone count {zones.zone_count}"
         )
-    phi: dict[str, PhaseConfig] = {topology.source: source_config}
-    for node in hierarchy.ramification_set:
-        if node == topology.source:
-            continue
-        parent_cfg = phi[hierarchy.parent[node]]
-        probs = constrain(base[zones.bus_zone[node] - 1], parent_cfg, prohibited)
+    phi: dict[str, PhaseConfig] = {topology.source: PhaseConfig.ABC}
+    rows: dict[tuple[int, PhaseConfig], np.ndarray] = {}
+    for node in hierarchy.ramification_set[1:]:
+        key = (zones.bus_zone[node], phi[hierarchy.parent[node]])
+        probs = rows.get(key)
+        if probs is None:
+            probs = rows[key] = constrain(base[key[0] - 1], key[1], prohibited)
         phi[node] = CONFIGS[sample_categorical(rng, probs)]
     for node, ram in hierarchy.nearest_ramification.items():
         phi[node] = phi[ram]

@@ -97,7 +97,7 @@ class NetworkTopology:
         for line in self.lines:
             if line.from_bus not in known or line.to_bus not in known:
                 raise TopologyError(f"line {line.id!r} references unknown bus")
-            if not (line.length_km > 0.0) or not np.isfinite(line.length_km):
+            if not (line.length_km > 0.0) or not math.isfinite(line.length_km):
                 raise TopologyError(
                     f"line {line.id!r} length must be strictly positive, got {line.length_km}"
                 )

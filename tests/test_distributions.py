@@ -12,14 +12,11 @@ import pytest
 from scipy.special import gammaln
 
 from gridsynth.distributions import (
-    GammaParams,
-    MixtureParams,
     ParameterError,
     logpdf_beta,
     logpdf_dirichlet,
     logpdf_gamma,
     logpdf_halfnormal,
-    logpdf_mixture,
     logpdf_truncnormal,
     logpdf_weibull,
     logpmf_negbinomial,
@@ -28,7 +25,6 @@ from gridsynth.distributions import (
     sample_categorical,
     sample_dirichlet,
     sample_gamma,
-    sample_mixture,
     sample_negbinomial,
     sample_truncnormal,
     sample_weibull,
@@ -184,38 +180,6 @@ def test_categorical_frequencies():
         assert abs(freq - p[k]) < 4 * se
 
 
-def test_mixture_degenerate_weight():
-    rng = make_rng(29)
-    m = MixtureParams(
-        components=(GammaParams(4.0, 4.0), GammaParams(9.0, 1.0), GammaParams(1.0, 1.0)),
-        weights=(1.0, 0.0, 0.0),
-    )
-    draws = sample_mixture(rng, m, N)
-    assert_moments(draws, 1.0, 0.25)
-    x = np.linspace(0.05, 4.0, 50)
-    np.testing.assert_allclose(logpdf_mixture(x, m), logpdf_gamma(x, 4.0, 4.0))
-
-
-def test_mixture_total_expectation():
-    rng = make_rng(30)
-    m = MixtureParams(
-        components=(GammaParams(4.0, 4.0), GammaParams(9.0, 3.0)), weights=(0.5, 0.5)
-    )
-    draws = sample_mixture(rng, m, N)
-    mean = 2.0
-    var = 0.5 * (0.25 + 1.0) + 0.5 * (1.0 + 9.0) - mean * mean
-    assert abs(draws.mean() - mean) < 3 * math.sqrt(var / N)
-
-
-def test_mixture_logpdf_lower_bound():
-    m = MixtureParams(
-        components=(GammaParams(2.0, 1.0), GammaParams(6.0, 2.0)), weights=(0.3, 0.7)
-    )
-    for x in (0.2, 1.0, 3.0, 8.0):
-        best = max(logpdf_gamma(x, 2.0, 1.0), logpdf_gamma(x, 6.0, 2.0))
-        assert logpdf_mixture(x, m) >= best + math.log(0.3) - 1e-12
-
-
 def test_logpdf_gamma_exponential_value():
     assert logpdf_gamma(1.0, 1.0, 1.0) == pytest.approx(-1.0)
     assert logpdf_gamma(-0.5, 2.0, 1.0) == -np.inf
@@ -269,10 +233,10 @@ def test_parameter_errors():
         sample_weibull(rng, 0.0, 1.0)
     with pytest.raises(ParameterError):
         sample_negbinomial(rng, 0.0, 1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="gamma rate must be finite and positive"):
         logpdf_gamma(1.0, 1.0, -2.0)
-    with pytest.raises(ParameterError):
-        MixtureParams(components=(GammaParams(1.0, 1.0),), weights=(0.5,))
+    with pytest.raises(ParameterError, match="gamma shape must be finite and positive"):
+        sample_gamma(rng, math.inf, 1.0)
 
 
 def test_same_seed_bit_identical_streams():

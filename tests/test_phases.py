@@ -1,5 +1,7 @@
 """Phase configuration, constraint, fitting, and allocation checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from gridsynth.topology import (
     Bus,
     Line,
     NetworkTopology,
+    ZoneAssignment,
     assign_zones,
     build_hierarchy,
     compute_distances,
@@ -210,6 +213,35 @@ def test_allocate_scenario_prohibitions():
     for bus, ram in hierarchy.nearest_ramification.items():
         if phi[bus] is PhaseConfig.ABC:
             assert ram == topo.source
+
+
+def test_allocate_zero_mass_warns_once_per_zone_and_parent():
+    # m (zone 1) is forced to A; its three branch children sit in zone 2, whose
+    # row puts all mass on B, so each falls back to uniform over {A}
+    buses = [Bus("sub"), Bus("m")]
+    lines = [Line("l_m", "sub", "m", 1.0)]
+    for i in range(3):
+        buses.append(Bus(f"x{i}"))
+        lines.append(Line(f"l_x{i}", "m", f"x{i}", 1.0))
+        for j in range(2):
+            buses.append(Bus(f"x{i}_{j}"))
+            lines.append(Line(f"l_x{i}_{j}", f"x{i}", f"x{i}_{j}", 1.0))
+    topo = NetworkTopology(buses=tuple(buses), lines=tuple(lines), source="sub")
+    bus_zone = {b.id: 1 if b.id in ("sub", "m") else 2 for b in buses}
+    zones = ZoneAssignment(
+        zone_count=2, bus_zone=bus_zone, line_zone={}, bus_distance_km={}, edges=(0.0, 1.0, 3.0)
+    )
+    base = np.zeros((2, 7))
+    base[0, PhaseConfig.A.index] = 1.0
+    base[1, PhaseConfig.B.index] = 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phi = allocate(topo, build_hierarchy(topo), zones, base, make_rng(2))
+    assert [str(w.message) for w in caught if "zero mass" in str(w.message)] == [
+        "base probabilities put zero mass on every configuration allowed under "
+        "parent A; falling back to uniform over the allowed set"
+    ]
+    assert all(cfg is PhaseConfig.A for bus, cfg in phi.items() if bus != "sub")
 
 
 def test_fit_all_abc_concentrates():
