@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import gammaln, log_ndtr, ndtr
+from scipy.special import gammaln, log_ndtr, ndtr, xlogy
 
 __all__ = [
     "ParameterError",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
 
 class ParameterError(ValueError):
@@ -51,15 +53,25 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _require_gamma(shape: float, rate: float) -> None:
-    _require(
-        math.isfinite(shape) and shape > 0.0,
-        f"gamma shape must be finite and positive, got {shape}",
-    )
-    _require(
-        math.isfinite(rate) and rate > 0.0,
-        f"gamma rate must be finite and positive, got {rate}",
-    )
+def _positive(value):
+    """Elementwise: finite and positive (NaN is neither)."""
+    return (value > 0.0) & (value < math.inf)
+
+
+def _require_positive(value, message: str) -> None:
+    """Raise ``ParameterError(message.format(value))`` unless ``value``, a
+    float or an array, is finite and positive everywhere (NaN is neither)."""
+    if isinstance(value, float):
+        ok = 0.0 < value < math.inf
+    else:
+        ok = bool(_positive(np.asarray(value, dtype=float)).all())
+    if not ok:
+        raise ParameterError(message.format(value))
+
+
+def _require_gamma(shape, rate) -> None:
+    _require_positive(shape, "gamma shape must be finite and positive, got {}")
+    _require_positive(rate, "gamma rate must be finite and positive, got {}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +186,21 @@ def sample_categorical(rng: Generator, probs, size: int | None = None):
     """Index draw proportional to ``probs`` (need not be normalized)."""
     p = np.asarray(probs, dtype=float)
     _require(p.ndim == 1 and p.size >= 1, "categorical needs a probability vector")
+    if size is None:
+        # plain Python: on the short vectors drawn one at a time, numpy's
+        # per-call cost would dominate
+        cum = []
+        total = 0.0
+        for value in p.tolist():
+            _require(value >= 0.0, "categorical probabilities must be nonnegative")
+            total += value
+            cum.append(total)
+        _require(total > 0.0, "categorical probabilities must not all be zero")
+        return bisect_right(cum, rng.random() * total)
     _require(bool(np.all(p >= 0.0)), "categorical probabilities must be nonnegative")
     total = p.sum()
     _require(total > 0.0, "categorical probabilities must not all be zero")
     cum = np.cumsum(p)
-    if size is None:
-        return int(np.searchsorted(cum, rng.random() * total, side="right"))
     return np.searchsorted(cum, rng.random(size) * total, side="right").astype(np.int64)
 
 
@@ -255,87 +276,118 @@ def _truncnorm_robert(rng: Generator, a: float, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Log-densities
+#
+# Each family has one kernel (``_logpdf_*``) holding its formula. A kernel
+# broadcasts over its arguments, never raises, and scores -inf wherever the
+# value is outside the support or a parameter outside its domain (finite and
+# positive for every scale and shape); the caller silences numpy's
+# floating-point warnings. The public ``logpdf_*`` functions validate their
+# parameters and call the kernel.
 
 
-def logpdf_normal(x, mu: float, sigma: float):
-    _require(sigma > 0.0, "normal needs positive scale")
-    x = np.asarray(x, dtype=float)
+def _public(kernel, x, *params):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = kernel(np.asarray(x, dtype=float), *params)
+    return out if out.ndim else float(out)
+
+
+def _logpdf_normal(x, mu, sigma):
     z = (x - mu) / sigma
-    out = -0.5 * z * z - math.log(sigma) - _LOG_SQRT_2PI
-    return out if out.ndim else float(out)
+    return np.where(_positive(sigma), -0.5 * z * z - np.log(sigma) - _LOG_SQRT_2PI, -np.inf)
 
 
-def logpdf_gamma(x, shape: float, rate: float):
-    _require_gamma(shape, rate)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
-    out = np.where(x > 0.0, body, -np.inf)
-    return out if out.ndim else float(out)
+def _logpdf_gamma(x, shape, rate):
+    body = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+    return np.where(_positive(x) & _positive(shape) & _positive(rate), body, -np.inf)
 
 
-def logpdf_weibull(x, shape: float, scale: float):
-    _require(shape > 0.0 and scale > 0.0, "weibull needs positive shape and scale")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = x / scale
-        body = math.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
-    out = np.where(x > 0.0, body, -np.inf)
-    return out if out.ndim else float(out)
+def _logpdf_weibull(x, shape, scale):
+    t = x / scale
+    body = np.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
+    return np.where(_positive(x) & _positive(shape) & _positive(scale), body, -np.inf)
 
 
-def logpdf_beta(x, a: float, b: float):
-    _require(a > 0.0 and b > 0.0, "beta needs positive shape parameters")
-    x = np.asarray(x, dtype=float)
+def _logpdf_beta(x, a, b):
     norm = gammaln(a + b) - gammaln(a) - gammaln(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) + norm
-    out = np.where((x > 0.0) & (x < 1.0), body, -np.inf)
-    return out if out.ndim else float(out)
+    body = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) + norm
+    return np.where((x > 0.0) & (x < 1.0) & _positive(a) & _positive(b), body, -np.inf)
 
 
-def logpdf_dirichlet(x, concentration) -> float:
-    conc = np.asarray(concentration, dtype=float)
-    _require(bool(np.all(conc > 0.0)), "dirichlet concentration entries must be positive")
-    x = np.asarray(x, dtype=float)
-    _require(x.shape == conc.shape, "value and concentration shapes differ")
-    if np.any(x <= 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
-        return -np.inf
-    norm = gammaln(conc.sum()) - gammaln(conc).sum()
-    return float(norm + ((conc - 1.0) * np.log(x)).sum())
+def _logpdf_dirichlet(x, concentration):
+    """Over the last axis of ``x`` and ``concentration``."""
+    norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
+    body = norm + xlogy(concentration - 1.0, x).sum(axis=-1)
+    inside = (x > 0.0).all(axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9)
+    return np.where(inside & _positive(concentration).all(axis=-1), body, -np.inf)
 
 
-def logpdf_halfnormal(x, sigma: float):
-    _require(sigma > 0.0, "halfnormal needs positive scale")
-    x = np.asarray(x, dtype=float)
-    body = 0.5 * math.log(2.0 / math.pi) - math.log(sigma) - 0.5 * (x / sigma) ** 2
-    out = np.where(x >= 0.0, body, -np.inf)
-    return out if out.ndim else float(out)
+def _logpdf_halfnormal(x, sigma):
+    body = _LOG_SQRT_2_OVER_PI - np.log(sigma) - 0.5 * (x / sigma) ** 2
+    return np.where((x >= 0.0) & _positive(sigma), body, -np.inf)
 
 
-def logpmf_negbinomial(k, mu: float, alpha: float):
-    _require(mu > 0.0 and alpha > 0.0, "negbinomial needs positive mean and dispersion")
-    k = np.asarray(k)
-    kf = k.astype(float)
-    valid = (kf >= 0.0) & (kf == np.floor(kf))
-    safe = np.where(valid, kf, 0.0)
+def _logpmf_negbinomial(k, mu, alpha):
+    integral = (k >= 0.0) & (k < math.inf) & (k == np.floor(k))
+    safe = np.where(integral, k, 0.0)
     body = (
         gammaln(safe + alpha)
         - gammaln(alpha)
         - gammaln(safe + 1.0)
-        + alpha * math.log(alpha / (alpha + mu))
-        + safe * math.log(mu / (alpha + mu))
+        + alpha * np.log(alpha / (alpha + mu))
+        + safe * np.log(mu / (alpha + mu))
     )
-    out = np.where(valid, body, -np.inf)
-    return out if out.ndim else float(out)
+    return np.where(integral & _positive(mu) & _positive(alpha), body, -np.inf)
 
 
-def logpdf_truncnormal(x, mu: float, sigma: float, lower: float):
-    """Density of Normal(mu, sigma^2) renormalized to [lower, inf)."""
-    _require(sigma > 0.0, "truncnormal needs positive scale")
-    x = np.asarray(x, dtype=float)
+def _logpdf_truncnormal(x, mu, sigma, lower):
     # log of the retained upper-tail mass P(X >= lower)
     log_tail = log_ndtr((mu - lower) / sigma)
-    body = logpdf_normal(x, mu, sigma) - log_tail
-    out = np.where(x >= lower, body, -np.inf)
-    return out if out.ndim else float(out)
+    body = _logpdf_normal(x, mu, sigma) - log_tail
+    return np.where((x >= lower) & _positive(sigma), body, -np.inf)
+
+
+def logpdf_normal(x, mu, sigma):
+    _require_positive(sigma, "normal needs positive scale")
+    return _public(_logpdf_normal, x, mu, sigma)
+
+
+def logpdf_gamma(x, shape, rate):
+    _require_gamma(shape, rate)
+    return _public(_logpdf_gamma, x, shape, rate)
+
+
+def logpdf_weibull(x, shape, scale):
+    _require_positive(shape, "weibull needs positive shape and scale")
+    _require_positive(scale, "weibull needs positive shape and scale")
+    return _public(_logpdf_weibull, x, shape, scale)
+
+
+def logpdf_beta(x, a, b):
+    _require_positive(a, "beta needs positive shape parameters")
+    _require_positive(b, "beta needs positive shape parameters")
+    return _public(_logpdf_beta, x, a, b)
+
+
+def logpdf_dirichlet(x, concentration):
+    """Dirichlet log-density over the last axis; a float for one vector."""
+    conc = np.asarray(concentration, dtype=float)
+    _require_positive(conc, "dirichlet concentration entries must be positive")
+    _require(np.shape(x) == conc.shape, "value and concentration shapes differ")
+    return _public(_logpdf_dirichlet, x, conc)
+
+
+def logpdf_halfnormal(x, sigma):
+    _require_positive(sigma, "halfnormal needs positive scale")
+    return _public(_logpdf_halfnormal, x, sigma)
+
+
+def logpmf_negbinomial(k, mu, alpha):
+    _require_positive(mu, "negbinomial needs positive mean and dispersion")
+    _require_positive(alpha, "negbinomial needs positive mean and dispersion")
+    return _public(_logpmf_negbinomial, k, mu, alpha)
+
+
+def logpdf_truncnormal(x, mu, sigma, lower):
+    """Density of Normal(mu, sigma^2) renormalized to [lower, inf)."""
+    _require_positive(sigma, "truncnormal needs positive scale")
+    return _public(_logpdf_truncnormal, x, mu, sigma, lower)

@@ -8,10 +8,22 @@ every draw by construction.
 
 The sampler is deliberately simple: one Gaussian random-walk block per
 parameter group, with per-block step sizes adapted during warm-up by a
-Robbins-Monro recursion targeting 0.35 acceptance. Chains run with
-independent substreams and are pooled after warm-up and thinning. Split-R-hat
-and effective sample size are attached as diagnostics; an R-hat above the
-threshold is a warning on the ensemble, never a hard failure.
+Robbins-Monro recursion targeting 0.35 acceptance. All chains advance in
+lockstep, so each block step is one transform call and one log-posterior call
+over a leading chain axis:
+
+- values carry a leading chain axis: a scalar parameter is a ``(chains,)``
+  array and a vector one ``(chains, n)``; ``ParamSpace.constrain`` takes ``z``
+  of shape ``(..., dim)`` the same way;
+- the log-posterior returns one value per chain, a ``(chains,)`` array;
+- a row with an out-of-domain parameter scores ``-inf`` instead of raising,
+  and a row outside the open support never reaches the model;
+- chain ``c`` consumes only its own substream ``(seed, "mcmc-chain", c)``, so
+  its draws do not depend on the number of chains.
+
+Chains are pooled after warm-up and thinning. Split-R-hat and effective sample
+size are attached as diagnostics; an R-hat above the threshold is a warning on
+the ensemble, never a hard failure.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import make_rng, substream
+from .distributions import substream
 
 __all__ = [
     "InitializationError",
@@ -91,10 +103,14 @@ class ParamSpace:
         self.defs = list(defs)
         self._by_name = {d.name: d for d in defs}
         self._offsets: dict[str, tuple[int, int]] = {}
-        pos = 0
+        # constrained values of all parameters live side by side in one row
+        self._columns: dict[str, tuple[int, int]] = {}
+        pos = cpos = 0
         for d in defs:
             self._offsets[d.name] = (pos, pos + d.unconstrained_size)
+            self._columns[d.name] = (cpos, cpos + d.constrained_size)
             pos += d.unconstrained_size
+            cpos += d.constrained_size
         self.dim = pos
         grouped = blocks or []
         seen = {n for g in grouped for n in g}
@@ -102,6 +118,16 @@ class ParamSpace:
             if n not in self._by_name:
                 raise ValueError(f"unknown parameter in blocks: {n!r}")
         self.blocks = [list(g) for g in grouped] + [[n] for n in names if n not in seen]
+        self._groups = _transform_groups(self.defs, self._offsets, self._columns)
+        # open support of each constrained column: lower < value < upper
+        self._lower = np.full(cpos, -np.inf)
+        self._upper = np.full(cpos, np.inf)
+        for d in defs:
+            lo, hi = self._columns[d.name]
+            if d.support != "real":
+                self._lower[lo:hi] = 0.0
+            if d.support == "unit":
+                self._upper[lo:hi] = 1.0
 
     def block_indices(self, block: list[str]) -> np.ndarray:
         idx: list[int] = []
@@ -110,15 +136,43 @@ class ParamSpace:
             idx.extend(range(lo, hi))
         return np.asarray(idx, dtype=int)
 
-    def constrain(self, z: np.ndarray) -> tuple[dict[str, float | np.ndarray], float]:
-        """Constrained values of ``z`` and the log-Jacobian of the transform."""
-        values: dict[str, float | np.ndarray] = {}
+    def constrain(self, z: np.ndarray) -> tuple[dict[str, float | np.ndarray], float | np.ndarray]:
+        """Constrained values of ``z`` and the log-Jacobian of the transform.
+
+        ``z`` has shape ``(..., dim)``; every value and the log-Jacobian keep
+        its leading axes. For a single vector ``z`` a scalar parameter is a
+        float and the log-Jacobian a float.
+        """
+        flat, log_jacobian = self._constrain_flat(z)
+        return self._unpack(flat), log_jacobian
+
+    def _constrain_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """All constrained values as one ``(..., constrained size)`` array."""
+        z = np.asarray(z, dtype=float)
+        batch = z.shape[:-1]
+        flat = np.empty(batch + self._lower.shape)
         log_jacobian = 0.0
-        for d in self.defs:
-            lo, hi = self._offsets[d.name]
-            values[d.name], lj = _forward(d, z[lo:hi])
-            log_jacobian += lj
-        return values, log_jacobian
+        for support, width, ucols, ccols in self._groups:
+            # np.take keeps rows contiguous (z[..., ucols] would be column-major),
+            # so each row's log-Jacobian sums the same way for any number of rows
+            zg = np.take(z, ucols, axis=-1)
+            if width:
+                zg = zg.reshape(batch + (-1, width))
+            x, lj = _forward(support, zg)
+            flat[..., ccols] = x.reshape(batch + (-1,))
+            log_jacobian = log_jacobian + lj
+        return flat, log_jacobian
+
+    def _unpack(self, flat: np.ndarray) -> dict[str, float | np.ndarray]:
+        """Named views into a constrained row (or stack of rows)."""
+        return {
+            d.name: flat[..., lo] if not d.shape else flat[..., lo:hi]
+            for d, (lo, hi) in zip(self.defs, self._columns.values())
+        }
+
+    def _inside(self, flat: np.ndarray) -> np.ndarray:
+        """Whether each row lies in the open support (NaN never does)."""
+        return ((flat > self._lower) & (flat < self._upper)).all(axis=-1)
 
     def to_unconstrained(self, values: dict[str, float | np.ndarray]) -> np.ndarray:
         z = np.empty(self.dim)
@@ -128,36 +182,51 @@ class ParamSpace:
         return z
 
 
-def _forward(d: ParamDef, z: np.ndarray) -> tuple[float | np.ndarray, float]:
-    if d.support == "real":
-        x = z.copy()
-    elif d.support == "positive":
-        x = np.exp(z)
-        return (float(x[0]) if not d.shape else x), float(z.sum())
-    elif d.support == "unit":
+def _transform_groups(defs, offsets, columns):
+    """One transform call per support, and per vector length for the simplex
+    and ordered supports, whose transforms act on whole vectors:
+    ``(support, width, unconstrained columns, constrained columns)``, where
+    ``width`` is one vector's unconstrained size (0 for elementwise supports)."""
+    groups: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+    for d in defs:
+        vector = d.support in ("simplex", "ordered_positive")
+        width = d.unconstrained_size if vector else 0
+        ucols, ccols = groups.setdefault((d.support, width), ([], []))
+        ucols.extend(range(*offsets[d.name]))
+        ccols.extend(range(*columns[d.name]))
+    return [
+        (support, width, np.asarray(u, dtype=int), np.asarray(c, dtype=int))
+        for (support, width), (u, c) in groups.items()
+    ]
+
+
+def _forward(support: str, z: np.ndarray):
+    """Constrained values and summed log-Jacobian per leading row. The
+    simplex and ordered supports get ``z`` as ``(..., vectors, free size)``."""
+    if support == "real":
+        return z, 0.0
+    if support == "positive":
+        return np.exp(z), z.sum(axis=-1)
+    if support == "unit":
         x = _expit(z)
-        lj = float(np.sum(np.log(x) + np.log1p(-x)))
-        return (float(x[0]) if not d.shape else x), lj
-    elif d.support == "simplex":
-        k = d.shape[0]
-        x = np.empty(k)
-        stick = 1.0
-        lj = 0.0
-        for i in range(k - 1):
-            v = float(_expit(z[i] - math.log(k - 1 - i)))
-            x[i] = stick * v
-            lj += math.log(max(stick, 1e-300)) + math.log(max(v, 1e-300)) + math.log(
-                max(1.0 - v, 1e-300)
-            )
-            stick *= 1.0 - v
-        x[k - 1] = stick
-        return x, lj
-    elif d.support == "ordered_positive":
-        x = np.cumsum(np.exp(z))
-        return x, float(z.sum())
-    else:  # pragma: no cover
-        raise AssertionError(d.support)
-    return (float(x[0]) if not d.shape else x), 0.0
+        return x, (np.log(x) + np.log1p(-x)).sum(axis=-1)
+    if support == "ordered_positive":
+        return np.cumsum(np.exp(z), axis=-1), z.sum(axis=-1).sum(axis=-1)
+    if support == "simplex":
+        # stick breaking: break i takes v_i of what is left, where
+        # v_i = expit(z_i - log(k - 1 - i)) centres z = 0 on the uniform point
+        free = z.shape[-1]
+        v = _expit(z - np.log(np.arange(free, 0, -1.0)))
+        left = np.cumprod(1.0 - v, axis=-1)
+        stick = np.concatenate([np.ones(z.shape[:-1] + (1,)), left[..., :-1]], axis=-1)
+        x = np.concatenate([stick * v, left[..., -1:]], axis=-1)
+        lj = (
+            np.log(np.maximum(stick, 1e-300))
+            + np.log(np.maximum(v, 1e-300))
+            + np.log(np.maximum(1.0 - v, 1e-300))
+        )
+        return x, lj.sum(axis=-1).sum(axis=-1)
+    raise AssertionError(support)  # pragma: no cover
 
 
 def _inverse(d: ParamDef, value: float | np.ndarray) -> np.ndarray:
@@ -266,96 +335,125 @@ def fit(
 ) -> PosteriorEnsemble:
     """Sample the posterior of ``log_posterior`` over ``space``.
 
-    ``log_posterior`` receives a dict of constrained parameter values and
-    returns a float (``-inf`` allowed away from the init point); a proposal
-    whose constrained values overflow is rejected without calling it. At most
-    one ``UserWarning`` per call lists the scalars above the R-hat
-    threshold; ``ensemble.warnings`` holds one message per scalar. Chains start
-    from ``init`` (or the transform origin) with per-chain jitter; step sizes
-    adapt during warm-up only, so the kept draws target the exact posterior.
+    All chains advance together. ``log_posterior`` receives a dict of
+    constrained values with a leading chain axis (a scalar parameter is a
+    ``(rows,)`` array, a vector one ``(rows, n)``) and returns one value per
+    row, ``-inf`` allowed away from the init point; a row with an
+    out-of-domain parameter should score ``-inf`` rather than raise. It runs
+    with numpy's overflow, divide-by-zero and invalid-value warnings off: the
+    batched kernels evaluate every row's formula before masking, and a row
+    that is finite but extreme (a positive value above 1e154 squares to inf in
+    a half-normal prior) must be rejected, not abort the fit where warnings
+    are errors. Any non-finite value it returns rejects the proposal. The
+    model never sees a row outside the open support (an overflow to inf, an
+    underflow to 0, a unit value rounded to 1): the row is swapped for the
+    chain's current state and scored ``-inf``.
+
+    Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
+    and keeps its own step sizes and proposal covariance, so its draws do not
+    depend on how many chains run beside it. At most one ``UserWarning`` per
+    call lists the scalars above the R-hat threshold; ``ensemble.warnings``
+    holds one message per scalar. Chains start from ``init`` (or the transform
+    origin) with per-chain jitter; step sizes adapt during warm-up only, so the
+    kept draws target the exact posterior.
     """
     config = config or FitConfig()
     init_z = space.to_unconstrained(init) if init else np.zeros(space.dim)
 
-    def target(z: np.ndarray) -> float:
-        values, log_jacobian = space.constrain(z)
-        # an overflowed transform (exp of a large z) is a rejected proposal;
-        # the model never sees it
-        if not _all_finite(values):
-            return -np.inf
-        lp = log_posterior(values)
-        if not np.isfinite(lp):
-            return -np.inf
-        return float(lp) + log_jacobian
+    def target(z: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-target of each row of ``z`` and its constrained values."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            flat, log_jacobian = space._constrain_flat(z)
+            inside = space._inside(flat)
+            if not inside.all():
+                flat[~inside] = fallback[~inside]
+            lp = np.asarray(log_posterior(space._unpack(flat)), dtype=float)
+            if lp.shape != inside.shape:
+                raise ValueError(
+                    f"log_posterior must return one value per row, shape {inside.shape}; "
+                    f"got shape {lp.shape}"
+                )
+            return np.where(inside & np.isfinite(lp), lp + log_jacobian, -np.inf), flat
 
-    if not np.isfinite(target(init_z)):
+    chains = config.chains
+    init_flat, _ = space._constrain_flat(init_z[None])
+    # the init row is its own fallback, so the model sees it only inside the support
+    init_lp = target(init_z[None], init_flat)[0] if space._inside(init_flat)[0] else [-np.inf]
+    if not np.isfinite(init_lp[0]):
         raise InitializationError("log-posterior is not finite at the initialization point")
+
+    rngs = [substream(config.seed, "mcmc-chain", c) for c in range(chains)]
+    z = np.repeat(init_z[None], chains, axis=0)
+    current = np.repeat(init_flat, chains, axis=0)  # constrained values of z
+    lp = np.repeat(init_lp, chains)
+    if config.init_jitter > 0.0:
+        # up to 20 jittered starts per chain; a chain keeps its first finite one
+        pending = list(range(chains))
+        for _ in range(20):
+            if not pending:
+                break
+            cand = np.array(
+                [init_z + config.init_jitter * rngs[c].standard_normal(space.dim) for c in pending]
+            )
+            cand_lp, cand_flat = target(cand, current[pending])
+            for row, c in enumerate(pending):
+                if np.isfinite(cand_lp[row]):
+                    z[c], lp[c], current[c] = cand[row], cand_lp[row], cand_flat[row]
+            pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
 
     block_idx = [space.block_indices(b) for b in space.blocks]
     kept_per_chain = config.draws // config.thin
-    chain_draws = np.empty((config.chains, kept_per_chain, space.dim))
-    accept_rates = np.zeros((config.chains, len(block_idx)))
-
-    for chain in range(config.chains):
-        rng = substream(config.seed, "mcmc-chain", chain)
-        z = init_z.copy()
-        if config.init_jitter > 0.0:
-            for _ in range(20):
-                cand = init_z + config.init_jitter * rng.standard_normal(space.dim)
-                if np.isfinite(target(cand)):
-                    z = cand
-                    break
-        lp = target(z)
-        log_step = np.array(
-            [math.log(config.initial_step / math.sqrt(len(idx))) for idx in block_idx]
-        )
-        accepted = np.zeros(len(block_idx))
-        proposed = np.zeros(len(block_idx))
-        # per-block proposal shape, learned from warm-up draws: empirical
-        # covariance (Welford) -> Cholesky factor used to correlate proposals
-        chol = [np.eye(idx.size) for idx in block_idx]
-        w_count = 0
-        w_mean = [np.zeros(idx.size) for idx in block_idx]
-        w_cov = [np.zeros((idx.size, idx.size)) for idx in block_idx]
-        kept = 0
-        for it in range(config.warmup + config.draws):
-            warm = it < config.warmup
-            for bi, idx in enumerate(block_idx):
-                step = math.exp(log_step[bi])
-                cand = z.copy()
-                cand[idx] = z[idx] + step * (chol[bi] @ rng.standard_normal(idx.size))
-                cand_lp = target(cand)
-                log_ratio = cand_lp - lp
-                accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(max(log_ratio, -700.0))
-                if rng.random() < accept_prob:
-                    z, lp = cand, cand_lp
-                if warm:
-                    # Robbins-Monro on the log step size, targeting 0.35
-                    gain = (it + 10.0) ** -0.6
-                    log_step[bi] += gain * (accept_prob - config.target_accept)
-                else:
-                    proposed[bi] += 1.0
-                    accepted[bi] += accept_prob
+    chain_draws = np.empty((chains, kept_per_chain, space.dim))
+    # per-chain, per-block state: log step size, summed acceptance probability,
+    # and the proposal shape learned from warm-up draws (Welford covariance ->
+    # Cholesky factor that correlates the proposals)
+    log_step = np.array(
+        [[math.log(config.initial_step / math.sqrt(len(idx))) for idx in block_idx]] * chains
+    )
+    accepted = np.zeros((chains, len(block_idx)))
+    chol = [np.repeat(np.eye(idx.size)[None], chains, axis=0) for idx in block_idx]
+    w_count = 0
+    w_mean = [np.zeros((chains, idx.size)) for idx in block_idx]
+    w_cov = [np.zeros((chains, idx.size, idx.size)) for idx in block_idx]
+    kept = 0
+    for it in range(config.warmup + config.draws):
+        warm = it < config.warmup
+        # Robbins-Monro gain on the log step size, targeting target_accept
+        gain = (it + 10.0) ** -0.6
+        for bi, idx in enumerate(block_idx):
+            noise = np.array([rng.standard_normal(idx.size) for rng in rngs])
+            step = np.exp(log_step[:, bi])
+            cand = z.copy()
+            cand[:, idx] = z[:, idx] + step[:, None] * (chol[bi] @ noise[:, :, None])[:, :, 0]
+            cand_lp, cand_flat = target(cand, current)
+            # min(1, exp(log ratio)), floored at exp(-700)
+            accept_prob = np.exp(np.minimum(np.maximum(cand_lp - lp, -700.0), 0.0))
+            move = np.array([rng.random() for rng in rngs]) < accept_prob
+            z[move], lp[move], current[move] = cand[move], cand_lp[move], cand_flat[move]
             if warm:
-                w_count += 1
+                log_step[:, bi] += gain * (accept_prob - config.target_accept)
+            else:
+                accepted[:, bi] += accept_prob
+        if warm:
+            w_count += 1
+            for bi, idx in enumerate(block_idx):
+                zi = z[:, idx]
+                delta = zi - w_mean[bi]
+                w_mean[bi] += delta / w_count
+                w_cov[bi] += delta[:, :, None] * (zi - w_mean[bi])[:, None, :]
+            if w_count >= 100 and w_count % 50 == 0:
                 for bi, idx in enumerate(block_idx):
-                    delta = z[idx] - w_mean[bi]
-                    w_mean[bi] += delta / w_count
-                    w_cov[bi] += np.outer(delta, z[idx] - w_mean[bi])
-                if w_count >= 100 and w_count % 50 == 0:
-                    for bi, idx in enumerate(block_idx):
-                        cov = w_cov[bi] / (w_count - 1)
+                    for c in range(chains):
+                        cov = w_cov[bi][c] / (w_count - 1)
                         jitter = 1e-8 + 1e-6 * float(np.trace(cov)) / idx.size
                         try:
-                            chol[bi] = np.linalg.cholesky(
-                                cov + jitter * np.eye(idx.size)
-                            )
+                            chol[bi][c] = np.linalg.cholesky(cov + jitter * np.eye(idx.size))
                         except np.linalg.LinAlgError:
                             pass
-            if not warm and (it - config.warmup) % config.thin == config.thin - 1:
-                chain_draws[chain, kept] = z
-                kept += 1
-        accept_rates[chain] = accepted / np.maximum(proposed, 1.0)
+        if not warm and (it - config.warmup) % config.thin == config.thin - 1:
+            chain_draws[:, kept] = z
+            kept += 1
+    accept_rates = accepted / config.draws
 
     names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
     ensemble = PosteriorEnsemble(draws=pooled)
@@ -365,8 +463,8 @@ def fit(
         },
         "rhat": {n: float(r) for n, r in zip(names, rhat)},
         "ess": {n: float(e) for n, e in zip(names, ess)},
-        "chains": config.chains,
-        "kept_draws": int(config.chains * kept_per_chain),
+        "chains": chains,
+        "kept_draws": int(chains * kept_per_chain),
     }
     high = [(n, r) for n, r in zip(names, rhat) if np.isfinite(r) and r > config.rhat_threshold]
     ensemble.warnings = [f"R-hat {r:.3f} above {config.rhat_threshold} for {n}" for n, r in high]
@@ -379,33 +477,17 @@ def fit(
     return ensemble
 
 
-def _all_finite(values: dict[str, float | np.ndarray]) -> bool:
-    # math.isfinite for the scalars: np.isfinite costs about as much per call
-    # as the transform of a scalar parameter
-    return all(
-        math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
-        for v in values.values()
-    )
-
-
 def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
-    """Constrain all draws, pool them, and compute per-scalar R-hat / ESS."""
+    """Constrain all draws in one call, pool them, and compute per-scalar
+    R-hat / ESS."""
     chains, kept, _ = chain_draws.shape
+    per_chain, _ = space.constrain(chain_draws)
     pooled: dict[str, np.ndarray] = {}
-    per_chain: dict[str, np.ndarray] = {}
-    for d in space.defs:
-        shape = d.shape if d.shape else ()
-        per_chain[d.name] = np.empty((chains, kept) + shape)
-    for c in range(chains):
-        for k in range(kept):
-            values, _ = space.constrain(chain_draws[c, k])
-            for d in space.defs:
-                per_chain[d.name][c, k] = values[d.name]
     names: list[str] = []
     rhats: list[float] = []
     esses: list[float] = []
     for d in space.defs:
-        arr = per_chain[d.name]
+        arr = np.ascontiguousarray(per_chain[d.name])
         pooled[d.name] = arr.reshape((chains * kept,) + arr.shape[2:])
         flat = arr.reshape(chains, kept, -1)
         for j in range(flat.shape[2]):
@@ -443,15 +525,15 @@ def _effective_sample_size(chains: np.ndarray) -> float:
     if var <= 0.0:
         return float(total)
     max_lag = min(n - 1, 500)
-    rho = np.empty(max_lag)
-    for lag in range(1, max_lag + 1):
-        cov = np.mean(
-            [np.dot(centered[i, :-lag], centered[i, lag:]) / n for i in range(c)]
-        )
-        rho[lag - 1] = cov / var
+
+    def rho(lag: int) -> float:
+        cov = np.mean([np.dot(centered[i, :-lag], centered[i, lag:]) / n for i in range(c)])
+        return cov / var
+
+    # autocorrelations are computed only up to the first negative pair
     tau = 0.0
-    for k in range(0, max_lag - 1, 2):
-        pair = rho[k] + rho[k + 1]
+    for lag in range(1, max_lag, 2):
+        pair = rho(lag) + rho(lag + 1)
         if pair < 0.0:
             break
         tau += pair

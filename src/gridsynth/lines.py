@@ -23,9 +23,10 @@ import numpy as np
 
 from .distributions import (
     ParameterError,
-    logpdf_dirichlet,
-    logpdf_gamma,
-    logpdf_halfnormal,
+    _logpdf_dirichlet,
+    _logpdf_gamma,
+    _logpdf_halfnormal,
+    _positive,
     sample_categorical,
     sample_gamma,
 )
@@ -155,27 +156,35 @@ def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
 
 
 def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
-    def logpost(v) -> float:
+    """Batched log-posterior of one mixture: values carry a leading chain axis."""
+    observed = np.concatenate(grouped)
+    zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
+    names = [f"{prefix}_weights_z{z}" for z in range(1, len(grouped) + 1)]
+
+    def logpost(v) -> np.ndarray:
         means = v[f"{prefix}_means"]
         cv = v[f"{prefix}_cv"]
-        lp = float(logpdf_halfnormal(means[0], 1.0))
-        lp += float(np.sum(logpdf_halfnormal(np.diff(means), 1.0)))
-        lp += float(logpdf_halfnormal(cv, 0.5))
-        shape, rates = _gamma_shape_rates(means, cv)
-        for z, values in enumerate(grouped, start=1):
-            weights = v[f"{prefix}_weights_z{z}"]
-            lp += logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS))
-            # a weight that underflowed to 0 is off the simplex: stop before np.log(0)
-            if lp == -np.inf:
-                return lp
-            if values.size == 0:
-                continue
-            comp = np.stack(
-                [np.log(weights[k]) + logpdf_gamma(values, shape, rates[k]) for k in range(MIXTURE_COMPONENTS)]
-            )
-            peak = comp.max(axis=0)
-            lp += float(np.sum(peak + np.log(np.sum(np.exp(comp - peak), axis=0))))
-        return lp
+        lp = _logpdf_halfnormal(means[:, 0], 1.0)
+        lp += _logpdf_halfnormal(np.diff(means, axis=-1), 1.0).sum(axis=-1)
+        lp += _logpdf_halfnormal(cv, 0.5)
+        weights = np.stack([v[name] for name in names], axis=-2)  # (chains, zones, K)
+        lp += _logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS)).sum(axis=-1)
+        # components lead from here on, so the log-sum-exp reduces over the
+        # first axis. A weight that underflowed to 0 is off the simplex (-inf
+        # above); log 1 stands in for its log so no log(0) runs.
+        log_w = np.log(np.where(weights > 0.0, weights, 1.0))
+        log_w = np.take(np.moveaxis(log_w, -1, 0), zone_of, axis=-1)  # (K, chains, lines)
+        shape, rates = _gamma_shape_rates(means, cv[:, None])
+        # (rows stay contiguous, so each chain's sum over lines runs the same
+        # way for any number of chains)
+        rates_first = np.ascontiguousarray(rates.T)[:, :, None]
+        comp = log_w + _logpdf_gamma(observed, shape, rates_first)
+        # the floor keeps a line whose components are all -inf at -inf, not nan
+        peak = np.maximum(comp.max(axis=0), -1e300)
+        lp += (peak + np.log(np.sum(np.exp(comp - peak), axis=0))).sum(axis=-1)
+        # one component out of its gamma domain (a mean or the cv at 0 or inf)
+        # rules the row out, not just that component
+        return np.where(_positive(rates).all(axis=-1) & _positive(shape[:, 0]), lp, -np.inf)
 
     return logpost
 

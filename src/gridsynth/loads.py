@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    logpdf_beta,
-    logpdf_dirichlet,
-    logpdf_gamma,
-    logpdf_halfnormal,
-    logpdf_truncnormal,
+    _logpdf_beta,
+    _logpdf_dirichlet,
+    _logpdf_gamma,
+    _logpdf_halfnormal,
+    _logpdf_truncnormal,
     sample_truncnormal,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
@@ -132,6 +132,8 @@ def fit_load_model(
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (3,):
             raise ValueError(f"bus {bus}: demand must be a 3-vector")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"bus {bus}: non-finite demand {vec.tolist()}")
         if np.any(vec < 0.0):
             raise ValueError(f"bus {bus}: negative demand")
         cfg = allocations[bus]
@@ -184,28 +186,37 @@ def fit_load_model(
         ],
     )
 
-    def logpost(v) -> float:
-        lp = float(logpdf_gamma(v["alpha_hp"], _HYPER_SHAPE, _HYPER_RATE))
-        lp += float(logpdf_gamma(v["beta_hp"], _HYPER_SHAPE, _HYPER_RATE))
-        for cat in ("mono", "bi", "tri"):
-            lp += float(logpdf_gamma(v[f"alpha_{cat}"], v["alpha_hp"], v["beta_hp"]))
-            lp += float(logpdf_gamma(v[f"beta_{cat}"], v["alpha_hp"], v["beta_hp"]))
-            lp += float(logpdf_gamma(v[f"p_pot_{cat}"], v[f"alpha_{cat}"], v[f"beta_{cat}"]))
-        lp += float(logpdf_beta(v["delta_bi"], 2.0, 2.0))
-        lp += logpdf_dirichlet(v["delta_tri"], np.array([2.0, 2.0, 2.0]))
-        lp += float(logpdf_halfnormal(v["sigma_p"], sigma_scale))
+    # observed demands per category, one column per active phase
+    by_category = (("mono", mono[:, None]), ("bi", bi), ("tri", tri))
+    observed = [(cat, rows) for cat, rows in by_category if rows.size]
+
+    def logpost(v) -> np.ndarray:
+        a_hp, b_hp = v["alpha_hp"], v["beta_hp"]
+        hyper = np.stack([a_hp, b_hp], axis=-1)
+        lp = _logpdf_gamma(hyper, _HYPER_SHAPE, _HYPER_RATE).sum(axis=-1)
+        # category shapes and rates hang off the hyperparameters, potentials
+        # off their category's shape and rate
+        cats = ("mono", "bi", "tri")
+        shapes_rates = np.stack([v[f"{p}_{c}"] for c in cats for p in ("alpha", "beta")], axis=-1)
+        lp += _logpdf_gamma(shapes_rates, a_hp[:, None], b_hp[:, None]).sum(axis=-1)
+        potentials = np.stack([v[f"p_pot_{c}"] for c in cats], axis=-1)
+        lp += _logpdf_gamma(potentials, shapes_rates[:, 0::2], shapes_rates[:, 1::2]).sum(axis=-1)
+        lp += _logpdf_beta(v["delta_bi"], 2.0, 2.0)
+        lp += _logpdf_dirichlet(v["delta_tri"], np.array([2.0, 2.0, 2.0]))
         sigma = v["sigma_p"]
-        if mono.size:
-            lp += float(np.sum(logpdf_truncnormal(mono, v["p_pot_mono"], sigma, 0.0)))
-        if bi.size:
-            mu_first = v["p_pot_bi"] * v["delta_bi"]
-            mu_second = v["p_pot_bi"] * (1.0 - v["delta_bi"])
-            lp += float(np.sum(logpdf_truncnormal(bi[:, 0], mu_first, sigma, 0.0)))
-            lp += float(np.sum(logpdf_truncnormal(bi[:, 1], mu_second, sigma, 0.0)))
-        if tri.size:
-            mu = v["p_pot_tri"] * v["delta_tri"]
-            for i in (0, 1, 2):
-                lp += float(np.sum(logpdf_truncnormal(tri[:, i], mu[i], sigma, 0.0)))
+        lp += _logpdf_halfnormal(sigma, sigma_scale)
+        delta_bi = v["delta_bi"]
+        # each category potential's split over its active phases
+        split = {
+            "mono": 1.0,
+            "bi": np.stack([delta_bi, 1.0 - delta_bi], axis=-1),
+            "tri": v["delta_tri"],
+        }
+        for cat, rows in observed:
+            # (chains, 1, phases) means against (buses, phases) demands
+            means = (v[f"p_pot_{cat}"][:, None] * split[cat])[:, None, :]
+            terms = _logpdf_truncnormal(rows, means, sigma[:, None, None], 0.0)
+            lp += terms.sum(axis=(-2, -1))
         return lp
 
     init = {

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import xlogy
 
 from .distributions import (
-    logpdf_dirichlet,
-    logpdf_halfnormal,
+    _logpdf_dirichlet,
+    _logpdf_halfnormal,
     sample_categorical,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
@@ -192,18 +193,16 @@ def fit_phase_model(
         defs.append(ParamDef(f"base_z{z}", (7,), "simplex"))
     space = ParamSpace(defs)
 
-    def logpost(values) -> float:
-        lp = 0.0
-        for z in range(1, z_count + 1):
-            conc = values[f"conc_z{z}"]
-            base = values[f"base_z{z}"]
-            lp += float(np.sum(logpdf_halfnormal(conc, 1.0)))
-            lp += logpdf_dirichlet(base, conc)
-            # a probability that underflowed to 0 is off the simplex: stop before np.log(0)
-            if lp == -np.inf:
-                return lp
-            lp += float(np.dot(counts[z - 1], np.log(base)))
-        return lp
+    def logpost(values) -> np.ndarray:
+        # (chains, zones, 7) stacks of the concentration rows and base rows
+        conc = np.stack([values[f"conc_z{z}"] for z in range(1, z_count + 1)], axis=-2)
+        base = np.stack([values[f"base_z{z}"] for z in range(1, z_count + 1)], axis=-2)
+        lp = _logpdf_halfnormal(conc, 1.0).sum(axis=-1)
+        lp += _logpdf_dirichlet(base, conc)
+        # xlogy scores an unobserved configuration 0 even where its base
+        # probability underflowed to 0; the Dirichlet term is -inf there anyway
+        lp += xlogy(counts, base).sum(axis=-1)
+        return lp.sum(axis=-1)
 
     init: dict[str, np.ndarray] = {}
     for z in range(1, z_count + 1):

@@ -14,12 +14,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlog1py, xlogy
 
 from .distributions import (
-    logpdf_beta,
-    logpdf_halfnormal,
-    logpdf_weibull,
-    logpmf_negbinomial,
+    _logpdf_beta,
+    _logpdf_halfnormal,
+    _logpdf_weibull,
+    _logpmf_negbinomial,
     sample_negbinomial,
     sample_weibull,
 )
@@ -97,18 +98,21 @@ def fit_caidi(
         ]
     )
 
-    def logpost(v) -> float:
-        p = np.atleast_1d(v["hurdle_p"])
-        shape = np.atleast_1d(v["weib_shape"])
-        scale = np.atleast_1d(v["weib_scale"])
-        lp = float(np.sum(logpdf_beta(p, 1.0, 1.0)))
-        lp += float(np.sum(logpdf_halfnormal(shape, 1.0)))
-        lp += float(np.sum(logpdf_halfnormal(scale, 1.0)))
+    # positive durations side by side, with the zone index of each
+    durations_pos = np.concatenate(positives)
+    zone_of = np.repeat(np.arange(z_count), [p.size for p in positives])
+
+    def logpost(v) -> np.ndarray:
+        p, shape, scale = v["hurdle_p"], v["weib_shape"], v["weib_scale"]
+        lp = _logpdf_beta(p, 1.0, 1.0).sum(axis=-1)
+        lp += _logpdf_halfnormal(shape, 1.0).sum(axis=-1)
+        lp += _logpdf_halfnormal(scale, 1.0).sum(axis=-1)
         # hurdle indicator marginalized: zeros -> log(1-p), positives -> log p + Weibull
-        lp += float(np.dot(n_zero, np.log1p(-p)) + np.dot(n_pos, np.log(p)))
-        for z in range(z_count):
-            if positives[z].size:
-                lp += float(np.sum(logpdf_weibull(positives[z], shape[z], scale[z])))
+        lp += xlog1py(n_zero, -p).sum(axis=-1) + xlogy(n_pos, p).sum(axis=-1)
+        # np.take keeps rows contiguous, so each row sums the same way for any
+        # number of chains (shape[:, zone_of] would be column-major)
+        shape_of, scale_of = np.take(shape, zone_of, axis=-1), np.take(scale, zone_of, axis=-1)
+        lp += _logpdf_weibull(durations_pos, shape_of, scale_of).sum(axis=-1)
         return lp
 
     init = {
@@ -145,14 +149,15 @@ def fit_caifi(
         ]
     )
 
-    def logpost(v) -> float:
-        mu = np.atleast_1d(v["freq_mean"])
-        alpha = v["dispersion"]
-        lp = float(np.sum(logpdf_halfnormal(mu, 1.0)))
-        lp += float(logpdf_halfnormal(alpha, 1.0))
-        for z in range(z_count):
-            if grouped[z].size:
-                lp += float(np.sum(logpmf_negbinomial(grouped[z], mu[z], alpha)))
+    observed = np.concatenate(grouped)
+    zone_of = np.repeat(np.arange(z_count), [g.size for g in grouped])
+
+    def logpost(v) -> np.ndarray:
+        mu, alpha = v["freq_mean"], v["dispersion"]
+        lp = _logpdf_halfnormal(mu, 1.0).sum(axis=-1)
+        lp += _logpdf_halfnormal(alpha, 1.0)
+        mu_of = np.take(mu, zone_of, axis=-1)  # row-major, see fit_caidi
+        lp += _logpmf_negbinomial(observed, mu_of, alpha[:, None]).sum(axis=-1)
         return lp
 
     init = {

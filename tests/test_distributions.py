@@ -9,10 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammaln
 
 from gridsynth.distributions import (
     ParameterError,
+    _logpdf_gamma,
+    _logpdf_weibull,
+    logpdf_normal,
     logpdf_beta,
     logpdf_dirichlet,
     logpdf_gamma,
@@ -180,6 +184,38 @@ def test_categorical_frequencies():
         assert abs(freq - p[k]) < 4 * se
 
 
+def test_scalar_categorical_draw_matches_cumsum_searchsorted():
+    # the scalar path against the numpy formula it replaced, on the same
+    # stream: same index every time on the short vectors drawn one at a time
+    rng = make_rng(32)
+    for n in range(1, 8):
+        ours, reference = make_rng(n), make_rng(n)  # both take one uniform per draw
+        for _ in range(200):
+            p = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+            p[rng.random(n) < 0.2] = 0.0
+            if p.sum() == 0.0:
+                p[0] = 1.0
+            u = reference.random()
+            expected = int(np.searchsorted(np.cumsum(p), u * p.sum(), side="right"))
+            assert sample_categorical(ours, p) == expected
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([[0.5, 0.5]], "probability vector"),
+        ([], "probability vector"),
+        ([0.5, -0.1, 0.6], "nonnegative"),
+        ([0.5, math.nan], "nonnegative"),
+        ([0.0, 0.0], "must not all be zero"),
+    ],
+)
+def test_categorical_errors(probs, message):
+    for size in (None, 5):
+        with pytest.raises(ParameterError, match=message):
+            sample_categorical(make_rng(33), probs, size)
+
+
 def test_logpdf_gamma_exponential_value():
     assert logpdf_gamma(1.0, 1.0, 1.0) == pytest.approx(-1.0)
     assert logpdf_gamma(-0.5, 2.0, 1.0) == -np.inf
@@ -261,3 +297,54 @@ def test_substreams_differ_by_path():
     assert not np.array_equal(x, named.random(100))
     again = substream(7, "sample", 0)
     np.testing.assert_array_equal(x, again.random(100))
+
+
+def test_logdensities_match_scipy():
+    x = np.array([0.05, 0.4, 1.3, 3.7])
+    u = np.array([0.05, 0.4, 0.7, 0.95])
+    k = np.array([0, 1, 4, 11])
+    pairs = [
+        (logpdf_gamma(x, 2.5, 1.5), stats.gamma.logpdf(x, 2.5, scale=1 / 1.5)),
+        (logpdf_weibull(x, 1.7, 3.0), stats.weibull_min.logpdf(x, 1.7, scale=3.0)),
+        (logpdf_beta(u, 2.0, 5.0), stats.beta.logpdf(u, 2.0, 5.0)),
+        (logpdf_halfnormal(x, 0.7), stats.halfnorm.logpdf(x, scale=0.7)),
+        (logpdf_normal(x, 0.3, 1.2), stats.norm.logpdf(x, 0.3, 1.2)),
+        (
+            logpdf_truncnormal(x + 0.5, 1.0, 1.5, 0.5),
+            stats.truncnorm.logpdf(x + 0.5, (0.5 - 1.0) / 1.5, np.inf, loc=1.0, scale=1.5),
+        ),
+        (logpmf_negbinomial(k, 2.0, 1.3), stats.nbinom.logpmf(k, 1.3, 1.3 / (1.3 + 2.0))),
+        (
+            logpdf_dirichlet([0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
+            stats.dirichlet.logpdf([0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
+        ),
+    ]
+    for ours, oracle in pairs:
+        np.testing.assert_allclose(ours, oracle, rtol=1e-10)
+
+
+def test_logdensities_broadcast_over_parameters():
+    # a leading axis of parameter rows, as the batched log-posteriors pass them
+    shape = np.array([[0.5], [2.5], [9.0]])
+    x = np.array([0.1, 1.0, 4.0])
+    rows = logpdf_gamma(x, shape, 1.5)
+    assert rows.shape == (3, 3)
+    for i, a in enumerate(shape[:, 0]):
+        np.testing.assert_allclose(rows[i], logpdf_gamma(x, a, 1.5), rtol=1e-14)
+    conc = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 4.0]])
+    w = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+    np.testing.assert_allclose(
+        logpdf_dirichlet(w, conc), [logpdf_dirichlet(w[i], conc[i]) for i in range(2)], rtol=1e-14
+    )
+    with pytest.raises(ParameterError, match="gamma shape must be finite and positive"):
+        logpdf_gamma(x, np.array([1.0, 0.0, 2.0]), 1.5)
+
+
+def test_kernels_score_out_of_domain_parameters_minus_inf():
+    # the public functions raise on these; the kernels the models use never do
+    bad = np.array([1.0, 0.0, -1.0, math.inf, math.nan])
+    with np.errstate(all="ignore"):
+        gamma = _logpdf_gamma(1.0, bad, 1.0)
+        weibull = _logpdf_weibull(1.0, 1.0, bad)
+    assert math.isfinite(gamma[0]) and math.isfinite(weibull[0])
+    assert np.all(gamma[1:] == -np.inf) and np.all(weibull[1:] == -np.inf)

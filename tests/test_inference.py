@@ -133,9 +133,7 @@ def test_beta_bernoulli_conjugate():
     space = ParamSpace([ParamDef("p", (), "unit")])
 
     def logpost(v):
-        return float(logpdf_beta(v["p"], 1.0, 1.0)) + 7 * math.log(v["p"]) + 3 * math.log(
-            1.0 - v["p"]
-        )
+        return logpdf_beta(v["p"], 1.0, 1.0) + 7 * np.log(v["p"]) + 3 * np.log(1.0 - v["p"])
 
     ensemble = fit(logpost, space, FAST)
     assert ensemble.mean("p") == pytest.approx(8.0 / 12.0, abs=0.02)
@@ -151,9 +149,9 @@ def test_dirichlet_categorical_recovery():
     )
 
     def logpost(v):
-        lp = float(np.sum(logpdf_halfnormal(v["conc"], 1.0)))
+        lp = np.sum(logpdf_halfnormal(v["conc"], 1.0), axis=-1)
         lp += logpdf_dirichlet(v["probs"], v["conc"])
-        lp += float(np.dot(counts, np.log(v["probs"])))
+        lp += np.sum(counts * np.log(v["probs"]), axis=-1)
         return lp
 
     ensemble = fit(logpost, space, FAST, init={"conc": np.ones(7), "probs": counts / counts.sum()})
@@ -165,7 +163,7 @@ def test_dirichlet_categorical_recovery():
 def test_zero_data_posterior_equals_prior():
     # no likelihood: the HalfNormal(1) prior's mean is sqrt(2/pi)
     space = ParamSpace([ParamDef("s", (), "positive")])
-    ensemble = fit(lambda v: float(logpdf_halfnormal(v["s"], 1.0)), space, FAST)
+    ensemble = fit(lambda v: logpdf_halfnormal(v["s"], 1.0), space, FAST)
     assert ensemble.mean("s") == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.05)
 
 
@@ -183,7 +181,7 @@ def test_reproducible_ensembles():
     space = ParamSpace([ParamDef("x", (), "positive")])
 
     def logpost(v):
-        return float(logpdf_gamma(v["x"], 3.0, 2.0))
+        return logpdf_gamma(v["x"], 3.0, 2.0)
 
     a = fit(logpost, space, FitConfig(chains=2, warmup=200, draws=200, thin=2, seed=9))
     b = fit(logpost, space, FitConfig(chains=2, warmup=200, draws=200, thin=2, seed=9))
@@ -193,7 +191,7 @@ def test_reproducible_ensembles():
 def test_initialization_error():
     space = ParamSpace([ParamDef("x", (), "real")])
     with pytest.raises(InitializationError):
-        fit(lambda v: float("nan"), space, FAST)
+        fit(lambda v: np.full(v["x"].shape, np.nan), space, FAST)
 
 
 def test_rhat_warning_on_stuck_chains():
@@ -202,9 +200,7 @@ def test_rhat_warning_on_stuck_chains():
 
     def logpost(v):
         x = v["x"]
-        return float(
-            np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2)
-        )
+        return np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2)
 
     config = FitConfig(chains=4, warmup=300, draws=300, thin=1, init_jitter=45.0, seed=11)
     with pytest.warns(UserWarning, match="R-hat"):
@@ -218,8 +214,8 @@ def test_one_rhat_warning_per_fit():
 
     def logpost(v):
         x = v["x"]
-        return float(
-            np.sum(np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2))
+        return np.sum(
+            np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2), axis=-1
         )
 
     config = FitConfig(chains=4, warmup=300, draws=300, thin=1, init_jitter=45.0, seed=11)
@@ -238,7 +234,7 @@ def test_overflowing_proposal_is_rejected():
     space = ParamSpace([ParamDef("scale", (), "positive")])
 
     def logpost(v):
-        return float(logpdf_gamma(1.0, 1.0, 1.0 / v["scale"]))
+        return logpdf_gamma(1.0, 1.0, 1.0 / v["scale"])
 
     config = FitConfig(chains=2, warmup=50, draws=50, thin=1, seed=3)
     with np.errstate(all="ignore"):  # draws near 1e308 overflow the R-hat sums too
@@ -246,12 +242,38 @@ def test_overflowing_proposal_is_rejected():
     assert np.all(np.isfinite(ensemble.draws["scale"]))
     # a model error on finite values still surfaces
     with pytest.raises(ParameterError):
-        fit(lambda v: float(logpdf_gamma(1.0, 1.0, -v["scale"])), space, config)
+        fit(lambda v: logpdf_gamma(1.0, 1.0, -v["scale"]), space, config)
+
+
+def test_underflowing_proposal_is_rejected():
+    # exp(z) underflows to 0.0 for z < ~-745.13, outside the positive support; a
+    # gamma shape of 0 is a model error, so the model must never see one
+    space = ParamSpace([ParamDef("shape", (), "positive")])
+    seen = []
+
+    def logpost(v):
+        seen.append(np.min(v["shape"]))
+        # flat in log(shape) near 0, so the chains wander across the underflow point
+        return logpdf_gamma(1.0, v["shape"], 1.0) - 2.0 * np.log(v["shape"])
+
+    # long steps from exp(-700) make many proposals land below the underflow point
+    config = FitConfig(chains=2, warmup=50, draws=50, thin=1, initial_step=30.0, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a wandering chain
+        ensemble = fit(logpost, space, config, init={"shape": math.exp(-700.0)})
+    assert min(seen) > 0.0
+    assert np.all(ensemble.draws["shape"] > 0.0)
+
+
+def test_log_posterior_must_return_one_value_per_chain():
+    space = ParamSpace([ParamDef("x", (), "real")])
+    with pytest.raises(ValueError, match="one value per row"):
+        fit(lambda v: float(np.sum(-0.5 * v["x"] ** 2)), space, FAST)
 
 
 def test_acceptance_rate_near_target():
     space = ParamSpace([ParamDef("x", (3,), "real")])
-    ensemble = fit(lambda v: float(-0.5 * np.sum(v["x"] ** 2)), space, FAST)
+    ensemble = fit(lambda v: -0.5 * np.sum(v["x"] ** 2, axis=-1), space, FAST)
     rate = ensemble.diagnostics["acceptance"]["x"]
     assert 0.2 < rate < 0.55
 
@@ -281,7 +303,7 @@ def test_posterior_predictive_gamma_recovery():
     space = ParamSpace([ParamDef("mu", (), "positive")])
 
     def logpost(v):
-        return float(np.sum(logpdf_gamma(data, 25.0, 25.0 / v["mu"])))
+        return np.sum(logpdf_gamma(data, 25.0, 25.0 / v["mu"][:, None]), axis=-1)
 
     ensemble = fit(logpost, space, FAST, init={"mu": float(data.mean())})
     predictive = posterior_predictive(

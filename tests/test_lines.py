@@ -160,15 +160,17 @@ def test_mixture_logpost_matches_scipy_reference():
             for w, m in zip(weights, means)
         ]
         expected += logsumexp(comp, axis=0).sum()
-    assert _mixture_logpost("r", grouped)(values) == pytest.approx(expected, rel=1e-12)
+    # the log-posterior takes a leading chain axis: one chain here
+    batch = {name: np.asarray(value)[None] for name, value in values.items()}
+    assert _mixture_logpost("r", grouped)(batch)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_mixture_logpost_zero_weight_is_off_support():
-    # a weight that underflowed to 0 ends the evaluation before np.log(0)
+    # a weight that underflowed to 0 scores -inf without running np.log(0)
     grouped = [np.array([0.15, 0.3])]
-    values = {"r_means": np.array([0.2, 0.45, 0.8]), "r_cv": 0.3}
-    values["r_weights_z1"] = np.array([1.0, 0.0, 0.0])
-    assert _mixture_logpost("r", grouped)(values) == -np.inf
+    values = {"r_means": np.array([[0.2, 0.45, 0.8]]), "r_cv": np.array([0.3])}
+    values["r_weights_z1"] = np.array([[1.0, 0.0, 0.0]])
+    assert _mixture_logpost("r", grouped)(values)[0] == -np.inf
 
 
 def test_carson_kron_reduced_neutral_matches_independent_value():

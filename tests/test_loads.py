@@ -174,3 +174,11 @@ def test_fit_rejects_demand_on_inactive_phase():
         fit_load_model({"b": np.array([1.0, 1.0, 0.0])}, {"b": PhaseConfig.A}, FAST)
     with pytest.raises(ValueError, match="negative"):
         fit_load_model({"b": np.array([-1.0, 0.0, 0.0])}, {"b": PhaseConfig.A}, FAST)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_non_finite_demand_naming_the_bus(value):
+    demands = {"b0": np.array([1.0, 0.0, 0.0]), "b7": np.array([value, 0.0, 0.0])}
+    allocations = {"b0": PhaseConfig.A, "b7": PhaseConfig.A}
+    with pytest.raises(ValueError, match="bus b7: non-finite demand"):
+        fit_load_model(demands, allocations, FAST)
