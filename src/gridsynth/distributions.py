@@ -108,7 +108,29 @@ def sample_gamma(rng: Generator, shape: float, rate: float, size: int | None = N
     _require_gamma(shape, rate)
     if size is None:
         return _gamma_mt_scalar(rng, shape) / rate
-    return _gamma_mt_batch(rng, shape, int(size)) / rate
+    return _gamma_variates(rng, shape, size) / rate
+
+
+def _gamma_variates(rng, alpha, size: int | None) -> np.ndarray:
+    """Gamma(alpha, 1) draws of shape ``(size,) + alpha.shape`` (``alpha.shape``
+    when ``size`` is None).
+
+    ``rng`` may instead be a sequence of generators, one per row along the
+    first axis of ``alpha`` (and no size): row ``r`` is drawn only from
+    ``rng[r]``, exactly as that generator would draw it alone.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if not isinstance(rng, Generator):
+        _require(
+            size is None and alpha.ndim >= 1 and alpha.shape[0] == len(rng),
+            "one generator per row of the parameters",
+        )
+        rows = alpha.reshape(len(rng), -1)
+        return _gamma_mt_batch(rng, rows, rows.shape[1]).reshape(alpha.shape)
+    shape = (() if size is None else (int(size),)) + alpha.shape
+    n = math.prod(shape)
+    rows = alpha if alpha.ndim == 0 else np.broadcast_to(alpha, shape).reshape(1, n)
+    return _gamma_mt_batch([rng], rows, n).reshape(shape)
 
 
 def _gamma_mt_scalar(rng: Generator, alpha: float) -> float:
@@ -130,31 +152,53 @@ def _gamma_mt_scalar(rng: Generator, alpha: float) -> float:
             return d * v
 
 
-def _gamma_mt_batch(rng: Generator, alpha: float, n: int) -> np.ndarray:
+def _gamma_mt_batch(rngs, alpha: np.ndarray, n: int) -> np.ndarray:
+    """``n`` Gamma(alpha, 1) draws from each generator of ``rngs``, as a
+    ``(len(rngs), n)`` array; ``alpha`` is one shape (a 0-d array) or a
+    ``(len(rngs), n)`` array of shapes.
+
+    Row ``r`` is drawn only from ``rngs[r]``, and in the same order whatever
+    the other rows do: first the uniforms that boost its entries below 1, one
+    per boosted entry, then in each squeeze round one normal and one uniform
+    per entry still pending.
+    """
+    small = np.broadcast_to(alpha < 1.0, (len(rngs), n))
     boost = None
-    if alpha < 1.0:
-        boost = (1.0 - rng.random(n)) ** (1.0 / alpha)
-        alpha = alpha + 1.0
-    d = alpha - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    pending = np.arange(n)
+    if small.any():
+        u = np.concatenate(_each(rngs, "random", small.sum(axis=1)))
+        # one shape keeps a scalar exponent, which numpy evaluates differently
+        # from an array one (it squares for 2), so its stream stays as it was
+        exponent = 1.0 / (alpha if alpha.ndim == 0 else alpha[small])
+        boost = np.ones(small.shape)
+        boost[small] = (1.0 - u) ** exponent
+        alpha = np.where(alpha < 1.0, alpha + 1.0, alpha)
+    d = np.broadcast_to(alpha - 1.0 / 3.0, small.shape).ravel()
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.empty(small.shape)
+    pending = np.arange(d.size)
     while pending.size:
-        m = pending.size
-        x = rng.standard_normal(m)
+        counts = np.bincount(pending // n, minlength=len(rngs))
+        x = np.concatenate(_each(rngs, "standard_normal", counts))
+        u = np.concatenate(_each(rngs, "random", counts))
         v = 1.0 + c * x
-        u = rng.random(m)
         positive = v > 0.0
         v3 = np.where(positive, v, 1.0) ** 3
         squeeze = u < 1.0 - 0.0331 * x**4
         with np.errstate(divide="ignore"):
             log_test = np.log(u) < 0.5 * x * x + d * (1.0 - v3 + np.log(v3))
         accept = positive & (squeeze | log_test)
-        out[pending[accept]] = d * v3[accept]
-        pending = pending[~accept]
+        out.flat[pending[accept]] = d[accept] * v3[accept]
+        reject = ~accept
+        pending, d, c = pending[reject], d[reject], c[reject]
     if boost is not None:
         out *= boost
     return out
+
+
+def _each(rngs, method: str, counts) -> list[np.ndarray]:
+    """``counts[r]`` variates from each ``rngs[r]``; a generator with none to
+    draw is not called."""
+    return [getattr(rng, method)(m) for rng, m in zip(rngs, counts.tolist()) if m]
 
 
 def sample_weibull(rng: Generator, shape: float, scale: float, size: int | None = None):
@@ -164,22 +208,34 @@ def sample_weibull(rng: Generator, shape: float, scale: float, size: int | None 
     return scale * (-np.log(u)) ** (1.0 / shape)
 
 
-def sample_beta(rng: Generator, a: float, b: float, size: int | None = None):
-    _require(a > 0.0 and b > 0.0, "beta needs positive shape parameters")
-    x = sample_gamma(rng, a, 1.0, size)
-    y = sample_gamma(rng, b, 1.0, size)
-    return x / (x + y)
+def sample_beta(rng, a, b, size: int | None = None):
+    """Beta(a, b) draw: the first coordinate of a Dirichlet(a, b) draw.
+    ``a`` and ``b`` may be arrays (they broadcast): one draw per entry, and
+    ``rng`` one generator per entry of their first axis, as in
+    :func:`sample_dirichlet`."""
+    _require_positive(a, "beta needs positive shape parameters")
+    _require_positive(b, "beta needs positive shape parameters")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.take(sample_dirichlet(rng, np.stack([a, b], axis=-1), size), 0, axis=-1)
 
 
-def sample_dirichlet(rng: Generator, concentration, size: int | None = None):
+def sample_dirichlet(rng, concentration, size: int | None = None):
+    """Dirichlet draw over the last axis of ``concentration``.
+
+    A ``(rows, k)`` concentration draws one vector per row; ``size`` draws
+    stack on a new leading axis. ``rng`` may also be a sequence of
+    generators, one per entry of the first axis (and no size), so that
+    independent streams such as the chains of a fit draw in one call: entry
+    ``c`` comes only from ``rng[c]``, exactly as ``sample_dirichlet(rng[c],
+    concentration[c])`` would draw it. A row whose gamma variates all
+    underflow to 0 (every concentration tiny) comes back NaN.
+    """
     conc = np.asarray(concentration, dtype=float)
-    _require(conc.ndim == 1 and conc.size >= 1, "dirichlet concentration must be a vector")
-    _require(bool(np.all(conc > 0.0)), "dirichlet concentration entries must be positive")
-    if size is None:
-        g = np.array([sample_gamma(rng, a, 1.0) for a in conc])
-        return g / g.sum()
-    g = np.column_stack([sample_gamma(rng, a, 1.0, size) for a in conc])
-    return g / g.sum(axis=1, keepdims=True)
+    _require(conc.ndim >= 1 and conc.size >= 1, "dirichlet concentration must be a vector")
+    _require_positive(conc, "dirichlet concentration entries must be positive")
+    g = _gamma_variates(rng, conc, size)
+    with np.errstate(invalid="ignore"):
+        return g / g.sum(axis=-1, keepdims=True)
 
 
 def sample_categorical(rng: Generator, probs, size: int | None = None):

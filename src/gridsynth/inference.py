@@ -1,16 +1,23 @@
-"""Posterior fitting via adaptive random-walk Metropolis-within-Gibbs.
+"""Posterior fitting via adaptive random-walk Metropolis-within-Gibbs, with
+exact Gibbs steps where a full conditional can be drawn directly.
 
 Models declare a :class:`ParamSpace` (named parameters with supports) and a
-log-posterior over the constrained values. Sampling happens in unconstrained
-coordinates: each support has a bijective transform with a log-Jacobian, so
-positivity, unit-interval, simplex, and ordered-positive constraints hold on
-every draw by construction.
+log-posterior over the constrained values. Each support has a bijective
+transform to unconstrained coordinates with a log-Jacobian, so positivity,
+unit-interval, simplex, and ordered-positive constraints hold on every draw
+by construction.
 
-The sampler is deliberately simple: one Gaussian random-walk block per
-parameter group, with per-block step sizes adapted during warm-up by a
-Robbins-Monro recursion targeting 0.35 acceptance. All chains advance in
-lockstep, so each block step is one transform call and one log-posterior call
-over a leading chain axis:
+The sampler's state is each chain's row of constrained values. Metropolis
+blocks are deliberately simple: one Gaussian random-walk block per parameter
+group in unconstrained coordinates, with per-block step sizes adapted during
+warm-up by a Robbins-Monro recursion targeting 0.35 acceptance. A block
+transforms only its own parameters, and its acceptance ratio carries only
+their log-Jacobian (the other parameters' terms cancel). Parameters whose
+full conditional is known are passed to :func:`fit` as ``exact`` steps
+instead: each sweep draws them from that conditional after the Metropolis
+blocks, then rescores the chain with one log-posterior call. All chains
+advance in lockstep, so each block step is one transform call and one
+log-posterior call over a leading chain axis:
 
 - values carry a leading chain axis: a scalar parameter is a ``(chains,)``
   array and a vector one ``(chains, n)``; ``ParamSpace.constrain`` takes ``z``
@@ -18,12 +25,14 @@ over a leading chain axis:
 - the log-posterior returns one value per chain, a ``(chains,)`` array;
 - a row with an out-of-domain parameter scores ``-inf`` instead of raising,
   and a row outside the open support never reaches the model;
-- chain ``c`` consumes only its own substream ``(seed, "mcmc-chain", c)``, so
-  its draws do not depend on the number of chains.
+- chain ``c`` consumes only its own substream ``(seed, "mcmc-chain", c)``, in
+  its Metropolis blocks and its exact steps alike, so its draws do not depend
+  on the number of chains.
 
-Chains are pooled after warm-up and thinning. Split-R-hat and effective sample
-size are attached as diagnostics; an R-hat above the threshold is a warning on
-the ensemble, never a hard failure.
+Chains are pooled after warm-up and thinning; the kept draws are the
+constrained rows. Split-R-hat and effective sample size are attached as
+diagnostics (chains stuck at different constants have an infinite R-hat); an
+R-hat above the threshold is a warning on the ensemble, never a hard failure.
 """
 
 from __future__ import annotations
@@ -149,19 +158,14 @@ class ParamSpace:
     def _constrain_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
         """All constrained values as one ``(..., constrained size)`` array."""
         z = np.asarray(z, dtype=float)
-        batch = z.shape[:-1]
-        flat = np.empty(batch + self._lower.shape)
-        log_jacobian = 0.0
-        for support, width, ucols, ccols in self._groups:
-            # np.take keeps rows contiguous (z[..., ucols] would be column-major),
-            # so each row's log-Jacobian sums the same way for any number of rows
-            zg = np.take(z, ucols, axis=-1)
-            if width:
-                zg = zg.reshape(batch + (-1, width))
-            x, lj = _forward(support, zg)
-            flat[..., ccols] = x.reshape(batch + (-1,))
-            log_jacobian = log_jacobian + lj
-        return flat, log_jacobian
+        flat = np.empty(z.shape[:-1] + self._lower.shape)
+        return flat, _transform(self._groups, z, flat)
+
+    def _block_groups(self, block: list[str]):
+        """The transform groups of the parameters in ``block`` alone."""
+        return _transform_groups(
+            [self._by_name[n] for n in block], self._offsets, self._columns
+        )
 
     def _unpack(self, flat: np.ndarray) -> dict[str, float | np.ndarray]:
         """Named views into a constrained row (or stack of rows)."""
@@ -198,6 +202,23 @@ def _transform_groups(defs, offsets, columns):
         (support, width, np.asarray(u, dtype=int), np.asarray(c, dtype=int))
         for (support, width), (u, c) in groups.items()
     ]
+
+
+def _transform(groups, z: np.ndarray, flat: np.ndarray):
+    """Write the constrained values of ``groups`` from ``z`` (``(..., dim)``)
+    into their columns of ``flat`` and return their summed log-Jacobian."""
+    batch = z.shape[:-1]
+    log_jacobian = 0.0
+    for support, width, ucols, ccols in groups:
+        # np.take keeps rows contiguous (z[..., ucols] would be column-major),
+        # so each row's log-Jacobian sums the same way for any number of rows
+        zg = np.take(z, ucols, axis=-1)
+        if width:
+            zg = zg.reshape(batch + (-1, width))
+        x, lj = _forward(support, zg)
+        flat[..., ccols] = x.reshape(batch + (-1,))
+        log_jacobian = log_jacobian + lj
+    return log_jacobian
 
 
 def _forward(support: str, z: np.ndarray):
@@ -332,59 +353,83 @@ def fit(
     space: ParamSpace,
     config: FitConfig | None = None,
     init: dict[str, float | np.ndarray] | None = None,
+    exact=(),
 ) -> PosteriorEnsemble:
     """Sample the posterior of ``log_posterior`` over ``space``.
 
-    All chains advance together. ``log_posterior`` receives a dict of
-    constrained values with a leading chain axis (a scalar parameter is a
-    ``(rows,)`` array, a vector one ``(rows, n)``) and returns one value per
-    row, ``-inf`` allowed away from the init point; a row with an
-    out-of-domain parameter should score ``-inf`` rather than raise. It runs
-    with numpy's overflow, divide-by-zero and invalid-value warnings off: the
-    batched kernels evaluate every row's formula before masking, and a row
-    that is finite but extreme (a positive value above 1e154 squares to inf in
-    a half-normal prior) must be rejected, not abort the fit where warnings
-    are errors. Any non-finite value it returns rejects the proposal. The
-    model never sees a row outside the open support (an overflow to inf, an
-    underflow to 0, a unit value rounded to 1): the row is swapped for the
-    chain's current state and scored ``-inf``.
+    All chains advance together, and the sampler's state is each chain's row
+    of constrained values. ``log_posterior`` receives a dict of constrained
+    values with a leading chain axis (a scalar parameter is a ``(rows,)``
+    array, a vector one ``(rows, n)``) and returns one value per row, ``-inf``
+    allowed away from the init point; a row with an out-of-domain parameter
+    should score ``-inf`` rather than raise. It runs with numpy's overflow,
+    divide-by-zero and invalid-value warnings off: the batched kernels
+    evaluate every row's formula before masking, and a row that is finite but
+    extreme (a positive value above 1e154 squares to inf in a half-normal
+    prior) must be rejected, not abort the fit where warnings are errors. Any
+    non-finite value it returns rejects the row. The model never sees a row
+    outside the open support (an overflow to inf, an underflow to 0, a unit
+    value rounded to 1): the row is swapped for the chain's current state and
+    scored ``-inf``.
+
+    ``exact`` lists the parameters whose full conditional can be drawn
+    directly, as ``(names, draw)`` pairs. ``draw(values, rngs)`` gets the
+    current constrained values (the same dict as ``log_posterior``, one row
+    per chain; it must not write to them) and returns a dict of new values
+    for ``names``, drawing chain ``c``'s row only from ``rngs[c]``. It runs
+    under the same warning settings as ``log_posterior``. These parameters
+    leave the Metropolis blocks. Each sweep runs the Metropolis blocks, then
+    each exact step in order followed by one log-posterior call that
+    refreshes the chain's score; a drawn row that leaves the open support or
+    scores non-finite keeps the chain's current values and counts as a
+    rejection in that step's ``diagnostics["acceptance"]`` entry (keyed by
+    its names joined with ``-``, like a block).
+
+    A Metropolis block proposes a Gaussian random-walk step in the
+    unconstrained coordinates of its own parameters and transforms only
+    those; its acceptance ratio carries only their log-Jacobian, since the
+    other parameters' terms cancel. Kept draws are the constrained rows.
 
     Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
     and keeps its own step sizes and proposal covariance, so its draws do not
     depend on how many chains run beside it. At most one ``UserWarning`` per
-    call lists the scalars above the R-hat threshold; ``ensemble.warnings``
-    holds one message per scalar. Chains start from ``init`` (or the transform
-    origin) with per-chain jitter; step sizes adapt during warm-up only, so the
-    kept draws target the exact posterior.
+    call lists the scalars above the R-hat threshold (an infinite R-hat
+    included); ``ensemble.warnings`` holds one message per scalar. Chains
+    start from ``init`` (or the transform origin) with per-chain jitter; step
+    sizes adapt during warm-up only, so the kept draws target the exact
+    posterior.
     """
     config = config or FitConfig()
-    init_z = space.to_unconstrained(init) if init else np.zeros(space.dim)
+    exact = [(list(names), draw) for names, draw in exact]
+    blocks = _metropolis_blocks(space, [n for names, _ in exact for n in names])
+    quiet = dict(over="ignore", divide="ignore", invalid="ignore")
 
-    def target(z: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log-target of each row of ``z`` and its constrained values."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            flat, log_jacobian = space._constrain_flat(z)
-            inside = space._inside(flat)
-            if not inside.all():
-                flat[~inside] = fallback[~inside]
-            lp = np.asarray(log_posterior(space._unpack(flat)), dtype=float)
-            if lp.shape != inside.shape:
-                raise ValueError(
-                    f"log_posterior must return one value per row, shape {inside.shape}; "
-                    f"got shape {lp.shape}"
-                )
-            return np.where(inside & np.isfinite(lp), lp + log_jacobian, -np.inf), flat
+    def score(cand: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+        """Model log-posterior of each row of ``cand``; a row outside the open
+        support is first swapped for ``fallback`` and then scored -inf."""
+        inside = space._inside(cand)
+        if not inside.all():
+            cand[~inside] = fallback[~inside]
+        lp = np.asarray(log_posterior(space._unpack(cand)), dtype=float)
+        if lp.shape != inside.shape:
+            raise ValueError(
+                f"log_posterior must return one value per row, shape {inside.shape}; "
+                f"got shape {lp.shape}"
+            )
+        return np.where(inside & np.isfinite(lp), lp, -np.inf)
 
     chains = config.chains
+    init_z = space.to_unconstrained(init) if init else np.zeros(space.dim)
     init_flat, _ = space._constrain_flat(init_z[None])
     # the init row is its own fallback, so the model sees it only inside the support
-    init_lp = target(init_z[None], init_flat)[0] if space._inside(init_flat)[0] else [-np.inf]
+    with np.errstate(**quiet):
+        init_lp = score(init_flat.copy(), init_flat) if space._inside(init_flat)[0] else [-np.inf]
     if not np.isfinite(init_lp[0]):
         raise InitializationError("log-posterior is not finite at the initialization point")
 
     rngs = [substream(config.seed, "mcmc-chain", c) for c in range(chains)]
     z = np.repeat(init_z[None], chains, axis=0)
-    current = np.repeat(init_flat, chains, axis=0)  # constrained values of z
+    current = np.repeat(init_flat, chains, axis=0)  # the state: constrained rows
     lp = np.repeat(init_lp, chains)
     if config.init_jitter > 0.0:
         # up to 20 jittered starts per chain; a chain keeps its first finite one
@@ -392,25 +437,37 @@ def fit(
         for _ in range(20):
             if not pending:
                 break
-            cand = np.array(
+            cand_z = np.array(
                 [init_z + config.init_jitter * rngs[c].standard_normal(space.dim) for c in pending]
             )
-            cand_lp, cand_flat = target(cand, current[pending])
+            cand = current[pending]
+            with np.errstate(**quiet):
+                _transform(space._groups, cand_z, cand)
+                cand_lp = score(cand, current[pending])
             for row, c in enumerate(pending):
                 if np.isfinite(cand_lp[row]):
-                    z[c], lp[c], current[c] = cand[row], cand_lp[row], cand_flat[row]
+                    z[c], lp[c], current[c] = cand_z[row], cand_lp[row], cand[row]
             pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
 
-    block_idx = [space.block_indices(b) for b in space.blocks]
+    block_idx = [space.block_indices(b) for b in blocks]
+    block_groups = [space._block_groups(b) for b in blocks]
+    exact_cols = [[space._columns[n] for n in names] for names, _ in exact]
+    # per-chain log-Jacobian of each block's current values: only that
+    # block's moves change it
+    log_jac = np.zeros((chains, len(blocks)))
+    buffer = current.copy()
+    with np.errstate(**quiet):
+        for bi, groups in enumerate(block_groups):
+            log_jac[:, bi] = _transform(groups, z, buffer)
     kept_per_chain = config.draws // config.thin
-    chain_draws = np.empty((chains, kept_per_chain, space.dim))
+    chain_draws = np.empty((chains, kept_per_chain, current.shape[1]))
     # per-chain, per-block state: log step size, summed acceptance probability,
     # and the proposal shape learned from warm-up draws (Welford covariance ->
     # Cholesky factor that correlates the proposals)
     log_step = np.array(
         [[math.log(config.initial_step / math.sqrt(len(idx))) for idx in block_idx]] * chains
     )
-    accepted = np.zeros((chains, len(block_idx)))
+    accepted = np.zeros((chains, len(blocks) + len(exact)))
     chol = [np.repeat(np.eye(idx.size)[None], chains, axis=0) for idx in block_idx]
     w_count = 0
     w_mean = [np.zeros((chains, idx.size)) for idx in block_idx]
@@ -423,17 +480,33 @@ def fit(
         for bi, idx in enumerate(block_idx):
             noise = np.array([rng.standard_normal(idx.size) for rng in rngs])
             step = np.exp(log_step[:, bi])
-            cand = z.copy()
-            cand[:, idx] = z[:, idx] + step[:, None] * (chol[bi] @ noise[:, :, None])[:, :, 0]
-            cand_lp, cand_flat = target(cand, current)
+            cand_z = z.copy()
+            cand_z[:, idx] = z[:, idx] + step[:, None] * (chol[bi] @ noise[:, :, None])[:, :, 0]
+            cand = current.copy()
+            with np.errstate(**quiet):
+                cand_lj = _transform(block_groups[bi], cand_z, cand)
+                cand_lp = score(cand, current)
             # min(1, exp(log ratio)), floored at exp(-700)
-            accept_prob = np.exp(np.minimum(np.maximum(cand_lp - lp, -700.0), 0.0))
+            log_ratio = (cand_lp + cand_lj) - (lp + log_jac[:, bi])
+            accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
             move = np.array([rng.random() for rng in rngs]) < accept_prob
-            z[move], lp[move], current[move] = cand[move], cand_lp[move], cand_flat[move]
+            z[move], current[move], lp[move] = cand_z[move], cand[move], cand_lp[move]
+            log_jac[move, bi] = np.broadcast_to(cand_lj, move.shape)[move]
             if warm:
                 log_step[:, bi] += gain * (accept_prob - config.target_accept)
             else:
                 accepted[:, bi] += accept_prob
+        for ei, ((step_names, draw), cols) in enumerate(zip(exact, exact_cols)):
+            cand = current.copy()
+            with np.errstate(**quiet):
+                new = draw(space._unpack(current), rngs)
+                for name, (lo, hi) in zip(step_names, cols):
+                    cand[:, lo:hi] = np.reshape(new[name], (chains, hi - lo))
+                cand_lp = score(cand, current)
+            move = np.isfinite(cand_lp)
+            current[move], lp[move] = cand[move], cand_lp[move]
+            if not warm:
+                accepted[:, len(blocks) + ei] += move
         if warm:
             w_count += 1
             for bi, idx in enumerate(block_idx):
@@ -451,22 +524,22 @@ def fit(
                         except np.linalg.LinAlgError:
                             pass
         if not warm and (it - config.warmup) % config.thin == config.thin - 1:
-            chain_draws[:, kept] = z
+            chain_draws[:, kept] = current
             kept += 1
     accept_rates = accepted / config.draws
 
     names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
     ensemble = PosteriorEnsemble(draws=pooled)
+    steps = blocks + [step_names for step_names, _ in exact]
     ensemble.diagnostics = {
-        "acceptance": {
-            "-".join(b): float(accept_rates[:, i].mean()) for i, b in enumerate(space.blocks)
-        },
+        "acceptance": {"-".join(b): float(accept_rates[:, i].mean()) for i, b in enumerate(steps)},
         "rhat": {n: float(r) for n, r in zip(names, rhat)},
         "ess": {n: float(e) for n, e in zip(names, ess)},
         "chains": chains,
         "kept_draws": int(chains * kept_per_chain),
     }
-    high = [(n, r) for n, r in zip(names, rhat) if np.isfinite(r) and r > config.rhat_threshold]
+    # NaN (too few draws) compares false; an infinite R-hat is listed
+    high = [(n, r) for n, r in zip(names, rhat) if r > config.rhat_threshold]
     ensemble.warnings = [f"R-hat {r:.3f} above {config.rhat_threshold} for {n}" for n, r in high]
     if high:
         listed = ", ".join(f"{n} ({r:.3f})" for n, r in high)
@@ -477,11 +550,29 @@ def fit(
     return ensemble
 
 
+def _metropolis_blocks(space: ParamSpace, exact_names: list[str]) -> list[list[str]]:
+    """The blocks of ``space`` left to Metropolis once ``exact_names`` are
+    drawn exactly; a block must be wholly one or the other."""
+    drawn = set(exact_names)
+    if len(drawn) != len(exact_names):
+        raise ValueError("a parameter appears in more than one exact step")
+    unknown = sorted(drawn - set(space._by_name))
+    if unknown:
+        raise ValueError(f"unknown parameters in exact: {unknown}")
+    blocks = []
+    for block in space.blocks:
+        shared = drawn.intersection(block)
+        if shared and len(shared) != len(block):
+            raise ValueError(f"block {block} mixes exact and Metropolis parameters")
+        if not shared:
+            blocks.append(block)
+    return blocks
+
+
 def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
-    """Constrain all draws in one call, pool them, and compute per-scalar
-    R-hat / ESS."""
+    """Pool the kept constrained rows and compute per-scalar R-hat / ESS."""
     chains, kept, _ = chain_draws.shape
-    per_chain, _ = space.constrain(chain_draws)
+    per_chain = space._unpack(chain_draws)
     pooled: dict[str, np.ndarray] = {}
     names: list[str] = []
     rhats: list[float] = []
@@ -505,13 +596,15 @@ def _split_rhat(chains: np.ndarray) -> float:
     if half < 2:
         return float("nan")
     seqs = np.concatenate([chains[:, :half], chains[:, half : 2 * half]], axis=0)
+    if not np.ptp(seqs, axis=1).any():
+        # constant sequences (whose variance need not round to 0): converged
+        # if they agree, stuck apart if not
+        return 1.0 if np.ptp(seqs[:, 0]) == 0.0 else math.inf
     m, length = seqs.shape
     means = seqs.mean(axis=1)
     variances = seqs.var(axis=1, ddof=1)
     w = variances.mean()
     b = length * means.var(ddof=1)
-    if w <= 0.0:
-        return 1.0
     var_plus = (length - 1.0) / length * w + b / length
     return float(math.sqrt(var_plus / w))
 
@@ -520,10 +613,11 @@ def _effective_sample_size(chains: np.ndarray) -> float:
     """ESS via chain-averaged autocorrelations with Geyer's initial-positive rule."""
     c, n = chains.shape
     total = c * n
+    if not np.ptp(chains, axis=1).any():
+        # constant chains: one sample each unless they all agree
+        return float(total) if np.ptp(chains[:, 0]) == 0.0 else float(c)
     centered = chains - chains.mean(axis=1, keepdims=True)
     var = centered.var(axis=1).mean()
-    if var <= 0.0:
-        return float(total)
     max_lag = min(n - 1, 500)
 
     def rho(lag: int) -> float:

@@ -6,6 +6,12 @@ sequence (a base mean plus positive increments) sharing one coefficient of
 variation; mixture weights are per-zone simplexes, so the conductor mix can
 shift along the feeder. Reactance is X1 = rho * R1 by definition.
 
+The fit draws each mixture's weights exactly: component indicators for every
+line given the current parameters, then each zone's weights from
+Dirichlet(1 + indicator counts) (Diebolt & Robert 1994), as one step. The
+means and the CV take Metropolis steps against the likelihood with the
+indicators summed out.
+
 The 3x3 phase impedance matrix is built deterministically from the sampled
 pair via the modified Carson earth-return equations at 60 Hz / 100 ohm-m
 (both configurable), followed by Kron reduction of a single neutral
@@ -28,6 +34,7 @@ from .distributions import (
     _logpdf_halfnormal,
     _positive,
     sample_categorical,
+    sample_dirichlet,
     sample_gamma,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, PosteriorEnsemble, fit
@@ -155,30 +162,42 @@ def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
     return ParamSpace(defs)
 
 
-def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
-    """Batched log-posterior of one mixture: values carry a leading chain axis."""
+def _mixture_components(prefix: str, grouped: list[np.ndarray]):
+    """The terms a mixture's log-posterior and its weights step share, for
+    values with a leading chain axis: the weights stacked (chains, zones, K),
+    the Gamma shape and rates, and each line's log weight plus component
+    log-density, (K, chains, lines)."""
     observed = np.concatenate(grouped)
     zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
     names = [f"{prefix}_weights_z{z}" for z in range(1, len(grouped) + 1)]
 
-    def logpost(v) -> np.ndarray:
-        means = v[f"{prefix}_means"]
-        cv = v[f"{prefix}_cv"]
-        lp = _logpdf_halfnormal(means[:, 0], 1.0)
-        lp += _logpdf_halfnormal(np.diff(means, axis=-1), 1.0).sum(axis=-1)
-        lp += _logpdf_halfnormal(cv, 0.5)
-        weights = np.stack([v[name] for name in names], axis=-2)  # (chains, zones, K)
-        lp += _logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS)).sum(axis=-1)
-        # components lead from here on, so the log-sum-exp reduces over the
+    def components(v):
+        weights = np.stack([v[name] for name in names], axis=-2)
+        # components lead from here on, so reductions over them run over the
         # first axis. A weight that underflowed to 0 is off the simplex (-inf
-        # above); log 1 stands in for its log so no log(0) runs.
+        # in the log-posterior); log 1 stands in for its log so no log(0) runs.
         log_w = np.log(np.where(weights > 0.0, weights, 1.0))
         log_w = np.take(np.moveaxis(log_w, -1, 0), zone_of, axis=-1)  # (K, chains, lines)
-        shape, rates = _gamma_shape_rates(means, cv[:, None])
+        shape, rates = _gamma_shape_rates(v[f"{prefix}_means"], v[f"{prefix}_cv"][:, None])
         # (rows stay contiguous, so each chain's sum over lines runs the same
         # way for any number of chains)
         rates_first = np.ascontiguousarray(rates.T)[:, :, None]
-        comp = log_w + _logpdf_gamma(observed, shape, rates_first)
+        return weights, shape, rates, log_w + _logpdf_gamma(observed, shape, rates_first)
+
+    return components, names, zone_of
+
+
+def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
+    """Batched log-posterior of one mixture: values carry a leading chain axis."""
+    components, _, _ = _mixture_components(prefix, grouped)
+
+    def logpost(v) -> np.ndarray:
+        means = v[f"{prefix}_means"]
+        lp = _logpdf_halfnormal(means[:, 0], 1.0)
+        lp += _logpdf_halfnormal(np.diff(means, axis=-1), 1.0).sum(axis=-1)
+        lp += _logpdf_halfnormal(v[f"{prefix}_cv"], 0.5)
+        weights, shape, rates, comp = components(v)
+        lp += _logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS)).sum(axis=-1)
         # the floor keeps a line whose components are all -inf at -inf, not nan
         peak = np.maximum(comp.max(axis=0), -1e300)
         lp += (peak + np.log(np.sum(np.exp(comp - peak), axis=0))).sum(axis=-1)
@@ -187,6 +206,31 @@ def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
         return np.where(_positive(rates).all(axis=-1) & _positive(shape[:, 0]), lp, -np.inf)
 
     return logpost
+
+
+def _mixture_weights_step(prefix: str, grouped: list[np.ndarray]):
+    """The exact step of ``fit`` for one mixture's zone weights:
+    ``(names, draw)``."""
+    components, names, zone_of = _mixture_components(prefix, grouped)
+    cells = len(names) * MIXTURE_COMPONENTS
+
+    def draw(v, rngs) -> dict[str, np.ndarray]:
+        # indicators given everything else: each line picks component k with
+        # probability proportional to w_zk * Gamma(x | shape, rate_k), by
+        # inverse CDF on one uniform per line. The current row scored finite,
+        # so every line has a finite component.
+        comp = components(v)[3]
+        cum = np.cumsum(np.exp(comp - comp.max(axis=0)), axis=0)
+        u = np.stack([rng.random(zone_of.size) for rng in rngs]) * cum[-1]
+        picked = (u >= cum[:-1]).sum(axis=0)  # (chains, lines)
+        # weights given the indicators: Dirichlet(1 + counts) per zone
+        cell = zone_of * MIXTURE_COMPONENTS + picked + cells * np.arange(len(rngs))[:, None]
+        counts = np.bincount(cell.ravel(), minlength=len(rngs) * cells)
+        counts = counts.reshape(len(rngs), len(names), MIXTURE_COMPONENTS)
+        weights = sample_dirichlet(rngs, 1.0 + counts)
+        return {name: weights[:, z] for z, name in enumerate(names)}
+
+    return names, draw
 
 
 def _mixture_init(prefix: str, values: np.ndarray, zone_count: int) -> dict:
@@ -205,7 +249,8 @@ def fit_line_model(
     zones: ZoneAssignment,
     config: FitConfig | None = None,
 ) -> Posterior:
-    """Fit both mixtures (resistance and ratio) over the line observations."""
+    """Fit both mixtures (resistance and ratio) over the line observations;
+    each mixture's weights are drawn exactly (see the module docstring)."""
     for name, data in (("r1", r1), ("rho", rho)):
         if any(v <= 0.0 for v in data.values()):
             raise ValueError(f"{name} observations must be positive")
@@ -223,13 +268,18 @@ def fit_line_model(
     rho_values = np.concatenate([g for g in rho_grouped if g.size]) if rho else np.array([1.0])
 
     r_ens = fit(
-        _mixture_logpost("r", r_grouped), r_space, config, init=_mixture_init("r", r_values, z_count)
+        _mixture_logpost("r", r_grouped),
+        r_space,
+        config,
+        init=_mixture_init("r", r_values, z_count),
+        exact=[_mixture_weights_step("r", r_grouped)],
     )
     rho_ens = fit(
         _mixture_logpost("rho", rho_grouped),
         rho_space,
         config,
         init=_mixture_init("rho", rho_values, z_count),
+        exact=[_mixture_weights_step("rho", rho_grouped)],
     )
     merged = PosteriorEnsemble(
         draws={**r_ens.draws, **rho_ens.draws},

@@ -10,7 +10,9 @@ holds on every line by construction.
 Base probabilities are zone-level Dirichlet-Categorical posteriors: a
 concentration row per zone with a HalfNormal(1) prior, a probability vector
 per zone drawn from it, and a categorical likelihood over the observed bus
-configurations.
+configurations. The fit draws every zone's base row exactly from its full
+conditional, Dirichlet(concentration + counts), in one step; only the
+concentration rows take Metropolis steps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .distributions import (
     _logpdf_dirichlet,
     _logpdf_halfnormal,
     sample_categorical,
+    sample_dirichlet,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
 from .topology import NetworkTopology, RamificationHierarchy, ZoneAssignment, group_by_zone
@@ -171,8 +174,9 @@ def fit_phase_model(
 ) -> PhasePosterior:
     """Fit zone-conditioned base probabilities from observed bus configurations.
 
-    Zones with no observations keep their prior (warning); an empty dataset is
-    an error.
+    The base rows are drawn exactly given the concentration rows (see the
+    module docstring). Zones with no observations keep their prior (warning);
+    an empty dataset is an error.
     """
     if not observed:
         raise ValueError("no observed phase configurations")
@@ -192,11 +196,13 @@ def fit_phase_model(
         defs.append(ParamDef(f"conc_z{z}", (7,), "positive"))
         defs.append(ParamDef(f"base_z{z}", (7,), "simplex"))
     space = ParamSpace(defs)
+    conc_names = [f"conc_z{z}" for z in range(1, z_count + 1)]
+    base_names = [f"base_z{z}" for z in range(1, z_count + 1)]
 
     def logpost(values) -> np.ndarray:
         # (chains, zones, 7) stacks of the concentration rows and base rows
-        conc = np.stack([values[f"conc_z{z}"] for z in range(1, z_count + 1)], axis=-2)
-        base = np.stack([values[f"base_z{z}"] for z in range(1, z_count + 1)], axis=-2)
+        conc = np.stack([values[name] for name in conc_names], axis=-2)
+        base = np.stack([values[name] for name in base_names], axis=-2)
         lp = _logpdf_halfnormal(conc, 1.0).sum(axis=-1)
         lp += _logpdf_dirichlet(base, conc)
         # xlogy scores an unobserved configuration 0 even where its base
@@ -204,12 +210,19 @@ def fit_phase_model(
         lp += xlogy(counts, base).sum(axis=-1)
         return lp.sum(axis=-1)
 
+    def draw_base(values, rngs) -> dict[str, np.ndarray]:
+        # base_z | conc_z, counts ~ Dirichlet(conc_z + counts_z): every zone of
+        # every chain in one call, chain c from rngs[c]
+        posterior = np.stack([values[name] for name in conc_names], axis=-2) + counts
+        base = sample_dirichlet(rngs, posterior)
+        return {name: base[:, z] for z, name in enumerate(base_names)}
+
     init: dict[str, np.ndarray] = {}
     for z in range(1, z_count + 1):
         init[f"conc_z{z}"] = np.ones(7)
         smoothed = counts[z - 1] + 1.0
         init[f"base_z{z}"] = smoothed / smoothed.sum()
-    ensemble = fit(logpost, space, config, init=init)
+    ensemble = fit(logpost, space, config, init=init, exact=[(base_names, draw_base)])
     return PhasePosterior(ensemble=ensemble, zone_count=z_count)
 
 

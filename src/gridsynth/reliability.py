@@ -5,7 +5,10 @@ gate decides whether a bus sees any interruption at all, and positive
 durations follow a per-zone Weibull. Interruption frequency (CAIFI,
 events/year) is Negative Binomial with a per-zone mean and one global
 overdispersion parameter. The hurdle indicator is marginalized analytically
-in the likelihood rather than sampled.
+in the likelihood rather than sampled. The gate probabilities are
+independent of the Weibull block, so the fit draws them exactly from
+Beta(1 + positives, 1 + zeros); the Weibull parameters and the CAIFI model
+take Metropolis steps.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .distributions import (
     _logpdf_halfnormal,
     _logpdf_weibull,
     _logpmf_negbinomial,
+    sample_beta,
     sample_negbinomial,
     sample_weibull,
 )
@@ -71,7 +75,8 @@ def fit_caidi(
 ) -> Posterior:
     """Fit per-zone hurdle probabilities and Weibull duration parameters.
 
-    One duration value per bus; zeros feed the hurdle only. Zones with no
+    One duration value per bus; zeros feed the hurdle only, whose
+    probabilities are drawn exactly (see the module docstring). Zones with no
     positive durations keep the Weibull prior (warning).
     """
     if not durations:
@@ -115,6 +120,12 @@ def fit_caidi(
         lp += _logpdf_weibull(durations_pos, shape_of, scale_of).sum(axis=-1)
         return lp
 
+    def draw_hurdle(values, rngs) -> dict[str, np.ndarray]:
+        # Beta(1, 1) prior, n_pos successes and n_zero failures per zone;
+        # chain c draws from rngs[c]
+        successes = np.tile(1.0 + n_pos, (len(rngs), 1))
+        return {"hurdle_p": sample_beta(rngs, successes, 1.0 + n_zero)}
+
     init = {
         "hurdle_p": np.clip(n_pos / np.maximum(n_pos + n_zero, 1.0), 0.02, 0.98),
         "weib_shape": np.ones(z_count),
@@ -122,7 +133,7 @@ def fit_caidi(
             [float(np.mean(p)) if p.size else 1.0 for p in positives]
         ),
     }
-    ensemble = fit(logpost, space, config, init=init)
+    ensemble = fit(logpost, space, config, init=init, exact=[(["hurdle_p"], draw_hurdle)])
     return Posterior(ensemble)
 
 

@@ -168,6 +168,99 @@ def test_dirichlet_component_moments():
         assert_moments(draws[:, j], mean, var)
 
 
+def test_dirichlet_per_row_moments():
+    # one draw per row of a (rows, k) concentration, entries below 1 included
+    rng = make_rng(126)
+    conc = np.array([[0.3, 0.5, 2.0], [4.0, 0.7, 1.0]])
+    draws = sample_dirichlet(rng, conc, N)
+    assert draws.shape == (N, 2, 3)
+    np.testing.assert_allclose(draws.sum(axis=-1), 1.0, atol=1e-12)
+    for r in range(2):
+        s = conc[r].sum()
+        for j in range(3):
+            mean = conc[r, j] / s
+            var = conc[r, j] * (s - conc[r, j]) / (s * s * (s + 1))
+            assert_moments(draws[:, r, j], mean, var)
+
+
+def test_dirichlet_per_row_single_draw():
+    rng = make_rng(127)
+    conc = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0]])
+    draw = sample_dirichlet(rng, conc)
+    assert draw.shape == (3, 2)
+    np.testing.assert_allclose(draw.sum(axis=-1), 1.0, atol=1e-12)
+    with pytest.raises(ParameterError):
+        sample_dirichlet(rng, [[1.0, 0.0]])
+
+
+def test_one_generator_per_row_draws_as_each_alone():
+    # entries below 1 boost, and rows finish their squeeze rounds at different times
+    conc = np.array([[0.3, 2.0, 5.0], [0.5, 0.5, 0.7], [8.0, 1.0, 0.2], [1.0, 1.0, 1.0]])
+    together = [make_rng(130 + r) for r in range(4)]
+    alone = [make_rng(130 + r) for r in range(4)]
+    for _ in range(200):
+        rows = sample_dirichlet(together, conc)
+        for r in range(4):
+            np.testing.assert_array_equal(rows[r], sample_dirichlet(alone[r], conc[r]))
+    p = sample_beta(together, conc[:, :2], conc[:, 2:])
+    for r in range(4):
+        np.testing.assert_array_equal(p[r], sample_beta(alone[r], conc[r, :2], conc[r, 2]))
+    with pytest.raises(ParameterError, match="one generator per row"):
+        sample_dirichlet(together[:3], conc)
+
+
+def test_beta_per_row_moments():
+    rng = make_rng(128)
+    a = np.array([0.4, 2.0, 5.0])
+    b = np.array([0.6, 3.0, 0.8])
+    draws = sample_beta(rng, a, b, N)
+    assert draws.shape == (N, 3)
+    assert np.all((draws >= 0.0) & (draws <= 1.0))
+    for j in range(3):
+        mean = a[j] / (a[j] + b[j])
+        var = a[j] * b[j] / ((a[j] + b[j]) ** 2 * (a[j] + b[j] + 1))
+        assert_moments(draws[:, j], mean, var)
+    # a scalar parameter broadcasts against the other's rows
+    assert sample_beta(rng, 2.0, b).shape == (3,)
+
+
+def _gamma_mt_batch_scalar_shape(rng, alpha, n):
+    """The batch gamma sampler as it was for one scalar shape: the stream a
+    scalar-shape ``sample_gamma(..., size=n)`` must keep."""
+    boost = None
+    if alpha < 1.0:
+        boost = (1.0 - rng.random(n)) ** (1.0 / alpha)
+        alpha = alpha + 1.0
+    d = alpha - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n)
+    pending = np.arange(n)
+    while pending.size:
+        m = pending.size
+        x = rng.standard_normal(m)
+        v = 1.0 + c * x
+        u = rng.random(m)
+        positive = v > 0.0
+        v3 = np.where(positive, v, 1.0) ** 3
+        squeeze = u < 1.0 - 0.0331 * x**4
+        with np.errstate(divide="ignore"):
+            log_test = np.log(u) < 0.5 * x * x + d * (1.0 - v3 + np.log(v3))
+        accept = positive & (squeeze | log_test)
+        out[pending[accept]] = d * v3[accept]
+        pending = pending[~accept]
+    if boost is not None:
+        out *= boost
+    return out
+
+
+@pytest.mark.parametrize("shape", [0.5, 0.25, 0.3, 1.0, 2.5, 7.0])
+def test_scalar_shape_gamma_batch_keeps_its_stream(shape):
+    # a shape of 0.5 boosts by U**2, where a scalar and an array exponent differ
+    expected = _gamma_mt_batch_scalar_shape(make_rng(129), shape, 20_000) / 1.5
+    got = sample_gamma(make_rng(129), shape, 1.5, 20_000)
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_categorical_degenerate():
     rng = make_rng(27)
     draws = sample_categorical(rng, [1, 0, 0, 0, 0, 0, 0], 10_000)

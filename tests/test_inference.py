@@ -20,6 +20,8 @@ from gridsynth.inference import (
     ParamDef,
     ParamSpace,
     PosteriorEnsemble,
+    _effective_sample_size,
+    _split_rhat,
     fit,
     hdi,
     posterior_predictive,
@@ -227,6 +229,122 @@ def test_one_rhat_warning_per_fit():
     assert len(rhat_warnings) == 1
     for message in ensemble.warnings:
         assert message.rsplit(" ", 1)[1] in rhat_warnings[0]
+
+
+def test_constant_chains_that_disagree_are_not_converged():
+    # four chains stuck at 0, 1, 2 and 3: no within-chain variance at all
+    stuck = np.repeat(np.arange(4.0)[:, None], 20, axis=1)
+    assert _split_rhat(stuck) == math.inf
+    assert _effective_sample_size(stuck) == 4.0
+    # chains that agree on one constant are converged, one draw each apart
+    agreed = np.full((4, 20), 2.5)
+    assert _split_rhat(agreed) == 1.0
+    assert _effective_sample_size(agreed) == 80.0
+
+
+def test_rhat_warning_lists_infinite_values():
+    # an exact step that keeps every chain where its jittered start put it
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("s", (), "real")])
+    config = FitConfig(chains=4, warmup=20, draws=40, thin=1, seed=5)
+    with pytest.warns(UserWarning, match=r"s \(inf\)"):
+        ensemble = fit(
+            lambda v: -0.5 * (v["x"] ** 2 + v["s"] ** 2),
+            space,
+            config,
+            exact=[(["s"], lambda v, rngs: {"s": v["s"].copy()})],
+        )
+    assert ensemble.diagnostics["rhat"]["s"] == math.inf
+    assert ensemble.diagnostics["ess"]["s"] == 4.0
+    assert any("s" in w and "inf" in w for w in ensemble.warnings)
+
+
+# ---------------------------------------------------------------------------
+# Exact steps
+
+RHO = 0.8
+
+
+def bivariate_normal(v):
+    x, y = v["x"], v["y"]
+    return -0.5 * (x * x - 2.0 * RHO * x * y + y * y) / (1.0 - RHO**2)
+
+
+def draw_y(v, rngs):
+    # y | x ~ N(rho x, 1 - rho^2), chain c from rngs[c]
+    noise = np.array([rng.standard_normal() for rng in rngs])
+    return {"y": RHO * v["x"] + math.sqrt(1.0 - RHO**2) * noise}
+
+
+def test_exact_step_targets_the_joint():
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("y", (), "real")])
+    config = FitConfig(chains=4, warmup=500, draws=8000, thin=2, seed=17)
+    ensemble = fit(bivariate_normal, space, config, exact=[(["y"], draw_y)])
+    x, y = ensemble.draws["x"], ensemble.draws["y"]
+    assert ensemble.diagnostics["acceptance"]["y"] == 1.0
+    assert set(ensemble.diagnostics["acceptance"]) == {"x", "y"}
+    # Monte Carlo error from the smaller ESS of the two, with 4 standard errors
+    ess = min(ensemble.diagnostics["ess"].values())
+    assert ess > 1000
+    se = 1.0 / math.sqrt(ess)
+    assert abs(x.mean()) < 4 * se and abs(y.mean()) < 4 * se
+    assert abs(x.var() - 1.0) < 4 * math.sqrt(2.0) * se
+    assert abs(y.var() - 1.0) < 4 * math.sqrt(2.0) * se
+    assert abs(np.corrcoef(x, y)[0, 1] - RHO) < 4 * (1.0 - RHO**2) * se
+
+
+def test_exact_step_off_support_keeps_the_state():
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("s", (), "positive")])
+    seen = []
+
+    def logpost(v):
+        seen.append(np.min(v["s"]))
+        return -0.5 * v["x"] ** 2 + logpdf_gamma(v["s"], 2.0, 1.0)
+
+    config = FitConfig(chains=3, warmup=30, draws=60, thin=1, seed=19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of the frozen s
+        frozen = fit(logpost, space, config, exact=[(["s"], lambda v, r: {"s": -v["s"]})])
+        nan = fit(logpost, space, config, exact=[(["s"], lambda v, r: {"s": v["s"] * np.nan})])
+    assert min(seen) > 0.0
+    for ensemble in (frozen, nan):
+        draws = ensemble.draws["s"].reshape(3, 60)
+        assert np.all(draws == draws[:, :1])
+        assert ensemble.diagnostics["acceptance"]["s"] == 0.0
+        assert ensemble.diagnostics["acceptance"]["x"] > 0.0
+    np.testing.assert_array_equal(frozen.draws["x"], nan.draws["x"])
+
+    # a finite drawn row the model scores non-finite is rejected the same way
+    def picky(v):
+        return np.where(v["s"] > 10.0, np.nan, logpost(v))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ensemble = fit(picky, space, config, exact=[(["s"], lambda v, r: {"s": v["s"] + 20.0})])
+    assert ensemble.diagnostics["acceptance"]["s"] == 0.0
+
+
+def test_exact_steps_are_reproducible():
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("y", (), "real")])
+    config = FitConfig(chains=3, warmup=100, draws=200, thin=2, seed=23)
+    a = fit(bivariate_normal, space, config, exact=[(["y"], draw_y)])
+    b = fit(bivariate_normal, space, config, exact=[(["y"], draw_y)])
+    for name in ("x", "y"):
+        np.testing.assert_array_equal(a.draws[name], b.draws[name])
+
+
+def test_exact_names_must_be_known_and_whole_blocks():
+    space = ParamSpace(
+        [ParamDef("a", (), "real"), ParamDef("b", (), "real"), ParamDef("c", (), "real")],
+        blocks=[["a", "b"]],
+    )
+    keep = lambda v, rngs: {"c": v["c"]}  # noqa: E731
+    logpost = lambda v: -0.5 * (v["a"] ** 2 + v["b"] ** 2 + v["c"] ** 2)  # noqa: E731
+    with pytest.raises(ValueError, match="unknown"):
+        fit(logpost, space, FAST, exact=[(["d"], keep)])
+    with pytest.raises(ValueError, match="mixes"):
+        fit(logpost, space, FAST, exact=[(["a"], keep)])
+    with pytest.raises(ValueError, match="more than one"):
+        fit(logpost, space, FAST, exact=[(["c"], keep), (["c"], keep)])
 
 
 def test_overflowing_proposal_is_rejected():

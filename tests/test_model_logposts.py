@@ -252,7 +252,7 @@ def test_batched_log_posterior_matches_scalar_reference(model, fit_calls):
     references = REFERENCES[model](data)
     assert len(fit_calls) == len(references)
     rng = make_rng(505)
-    for (log_posterior, space, init), reference in zip(fit_calls, references):
+    for (log_posterior, space, init, _), reference in zip(fit_calls, references):
         z = space.to_unconstrained(init) + rng.standard_normal((30, space.dim))
         # rows the model must score -inf: coordinates whose transforms underflow
         # to 0 or overflow to inf, and a far row where densities vanish

@@ -48,7 +48,7 @@ def test_caidi_likelihood_is_the_bernoulli_gated_weibull_mixture(fit_calls):
     # (a point mass at 0, weight 1 - p) and "interrupted" (Weibull, weight p)
     durations = observations()
     fit_caidi(durations, ZONES, TINY)
-    ((log_posterior, space, _),) = fit_calls
+    ((log_posterior, space, _, _),) = fit_calls
     values, _ = space.constrain(make_rng(6).standard_normal((5, space.dim)))
     got = log_posterior(values)
     for i in range(5):
