@@ -27,12 +27,18 @@ log-posterior call over a leading chain axis:
   and a row outside the open support never reaches the model;
 - chain ``c`` consumes only its own substream ``(seed, "mcmc-chain", c)``, in
   its Metropolis blocks and its exact steps alike, so its draws do not depend
-  on the number of chains.
+  on the number of chains. Each sweep it first draws one standard normal per
+  unconstrained coordinate of all its Metropolis blocks, then one uniform per
+  block, then whatever its exact steps draw, in order;
+- the values dict the model reads is a set of views into one buffer that the
+  sampler reuses from call to call: a log-posterior or an exact draw must not
+  keep it or write to it.
 
 Chains are pooled after warm-up and thinning; the kept draws are the
 constrained rows. Split-R-hat and effective sample size are attached as
-diagnostics (chains stuck at different constants have an infinite R-hat); an
-R-hat above the threshold is a warning on the ensemble, never a hard failure.
+diagnostics (chains stuck at different constants have an infinite R-hat),
+computed for all scalars at once; an R-hat above the threshold is a warning
+on the ensemble, never a hard failure.
 """
 
 from __future__ import annotations
@@ -162,10 +168,12 @@ class ParamSpace:
         return flat, _transform(self._groups, z, flat)
 
     def _block_groups(self, block: list[str]):
-        """The transform groups of the parameters in ``block`` alone."""
-        return _transform_groups(
-            [self._by_name[n] for n in block], self._offsets, self._columns
-        )
+        """The transform groups of the parameters in ``block`` alone, reading
+        the block's own unconstrained coordinates (``block_indices`` order)."""
+        defs = [self._by_name[n] for n in block]
+        sizes = np.cumsum([0] + [d.unconstrained_size for d in defs]).tolist()
+        local = {d.name: (lo, hi) for d, lo, hi in zip(defs, sizes, sizes[1:])}
+        return _transform_groups(defs, local, self._columns)
 
     def _unpack(self, flat: np.ndarray) -> dict[str, float | np.ndarray]:
         """Named views into a constrained row (or stack of rows)."""
@@ -174,9 +182,18 @@ class ParamSpace:
             for d, (lo, hi) in zip(self.defs, self._columns.values())
         }
 
-    def _inside(self, flat: np.ndarray) -> np.ndarray:
-        """Whether each row lies in the open support (NaN never does)."""
-        return ((flat > self._lower) & (flat < self._upper)).all(axis=-1)
+    def _inside(self, flat: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Whether each row lies in the open support on the columns ``cols``
+        (NaN never does)."""
+        x = flat[..., cols]
+        return ((x > self._lower[cols]) & (x < self._upper[cols])).all(axis=-1)
+
+    def _column_slice(self, names: list[str]):
+        """The constrained columns of ``names``: a slice when contiguous."""
+        cols = np.concatenate([np.arange(*self._columns[n]) for n in names])
+        if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+            return slice(int(cols[0]), int(cols[0]) + cols.size)
+        return cols
 
     def to_unconstrained(self, values: dict[str, float | np.ndarray]) -> np.ndarray:
         z = np.empty(self.dim)
@@ -211,8 +228,9 @@ def _transform(groups, z: np.ndarray, flat: np.ndarray):
     log_jacobian = 0.0
     for support, width, ucols, ccols in groups:
         # np.take keeps rows contiguous (z[..., ucols] would be column-major),
-        # so each row's log-Jacobian sums the same way for any number of rows
-        zg = np.take(z, ucols, axis=-1)
+        # so each row's log-Jacobian sums the same way for any number of rows;
+        # a group that reads all of z (in order) reads it as it is
+        zg = z if ucols.size == z.shape[-1] else np.take(z, ucols, axis=-1)
         if width:
             zg = zg.reshape(batch + (-1, width))
         x, lj = _forward(support, zg)
@@ -295,7 +313,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.chains < 1 or self.warmup < 0 or self.draws < 1 or self.thin < 1:
+        if (
+            self.chains < 1
+            or self.warmup < 0
+            or self.draws < 1
+            or not 1 <= self.thin <= self.draws
+        ):
             raise ValueError("invalid fit configuration")
 
 
@@ -372,18 +395,21 @@ def fit(
     value rounded to 1): the row is swapped for the chain's current state and
     scored ``-inf``.
 
+    The values dict passed to ``log_posterior`` (and to ``draw`` below) holds
+    views into a buffer the sampler reuses: it is valid for that call only,
+    and must not be kept or written to.
+
     ``exact`` lists the parameters whose full conditional can be drawn
     directly, as ``(names, draw)`` pairs. ``draw(values, rngs)`` gets the
-    current constrained values (the same dict as ``log_posterior``, one row
-    per chain; it must not write to them) and returns a dict of new values
-    for ``names``, drawing chain ``c``'s row only from ``rngs[c]``. It runs
-    under the same warning settings as ``log_posterior``. These parameters
-    leave the Metropolis blocks. Each sweep runs the Metropolis blocks, then
-    each exact step in order followed by one log-posterior call that
-    refreshes the chain's score; a drawn row that leaves the open support or
-    scores non-finite keeps the chain's current values and counts as a
-    rejection in that step's ``diagnostics["acceptance"]`` entry (keyed by
-    its names joined with ``-``, like a block).
+    current constrained values (one row per chain) and returns a dict of new
+    values for ``names``, drawing chain ``c``'s row only from ``rngs[c]``. It
+    runs under the same warning settings as ``log_posterior``. These
+    parameters leave the Metropolis blocks. Each sweep runs the Metropolis
+    blocks, then each exact step in order followed by one log-posterior call
+    that refreshes the chain's score; a drawn row that leaves the open
+    support or scores non-finite keeps the chain's current values and counts
+    as a rejection in that step's ``diagnostics["acceptance"]`` entry (keyed
+    by its names joined with ``-``, like a block).
 
     A Metropolis block proposes a Gaussian random-walk step in the
     unconstrained coordinates of its own parameters and transforms only
@@ -392,25 +418,36 @@ def fit(
 
     Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
     and keeps its own step sizes and proposal covariance, so its draws do not
-    depend on how many chains run beside it. At most one ``UserWarning`` per
-    call lists the scalars above the R-hat threshold (an infinite R-hat
-    included); ``ensemble.warnings`` holds one message per scalar. Chains
-    start from ``init`` (or the transform origin) with per-chain jitter; step
-    sizes adapt during warm-up only, so the kept draws target the exact
-    posterior.
+    depend on how many chains run beside it. Each sweep, in this order, it
+    draws one standard-normal vector covering the unconstrained coordinates
+    of all Metropolis blocks (each block takes its slice, in block order),
+    then one uniform per block for the accept test, and then its exact steps
+    draw in order. A support check covers only the columns the step changed;
+    the rest of the row is the chain's current state, which is inside.
+
+    At most one ``UserWarning`` per call lists the scalars above the R-hat
+    threshold (an infinite R-hat included); ``ensemble.warnings`` holds one
+    message per scalar. Chains start from ``init`` (or the transform origin)
+    with per-chain jitter; step sizes adapt during warm-up only, so the kept
+    draws target the exact posterior.
     """
     config = config or FitConfig()
     exact = [(list(names), draw) for names, draw in exact]
     blocks = _metropolis_blocks(space, [n for names, _ in exact for n in names])
     quiet = dict(over="ignore", divide="ignore", invalid="ignore")
+    chains = config.chains
+    width = space._lower.size
 
-    def score(cand: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-        """Model log-posterior of each row of ``cand``; a row outside the open
-        support is first swapped for ``fallback`` and then scored -inf."""
-        inside = space._inside(cand)
+    def score(rows, values, fallback, cols=slice(None)) -> np.ndarray:
+        """Model log-posterior of each row of ``rows``, read through its named
+        views ``values``. ``cols`` are the columns the step changed; the
+        others are the chain's current state, which is inside. A row outside
+        the open support on them is first reset to ``fallback`` and then
+        scored -inf."""
+        inside = space._inside(rows, cols)
         if not inside.all():
-            cand[~inside] = fallback[~inside]
-        lp = np.asarray(log_posterior(space._unpack(cand)), dtype=float)
+            rows[~inside] = fallback[~inside]
+        lp = np.asarray(log_posterior(values), dtype=float)
         if lp.shape != inside.shape:
             raise ValueError(
                 f"log_posterior must return one value per row, shape {inside.shape}; "
@@ -418,114 +455,133 @@ def fit(
             )
         return np.where(inside & np.isfinite(lp), lp, -np.inf)
 
-    chains = config.chains
     init_z = space.to_unconstrained(init) if init else np.zeros(space.dim)
     init_flat, _ = space._constrain_flat(init_z[None])
-    # the init row is its own fallback, so the model sees it only inside the support
-    with np.errstate(**quiet):
-        init_lp = score(init_flat.copy(), init_flat) if space._inside(init_flat)[0] else [-np.inf]
-    if not np.isfinite(init_lp[0]):
-        raise InitializationError("log-posterior is not finite at the initialization point")
-
     rngs = [substream(config.seed, "mcmc-chain", c) for c in range(chains)]
     z = np.repeat(init_z[None], chains, axis=0)
     current = np.repeat(init_flat, chains, axis=0)  # the state: constrained rows
-    lp = np.repeat(init_lp, chains)
-    if config.init_jitter > 0.0:
-        # up to 20 jittered starts per chain; a chain keeps its first finite one
-        pending = list(range(chains))
-        for _ in range(20):
-            if not pending:
-                break
-            cand_z = np.array(
-                [init_z + config.init_jitter * rngs[c].standard_normal(space.dim) for c in pending]
-            )
-            cand = current[pending]
-            with np.errstate(**quiet):
-                _transform(space._groups, cand_z, cand)
-                cand_lp = score(cand, current[pending])
-            for row, c in enumerate(pending):
-                if np.isfinite(cand_lp[row]):
-                    z[c], lp[c], current[c] = cand_z[row], cand_lp[row], cand[row]
-            pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
-
+    current_values = space._unpack(current)
+    # the candidate rows of every step, and the named views the model reads
+    cand = np.empty_like(current)
+    cand_values = space._unpack(cand)
     block_idx = [space.block_indices(b) for b in blocks]
     block_groups = [space._block_groups(b) for b in blocks]
+    block_changed = [space._column_slice(b) for b in blocks]
     exact_cols = [[space._columns[n] for n in names] for names, _ in exact]
-    # per-chain log-Jacobian of each block's current values: only that
-    # block's moves change it
-    log_jac = np.zeros((chains, len(blocks)))
-    buffer = current.copy()
-    with np.errstate(**quiet):
-        for bi, groups in enumerate(block_groups):
-            log_jac[:, bi] = _transform(groups, z, buffer)
+    exact_changed = [space._column_slice(names) for names, _ in exact]
+    # each sweep's random numbers: one normal per Metropolis coordinate, each
+    # block reading its slice of them, and one uniform per block
+    starts = np.cumsum([0] + [idx.size for idx in block_idx]).tolist()
+    noise = np.empty((chains, starts[-1]))
+    uniform = np.empty((chains, len(blocks)))
+    sweep_accept = np.empty((chains, len(blocks)))
     kept_per_chain = config.draws // config.thin
-    chain_draws = np.empty((chains, kept_per_chain, current.shape[1]))
+    chain_draws = np.empty((chains, kept_per_chain, width))
     # per-chain, per-block state: log step size, summed acceptance probability,
     # and the proposal shape learned from warm-up draws (Welford covariance ->
-    # Cholesky factor that correlates the proposals)
+    # Cholesky factor that correlates the proposals; None until then)
     log_step = np.array(
         [[math.log(config.initial_step / math.sqrt(len(idx))) for idx in block_idx]] * chains
     )
     accepted = np.zeros((chains, len(blocks) + len(exact)))
-    chol = [np.repeat(np.eye(idx.size)[None], chains, axis=0) for idx in block_idx]
+    chol: list[np.ndarray | None] = [None] * len(blocks)
     w_count = 0
     w_mean = [np.zeros((chains, idx.size)) for idx in block_idx]
     w_cov = [np.zeros((chains, idx.size, idx.size)) for idx in block_idx]
     kept = 0
-    for it in range(config.warmup + config.draws):
-        warm = it < config.warmup
-        # Robbins-Monro gain on the log step size, targeting target_accept
-        gain = (it + 10.0) ** -0.6
-        for bi, idx in enumerate(block_idx):
-            noise = np.array([rng.standard_normal(idx.size) for rng in rngs])
-            step = np.exp(log_step[:, bi])
-            cand_z = z.copy()
-            cand_z[:, idx] = z[:, idx] + step[:, None] * (chol[bi] @ noise[:, :, None])[:, :, 0]
-            cand = current.copy()
-            with np.errstate(**quiet):
+    with np.errstate(**quiet):
+        # the model sees the init row only inside the support
+        init_lp = (
+            score(init_flat, space._unpack(init_flat), init_flat)
+            if space._inside(init_flat)[0]
+            else np.array([-np.inf])
+        )
+        if not np.isfinite(init_lp[0]):
+            raise InitializationError("log-posterior is not finite at the initialization point")
+        lp = np.repeat(init_lp, chains)
+        if config.init_jitter > 0.0:
+            # up to 20 jittered starts per chain; a chain keeps its first finite one
+            pending = list(range(chains))
+            for _ in range(20):
+                if not pending:
+                    break
+                cand_z = init_z + config.init_jitter * np.array(
+                    [rngs[c].standard_normal(space.dim) for c in pending]
+                )
+                rows = current[pending]
+                _transform(space._groups, cand_z, rows)
+                cand_lp = score(rows, space._unpack(rows), current[pending])
+                for row, c in enumerate(pending):
+                    if np.isfinite(cand_lp[row]):
+                        z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
+                pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
+        # each block's unconstrained coordinates, and the per-chain log-Jacobian
+        # of its current values: only that block's moves change either
+        z_blocks = [z[:, idx] for idx in block_idx]
+        log_jac = np.zeros((chains, len(blocks)))
+        for bi, groups in enumerate(block_groups):
+            log_jac[:, bi] = _transform(groups, z_blocks[bi], cand)
+
+        for it in range(config.warmup + config.draws):
+            warm = it < config.warmup
+            for c, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[c])
+                rng.random(out=uniform[c])
+            step = np.exp(log_step)
+            for bi, zb in enumerate(z_blocks):
+                shift = noise[:, starts[bi] : starts[bi + 1]]
+                if chol[bi] is not None:
+                    shift = (chol[bi] @ shift[:, :, None])[:, :, 0]
+                cand_z = zb + step[:, bi, None] * shift
+                np.copyto(cand, current)
                 cand_lj = _transform(block_groups[bi], cand_z, cand)
-                cand_lp = score(cand, current)
-            # min(1, exp(log ratio)), floored at exp(-700)
-            log_ratio = (cand_lp + cand_lj) - (lp + log_jac[:, bi])
-            accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
-            move = np.array([rng.random() for rng in rngs]) < accept_prob
-            z[move], current[move], lp[move] = cand_z[move], cand[move], cand_lp[move]
-            log_jac[move, bi] = np.broadcast_to(cand_lj, move.shape)[move]
+                cand_lp = score(cand, cand_values, current, block_changed[bi])
+                # min(1, exp(log ratio)), floored at exp(-700)
+                log_ratio = (cand_lp + cand_lj) - (lp + log_jac[:, bi])
+                accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
+                sweep_accept[:, bi] = accept_prob
+                move = uniform[:, bi] < accept_prob
+                if move.any():
+                    np.copyto(zb, cand_z, where=move[:, None])
+                    np.copyto(current, cand, where=move[:, None])
+                    np.copyto(lp, cand_lp, where=move)
+                    np.copyto(log_jac[:, bi], cand_lj, where=move)
             if warm:
-                log_step[:, bi] += gain * (accept_prob - config.target_accept)
+                # Robbins-Monro gain on the log step size, targeting target_accept
+                log_step += (it + 10.0) ** -0.6 * (sweep_accept - config.target_accept)
             else:
-                accepted[:, bi] += accept_prob
-        for ei, ((step_names, draw), cols) in enumerate(zip(exact, exact_cols)):
-            cand = current.copy()
-            with np.errstate(**quiet):
-                new = draw(space._unpack(current), rngs)
+                accepted[:, : len(blocks)] += sweep_accept
+            for ei, ((step_names, draw), cols) in enumerate(zip(exact, exact_cols)):
+                np.copyto(cand, current)
+                new = draw(current_values, rngs)
                 for name, (lo, hi) in zip(step_names, cols):
                     cand[:, lo:hi] = np.reshape(new[name], (chains, hi - lo))
-                cand_lp = score(cand, current)
-            move = np.isfinite(cand_lp)
-            current[move], lp[move] = cand[move], cand_lp[move]
-            if not warm:
-                accepted[:, len(blocks) + ei] += move
-        if warm:
-            w_count += 1
-            for bi, idx in enumerate(block_idx):
-                zi = z[:, idx]
-                delta = zi - w_mean[bi]
-                w_mean[bi] += delta / w_count
-                w_cov[bi] += delta[:, :, None] * (zi - w_mean[bi])[:, None, :]
-            if w_count >= 100 and w_count % 50 == 0:
-                for bi, idx in enumerate(block_idx):
-                    for c in range(chains):
-                        cov = w_cov[bi][c] / (w_count - 1)
-                        jitter = 1e-8 + 1e-6 * float(np.trace(cov)) / idx.size
-                        try:
-                            chol[bi][c] = np.linalg.cholesky(cov + jitter * np.eye(idx.size))
-                        except np.linalg.LinAlgError:
-                            pass
-        if not warm and (it - config.warmup) % config.thin == config.thin - 1:
-            chain_draws[:, kept] = current
-            kept += 1
+                cand_lp = score(cand, cand_values, current, exact_changed[ei])
+                move = np.isfinite(cand_lp)
+                np.copyto(current, cand, where=move[:, None])
+                np.copyto(lp, cand_lp, where=move)
+                if not warm:
+                    accepted[:, len(blocks) + ei] += move
+            if warm:
+                w_count += 1
+                for bi, zb in enumerate(z_blocks):
+                    delta = zb - w_mean[bi]
+                    w_mean[bi] += delta / w_count
+                    w_cov[bi] += delta[:, :, None] * (zb - w_mean[bi])[:, None, :]
+                if w_count >= 100 and w_count % 50 == 0:
+                    for bi, idx in enumerate(block_idx):
+                        if chol[bi] is None:
+                            chol[bi] = np.repeat(np.eye(idx.size)[None], chains, axis=0)
+                        for c in range(chains):
+                            cov = w_cov[bi][c] / (w_count - 1)
+                            jitter = 1e-8 + 1e-6 * float(np.trace(cov)) / idx.size
+                            try:
+                                chol[bi][c] = np.linalg.cholesky(cov + jitter * np.eye(idx.size))
+                            except np.linalg.LinAlgError:
+                                pass
+            if not warm and (it - config.warmup) % config.thin == config.thin - 1:
+                chain_draws[:, kept] = current
+                kept += 1
     accept_rates = accepted / config.draws
 
     names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
@@ -570,69 +626,82 @@ def _metropolis_blocks(space: ParamSpace, exact_names: list[str]) -> list[list[s
 
 
 def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
-    """Pool the kept constrained rows and compute per-scalar R-hat / ESS."""
-    chains, kept, _ = chain_draws.shape
-    per_chain = space._unpack(chain_draws)
-    pooled: dict[str, np.ndarray] = {}
-    names: list[str] = []
-    rhats: list[float] = []
-    esses: list[float] = []
-    for d in space.defs:
-        arr = np.ascontiguousarray(per_chain[d.name])
-        pooled[d.name] = arr.reshape((chains * kept,) + arr.shape[2:])
-        flat = arr.reshape(chains, kept, -1)
-        for j in range(flat.shape[2]):
-            label = d.name if flat.shape[2] == 1 else f"{d.name}[{j}]"
-            names.append(label)
-            rhats.append(_split_rhat(flat[:, :, j]))
-            esses.append(_effective_sample_size(flat[:, :, j]))
-    return names, pooled, rhats, esses
+    """Pool the kept constrained rows and compute per-scalar R-hat / ESS, all
+    scalars in one call each."""
+    chains, kept, width = chain_draws.shape
+    rows = space._unpack(chain_draws.reshape(chains * kept, width))
+    pooled = {name: np.ascontiguousarray(arr) for name, arr in rows.items()}
+    names = [
+        f"{d.name}[{j}]" if d.shape else d.name
+        for d in space.defs
+        for j in range(d.constrained_size)
+    ]
+    return names, pooled, _split_rhat(chain_draws), _effective_sample_size(chain_draws)
 
 
-def _split_rhat(chains: np.ndarray) -> float:
-    """Split-R-hat over a (chains, draws) array of one scalar parameter."""
-    c, n = chains.shape
+def _split_rhat(chains: np.ndarray):
+    """Split-R-hat over a ``(chains, draws)`` array of one scalar (a float), or
+    a ``(chains, draws, scalars)`` array of several (one value per scalar)."""
+    x, one = _scalar_axis(chains)
+    c, n, width = x.shape
     half = n // 2
     if half < 2:
-        return float("nan")
-    seqs = np.concatenate([chains[:, :half], chains[:, half : 2 * half]], axis=0)
-    if not np.ptp(seqs, axis=1).any():
-        # constant sequences (whose variance need not round to 0): converged
-        # if they agree, stuck apart if not
-        return 1.0 if np.ptp(seqs[:, 0]) == 0.0 else math.inf
-    m, length = seqs.shape
+        rhat = np.full(width, math.nan)
+        return float(rhat[0]) if one else rhat
+    seqs = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
     means = seqs.mean(axis=1)
-    variances = seqs.var(axis=1, ddof=1)
-    w = variances.mean()
-    b = length * means.var(ddof=1)
-    var_plus = (length - 1.0) / length * w + b / length
-    return float(math.sqrt(var_plus / w))
+    w = seqs.var(axis=1, ddof=1).mean(axis=0)
+    b = half * means.var(axis=0, ddof=1)
+    var_plus = (half - 1.0) / half * w + b / half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(var_plus / w)
+    # constant sequences (whose variance need not round to 0): converged if
+    # they agree, stuck apart if not
+    constant = ~np.ptp(seqs, axis=1).any(axis=0)
+    agree = np.ptp(seqs[:, 0], axis=0) == 0.0
+    rhat = np.where(constant, np.where(agree, 1.0, math.inf), rhat)
+    return float(rhat[0]) if one else rhat
 
 
-def _effective_sample_size(chains: np.ndarray) -> float:
-    """ESS via chain-averaged autocorrelations with Geyer's initial-positive rule."""
-    c, n = chains.shape
+def _effective_sample_size(chains: np.ndarray):
+    """ESS via chain-averaged autocorrelations with Geyer's initial-positive
+    rule, over a ``(chains, draws)`` array of one scalar (a float) or a
+    ``(chains, draws, scalars)`` array of several (one value per scalar).
+
+    The autocovariances of every chain and scalar come from one FFT along the
+    draw axis; the sum of autocorrelation pairs stops, per scalar, before the
+    first negative pair.
+    """
+    x, one = _scalar_axis(chains)
+    c, n, width = x.shape
     total = c * n
-    if not np.ptp(chains, axis=1).any():
-        # constant chains: one sample each unless they all agree
-        return float(total) if np.ptp(chains[:, 0]) == 0.0 else float(c)
-    centered = chains - chains.mean(axis=1, keepdims=True)
-    var = centered.var(axis=1).mean()
+    centered = x - x.mean(axis=1, keepdims=True)
+    var = centered.var(axis=1).mean(axis=0)
     max_lag = min(n - 1, 500)
+    # lag-k autocovariance sum_t x_t x_{t+k} / n, chain-averaged; zero padding
+    # to 2n keeps the correlation linear, not circular
+    spectrum = np.fft.rfft(centered, n=2 * n, axis=1)
+    acov = np.fft.irfft(spectrum * spectrum.conj(), n=2 * n, axis=1)[:, 1 : max_lag + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = acov.mean(axis=0) / n / var
+    # the pairs (rho_1 + rho_2), (rho_3 + rho_4), ... whose second lag is at
+    # most max_lag
+    last = 2 * (max_lag // 2)
+    pairs = rho[0:last:2] + rho[1:last:2]
+    before_negative = np.logical_and.accumulate(pairs >= 0.0, axis=0)
+    tau = np.where(before_negative, pairs, 0.0).sum(axis=0)
+    ess = np.clip(total / (1.0 + 2.0 * tau), 1.0, total)
+    # constant chains: one sample each unless they all agree
+    constant = ~np.ptp(x, axis=1).any(axis=0)
+    agree = np.ptp(x[:, 0], axis=0) == 0.0
+    ess = np.where(constant, np.where(agree, float(total), float(c)), ess)
+    return float(ess[0]) if one else ess
 
-    def rho(lag: int) -> float:
-        cov = np.mean([np.dot(centered[i, :-lag], centered[i, lag:]) / n for i in range(c)])
-        return cov / var
 
-    # autocorrelations are computed only up to the first negative pair
-    tau = 0.0
-    for lag in range(1, max_lag, 2):
-        pair = rho(lag) + rho(lag + 1)
-        if pair < 0.0:
-            break
-        tau += pair
-    ess = total / (1.0 + 2.0 * tau)
-    return float(min(max(ess, 1.0), total))
+def _scalar_axis(chains: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``chains`` with a trailing scalar axis, and whether it had none."""
+    x = np.asarray(chains, dtype=float)
+    return (x[..., None], True) if x.ndim == 2 else (x, False)
 
 
 def hdi(draws: np.ndarray, mass: float = 0.94) -> Hdi:

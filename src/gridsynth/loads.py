@@ -8,6 +8,11 @@ between the two active phases through a Beta factor, three-phase potentials
 through a Dirichlet simplex. Per-bus demand deviates from the category mean
 through an independent zero-truncated normal on each active phase, and
 reactive power follows a network-wide power factor.
+
+The fit scores that likelihood on sufficient statistics: the count, mean and
+centred sum of squares of the observations in each (category, active phase)
+column, computed once per fit, so a log-posterior call costs the same for
+any number of buses.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .distributions import (
     _logpdf_dirichlet,
     _logpdf_gamma,
     _logpdf_halfnormal,
-    _logpdf_truncnormal,
+    _logpdf_truncnormal_stats,
+    _truncnormal_stats,
     sample_truncnormal,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
@@ -46,6 +52,23 @@ _PF_DEFAULT = 0.95
 # mean 4); declared here because the category priors hang off it.
 _HYPER_SHAPE = 2.0
 _HYPER_RATE = 0.5
+
+# the parameters scored by Gamma densities, hyperparameters first, then each
+# category's shape and rate, then the potentials
+_GAMMA_NAMES = (
+    "alpha_hp",
+    "beta_hp",
+    "alpha_mono",
+    "beta_mono",
+    "alpha_bi",
+    "beta_bi",
+    "alpha_tri",
+    "beta_tri",
+    "p_pot_mono",
+    "p_pot_bi",
+    "p_pot_tri",
+)
+_DELTA_TRI_CONCENTRATION = np.array([2.0, 2.0, 2.0])
 
 
 def power_factor_from_uniform(u: float) -> float:
@@ -163,17 +186,7 @@ def fit_load_model(
 
     space = ParamSpace(
         [
-            ParamDef("alpha_hp", (), "positive"),
-            ParamDef("beta_hp", (), "positive"),
-            ParamDef("alpha_mono", (), "positive"),
-            ParamDef("beta_mono", (), "positive"),
-            ParamDef("alpha_bi", (), "positive"),
-            ParamDef("beta_bi", (), "positive"),
-            ParamDef("alpha_tri", (), "positive"),
-            ParamDef("beta_tri", (), "positive"),
-            ParamDef("p_pot_mono", (), "positive"),
-            ParamDef("p_pot_bi", (), "positive"),
-            ParamDef("p_pot_tri", (), "positive"),
+            *(ParamDef(name, (), "positive") for name in _GAMMA_NAMES),
             ParamDef("delta_bi", (), "unit"),
             ParamDef("delta_tri", (3,), "simplex"),
             ParamDef("sigma_p", (), "positive"),
@@ -186,38 +199,37 @@ def fit_load_model(
         ],
     )
 
-    # observed demands per category, one column per active phase
-    by_category = (("mono", mono[:, None]), ("bi", bi), ("tri", tri))
-    observed = [(cat, rows) for cat, rows in by_category if rows.size]
+    # sufficient statistics of the observed demands: one column per
+    # (category, active phase), in the order of the means below
+    by_category = ((mono[:, None], [0]), (bi, [1, 2]), (tri, [3, 4, 5]))
+    observed = [(rows, cols) for rows, cols in by_category if rows.size]
+    stats = np.concatenate([_truncnormal_stats(rows) for rows, _ in observed], axis=1)
+    columns = [c for _, cols in observed for c in cols]
 
     def logpost(v) -> np.ndarray:
-        a_hp, b_hp = v["alpha_hp"], v["beta_hp"]
-        hyper = np.stack([a_hp, b_hp], axis=-1)
-        lp = _logpdf_gamma(hyper, _HYPER_SHAPE, _HYPER_RATE).sum(axis=-1)
-        # category shapes and rates hang off the hyperparameters, potentials
-        # off their category's shape and rate
-        cats = ("mono", "bi", "tri")
-        shapes_rates = np.stack([v[f"{p}_{c}"] for c in cats for p in ("alpha", "beta")], axis=-1)
-        lp += _logpdf_gamma(shapes_rates, a_hp[:, None], b_hp[:, None]).sum(axis=-1)
-        potentials = np.stack([v[f"p_pot_{c}"] for c in cats], axis=-1)
-        lp += _logpdf_gamma(potentials, shapes_rates[:, 0::2], shapes_rates[:, 1::2]).sum(axis=-1)
+        # the eleven Gamma terms in one call: the hyperparameters under the
+        # fixed hyperprior, each category's shape and rate under the
+        # hyperparameters, each potential under its category's shape and rate
+        g = np.stack([v[name] for name in _GAMMA_NAMES], axis=-1)
+        shape = np.empty_like(g)
+        rate = np.empty_like(g)
+        shape[..., :2], rate[..., :2] = _HYPER_SHAPE, _HYPER_RATE
+        shape[..., 2:8], rate[..., 2:8] = g[..., :1], g[..., 1:2]
+        shape[..., 8:], rate[..., 8:] = g[..., 2:8:2], g[..., 3:8:2]
+        lp = _logpdf_gamma(g, shape, rate).sum(axis=-1)
         lp += _logpdf_beta(v["delta_bi"], 2.0, 2.0)
-        lp += _logpdf_dirichlet(v["delta_tri"], np.array([2.0, 2.0, 2.0]))
+        lp += _logpdf_dirichlet(v["delta_tri"], _DELTA_TRI_CONCENTRATION)
         sigma = v["sigma_p"]
         lp += _logpdf_halfnormal(sigma, sigma_scale)
+        # each category potential split over its active phases
         delta_bi = v["delta_bi"]
-        # each category potential's split over its active phases
-        split = {
-            "mono": 1.0,
-            "bi": np.stack([delta_bi, 1.0 - delta_bi], axis=-1),
-            "tri": v["delta_tri"],
-        }
-        for cat, rows in observed:
-            # (chains, 1, phases) means against (buses, phases) demands
-            means = (v[f"p_pot_{cat}"][:, None] * split[cat])[:, None, :]
-            terms = _logpdf_truncnormal(rows, means, sigma[:, None, None], 0.0)
-            lp += terms.sum(axis=(-2, -1))
-        return lp
+        means = np.empty(g.shape[:-1] + (6,))
+        means[..., 0] = g[..., 8]
+        means[..., 1] = g[..., 9] * delta_bi
+        means[..., 2] = g[..., 9] * (1.0 - delta_bi)
+        means[..., 3:] = g[..., 10:] * v["delta_tri"]
+        terms = _logpdf_truncnormal_stats(stats, means[..., columns], sigma[..., None], 0.0)
+        return lp + terms.sum(axis=-1)
 
     init = {
         "alpha_hp": 4.0,

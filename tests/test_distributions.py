@@ -15,7 +15,9 @@ from scipy.special import gammaln
 from gridsynth.distributions import (
     ParameterError,
     _logpdf_gamma,
+    _logpdf_truncnormal_stats,
     _logpdf_weibull,
+    _truncnormal_stats,
     logpdf_normal,
     logpdf_beta,
     logpdf_dirichlet,
@@ -441,3 +443,43 @@ def test_kernels_score_out_of_domain_parameters_minus_inf():
         weibull = _logpdf_weibull(1.0, 1.0, bad)
     assert math.isfinite(gamma[0]) and math.isfinite(weibull[0])
     assert np.all(gamma[1:] == -np.inf) and np.all(weibull[1:] == -np.inf)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ordinary", "far from zero", "deep tail"],
+)
+def test_truncnormal_stats_kernel_matches_sum_over_observations(case):
+    rng = make_rng(808)
+    if case == "ordinary":
+        x, mu, sigma = sample_truncnormal(rng, 2.0, 1.5, 0.0, 200), 2.5, 1.2
+    elif case == "far from zero":
+        # 1e4 plus noise of 1e-3: sum(x^2) - n mean^2 would cancel every digit
+        x = 1e4 + 1e-3 * rng.standard_normal(50)
+        mu, sigma = 1e4, 1e-3
+    else:
+        # mu / sigma = -30: the retained tail mass is about exp(-454)
+        x, mu, sigma = sample_truncnormal(rng, -30.0, 1.0, 0.0, 100), -30.0, 1.0
+    expected = math.fsum(logpdf_truncnormal(x, mu, sigma, 0.0))
+    got = _logpdf_truncnormal_stats(_truncnormal_stats(x), mu, sigma, 0.0)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_truncnormal_stats_kernel_broadcasts_over_columns_and_rows():
+    rng = make_rng(809)
+    x = np.abs(rng.standard_normal((40, 2))) + np.array([1.0, 3.0])
+    mu = np.array([[1.0, 3.0], [2.0, 2.5], [0.5, 4.0]])
+    sigma = np.array([[0.5], [1.0], [2.0]])
+    got = _logpdf_truncnormal_stats(_truncnormal_stats(x), mu, sigma, 0.0)
+    assert got.shape == (3, 2)
+    for r in range(3):
+        for c in range(2):
+            expected = math.fsum(logpdf_truncnormal(x[:, c], mu[r, c], sigma[r, 0], 0.0))
+            assert got[r, c] == pytest.approx(expected, rel=1e-12)
+
+
+def test_truncnormal_stats_kernel_scores_invalid_scale_minus_inf():
+    stats = _truncnormal_stats(np.array([0.5, 1.0, 2.0]))
+    with np.errstate(all="ignore"):
+        scores = _logpdf_truncnormal_stats(stats, 1.0, np.array([0.0, math.inf, math.nan]), 0.0)
+    assert np.all(scores == -np.inf)

@@ -22,6 +22,7 @@ from gridsynth.inference import (
     PosteriorEnsemble,
     _effective_sample_size,
     _split_rhat,
+    _summarize_chains,
     fit,
     hdi,
     posterior_predictive,
@@ -240,6 +241,130 @@ def test_constant_chains_that_disagree_are_not_converged():
     agreed = np.full((4, 20), 2.5)
     assert _split_rhat(agreed) == 1.0
     assert _effective_sample_size(agreed) == 80.0
+
+
+def test_thinning_past_the_draw_count_is_rejected():
+    # nothing would be kept: the fit must not run to fail in its summary
+    with pytest.raises(ValueError, match="invalid fit configuration"):
+        FitConfig(draws=3, thin=4)
+    assert FitConfig(draws=4, thin=4).thin == 4
+
+
+# The per-scalar diagnostics the vectorised summary replaced, copied here as
+# the oracle it must match
+
+
+def reference_split_rhat(chains):
+    c, n = chains.shape
+    half = n // 2
+    if half < 2:
+        return float("nan")
+    seqs = np.concatenate([chains[:, :half], chains[:, half : 2 * half]], axis=0)
+    if not np.ptp(seqs, axis=1).any():
+        return 1.0 if np.ptp(seqs[:, 0]) == 0.0 else math.inf
+    m, length = seqs.shape
+    means = seqs.mean(axis=1)
+    variances = seqs.var(axis=1, ddof=1)
+    w = variances.mean()
+    b = length * means.var(ddof=1)
+    var_plus = (length - 1.0) / length * w + b / length
+    return float(math.sqrt(var_plus / w))
+
+
+def reference_ess(chains):
+    c, n = chains.shape
+    total = c * n
+    if not np.ptp(chains, axis=1).any():
+        return float(total) if np.ptp(chains[:, 0]) == 0.0 else float(c)
+    centered = chains - chains.mean(axis=1, keepdims=True)
+    var = centered.var(axis=1).mean()
+    max_lag = min(n - 1, 500)
+
+    def rho(lag):
+        cov = np.mean([np.dot(centered[i, :-lag], centered[i, lag:]) / n for i in range(c)])
+        return cov / var
+
+    tau = 0.0
+    for lag in range(1, max_lag, 2):
+        pair = rho(lag) + rho(lag + 1)
+        if pair < 0.0:
+            break
+        tau += pair
+    ess = total / (1.0 + 2.0 * tau)
+    return float(min(max(ess, 1.0), total))
+
+
+def ar1_chains(rng, chains, draws, phis):
+    """``(chains, draws, len(phis))`` AR(1) series, one coefficient per scalar."""
+    noise = rng.standard_normal((chains, draws, len(phis)))
+    x = np.empty_like(noise)
+    x[:, 0] = noise[:, 0]
+    for t in range(1, draws):
+        x[:, t] = np.asarray(phis) * x[:, t - 1] + noise[:, t]
+    return x
+
+
+@pytest.mark.parametrize("draws", [20, 21, 500])
+def test_summary_matches_per_scalar_diagnostics(draws):
+    rng = make_rng(900 + draws)
+    x = ar1_chains(rng, 4, draws, [0.0, 0.5, 0.9, -0.3])
+    # a constant the chains agree on, and chains stuck at different constants
+    agreed = np.full((4, draws, 1), 2.5)
+    stuck = np.repeat(np.arange(4.0)[:, None, None], draws, axis=1)
+    chain_draws = np.concatenate([x, agreed, stuck], axis=2)
+    space = ParamSpace(
+        [ParamDef("x", (4,), "real"), ParamDef("agreed", (), "real"), ParamDef("stuck", (), "real")]
+    )
+    names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
+    assert names == ["x[0]", "x[1]", "x[2]", "x[3]", "agreed", "stuck"]
+    np.testing.assert_array_equal(pooled["x"], chain_draws[:, :, :4].reshape(-1, 4))
+    for j in range(chain_draws.shape[2]):
+        series = chain_draws[:, :, j]
+        assert rhat[j] == pytest.approx(reference_split_rhat(series), rel=1e-12), names[j]
+        assert ess[j] == pytest.approx(reference_ess(series), rel=1e-12), names[j]
+        # one scalar at a time still returns a float
+        assert _split_rhat(series) == pytest.approx(rhat[j], rel=1e-12)
+        assert isinstance(_effective_sample_size(series), float)
+    assert (rhat[4], ess[4]) == (1.0, 4.0 * draws)
+    assert (rhat[5], ess[5]) == (math.inf, 4.0)
+
+
+def test_log_posterior_calls_per_fit():
+    # a grouped block, a scalar block and one exact step: 2 Metropolis blocks
+    space = ParamSpace(
+        [
+            ParamDef("a", (), "real"),
+            ParamDef("b", (), "real"),
+            ParamDef("c", (), "positive"),
+            ParamDef("y", (), "real"),
+        ],
+        blocks=[["a", "b"]],
+    )
+
+    def draw_y(v, rngs):
+        return {"y": np.array([rng.standard_normal() for rng in rngs])}
+
+    def rows_per_call(init_jitter, rejected_call=None):
+        calls = []
+
+        def logpost(v):
+            calls.append(v["a"].shape[0])
+            lp = -0.5 * (v["a"] ** 2 + v["b"] ** 2 + v["y"] ** 2) + logpdf_gamma(v["c"], 2.0, 1.0)
+            return np.full(lp.shape, -np.inf) if len(calls) == rejected_call else lp
+
+        config = FitConfig(chains=3, warmup=7, draws=5, thin=1, init_jitter=init_jitter, seed=29)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # R-hat of a 12-sweep fit
+            fit(logpost, space, config, exact=[(["y"], draw_y)])
+        return calls
+
+    sweeps = 7 + 5
+    # init, then per sweep two blocks and one exact step
+    assert rows_per_call(0.0) == [1] + [3] * (sweeps * 3)
+    # init, one jitter attempt
+    assert rows_per_call(0.1) == [1, 3] + [3] * (sweeps * 3)
+    # the first jitter attempt scores -inf for every chain, so a second runs
+    assert rows_per_call(0.1, rejected_call=2) == [1, 3, 3] + [3] * (sweeps * 3)
 
 
 def test_rhat_warning_lists_infinite_values():
