@@ -30,14 +30,6 @@ __all__ = [
     "sample_categorical",
     "sample_negbinomial",
     "sample_truncnormal",
-    "logpdf_normal",
-    "logpdf_gamma",
-    "logpdf_weibull",
-    "logpdf_beta",
-    "logpdf_dirichlet",
-    "logpdf_halfnormal",
-    "logpmf_negbinomial",
-    "logpdf_truncnormal",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -67,11 +59,6 @@ def _require_positive(value, message: str) -> None:
         ok = bool(_positive(np.asarray(value, dtype=float)).all())
     if not ok:
         raise ParameterError(message.format(value))
-
-
-def _require_gamma(shape, rate) -> None:
-    _require_positive(shape, "gamma shape must be finite and positive, got {}")
-    _require_positive(rate, "gamma rate must be finite and positive, got {}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +92,8 @@ def sample_gamma(rng: Generator, shape: float, rate: float, size: int | None = N
 
     Shapes below one are boosted through Gamma(shape + 1) * U^(1/shape).
     """
-    _require_gamma(shape, rate)
+    _require_positive(shape, "gamma shape must be finite and positive, got {}")
+    _require_positive(rate, "gamma rate must be finite and positive, got {}")
     if size is None:
         return _gamma_mt_scalar(rng, shape) / rate
     return _gamma_variates(rng, shape, size) / rate
@@ -252,10 +240,12 @@ def sample_categorical(rng: Generator, probs, size: int | None = None):
             total += value
             cum.append(total)
         _require(total > 0.0, "categorical probabilities must not all be zero")
+        _require(total < math.inf, "categorical probabilities must have a finite total")
         return bisect_right(cum, rng.random() * total)
     _require(bool(np.all(p >= 0.0)), "categorical probabilities must be nonnegative")
     total = p.sum()
     _require(total > 0.0, "categorical probabilities must not all be zero")
+    _require(total < math.inf, "categorical probabilities must have a finite total")
     cum = np.cumsum(p)
     return np.searchsorted(cum, rng.random(size) * total, side="right").astype(np.int64)
 
@@ -333,23 +323,12 @@ def _truncnorm_robert(rng: Generator, a: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Log-densities
 #
-# Each family has one kernel (``_logpdf_*``) holding its formula. A kernel
-# broadcasts over its arguments, never raises, and scores -inf wherever the
-# value is outside the support or a parameter outside its domain (finite and
-# positive for every scale and shape); the caller silences numpy's
-# floating-point warnings. The public ``logpdf_*`` functions validate their
-# parameters and call the kernel.
-
-
-def _public(kernel, x, *params):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = kernel(np.asarray(x, dtype=float), *params)
-    return out if out.ndim else float(out)
-
-
-def _logpdf_normal(x, mu, sigma):
-    z = (x - mu) / sigma
-    return np.where(_positive(sigma), -0.5 * z * z - np.log(sigma) - _LOG_SQRT_2PI, -np.inf)
+# Each family the models score has one kernel (``_logpdf_*``) holding its
+# formula. A kernel broadcasts over its arguments, never raises, and scores
+# -inf wherever the value is outside the support or a parameter outside its
+# domain (finite and positive for every scale and shape); the caller silences
+# numpy's floating-point warnings. The kernels are private: the model
+# log-posteriors are their only callers.
 
 
 def _logpdf_gamma(x, shape, rate):
@@ -395,13 +374,6 @@ def _logpmf_negbinomial(k, mu, alpha):
     return np.where(integral & _positive(mu) & _positive(alpha), body, -np.inf)
 
 
-def _logpdf_truncnormal(x, mu, sigma, lower):
-    # log of the retained upper-tail mass P(X >= lower)
-    log_tail = log_ndtr((mu - lower) / sigma)
-    body = _logpdf_normal(x, mu, sigma) - log_tail
-    return np.where((x >= lower) & _positive(sigma), body, -np.inf)
-
-
 def _truncnormal_stats(x) -> np.ndarray:
     """Sufficient statistics of the observations along the first axis of
     ``x`` for :func:`_logpdf_truncnormal_stats`: rows ``(n, anchor, offset,
@@ -422,61 +394,15 @@ def _truncnormal_stats(x) -> np.ndarray:
 
 
 def _logpdf_truncnormal_stats(stats, mu, sigma, lower):
-    """:func:`_logpdf_truncnormal` summed over observations at or above
-    ``lower``, from their statistics ``stats = (n, anchor, offset, ss)`` of
-    :func:`_truncnormal_stats`: ``-(ss + n d^2) / (2 sigma^2) - n (log sigma
-    + log sqrt(2 pi) + log Phi((mu - lower) / sigma))`` with ``d = mean -
-    mu``. Broadcasts like the other kernels; a column needs ``n >= 1``."""
+    """Log-density of Normal(mu, sigma^2) renormalized to [lower, inf),
+    summed over observations at or above ``lower``, from their statistics
+    ``stats = (n, anchor, offset, ss)`` of :func:`_truncnormal_stats`:
+    ``-(ss + n d^2) / (2 sigma^2) - n (log sigma + log sqrt(2 pi) + log
+    Phi((mu - lower) / sigma))`` with ``d = mean - mu``. Broadcasts like the
+    other kernels; a column needs ``n >= 1``."""
     n, anchor, offset, ss = stats
     d = (anchor - mu) + offset
     log_tail = log_ndtr((mu - lower) / sigma)
     quadratic = -0.5 * (ss + n * d * d) / (sigma * sigma)
     body = quadratic - n * (np.log(sigma) + _LOG_SQRT_2PI + log_tail)
     return np.where(_positive(sigma), body, -np.inf)
-
-
-def logpdf_normal(x, mu, sigma):
-    _require_positive(sigma, "normal needs positive scale")
-    return _public(_logpdf_normal, x, mu, sigma)
-
-
-def logpdf_gamma(x, shape, rate):
-    _require_gamma(shape, rate)
-    return _public(_logpdf_gamma, x, shape, rate)
-
-
-def logpdf_weibull(x, shape, scale):
-    _require_positive(shape, "weibull needs positive shape and scale")
-    _require_positive(scale, "weibull needs positive shape and scale")
-    return _public(_logpdf_weibull, x, shape, scale)
-
-
-def logpdf_beta(x, a, b):
-    _require_positive(a, "beta needs positive shape parameters")
-    _require_positive(b, "beta needs positive shape parameters")
-    return _public(_logpdf_beta, x, a, b)
-
-
-def logpdf_dirichlet(x, concentration):
-    """Dirichlet log-density over the last axis; a float for one vector."""
-    conc = np.asarray(concentration, dtype=float)
-    _require_positive(conc, "dirichlet concentration entries must be positive")
-    _require(np.shape(x) == conc.shape, "value and concentration shapes differ")
-    return _public(_logpdf_dirichlet, x, conc)
-
-
-def logpdf_halfnormal(x, sigma):
-    _require_positive(sigma, "halfnormal needs positive scale")
-    return _public(_logpdf_halfnormal, x, sigma)
-
-
-def logpmf_negbinomial(k, mu, alpha):
-    _require_positive(mu, "negbinomial needs positive mean and dispersion")
-    _require_positive(alpha, "negbinomial needs positive mean and dispersion")
-    return _public(_logpmf_negbinomial, k, mu, alpha)
-
-
-def logpdf_truncnormal(x, mu, sigma, lower):
-    """Density of Normal(mu, sigma^2) renormalized to [lower, inf)."""
-    _require_positive(sigma, "truncnormal needs positive scale")
-    return _public(_logpdf_truncnormal, x, mu, sigma, lower)

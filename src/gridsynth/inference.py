@@ -58,13 +58,15 @@ __all__ = [
     "FitConfig",
     "PosteriorEnsemble",
     "Posterior",
-    "Hdi",
     "fit",
-    "hdi",
-    "posterior_predictive",
 ]
 
 SUPPORTS = ("real", "positive", "unit", "simplex", "ordered_positive")
+
+# Warm-up adapts each block's step size toward this acceptance rate, and a
+# scalar whose split-R-hat exceeds the threshold is listed in a warning.
+_TARGET_ACCEPT = 0.35
+_RHAT_THRESHOLD = 1.05
 
 
 class InitializationError(RuntimeError):
@@ -306,10 +308,8 @@ class FitConfig:
     warmup: int = 2000
     draws: int = 2000
     thin: int = 4
-    target_accept: float = 0.35
     initial_step: float = 0.5
     init_jitter: float = 0.1
-    rhat_threshold: float = 1.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -320,13 +320,6 @@ class FitConfig:
             or not 1 <= self.thin <= self.draws
         ):
             raise ValueError("invalid fit configuration")
-
-
-@dataclass(frozen=True)
-class Hdi:
-    lower: float
-    upper: float
-    mass: float = 0.94
 
 
 @dataclass
@@ -347,18 +340,6 @@ class PosteriorEnsemble:
             val = arr[index]
             out[name] = float(val) if val.ndim == 0 else np.array(val)
         return out
-
-    def mean(self, name: str):
-        m = self.draws[name].mean(axis=0)
-        return float(m) if m.ndim == 0 else m
-
-    def hdi(self, name: str, mass: float = 0.94, component: int | None = None) -> Hdi:
-        arr = self.draws[name]
-        if arr.ndim > 1:
-            if component is None:
-                raise ValueError(f"{name} is a vector; pass component=")
-            arr = arr[:, component]
-        return hdi(arr, mass)
 
 
 @dataclass
@@ -547,8 +528,8 @@ def fit(
                     np.copyto(lp, cand_lp, where=move)
                     np.copyto(log_jac[:, bi], cand_lj, where=move)
             if warm:
-                # Robbins-Monro gain on the log step size, targeting target_accept
-                log_step += (it + 10.0) ** -0.6 * (sweep_accept - config.target_accept)
+                # Robbins-Monro gain on the log step size, toward the target acceptance
+                log_step += (it + 10.0) ** -0.6 * (sweep_accept - _TARGET_ACCEPT)
             else:
                 accepted[:, : len(blocks)] += sweep_accept
             for ei, ((step_names, draw), cols) in enumerate(zip(exact, exact_cols)):
@@ -595,12 +576,12 @@ def fit(
         "kept_draws": int(chains * kept_per_chain),
     }
     # NaN (too few draws) compares false; an infinite R-hat is listed
-    high = [(n, r) for n, r in zip(names, rhat) if r > config.rhat_threshold]
-    ensemble.warnings = [f"R-hat {r:.3f} above {config.rhat_threshold} for {n}" for n, r in high]
+    high = [(n, r) for n, r in zip(names, rhat) if r > _RHAT_THRESHOLD]
+    ensemble.warnings = [f"R-hat {r:.3f} above {_RHAT_THRESHOLD} for {n}" for n, r in high]
     if high:
         listed = ", ".join(f"{n} ({r:.3f})" for n, r in high)
         warnings.warn(
-            f"R-hat above {config.rhat_threshold} for {len(high)} scalars: {listed}",
+            f"R-hat above {_RHAT_THRESHOLD} for {len(high)} scalars: {listed}",
             stacklevel=2,
         )
     return ensemble
@@ -702,30 +683,3 @@ def _scalar_axis(chains: np.ndarray) -> tuple[np.ndarray, bool]:
     """``chains`` with a trailing scalar axis, and whether it had none."""
     x = np.asarray(chains, dtype=float)
     return (x[..., None], True) if x.ndim == 2 else (x, False)
-
-
-def hdi(draws: np.ndarray, mass: float = 0.94) -> Hdi:
-    """Shortest contiguous order-statistics interval holding ``mass`` of draws.
-
-    Returns the first narrowest window when several tie.
-    """
-    draws = np.asarray(draws, dtype=float).ravel()
-    if draws.size < 100:
-        raise ValueError(f"need at least 100 draws for an HDI, got {draws.size}")
-    if not 0.0 < mass < 1.0:
-        raise ValueError(f"mass must be in (0, 1), got {mass}")
-    ordered = np.sort(draws)
-    window = math.ceil(mass * draws.size)
-    widths = ordered[window - 1 :] - ordered[: draws.size - window + 1]
-    start = int(np.argmin(widths))
-    return Hdi(lower=float(ordered[start]), upper=float(ordered[start + window - 1]), mass=mass)
-
-
-def posterior_predictive(ensemble: PosteriorEnsemble, generator, n: int, rng) -> list:
-    """Run ``generator(draw, rng)`` for ``n`` uniformly chosen posterior draws."""
-    out = []
-    size = ensemble.size
-    for _ in range(int(n)):
-        index = int(rng.random() * size)
-        out.append(generator(ensemble.draw(index), rng))
-    return out

@@ -51,7 +51,6 @@ __all__ = [
     "kron_reduce",
     "carson_zabc",
     "attach_zabc",
-    "positive_sequence",
 ]
 
 MIXTURE_COMPONENTS = 3
@@ -382,12 +381,3 @@ def attach_zabc(
     geometry: LineGeometry = _DEFAULT_GEOMETRY,
 ) -> LineParams:
     return replace(params, z_abc=carson_zabc(params, config, geometry))
-
-
-def positive_sequence(z_abc: np.ndarray) -> complex:
-    """Positive-sequence impedance of a (transposed) three-phase matrix:
-    mean self minus mean mutual."""
-    z = np.asarray(z_abc)
-    z_self = np.trace(z) / 3.0
-    z_mutual = (z.sum() - np.trace(z)) / 6.0
-    return complex(z_self - z_mutual)

@@ -18,7 +18,6 @@ concentration rows take Metropolis steps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,9 +35,6 @@ from .topology import NetworkTopology, RamificationHierarchy, ZoneAssignment, gr
 __all__ = [
     "PhaseConfig",
     "CONFIGS",
-    "PhasePosterior",
-    "transition",
-    "transition_mask",
     "constrain",
     "fit_phase_model",
     "allocate",
@@ -92,52 +88,25 @@ _BY_SORTED_NAME = {"".join(sorted(c.phases)): c for c in PhaseConfig}
 
 CONFIGS: tuple[PhaseConfig, ...] = tuple(sorted(PhaseConfig, key=lambda c: c.value))
 
-_TRANSITION = {
-    parent: tuple(c for c in CONFIGS if c.phases <= parent.phases) for parent in CONFIGS
-}
 _TRANSITION_MASK = {
     parent: np.array([c.phases <= parent.phases for c in CONFIGS], dtype=float)
     for parent in CONFIGS
 }
 
 
-def transition(parent: PhaseConfig) -> tuple[PhaseConfig, ...]:
-    """Configurations whose phase set is a nonempty subset of the parent's."""
-    return _TRANSITION[parent]
-
-
-def transition_mask(parent: PhaseConfig) -> np.ndarray:
-    """0/1 vector over the seven configurations allowed under ``parent``."""
-    return _TRANSITION_MASK[parent].copy()
-
-
-def constrain(
-    base: np.ndarray,
-    parent: PhaseConfig,
-    prohibited: tuple[PhaseConfig, ...] = (),
-) -> np.ndarray:
-    """Mask ``base`` to the parent's subsets (and any scenario prohibitions),
-    then renormalize.
+def constrain(base: np.ndarray, parent: PhaseConfig) -> np.ndarray:
+    """Mask ``base`` to the configurations whose phase set is a subset of the
+    parent's, then renormalize.
 
     If the masked mass is exactly zero the result falls back to uniform over
-    the allowed set, with a warning; an empty allowed set (over-aggressive
-    prohibitions) falls back to the parent's transition set alone.
+    the allowed set, with a warning.
     """
     base = np.asarray(base, dtype=float)
     if base.shape != (7,):
         raise ValueError("base probabilities must be a length-7 vector")
-    if np.any(base < 0.0):
-        raise ValueError("base probabilities must be nonnegative")
-    mask = _TRANSITION_MASK[parent].copy()
-    for config in prohibited:
-        mask[config.index] = 0.0
-    if mask.sum() == 0.0:
-        warnings.warn(
-            f"prohibitions leave no allowed configuration under parent {parent.name}; "
-            "ignoring prohibitions for this node",
-            stacklevel=2,
-        )
-        mask = _TRANSITION_MASK[parent].copy()
+    if not np.all((base >= 0.0) & (base < np.inf)):
+        raise ValueError("base probabilities must be finite and nonnegative")
+    mask = _TRANSITION_MASK[parent]
     masked = base * mask
     total = masked.sum()
     if total == 0.0:
@@ -151,27 +120,11 @@ def constrain(
     return masked / total
 
 
-@dataclass
-class PhasePosterior(Posterior):
-    """Posterior over zone-level concentration rows and base probabilities."""
-
-    zone_count: int
-
-    def base_probs(self, draw: dict) -> np.ndarray:
-        """(Z, 7) base-probability matrix for one posterior draw dict."""
-        return np.vstack([draw[f"base_z{z}"] for z in range(1, self.zone_count + 1)])
-
-    def posterior_mean_base(self) -> np.ndarray:
-        return np.vstack(
-            [self.ensemble.mean(f"base_z{z}") for z in range(1, self.zone_count + 1)]
-        )
-
-
 def fit_phase_model(
     observed: dict[str, PhaseConfig],
     zones: ZoneAssignment,
     config: FitConfig | None = None,
-) -> PhasePosterior:
+) -> Posterior:
     """Fit zone-conditioned base probabilities from observed bus configurations.
 
     The base rows are drawn exactly given the concentration rows (see the
@@ -223,7 +176,7 @@ def fit_phase_model(
         smoothed = counts[z - 1] + 1.0
         init[f"base_z{z}"] = smoothed / smoothed.sum()
     ensemble = fit(logpost, space, config, init=init, exact=[(base_names, draw_base)])
-    return PhasePosterior(ensemble=ensemble, zone_count=z_count)
+    return Posterior(ensemble)
 
 
 def allocate(
@@ -232,7 +185,6 @@ def allocate(
     zones: ZoneAssignment,
     base: np.ndarray,
     rng,
-    prohibited: tuple[PhaseConfig, ...] = (),
 ) -> dict[str, PhaseConfig]:
     """Draw one subset-consistent allocation from zone base probabilities.
 
@@ -253,7 +205,7 @@ def allocate(
         key = (zones.bus_zone[node], phi[hierarchy.parent[node]])
         probs = rows.get(key)
         if probs is None:
-            probs = rows[key] = constrain(base[key[0] - 1], key[1], prohibited)
+            probs = rows[key] = constrain(base[key[0] - 1], key[1])
         phi[node] = CONFIGS[sample_categorical(rng, probs)]
     for node, ram in hierarchy.nearest_ramification.items():
         phi[node] = phi[ram]

@@ -14,7 +14,6 @@ take Metropolis steps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlog1py, xlogy
@@ -32,24 +31,11 @@ from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
 from .topology import ZoneAssignment, group_by_zone
 
 __all__ = [
-    "BusReliability",
     "sample_caidi",
     "sample_caifi",
     "fit_caidi",
     "fit_caifi",
 ]
-
-
-@dataclass(frozen=True)
-class BusReliability:
-    caidi_hours: float
-    caifi_per_year: int
-
-    def __post_init__(self) -> None:
-        if self.caidi_hours < 0.0:
-            raise ValueError("caidi_hours must be nonnegative")
-        if self.caifi_per_year < 0:
-            raise ValueError("caifi_per_year must be nonnegative")
 
 
 def sample_caidi(draw, zone: int, rng) -> float:

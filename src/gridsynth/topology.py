@@ -14,6 +14,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +84,8 @@ class NetworkTopology:
 
     def __post_init__(self) -> None:
         bus_ids = [b.id for b in self.buses]
-        if len(set(bus_ids)) != len(bus_ids):
-            dupes = sorted({i for i in bus_ids if bus_ids.count(i) > 1})
-            raise TopologyError(f"duplicate bus ids: {', '.join(dupes)}")
-        line_ids = [l.id for l in self.lines]
-        if len(set(line_ids)) != len(line_ids):
-            dupes = sorted({i for i in line_ids if line_ids.count(i) > 1})
-            raise TopologyError(f"duplicate line ids: {', '.join(dupes)}")
+        _reject_duplicates("bus", bus_ids)
+        _reject_duplicates("line", [l.id for l in self.lines])
         known = set(bus_ids)
         if self.source not in known:
             raise TopologyError(f"source bus {self.source!r} not among buses")
@@ -113,10 +109,6 @@ class NetworkTopology:
             raise DisconnectedGraphError([b for b in bus_ids if b not in tree[0]])
         object.__setattr__(self, "_tree", tree)
 
-    def neighbors(self, bus_id: str) -> list[tuple[str, float, str]]:
-        """(neighbor, length_km, line_id) triples, sorted for determinism."""
-        return self._adjacency[bus_id]
-
     def degree(self, bus_id: str) -> int:
         return len(self._adjacency[bus_id])
 
@@ -124,8 +116,12 @@ class NetworkTopology:
     def bus_ids(self) -> list[str]:
         return [b.id for b in self.buses]
 
-    def is_radial(self) -> bool:
-        return len(self.lines) == len(self.buses) - 1
+
+def _reject_duplicates(kind: str, ids: list[str]) -> None:
+    """Raise naming every id that occurs more than once, in sorted order."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+        raise TopologyError(f"duplicate {kind} ids: {', '.join(dupes)}")
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,18 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, log_ndtr
 
 from gridsynth.distributions import (
     ParameterError,
+    _logpdf_beta,
+    _logpdf_dirichlet,
     _logpdf_gamma,
+    _logpdf_halfnormal,
     _logpdf_truncnormal_stats,
     _logpdf_weibull,
+    _logpmf_negbinomial,
     _truncnormal_stats,
-    logpdf_normal,
-    logpdf_beta,
-    logpdf_dirichlet,
-    logpdf_gamma,
-    logpdf_halfnormal,
-    logpdf_truncnormal,
-    logpdf_weibull,
-    logpmf_negbinomial,
     make_rng,
     sample_beta,
     sample_categorical,
@@ -38,6 +34,29 @@ from gridsynth.distributions import (
 )
 
 N = 100_000
+
+
+def kernel(logpdf, x, *params):
+    """A log-density kernel called as the models call it: on arrays, with
+    numpy's floating-point warnings silenced."""
+    params = [np.asarray(p, dtype=float) for p in params]
+    with np.errstate(all="ignore"):
+        return logpdf(np.asarray(x, dtype=float), *params)
+
+
+def logpdf_truncnormal(x, mu, sigma, lower):
+    """Per-observation log-density of Normal(mu, sigma^2) renormalized to
+    [lower, inf): the reference for the summed kernel the load model uses."""
+    z = (x - mu) / sigma
+    body = -0.5 * z * z - np.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+    return np.where(x >= lower, body - log_ndtr((mu - lower) / sigma), -np.inf)
+
+
+def truncnormal_each(x, mu, sigma, lower):
+    """The summed truncated-normal kernel on one observation per column: the
+    log-density of each entry of the vector ``x``."""
+    stats_each = _truncnormal_stats(np.asarray(x)[None])
+    return kernel(_logpdf_truncnormal_stats, stats_each, mu, sigma, lower)
 
 
 def assert_moments(draws, mean, var):
@@ -303,6 +322,8 @@ def test_scalar_categorical_draw_matches_cumsum_searchsorted():
         ([0.5, -0.1, 0.6], "nonnegative"),
         ([0.5, math.nan], "nonnegative"),
         ([0.0, 0.0], "must not all be zero"),
+        ([math.inf, 1.0], "finite total"),
+        ([0.5, math.inf, math.inf], "finite total"),
     ],
 )
 def test_categorical_errors(probs, message):
@@ -312,46 +333,45 @@ def test_categorical_errors(probs, message):
 
 
 def test_logpdf_gamma_exponential_value():
-    assert logpdf_gamma(1.0, 1.0, 1.0) == pytest.approx(-1.0)
-    assert logpdf_gamma(-0.5, 2.0, 1.0) == -np.inf
+    assert kernel(_logpdf_gamma, 1.0, 1.0, 1.0) == pytest.approx(-1.0)
+    assert kernel(_logpdf_gamma, -0.5, 2.0, 1.0) == -np.inf
 
 
 def test_gamma_logpdf_integrates_to_one():
     # trapezoid oracle over a fine grid
     x = np.linspace(1e-6, 12.0, 200_001)
-    total = np.trapezoid(np.exp(logpdf_gamma(x, 4.0, 4.0)), x)
+    total = np.trapezoid(np.exp(kernel(_logpdf_gamma, x, 4.0, 4.0)), x)
     assert abs(total - 1.0) < 1e-3
 
 
 def test_weibull_logpdf_integrates_to_one():
     x = np.linspace(1e-9, 30.0, 200_001)
-    total = np.trapezoid(np.exp(logpdf_weibull(x, 1.7, 3.0)), x)
+    total = np.trapezoid(np.exp(kernel(_logpdf_weibull, x, 1.7, 3.0)), x)
     assert abs(total - 1.0) < 1e-3
 
 
 def test_truncnormal_logpdf_integrates_to_one():
     x = np.linspace(0.5, 12.0, 200_001)
-    total = np.trapezoid(np.exp(logpdf_truncnormal(x, 1.0, 1.5, 0.5)), x)
+    total = np.trapezoid(np.exp(truncnormal_each(x, 1.0, 1.5, 0.5)), x)
     assert abs(total - 1.0) < 1e-3
-    assert logpdf_truncnormal(0.49, 1.0, 1.5, 0.5) == -np.inf
 
 
 def test_negbinomial_pmf_sums_to_one():
     ks = np.arange(0, 400)
-    total = np.exp(logpmf_negbinomial(ks, 2.0, 1.0)).sum()
+    total = np.exp(kernel(_logpmf_negbinomial, ks, 2.0, 1.0)).sum()
     assert abs(total - 1.0) < 1e-9
-    assert logpmf_negbinomial(-1, 2.0, 1.0) == -np.inf
-    assert logpmf_negbinomial(np.array([0.5]), 2.0, 1.0)[0] == -np.inf
+    assert kernel(_logpmf_negbinomial, -1, 2.0, 1.0) == -np.inf
+    assert kernel(_logpmf_negbinomial, [0.5], 2.0, 1.0)[0] == -np.inf
 
 
 def test_beta_dirichlet_uniform_logpdfs():
-    assert logpdf_beta(0.3, 1.0, 1.0) == pytest.approx(0.0)
-    assert logpdf_beta(1.5, 2.0, 2.0) == -np.inf
-    assert logpdf_dirichlet([0.2, 0.3, 0.5], [1.0, 1.0, 1.0]) == pytest.approx(
+    assert kernel(_logpdf_beta, 0.3, 1.0, 1.0) == pytest.approx(0.0)
+    assert kernel(_logpdf_beta, 1.5, 2.0, 2.0) == -np.inf
+    assert kernel(_logpdf_dirichlet, [0.2, 0.3, 0.5], [1.0, 1.0, 1.0]) == pytest.approx(
         float(gammaln(3.0))
     )
-    assert logpdf_dirichlet([0.2, 0.3, 0.4], [1.0, 1.0, 1.0]) == -np.inf
-    assert logpdf_halfnormal(-0.1, 1.0) == -np.inf
+    assert kernel(_logpdf_dirichlet, [0.2, 0.3, 0.4], [1.0, 1.0, 1.0]) == -np.inf
+    assert kernel(_logpdf_halfnormal, -0.1, 1.0) == -np.inf
 
 
 def test_parameter_errors():
@@ -365,7 +385,7 @@ def test_parameter_errors():
     with pytest.raises(ParameterError):
         sample_negbinomial(rng, 0.0, 1.0)
     with pytest.raises(ParameterError, match="gamma rate must be finite and positive"):
-        logpdf_gamma(1.0, 1.0, -2.0)
+        sample_gamma(rng, 1.0, -2.0)
     with pytest.raises(ParameterError, match="gamma shape must be finite and positive"):
         sample_gamma(rng, math.inf, 1.0)
 
@@ -399,18 +419,26 @@ def test_logdensities_match_scipy():
     u = np.array([0.05, 0.4, 0.7, 0.95])
     k = np.array([0, 1, 4, 11])
     pairs = [
-        (logpdf_gamma(x, 2.5, 1.5), stats.gamma.logpdf(x, 2.5, scale=1 / 1.5)),
-        (logpdf_weibull(x, 1.7, 3.0), stats.weibull_min.logpdf(x, 1.7, scale=3.0)),
-        (logpdf_beta(u, 2.0, 5.0), stats.beta.logpdf(u, 2.0, 5.0)),
-        (logpdf_halfnormal(x, 0.7), stats.halfnorm.logpdf(x, scale=0.7)),
-        (logpdf_normal(x, 0.3, 1.2), stats.norm.logpdf(x, 0.3, 1.2)),
+        (kernel(_logpdf_gamma, x, 2.5, 1.5), stats.gamma.logpdf(x, 2.5, scale=1 / 1.5)),
+        (kernel(_logpdf_weibull, x, 1.7, 3.0), stats.weibull_min.logpdf(x, 1.7, scale=3.0)),
+        (kernel(_logpdf_beta, u, 2.0, 5.0), stats.beta.logpdf(u, 2.0, 5.0)),
+        (kernel(_logpdf_halfnormal, x, 0.7), stats.halfnorm.logpdf(x, scale=0.7)),
+        # with no lower bound the truncated normal is the normal itself
+        (truncnormal_each(x, 0.3, 1.2, -np.inf), stats.norm.logpdf(x, 0.3, 1.2)),
+        (
+            truncnormal_each(x + 0.5, 1.0, 1.5, 0.5),
+            stats.truncnorm.logpdf(x + 0.5, (0.5 - 1.0) / 1.5, np.inf, loc=1.0, scale=1.5),
+        ),
         (
             logpdf_truncnormal(x + 0.5, 1.0, 1.5, 0.5),
             stats.truncnorm.logpdf(x + 0.5, (0.5 - 1.0) / 1.5, np.inf, loc=1.0, scale=1.5),
         ),
-        (logpmf_negbinomial(k, 2.0, 1.3), stats.nbinom.logpmf(k, 1.3, 1.3 / (1.3 + 2.0))),
         (
-            logpdf_dirichlet([0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
+            kernel(_logpmf_negbinomial, k, 2.0, 1.3),
+            stats.nbinom.logpmf(k, 1.3, 1.3 / (1.3 + 2.0)),
+        ),
+        (
+            kernel(_logpdf_dirichlet, [0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
             stats.dirichlet.logpdf([0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
         ),
     ]
@@ -422,21 +450,24 @@ def test_logdensities_broadcast_over_parameters():
     # a leading axis of parameter rows, as the batched log-posteriors pass them
     shape = np.array([[0.5], [2.5], [9.0]])
     x = np.array([0.1, 1.0, 4.0])
-    rows = logpdf_gamma(x, shape, 1.5)
+    rows = kernel(_logpdf_gamma, x, shape, 1.5)
     assert rows.shape == (3, 3)
     for i, a in enumerate(shape[:, 0]):
-        np.testing.assert_allclose(rows[i], logpdf_gamma(x, a, 1.5), rtol=1e-14)
+        np.testing.assert_allclose(rows[i], kernel(_logpdf_gamma, x, a, 1.5), rtol=1e-14)
     conc = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 4.0]])
     w = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
     np.testing.assert_allclose(
-        logpdf_dirichlet(w, conc), [logpdf_dirichlet(w[i], conc[i]) for i in range(2)], rtol=1e-14
+        kernel(_logpdf_dirichlet, w, conc),
+        [kernel(_logpdf_dirichlet, w[i], conc[i]) for i in range(2)],
+        rtol=1e-14,
     )
-    with pytest.raises(ParameterError, match="gamma shape must be finite and positive"):
-        logpdf_gamma(x, np.array([1.0, 0.0, 2.0]), 1.5)
+    # an out-of-domain row scores -inf and leaves the others alone
+    bad = kernel(_logpdf_gamma, x, np.array([[1.0], [0.0], [2.0]]), 1.5)
+    assert np.all(bad[1] == -np.inf) and np.all(np.isfinite(bad[[0, 2]]))
 
 
 def test_kernels_score_out_of_domain_parameters_minus_inf():
-    # the public functions raise on these; the kernels the models use never do
+    # the kernels the models use never raise
     bad = np.array([1.0, 0.0, -1.0, math.inf, math.nan])
     with np.errstate(all="ignore"):
         gamma = _logpdf_gamma(1.0, bad, 1.0)

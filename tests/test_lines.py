@@ -16,7 +16,6 @@ from gridsynth.lines import (
     _mixture_logpost,
     carson_zabc,
     fit_line_model,
-    positive_sequence,
     sample_line,
 )
 from gridsynth.phases import CONFIGS, PhaseConfig
@@ -53,6 +52,14 @@ def test_non_finite_observation_names_the_line(value, field):
 def test_line_without_zone_is_named():
     with pytest.raises(ValueError, match="'l99'"):
         fit_line_model(observations(0.5, line="l99"), observations(), ZONES, TINY)
+
+
+def positive_sequence(z_abc: np.ndarray) -> complex:
+    """Positive-sequence impedance of a (transposed) three-phase matrix:
+    mean self minus mean mutual."""
+    z_self = np.trace(z_abc) / 3.0
+    z_mutual = (z_abc.sum() - np.trace(z_abc)) / 6.0
+    return complex(z_self - z_mutual)
 
 
 def test_positive_sequence_without_neutral_reproduces_r1_and_x1():

@@ -130,7 +130,7 @@ def test_fit_recovers_potentials():
     demands, allocations = _synthetic_dataset(1500, rng)
     posterior = fit_load_model(demands, allocations, FAST)
     for name in ("p_pot_mono", "p_pot_bi", "p_pot_tri", "delta_bi", "sigma_p"):
-        mean = posterior.ensemble.mean(name)
+        mean = posterior.ensemble.draws[name].mean(axis=0)
         assert mean == pytest.approx(TRUTH[name], rel=0.15), name
     # posterior-predictive total demand tracks the training data within 5%
     observed_total = np.mean([v.sum() for v in demands.values()])
@@ -154,7 +154,8 @@ def test_fit_balanced_tri_recovers_even_split():
         demands[bus] = sample_demand(truth, PhaseConfig.ABC, rng, 0.95).p_kw
     with pytest.warns(UserWarning, match="no (mono|bi)-phase observations"):
         posterior = fit_load_model(demands, allocations, FAST)
-    np.testing.assert_allclose(posterior.ensemble.mean("delta_tri"), 1 / 3, atol=0.03)
+    mean = posterior.ensemble.draws["delta_tri"].mean(axis=0)
+    np.testing.assert_allclose(mean, 1 / 3, atol=0.03)
 
 
 def test_fit_constant_loads_shrink_sigma():
@@ -166,7 +167,7 @@ def test_fit_constant_loads_shrink_sigma():
         demands[bus] = np.array([4.0, 0.0, 0.0])
     with pytest.warns(UserWarning):
         posterior = fit_load_model(demands, allocations, FAST)
-    assert posterior.ensemble.mean("sigma_p") < 0.05 * 4.0
+    assert posterior.ensemble.draws["sigma_p"].mean() < 0.05 * 4.0
 
 
 def test_fit_rejects_demand_on_inactive_phase():

@@ -2,7 +2,8 @@
 
 Each batched log-posterior is checked row by row against a test-local copy of
 the scalar log-posterior it replaced (one constrained draw in, one float out),
-and each model's first chain of a 4-chain fit against a 1-chain fit.
+scored with ``scipy.stats`` rather than the package's own kernels, and each
+model's first chain of a 4-chain fit against a 1-chain fit.
 """
 
 import math
@@ -10,16 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import gammaln
 
 from gridsynth.distributions import (
-    ParameterError,
-    logpdf_beta,
-    logpdf_dirichlet,
-    logpdf_gamma,
-    logpdf_halfnormal,
-    logpdf_truncnormal,
-    logpdf_weibull,
-    logpmf_negbinomial,
     make_rng,
     sample_gamma,
     sample_negbinomial,
@@ -85,6 +80,36 @@ def fit_model(model, data, config=None):
 # preparation they read
 
 
+def logpdf_gamma(x, shape, rate):
+    return stats.gamma.logpdf(x, shape, scale=1.0 / rate)
+
+
+def logpdf_halfnormal(x, sigma):
+    return stats.halfnorm.logpdf(x, scale=sigma)
+
+
+def logpdf_dirichlet(x, concentration) -> float:
+    """Zero density off the open simplex, where ``scipy.stats.dirichlet``
+    raises instead."""
+    x = np.asarray(x, dtype=float)
+    if not (np.all(concentration > 0.0) and np.all(x > 0.0) and abs(x.sum() - 1.0) <= 1e-9):
+        return -np.inf
+    return float(stats.dirichlet.logpdf(x, concentration))
+
+
+def logpdf_truncnormal(x, mu, sigma, lower):
+    return stats.truncnorm.logpdf(x, (lower - mu) / sigma, np.inf, loc=mu, scale=sigma)
+
+
+def logpmf_negbinomial(k, mu, alpha):
+    """Negative Binomial with mean ``mu`` and dispersion ``alpha``, in closed
+    form: ``scipy.stats.nbinom`` takes ``p = alpha / (alpha + mu)``, which
+    rounds to 1 when ``mu`` is tiny against ``alpha``, and then scores every
+    positive count -inf where the log-mass is finite."""
+    norm = gammaln(k + alpha) - gammaln(alpha) - gammaln(k + 1.0)
+    return norm - alpha * np.log1p(mu / alpha) + k * np.log(mu / (alpha + mu))
+
+
 def phase_reference(data):
     observed = data["phases"]
     z_count = ZONES.zone_count
@@ -125,7 +150,7 @@ def load_reference(data):
             lp += float(logpdf_gamma(v[f"alpha_{cat}"], v["alpha_hp"], v["beta_hp"]))
             lp += float(logpdf_gamma(v[f"beta_{cat}"], v["alpha_hp"], v["beta_hp"]))
             lp += float(logpdf_gamma(v[f"p_pot_{cat}"], v[f"alpha_{cat}"], v[f"beta_{cat}"]))
-        lp += float(logpdf_beta(v["delta_bi"], 2.0, 2.0))
+        lp += float(stats.beta.logpdf(v["delta_bi"], 2.0, 2.0))
         lp += logpdf_dirichlet(v["delta_tri"], np.array([2.0, 2.0, 2.0]))
         lp += float(logpdf_halfnormal(v["sigma_p"], sigma_scale))
         sigma = v["sigma_p"]
@@ -156,13 +181,14 @@ def caidi_reference(data):
         p = np.atleast_1d(v["hurdle_p"])
         shape = np.atleast_1d(v["weib_shape"])
         scale = np.atleast_1d(v["weib_scale"])
-        lp = float(np.sum(logpdf_beta(p, 1.0, 1.0)))
+        lp = float(np.sum(stats.beta.logpdf(p, 1.0, 1.0)))
         lp += float(np.sum(logpdf_halfnormal(shape, 1.0)))
         lp += float(np.sum(logpdf_halfnormal(scale, 1.0)))
         lp += float(np.dot(n_zero, np.log1p(-p)) + np.dot(n_pos, np.log(p)))
         for z in range(z_count):
             if positives[z].size:
-                lp += float(np.sum(logpdf_weibull(positives[z], shape[z], scale[z])))
+                weibull = stats.weibull_min.logpdf(positives[z], shape[z], scale=scale[z])
+                lp += float(np.sum(weibull))
         return lp
 
     return [logpost]
@@ -230,11 +256,12 @@ REFERENCES = {
 
 
 def scored_by_fit(logpost, values) -> float:
-    """What the sampler made of a scalar score: an error on an out-of-domain
-    parameter or any non-finite value is a rejection."""
+    """What the sampler made of a scalar score: an out-of-domain parameter
+    (``scipy.stats`` scores it NaN) or any other non-finite value is a
+    rejection."""
     try:
         lp = float(logpost(values))
-    except (ParameterError, ZeroDivisionError, OverflowError):
+    except (ZeroDivisionError, OverflowError):
         return -np.inf
     return lp if math.isfinite(lp) else -np.inf
 

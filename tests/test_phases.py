@@ -15,8 +15,6 @@ from gridsynth.phases import (
     consistency_violations,
     constrain,
     fit_phase_model,
-    transition,
-    transition_mask,
 )
 from gridsynth.topology import (
     Bus,
@@ -31,6 +29,12 @@ from gridsynth.topology import (
 FAST = FitConfig(chains=4, warmup=600, draws=600, thin=2, seed=31)
 
 TABLE_BASE = np.array([0.142, 0.137, 0.131, 0.187, 0.143, 0.223, 0.038])
+
+
+def allowed(parent):
+    """The configurations ``constrain`` leaves any mass on under ``parent``."""
+    out = constrain(np.full(7, 1.0 / 7.0), parent)
+    return {c for c in CONFIGS if out[c.index] > 0.0}
 
 
 def _prepared(topology):
@@ -51,16 +55,16 @@ def test_config_index_order_and_sets():
 
 
 def test_transition_examples():
-    assert set(transition(PhaseConfig.AB)) == {PhaseConfig.A, PhaseConfig.B, PhaseConfig.AB}
-    assert transition(PhaseConfig.A) == (PhaseConfig.A,)
-    assert set(transition(PhaseConfig.ABC)) == set(CONFIGS)
+    assert allowed(PhaseConfig.AB) == {PhaseConfig.A, PhaseConfig.B, PhaseConfig.AB}
+    assert allowed(PhaseConfig.A) == {PhaseConfig.A}
+    assert allowed(PhaseConfig.ABC) == set(CONFIGS)
 
 
 def test_transition_monotone():
     for parent in CONFIGS:
         for larger in CONFIGS:
             if parent.phases <= larger.phases:
-                assert set(transition(parent)) <= set(transition(larger))
+                assert allowed(parent) <= allowed(larger)
 
 
 def test_constrain_uniform_base():
@@ -92,13 +96,17 @@ def test_constrain_zero_mass_fallback():
     base[6] = 1.0  # all mass on ABC, parent only allows A
     with pytest.warns(UserWarning, match="zero mass"):
         out = constrain(base, PhaseConfig.A)
-    np.testing.assert_allclose(out, transition_mask(PhaseConfig.A))
+    np.testing.assert_allclose(out, [1, 0, 0, 0, 0, 0, 0])
 
 
-def test_constrain_prohibition_fallback():
-    with pytest.warns(UserWarning, match="no allowed configuration"):
-        out = constrain(np.full(7, 1 / 7), PhaseConfig.A, prohibited=(PhaseConfig.A,))
-    assert out[0] == 1.0
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("position", [PhaseConfig.A, PhaseConfig.BC])
+def test_constrain_rejects_non_finite_base(value, position):
+    # BC is masked out under parent A: a bad entry there is still an error
+    base = np.full(7, 1.0 / 7.0)
+    base[position.index] = value
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        constrain(base, PhaseConfig.A)
 
 
 def test_constrain_simplex_property():
@@ -110,8 +118,9 @@ def test_constrain_simplex_property():
         out = constrain(base, parent)
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0.0)
-        mask = transition_mask(parent)
-        assert np.all(out[mask == 0.0] == 0.0)
+        for c in CONFIGS:
+            if not c.phases <= parent.phases:
+                assert out[c.index] == 0.0
 
 
 def test_allocate_path_graph_all_abc():
@@ -192,29 +201,6 @@ def test_allocate_skew_under_uniform_base():
     assert np.max(np.abs(freq - 1.0 / 7.0)) > 0.05
 
 
-def test_allocate_scenario_prohibitions():
-    topo = demo_topology()
-    d = compute_distances(topo)
-    zones = assign_zones(d, topo.lines, 1)
-    hierarchy = build_hierarchy(topo)
-    base = np.full((1, 7), 1.0 / 7.0)
-    two_phase = (PhaseConfig.AB, PhaseConfig.BC, PhaseConfig.CA)
-    phi = allocate(topo, hierarchy, zones, base, make_rng(3), prohibited=two_phase)
-    assert consistency_violations(topo, phi, d) == []
-    for bus, cfg in phi.items():
-        assert cfg not in two_phase
-    # prohibiting three-phase: no sampled ramification node is ABC; only the
-    # (fixed) source and buses inheriting directly from it may carry ABC
-    phi = allocate(topo, hierarchy, zones, base, make_rng(4), prohibited=(PhaseConfig.ABC,))
-    assert phi[topo.source] is PhaseConfig.ABC
-    for node in hierarchy.ramification_set:
-        if node != topo.source:
-            assert phi[node] is not PhaseConfig.ABC
-    for bus, ram in hierarchy.nearest_ramification.items():
-        if phi[bus] is PhaseConfig.ABC:
-            assert ram == topo.source
-
-
 def test_allocate_zero_mass_warns_once_per_zone_and_parent():
     # m (zone 1) is forced to A; its three branch children sit in zone 2, whose
     # row puts all mass on B, so each falls back to uniform over {A}
@@ -249,7 +235,7 @@ def test_fit_all_abc_concentrates():
     zones = assign_zones(compute_distances(topo), topo.lines, 1)
     observed = {b: PhaseConfig.ABC for b in topo.bus_ids}
     posterior = fit_phase_model(observed, zones, FAST)
-    mean = posterior.posterior_mean_base()[0]
+    mean = posterior.ensemble.draws["base_z1"].mean(axis=0)
     assert mean[PhaseConfig.ABC.index] > 0.95
 
 
@@ -263,10 +249,9 @@ def test_fit_two_zones_recovers_composition_direction():
             observed[bus] = PhaseConfig.ABC if rng.random() < 0.7 else PhaseConfig.A
         else:
             observed[bus] = PhaseConfig.ABC if rng.random() < 0.2 else PhaseConfig.A
-    posterior = fit_phase_model(observed, zones, FAST)
-    mean = posterior.posterior_mean_base()
+    draws = fit_phase_model(observed, zones, FAST).ensemble.draws
     abc = PhaseConfig.ABC.index
-    assert mean[0, abc] > mean[1, abc]
+    assert draws["base_z1"][:, abc].mean() > draws["base_z2"][:, abc].mean()
 
 
 def test_fit_empty_dataset_errors():

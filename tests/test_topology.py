@@ -1,5 +1,6 @@
 """Graph distance, zone-binning, and ramification-hierarchy checks."""
 
+import time
 import warnings
 
 import numpy as np
@@ -77,6 +78,24 @@ def test_validation_errors():
         )
     with pytest.raises(TopologyError):
         NetworkTopology(buses=(Bus("a"),), lines=(), source="missing")
+
+
+@pytest.mark.parametrize("kind", ["bus", "line"])
+def test_duplicate_ids_on_a_long_chain_are_named_quickly(kind):
+    # 40k buses with one id repeated: the check is one pass, not one per id
+    n = 40_000
+    ids = [f"b{i}" for i in range(n)]
+    line_ids = [f"l{i}" for i in range(n - 1)]
+    if kind == "bus":
+        ids[30_000] = ids[123]
+    else:
+        line_ids[30_000] = line_ids[123]
+    buses = tuple(Bus(i) for i in ids)
+    lines = tuple(Line(l, f"b{i}", f"b{i + 1}", 1.0) for i, l in enumerate(line_ids))
+    start = time.perf_counter()
+    with pytest.raises(TopologyError, match=f"^duplicate {kind} ids: {kind[0]}123$"):
+        NetworkTopology(buses=buses, lines=lines, source="b0")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_zone_median_split():
@@ -200,6 +219,10 @@ def test_triangle_inequality_on_random_paths():
     rng = make_rng(10)
     topo = _random_tree(rng, 80, extra_edges=10)
     dist, parent = shortest_path_tree(topo)
+    neighbors = {bus: [] for bus in topo.bus_ids}
+    for line in topo.lines:
+        neighbors[line.from_bus].append((line.to_bus, line.length_km))
+        neighbors[line.to_bus].append((line.from_bus, line.length_km))
     ids = topo.bus_ids
     for _ in range(100):
         bus = ids[int(rng.random() * len(ids))]
@@ -208,12 +231,12 @@ def test_triangle_inequality_on_random_paths():
         node = bus
         while parent[node] is not None:
             up = parent[node]
-            length = min(w for v, w, _ in topo.neighbors(node) if v == up)
+            length = min(w for v, w in neighbors[node] if v == up)
             total += length
             node = up
         assert total == pytest.approx(dist[bus], rel=1e-12)
         # and any explicit edge relaxes consistently with the triangle inequality
-        for v, w, _ in topo.neighbors(bus):
+        for v, w in neighbors[bus]:
             assert dist[v] <= dist[bus] + w + 1e-12
 
 
