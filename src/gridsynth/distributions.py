@@ -226,22 +226,28 @@ def sample_dirichlet(rng, concentration, size: int | None = None):
         return g / g.sum(axis=-1, keepdims=True)
 
 
+def _cumulative(p: np.ndarray) -> list[float]:
+    """Running totals of a validated probability vector, for ``bisect_right``
+    on ``u * total``. Plain Python: on the short vectors drawn one at a time,
+    numpy's per-call cost would dominate."""
+    cum = []
+    total = 0.0
+    for value in p.tolist():
+        _require(value >= 0.0, "categorical probabilities must be nonnegative")
+        total += value
+        cum.append(total)
+    _require(total > 0.0, "categorical probabilities must not all be zero")
+    _require(total < math.inf, "categorical probabilities must have a finite total")
+    return cum
+
+
 def sample_categorical(rng: Generator, probs, size: int | None = None):
     """Index draw proportional to ``probs`` (need not be normalized)."""
     p = np.asarray(probs, dtype=float)
     _require(p.ndim == 1 and p.size >= 1, "categorical needs a probability vector")
     if size is None:
-        # plain Python: on the short vectors drawn one at a time, numpy's
-        # per-call cost would dominate
-        cum = []
-        total = 0.0
-        for value in p.tolist():
-            _require(value >= 0.0, "categorical probabilities must be nonnegative")
-            total += value
-            cum.append(total)
-        _require(total > 0.0, "categorical probabilities must not all be zero")
-        _require(total < math.inf, "categorical probabilities must have a finite total")
-        return bisect_right(cum, rng.random() * total)
+        cum = _cumulative(p)
+        return bisect_right(cum, rng.random() * cum[-1])
     _require(bool(np.all(p >= 0.0)), "categorical probabilities must be nonnegative")
     total = p.sum()
     _require(total > 0.0, "categorical probabilities must not all be zero")

@@ -91,7 +91,6 @@ class BusDemand:
 
     p_kw: np.ndarray
     q_kvar: np.ndarray
-    pf: float
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p_kw, dtype=float)
@@ -134,7 +133,7 @@ def sample_demand(draw, config: PhaseConfig, rng, pf: float) -> BusDemand:
         i = ord(phase) - ord("A")
         p[i] = sample_truncnormal(rng, mu[i], sigma, 0.0)
     q = p * math.tan(math.acos(pf))
-    return BusDemand(p_kw=p, q_kvar=q, pf=pf)
+    return BusDemand(p_kw=p, q_kvar=q)
 
 
 def fit_load_model(

@@ -18,15 +18,17 @@ concentration rows take Metropolis steps.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import xlogy
 
 from .distributions import (
+    _cumulative,
     _logpdf_dirichlet,
     _logpdf_halfnormal,
-    sample_categorical,
     sample_dirichlet,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
@@ -191,8 +193,11 @@ def allocate(
     ``base`` is a (Z, 7) matrix (one posterior draw). The source is
     three-phase; the other ramification nodes are sampled in topological
     order from the constrained categorical, which is computed once per
-    (zone, parent configuration), so a fallback warns once per pair. All
-    other buses copy their nearest upstream ramification node.
+    (zone, parent configuration), so a fallback warns once per pair. The
+    uniforms come from one ``rng.random(k)`` call, one per branch point in
+    ramification order; each is scaled by the row total and placed by
+    ``bisect_right`` on the row's running totals, as ``sample_categorical``
+    does. All other buses copy their nearest upstream ramification node.
     """
     base = np.asarray(base, dtype=float)
     if base.shape != (zones.zone_count, 7):
@@ -200,16 +205,23 @@ def allocate(
             f"base matrix shape {base.shape} does not match zone count {zones.zone_count}"
         )
     phi: dict[str, PhaseConfig] = {topology.source: PhaseConfig.ABC}
-    rows: dict[tuple[int, PhaseConfig], np.ndarray] = {}
-    for node in hierarchy.ramification_set[1:]:
-        key = (zones.bus_zone[node], phi[hierarchy.parent[node]])
-        probs = rows.get(key)
-        if probs is None:
-            probs = rows[key] = constrain(base[key[0] - 1], key[1])
-        phi[node] = CONFIGS[sample_categorical(rng, probs)]
-    for node, ram in hierarchy.nearest_ramification.items():
-        phi[node] = phi[ram]
+    rows: dict[tuple[int, PhaseConfig], list[float]] = {}
+    bus_zone, parent = zones.bus_zone, hierarchy.parent
+    nodes = hierarchy.ramification_set[1:]
+    for node, u in zip(nodes, rng.random(len(nodes)).tolist()):
+        key = (bus_zone[node], phi[parent[node]])
+        cum = rows.get(key)
+        if cum is None:
+            cum = rows[key] = _cumulative(constrain(base[key[0] - 1], key[1]))
+        phi[node] = CONFIGS[bisect_right(cum, u * cum[-1])]
+    nearest = hierarchy.nearest_ramification
+    phi.update(zip(nearest, map(phi.__getitem__, nearest.values())))
     return phi
+
+
+# phase set of each configuration as bits A=1, B=2, C=4, by index
+_BITS = np.array([sum(1 << "ABC".index(p) for p in c.phases) for c in CONFIGS])
+_VALUE = attrgetter("_value_")
 
 
 def consistency_violations(
@@ -222,15 +234,19 @@ def consistency_violations(
     The upstream end is the one closer to the source; between equidistant
     ends, the one the shortest-path tree reaches first.
     """
-    _, _, order = topology._tree
-    rank = {bus: i for i, bus in enumerate(order)}
-    bad = []
-    for line in topology.lines:
-        du, dv = distances[line.from_bus], distances[line.to_bus]
-        if du < dv or (du == dv and rank[line.from_bus] < rank[line.to_bus]):
-            up, down = line.from_bus, line.to_bus
-        else:
-            up, down = line.to_bus, line.from_bus
-        if not allocation[down].phases <= allocation[up].phases:
-            bad.append(line.id)
-    return bad
+    if not topology.lines:
+        return []
+    index = topology._index
+    n = len(index.ids)
+    dist = np.fromiter(map(distances.__getitem__, index.ids), float, n)
+    # _value_ is the plain member attribute; .value goes through a descriptor
+    config = np.fromiter(map(_VALUE, map(allocation.__getitem__, index.ids)), np.int64, n)
+    bits = _BITS[config]
+    seq = np.empty(n, dtype=np.int64)  # pop order position of each bus
+    seq[index.order] = np.arange(n)
+    a, b = np.array(index.line_from), np.array(index.line_to)
+    a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
+    # phases the downstream end has and the upstream end lacks
+    extra = np.where(a_up, bits[b] & ~bits[a], bits[a] & ~bits[b])
+    lines = topology.lines
+    return [lines[i].id for i in np.flatnonzero(extra).tolist()]

@@ -5,6 +5,14 @@ source (substation) bus. Everything downstream-facing in the generator is
 keyed off two derived structures: the quantile-binned distance zones of each
 bus/line, and the hierarchy of ramification (branching) nodes that drives
 phase allocation.
+
+Construction builds one integer index of the feeder: each bus is its position
+in ``buses``, and each line is the pair of its endpoint positions, with the
+bus degrees beside them. The shortest-path tree from the source is kept on the
+same positions as three arrays: distance, tree parent and the order Dijkstra
+pops the buses in. ``shortest_path_tree``, ``build_hierarchy`` and
+``phases.consistency_violations`` read these arrays instead of walking
+id-keyed maps, and return id-keyed results as before.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,54 +77,90 @@ class Line:
     length_km: float
 
 
+class _Index(NamedTuple):
+    """Integer view of a feeder, built once by ``NetworkTopology``.
+
+    A bus is its position in ``buses``; ``line_from[i]`` and ``line_to[i]``
+    are the endpoint positions of ``lines[i]``. The shortest-path tree is
+    kept as ``dist`` and ``parent`` by position (-1 for the source) and
+    ``order``, the positions in the order Dijkstra pops them.
+    """
+
+    ids: tuple[str, ...]
+    position: dict[str, int]
+    line_from: list[int]
+    line_to: list[int]
+    degree: list[int]
+    dist: list[float]
+    parent: list[int]
+    order: list[int]
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Immutable bus/line graph with a designated source bus.
 
     Validated on construction: unique ids, positive line lengths, known
     endpoints, and full reachability from the source. Cycles are accepted.
-    The shortest-path tree from the source is computed here, once.
+    Construction also builds the integer index (see ``_Index``) and the
+    shortest-path tree from the source, once; every topology layer reads them.
     """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     source: str
-    _adjacency: dict = field(init=False, repr=False, compare=False)
-    _tree: tuple = field(init=False, repr=False, compare=False)
+    _index: _Index = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bus_ids = [b.id for b in self.buses]
-        _reject_duplicates("bus", bus_ids)
+        ids = tuple(b.id for b in self.buses)
+        position = dict(zip(ids, range(len(ids))))
+        if len(position) != len(ids):
+            _reject_duplicates("bus", ids)
         _reject_duplicates("line", [l.id for l in self.lines])
-        known = set(bus_ids)
-        if self.source not in known:
+        source = position.get(self.source)
+        if source is None:
             raise TopologyError(f"source bus {self.source!r} not among buses")
-        adjacency: dict[str, list[tuple[str, float, str]]] = {b.id: [] for b in self.buses}
+        neighbors: list[list[tuple[int, float]]] = [[] for _ in ids]
+        line_from: list[int] = []
+        line_to: list[int] = []
         for line in self.lines:
-            if line.from_bus not in known or line.to_bus not in known:
+            u = position.get(line.from_bus)
+            v = position.get(line.to_bus)
+            if u is None or v is None:
                 raise TopologyError(f"line {line.id!r} references unknown bus")
-            if not (line.length_km > 0.0) or not math.isfinite(line.length_km):
+            w = line.length_km
+            if not _positive_finite(w):
                 raise TopologyError(
-                    f"line {line.id!r} length must be strictly positive, got {line.length_km}"
+                    f"line {line.id!r} length must be strictly positive, got {w!r}"
                 )
-            if line.from_bus == line.to_bus:
+            if u == v:
                 raise TopologyError(f"line {line.id!r} is a self-loop")
-            adjacency[line.from_bus].append((line.to_bus, line.length_km, line.id))
-            adjacency[line.to_bus].append((line.from_bus, line.length_km, line.id))
-        for entries in adjacency.values():
-            entries.sort()
-        object.__setattr__(self, "_adjacency", adjacency)
-        tree = _dijkstra(adjacency, self.source)
-        if len(tree[0]) != len(self.buses):
-            raise DisconnectedGraphError([b for b in bus_ids if b not in tree[0]])
-        object.__setattr__(self, "_tree", tree)
+            line_from.append(u)
+            line_to.append(v)
+            neighbors[u].append((v, w))
+            neighbors[v].append((u, w))
+        dist, parent, order = _dijkstra(ids, neighbors, source)
+        if len(order) != len(ids):
+            raise DisconnectedGraphError([b for b, d in zip(ids, dist) if d is None])
+        index = _Index(
+            ids, position, line_from, line_to, [len(e) for e in neighbors], dist, parent, order
+        )
+        object.__setattr__(self, "_index", index)
 
     def degree(self, bus_id: str) -> int:
-        return len(self._adjacency[bus_id])
+        index = self._index
+        return index.degree[index.position[bus_id]]
 
     @property
     def bus_ids(self) -> list[str]:
-        return [b.id for b in self.buses]
+        return list(self._index.ids)
+
+
+def _positive_finite(value) -> bool:
+    try:
+        return value > 0.0 and math.isfinite(value)
+    except TypeError:
+        return False
 
 
 def _reject_duplicates(kind: str, ids: list[str]) -> None:
@@ -137,7 +183,6 @@ class ZoneAssignment:
     zone_count: int
     bus_zone: dict[str, int]
     line_zone: dict[str, int]
-    bus_distance_km: dict[str, float]
     edges: tuple[float, ...]
 
 
@@ -156,28 +201,36 @@ class RamificationHierarchy:
     nearest_ramification: dict[str, str]
 
 
-def _dijkstra(adjacency: dict, source: str) -> tuple[dict, dict, list[str]]:
-    """``shortest_path_tree`` plus the order buses are popped in. A bus is
-    popped after its predecessor, so parents precede children in that order
-    even across a line too short to change the float distance."""
-    dist: dict[str, float] = {source: 0.0}
-    parent: dict[str, str | None] = {source: None}
-    order: list[str] = []
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
+def _dijkstra(
+    ids: tuple[str, ...], neighbors: list[list[tuple[int, float]]], source: int
+) -> tuple[list, list[int], list[int]]:
+    """Distances (None where unreached), tree parents and pop order by position.
+
+    The heap pops by (distance, bus id), and between equal distances a bus
+    keeps the predecessor with the smaller id. A bus is popped after its
+    predecessor, so parents precede children in pop order even across a line
+    too short to change the float distance.
+    """
+    dist: list = [None] * len(ids)
+    parent = [-1] * len(ids)
+    done = [False] * len(ids)
+    order: list[int] = []
+    dist[source] = 0.0
+    heap = [(0.0, ids[source], source)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
+        d, _, u = heapq.heappop(heap)
+        if done[u]:
             continue
-        done.add(u)
+        done[u] = True
         order.append(u)
-        for v, w, _ in adjacency[u]:
+        for v, w in neighbors[u]:
             nd = d + w
-            if v not in dist or nd < dist[v]:
+            dv = dist[v]
+            if dv is None or nd < dv:
                 dist[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif v not in done and nd == dist[v] and parent[v] is not None and u < parent[v]:
+                heapq.heappush(heap, (nd, ids[v], v))
+            elif nd == dv and not done[v] and parent[v] >= 0 and ids[u] < ids[parent[v]]:
                 parent[v] = u
     return dist, parent, order
 
@@ -189,14 +242,16 @@ def shortest_path_tree(topology: NetworkTopology) -> tuple[dict[str, float], dic
     tree (and everything derived from it) is reproducible. The tree is
     computed once when the topology is built; these are copies of it.
     """
-    dist, parent, _ = topology._tree
-    return dict(dist), dict(parent)
+    index = topology._index
+    ids = index.ids
+    named = ids + (None,)  # parent -1, the source's, names None
+    return dict(zip(ids, index.dist)), dict(zip(ids, map(named.__getitem__, index.parent)))
 
 
 def compute_distances(topology: NetworkTopology) -> dict[str, float]:
     """Shortest-path distance in km from the source to every bus."""
-    dist, _ = shortest_path_tree(topology)
-    return dist
+    index = topology._index
+    return dict(zip(index.ids, index.dist))
 
 
 def assign_zones(
@@ -212,8 +267,7 @@ def assign_zones(
     """
     if zone_count < 1:
         raise TopologyError(f"zone count must be >= 1, got {zone_count}")
-    ids = sorted(distances)
-    values = np.array([distances[i] for i in ids])
+    values = np.fromiter(distances.values(), float, len(distances))
     qs = np.quantile(values, np.linspace(0.0, 1.0, zone_count + 1))
     inner = np.unique(qs[1:-1])
     inner = inner[(inner > values.min()) & (inner <= values.max())]
@@ -226,18 +280,21 @@ def assign_zones(
         )
     # side='left' puts a value equal to an edge into the lower zone
     zones = np.searchsorted(inner, values, side="left") + 1
-    bus_zone = {i: int(z) for i, z in zip(ids, zones)}
-    line_zone = {
-        line.id: min(bus_zone[line.from_bus], bus_zone[line.to_bus]) for line in lines
-    }
+    bus_zone = dict(zip(distances, zones.tolist()))
+    upstream = np.minimum(
+        _zones_at(bus_zone, lines, "from_bus"), _zones_at(bus_zone, lines, "to_bus")
+    )
+    line_zone = dict(zip(map(attrgetter("id"), lines), upstream.tolist()))
     edges = (float(values.min()),) + tuple(float(e) for e in inner) + (float(values.max()),)
     return ZoneAssignment(
-        zone_count=effective,
-        bus_zone=bus_zone,
-        line_zone=line_zone,
-        bus_distance_km={i: float(distances[i]) for i in ids},
-        edges=edges,
+        zone_count=effective, bus_zone=bus_zone, line_zone=line_zone, edges=edges
     )
+
+
+def _zones_at(bus_zone: dict[str, int], lines, end: str) -> np.ndarray:
+    """Zone of each line's ``end`` ("from_bus" or "to_bus"), in line order."""
+    zone_of = map(bus_zone.__getitem__, map(attrgetter(end), lines))
+    return np.fromiter(zone_of, np.int64, len(lines))
 
 
 def group_by_zone(
@@ -263,19 +320,20 @@ def group_by_zone(
 
 def build_hierarchy(topology: NetworkTopology) -> RamificationHierarchy:
     """Identify ramification nodes and their parent order along the feeder."""
-    _, tree_parent, order = topology._tree
-    ram = {b for b in topology.bus_ids if topology.degree(b) > 2}
-    ram.add(topology.source)
+    index = topology._index
+    ids, parent, order = index.ids, index.parent, index.order
+    ram = [d > 2 for d in index.degree]
+    ram[order[0]] = True  # the source
     # order lists every bus after its tree parent, so above[p] is set before v reads it
-    above: dict[str, str] = {}
+    above = [-1] * len(ids)
     for v in order[1:]:
-        p = tree_parent[v]
-        above[v] = p if p in ram else above[p]
-    ordered = tuple(b for b in order if b in ram)
+        p = parent[v]
+        above[v] = p if ram[p] else above[p]
+    ordered = [b for b in order if ram[b]]
     return RamificationHierarchy(
-        ramification_set=ordered,
-        parent={r: above[r] for r in ordered[1:]},
-        nearest_ramification={v: above[v] for v in topology.bus_ids if v not in ram},
+        ramification_set=tuple(ids[b] for b in ordered),
+        parent={ids[r]: ids[above[r]] for r in ordered[1:]},
+        nearest_ramification={ids[v]: ids[above[v]] for v in range(len(ids)) if not ram[v]},
     )
 
 
@@ -287,42 +345,62 @@ def load_topology(path: str) -> NetworkTopology:
     """Read a topology JSON file.
 
     Schema: ``{"source": id, "buses": [{"id", "x"?, "y"?, "no_load"?}],
-    "lines": [{"id", "from", "to", "length_km"}]}``.
+    "lines": [{"id", "from", "to", "length_km"}]}``. ``x`` and ``y`` are
+    numbers or null, ``no_load`` is true or false and ``length_km`` is a
+    number; a record that breaks this raises ``TopologyError`` naming it.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise TopologyError(f"{path}: top level must be an object")
     for key in ("buses", "lines", "source"):
         if key not in doc:
             raise TopologyError(f"{path}: missing required key {key!r}")
     buses = []
     for i, rec in enumerate(doc["buses"]):
+        where = f"{path}: buses[{i}]"
+        if not isinstance(rec, dict):
+            raise TopologyError(f"{where} must be an object")
         if "id" not in rec:
-            raise TopologyError(f"{path}: buses[{i}] missing 'id'")
-        buses.append(
-            Bus(
-                id=str(rec["id"]),
-                x=rec.get("x"),
-                y=rec.get("y"),
-                no_load=bool(rec.get("no_load", False)),
-            )
+            raise TopologyError(f"{where} missing 'id'")
+        x, y = (
+            None if rec.get(key) is None else _number(rec[key], f"{where} {key!r}")
+            for key in ("x", "y")
         )
+        no_load = rec.get("no_load", False)
+        if not isinstance(no_load, bool):
+            raise TopologyError(f"{where} 'no_load' must be true or false, got {no_load!r}")
+        buses.append(Bus(id=str(rec["id"]), x=x, y=y, no_load=no_load))
     lines = []
     for i, rec in enumerate(doc["lines"]):
+        where = f"{path}: lines[{i}]"
+        if not isinstance(rec, dict):
+            raise TopologyError(f"{where} must be an object")
         for key in ("id", "from", "to", "length_km"):
             if key not in rec:
-                raise TopologyError(f"{path}: lines[{i}] missing {key!r}")
+                raise TopologyError(f"{where} missing {key!r}")
         lines.append(
             Line(
                 id=str(rec["id"]),
                 from_bus=str(rec["from"]),
                 to_bus=str(rec["to"]),
-                length_km=float(rec["length_km"]),
+                length_km=_number(rec["length_km"], f"{where} 'length_km'"),
             )
         )
     return NetworkTopology(buses=tuple(buses), lines=tuple(lines), source=str(doc["source"]))
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a float; anything else (a string, a bool, null) raises."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise TopologyError(f"{where} must be a number, got {value!r}")
 
 
 def save_topology(topology: NetworkTopology, path: str) -> None:

@@ -89,7 +89,6 @@ MIX_ZONES = ZoneAssignment(
     zone_count=2,
     bus_zone={},
     line_zone={f"l{i}": 1 + i % 2 for i in range(6)},
-    bus_distance_km={},
     edges=(0.0, 1.0, 2.0),
 )
 MIX_DATA = {f"l{i}": x for i, x in enumerate([0.8, 1.2, 1.9, 2.6, 3.5, 5.0])}

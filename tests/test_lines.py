@@ -28,7 +28,6 @@ ZONES = ZoneAssignment(
     zone_count=2,
     bus_zone={},
     line_zone={f"l{i}": 1 + i % 2 for i in range(12)},
-    bus_distance_km={},
     edges=(0.0, 1.0, 2.0),
 )
 

@@ -76,7 +76,6 @@ def test_reactive_power_arithmetic():
     demand = BusDemand(
         p_kw=np.array([100.0, 0.0, 0.0]),
         q_kvar=np.array([100.0, 0.0, 0.0]) * math.tan(math.acos(0.95)),
-        pf=0.95,
     )
     assert demand.q_kvar[0] == pytest.approx(32.87, abs=0.01)
 

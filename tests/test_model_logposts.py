@@ -34,7 +34,6 @@ ZONES = ZoneAssignment(
     zone_count=3,
     bus_zone={bus: 1 + i % 3 for i, bus in enumerate(BUSES)},
     line_zone={line: (1, 3)[i % 2] for i, line in enumerate(LINES)},
-    bus_distance_km={bus: float(i) for i, bus in enumerate(BUSES)},
     edges=(0.0, 20.0, 40.0, 60.0),
 )
 LOAD_TRUTH = {

@@ -215,7 +215,7 @@ def test_allocate_zero_mass_warns_once_per_zone_and_parent():
     topo = NetworkTopology(buses=tuple(buses), lines=tuple(lines), source="sub")
     bus_zone = {b.id: 1 if b.id in ("sub", "m") else 2 for b in buses}
     zones = ZoneAssignment(
-        zone_count=2, bus_zone=bus_zone, line_zone={}, bus_distance_km={}, edges=(0.0, 1.0, 3.0)
+        zone_count=2, bus_zone=bus_zone, line_zone={}, edges=(0.0, 1.0, 3.0)
     )
     base = np.zeros((2, 7))
     base[0, PhaseConfig.A.index] = 1.0

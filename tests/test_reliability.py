@@ -18,7 +18,6 @@ ZONES = ZoneAssignment(
     zone_count=2,
     bus_zone={f"b{i}": 1 + i % 2 for i in range(20)},
     line_zone={},
-    bus_distance_km={f"b{i}": float(i) for i in range(20)},
     edges=(0.0, 9.5, 19.0),
 )
 
