@@ -116,40 +116,27 @@ def _line_truth_draw() -> dict:
 
 def demo_topology() -> NetworkTopology:
     """Deterministic 136-bus branching feeder (18-bus trunk, nine laterals)."""
-    rng = substream(811, "demo-topology")
-    buses: list[Bus] = [Bus("sub")]
-    lines: list[Line] = []
-
-    def seg() -> float:
-        return round(0.25 + 0.30 * float(rng.random()), 4)
-
-    def add(bus_id: str, parent: str, no_load: bool = False) -> None:
-        buses.append(Bus(bus_id, no_load=no_load))
-        lines.append(Line(f"l_{bus_id}", parent, bus_id, seg()))
-
-    prev = "sub"
-    for i in range(1, 19):
-        add(f"t{i:02d}", prev, no_load=i in (6, 12))
-        prev = f"t{i:02d}"
-    for k, anchor_i in enumerate(range(2, 19, 2), start=1):
-        prev = f"t{anchor_i:02d}"
-        mains = []
-        for j in range(1, 8):
-            bid = f"f{k}{j:02d}"
-            add(bid, prev)
-            mains.append(bid)
-            prev = bid
-        prev = mains[2]
-        for j in range(1, 5):
-            bid = f"s{k}{j:02d}"
-            add(bid, prev)
-            prev = bid
-        prev = mains[4]
-        for j in range(1, 3):
-            bid = f"p{k}{j:02d}"
-            add(bid, prev)
-            prev = bid
-    return NetworkTopology(buses=tuple(buses), lines=tuple(lines), source="sub")
+    # (bus, parent) in the order the segment lengths are drawn
+    trunk = [f"t{i:02d}" for i in range(1, 19)]
+    edges = list(zip(trunk, ["sub", *trunk[:-1]]))
+    for k, anchor in enumerate(trunk[1::2], start=1):
+        lateral = [f"f{k}{j:02d}" for j in range(1, 8)]
+        sub_branch = [f"s{k}{j:02d}" for j in range(1, 5)]
+        spur = [f"p{k}{j:02d}" for j in range(1, 3)]
+        edges += zip(lateral, [anchor, *lateral[:-1]])
+        edges += zip(sub_branch, [lateral[2], *sub_branch[:-1]])
+        edges += zip(spur, [lateral[4], *spur[:-1]])
+    no_load = {trunk[5], trunk[11]}
+    # np.round (scale, round to integer, unscale) gives the lengths that
+    # round(x, 4) gives on these fixed draws; tests/test_datasets.py checks it
+    u = substream(811, "demo-topology").random(len(edges))
+    lengths = np.round(0.25 + 0.30 * u, 4).tolist()
+    buses = (Bus("sub"), *(Bus(bus_id, no_load=bus_id in no_load) for bus_id, _ in edges))
+    lines = tuple(
+        Line(f"l_{bus_id}", parent, bus_id, length)
+        for (bus_id, parent), length in zip(edges, lengths)
+    )
+    return NetworkTopology(buses=buses, lines=lines, source="sub")
 
 
 def write_demo_reference(out_dir: str, seed: int = 2024) -> dict[str, str]:

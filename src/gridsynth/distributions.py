@@ -233,7 +233,8 @@ def _cumulative(p: np.ndarray) -> list[float]:
     cum = []
     total = 0.0
     for value in p.tolist():
-        _require(value >= 0.0, "categorical probabilities must be nonnegative")
+        if not value >= 0.0:
+            raise ParameterError("categorical probabilities must be nonnegative")
         total += value
         cum.append(total)
     _require(total > 0.0, "categorical probabilities must not all be zero")
@@ -287,43 +288,41 @@ def sample_truncnormal(
         _require(mu >= lower, "degenerate truncnormal needs mu >= lower")
         return float(mu) if size is None else np.full(size, float(mu))
     a = (lower - mu) / sigma
-    n = 1 if size is None else int(size)
-    if ndtr(-a) >= _TRUNCNORM_REJECTION_MIN_ACCEPT:
-        z = _truncnorm_reject(rng, a, n)
-    else:
-        z = _truncnorm_robert(rng, a, n)
-    out = mu + sigma * z
-    return float(out[0]) if size is None else out
-
-
-def _truncnorm_reject(rng: Generator, a: float, n: int) -> np.ndarray:
+    accept_rate = ndtr(-a)
+    rejection = accept_rate >= _TRUNCNORM_REJECTION_MIN_ACCEPT
+    if size is None:
+        # the first accepted proposal of the same batches an array of one draws
+        while True:
+            z = _truncnorm_batch(rng, a, 1, accept_rate, rejection)
+            if z.size:
+                return float(mu + sigma * z[0])
+    n = int(size)
     out = np.empty(n)
     filled = 0
     while filled < n:
-        batch = max(64, int(1.5 * (n - filled) / max(ndtr(-a), 1e-3)))
+        z = _truncnorm_batch(rng, a, n - filled, accept_rate, rejection)
+        take = min(z.size, n - filled)
+        out[filled : filled + take] = z[:take]
+        filled += take
+    return mu + sigma * out
+
+
+def _truncnorm_batch(
+    rng: Generator, a: float, pending: int, accept_rate: float, rejection: bool
+) -> np.ndarray:
+    """One batch of standardized proposals for ``pending`` outstanding
+    draws, and the ones accepted: plain rejection, or Robert's (1995)
+    shifted-exponential proposal with the optimal rate."""
+    if rejection:
+        batch = max(64, int(1.5 * pending / max(accept_rate, 1e-3)))
         z = rng.standard_normal(batch)
-        z = z[z >= a]
-        take = min(z.size, n - filled)
-        out[filled : filled + take] = z[:take]
-        filled += take
-    return out
-
-
-def _truncnorm_robert(rng: Generator, a: float, n: int) -> np.ndarray:
-    # Robert (1995): shifted-exponential proposal with the optimal rate.
+        return z[z >= a]
     alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        batch = max(64, 2 * (n - filled))
-        u1 = 1.0 - rng.random(batch)  # (0, 1]
-        z = a - np.log(u1) / alpha
-        accept = rng.random(batch) <= np.exp(-0.5 * (z - alpha) ** 2)
-        z = z[accept]
-        take = min(z.size, n - filled)
-        out[filled : filled + take] = z[:take]
-        filled += take
-    return out
+    batch = max(64, 2 * pending)
+    u1 = 1.0 - rng.random(batch)  # (0, 1]
+    z = a - np.log(u1) / alpha
+    accept = rng.random(batch) <= np.exp(-0.5 * (z - alpha) ** 2)
+    return z[accept]
 
 
 # ---------------------------------------------------------------------------

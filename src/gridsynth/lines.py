@@ -16,14 +16,19 @@ The 3x3 phase impedance matrix is built deterministically from the sampled
 pair via the modified Carson earth-return equations at 60 Hz / 100 ohm-m
 (both configurable), followed by Kron reduction of a single neutral
 conductor. Rows and columns of phases absent from the line's configuration
-stay zero.
+stay zero. Everything but the self terms depends only on the phase
+configuration and the geometry: the conductor positions, the mutual terms,
+the earth-return constants and the output cells are computed once per
+(configuration, geometry) pair and cached, so a line pays for its GMR, its
+self term, the Kron reduction and one scatter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,21 +131,44 @@ def _gamma_shape_rates(means, cv):
     return 1.0 / cv**2, 1.0 / (cv**2 * means)
 
 
+_WEIGHTS_ERROR = "{} weights must be nonnegative with a finite positive sum"
+
+
 def _sample_mixture(draw, prefix: str, zone: int, rng) -> float:
-    means = np.asarray(draw[f"{prefix}_means"], dtype=float)
+    """One draw from a zone's mixture, validated and computed on Python
+    floats: the component by ``sample_categorical`` on ``w / sum(w)``, then
+    its gamma. The random numbers and every bit are those of the same
+    arithmetic on the draw's numpy arrays."""
+    means = np.asarray(draw[f"{prefix}_means"], dtype=float).tolist()
     cv = float(draw[f"{prefix}_cv"])
-    weights = np.asarray(draw[f"{prefix}_weights_z{zone}"], dtype=float)
-    means_list = means.tolist()
-    weights_list = weights.tolist()
-    if len(weights_list) != len(means_list):
+    weights = np.asarray(draw[f"{prefix}_weights_z{zone}"], dtype=float).tolist()
+    if len(weights) != len(means):
         raise ParameterError(f"{prefix} weights and means must have equal length")
-    if not all(math.isfinite(m) and m > 0.0 for m in (*means_list, cv)):
-        raise ParameterError(f"{prefix} means and cv must be finite and positive")
-    if not (all(w >= 0.0 for w in weights_list) and 0.0 < sum(weights_list) < math.inf):
-        raise ParameterError(f"{prefix} weights must be nonnegative with a finite positive sum")
-    shape, rates = _gamma_shape_rates(means, cv)
-    k = sample_categorical(rng, weights / weights.sum())
-    return float(sample_gamma(rng, shape, rates[k]))
+    for value in (*means, cv):
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{prefix} means and cv must be finite and positive")
+    # numpy's sum of fewer than 8 terms: left to right from 0, as here
+    total = 0.0
+    for w in weights:
+        if not w >= 0.0:
+            raise ParameterError(_WEIGHTS_ERROR.format(prefix))
+        total += w
+    if not 0.0 < total < math.inf:
+        raise ParameterError(_WEIGHTS_ERROR.format(prefix))
+    if len(weights) >= 8:
+        total = float(np.sum(weights))
+    # _gamma_shape_rates on floats: a cv^2 or a cv^2 * mean outside the float
+    # range gives a shape or rate of 0 or inf, which is rejected here
+    try:
+        cv2 = cv**2
+    except OverflowError:
+        cv2 = math.inf
+    shape = 1.0 / cv2 if cv2 else math.inf
+    rates = [1.0 / x if x else math.inf for x in [cv2 * m for m in means]]
+    if not (0.0 < shape < math.inf and 0.0 < min(rates) and max(rates) < math.inf):
+        raise ParameterError(f"{prefix} means and cv give a gamma shape or rate out of range")
+    k = sample_categorical(rng, [w / total for w in weights])
+    return sample_gamma(rng, shape, rates[k])
 
 
 def sample_line(draw, zone: int, rng) -> LineParams:
@@ -292,6 +320,20 @@ def fit_line_model(
 # Carson impedance build
 
 
+def _earth_return(frequency_hz: float, earth_resistivity_ohm_m: float) -> tuple[float, ...]:
+    """The modified Carson constants: the earth-return resistance term
+    pi^2 f 1e-4, the reactance coefficient 4 pi f 1e-4 and the equivalent
+    earth-return depth D_e = 658.368 sqrt(rho_e / f) m."""
+    p_term = math.pi**2 * frequency_hz * 1e-4
+    q_coef = 4.0 * math.pi * frequency_hz * 1e-4
+    depth = 658.368 * math.sqrt(earth_resistivity_ohm_m / frequency_hz)
+    return p_term, q_coef, depth
+
+
+def _self_term(r_ac_ohm_per_km: float, gmr_m: float, p_term: float, q_coef: float, depth: float):
+    return r_ac_ohm_per_km + p_term + 1j * q_coef * math.log(depth / gmr_m)
+
+
 def carson_primitive(
     positions: list[tuple[float, float]],
     gmr_m: float,
@@ -310,12 +352,10 @@ def carson_primitive(
     if not (gmr_m > 0.0 and r_ac_ohm_per_km > 0.0):
         raise ParameterError("conductor gmr and resistance must be positive")
     n = len(positions)
-    p_term = math.pi**2 * frequency_hz * 1e-4
-    q_coef = 4.0 * math.pi * frequency_hz * 1e-4
-    depth = 658.368 * math.sqrt(earth_resistivity_ohm_m / frequency_hz)
+    p_term, q_coef, depth = _earth_return(frequency_hz, earth_resistivity_ohm_m)
     z = np.empty((n, n), dtype=complex)
     for i in range(n):
-        z[i, i] = r_ac_ohm_per_km + p_term + 1j * q_coef * math.log(depth / gmr_m)
+        z[i, i] = _self_term(r_ac_ohm_per_km, gmr_m, p_term, q_coef, depth)
         for j in range(i):
             dx = positions[i][0] - positions[j][0]
             dy = positions[i][1] - positions[j][1]
@@ -337,6 +377,50 @@ def kron_reduce(z: np.ndarray, keep: int) -> np.ndarray:
     return zpp - zpn @ np.linalg.solve(znn, znp)
 
 
+@dataclass(frozen=True)
+class _CarsonConstants:
+    """What a line's Carson build takes from its configuration and geometry."""
+
+    gmd_m: float
+    p_term: float
+    q_coef: float
+    depth_m: float
+    primitive: np.ndarray  # the mutual terms; each line writes its self terms
+    diagonal: slice  # the self terms in ``primitive.flat``
+    keep: int  # active phases, ahead of the neutral
+    cells: np.ndarray  # where the reduced matrix goes in the flat 3x3 output
+
+
+@functools.lru_cache(maxsize=128)
+def _carson_constants(config: PhaseConfig, geometry: LineGeometry) -> _CarsonConstants:
+    """Every part of a line's Carson build that does not depend on its
+    (r1, rho), for one configuration and geometry: the mutual terms between
+    the active conductors and the neutral (placed last), the earth-return
+    constants and the output cells."""
+    phase_pos = geometry.phase_positions()
+    positions = [phase_pos[p] for p in config.phase_list]
+    if geometry.include_neutral:
+        xs = [p[0] for p in positions]
+        ys = [p[1] for p in positions]
+        positions.append((sum(xs) / len(xs), sum(ys) / len(ys) + geometry.neutral_offset_m))
+    frequency, resistivity = geometry.frequency_hz, geometry.earth_resistivity_ohm_m
+    # unit placeholders on the diagonal, which each line overwrites
+    primitive = carson_primitive(positions, 1.0, 1.0, frequency, resistivity)
+    idx = config._phase_indices
+    cells = np.array([3 * i + j for i in idx for j in idx])
+    # every caller shares these arrays: a write is an error
+    primitive.flags.writeable = cells.flags.writeable = False
+    n = len(positions)
+    return _CarsonConstants(
+        geometry.gmd_m(),
+        *_earth_return(frequency, resistivity),
+        primitive,
+        slice(None, None, n + 1),
+        len(idx),
+        cells,
+    )
+
+
 def carson_zabc(
     params: LineParams,
     config: PhaseConfig,
@@ -348,31 +432,19 @@ def carson_zabc(
     and the GMR is chosen so a transposed three-phase line reproduces X1
     (gmr = GMD * exp(-x1 / (4 pi f 1e-4))). Only the active conductors (plus
     the neutral) enter the primitive matrix; inactive phases are zero
-    rows/columns of the returned container.
+    rows/columns of the returned container. The terms that depend only on
+    ``config`` and ``geometry`` come from a per-pair cache.
     """
-    q_coef = 4.0 * math.pi * geometry.frequency_hz * 1e-4
-    gmr = geometry.gmd_m() * math.exp(-params.x1_ohm_per_km / q_coef)
-    phase_pos = geometry.phase_positions()
-    active = config.phase_list
-    positions = [phase_pos[p] for p in active]
-    if geometry.include_neutral:
-        xs = [p[0] for p in positions]
-        ys = [p[1] for p in positions]
-        positions.append((sum(xs) / len(xs), sum(ys) / len(ys) + geometry.neutral_offset_m))
-    zprim = carson_primitive(
-        positions,
-        gmr,
-        params.r1_ohm_per_km,
-        geometry.frequency_hz,
-        geometry.earth_resistivity_ohm_m,
-    )
-    zred = kron_reduce(zprim, len(active))
-    out = np.zeros((3, 3), dtype=complex)
-    idx = [ord(p) - ord("A") for p in active]
-    for i, gi in enumerate(idx):
-        for j, gj in enumerate(idx):
-            out[gi, gj] = zred[i, j]
-    return out
+    c = _carson_constants(config, geometry)
+    r1 = params.r1_ohm_per_km
+    gmr = c.gmd_m * math.exp(-params.x1_ohm_per_km / c.q_coef)
+    if not (gmr > 0.0 and r1 > 0.0):
+        raise ParameterError("conductor gmr and resistance must be positive")
+    zprim = c.primitive.copy()
+    zprim.flat[c.diagonal] = _self_term(r1, gmr, c.p_term, c.q_coef, c.depth_m)
+    out = np.zeros(9, dtype=complex)
+    out[c.cells] = kron_reduce(zprim, c.keep).ravel()
+    return out.reshape(3, 3)
 
 
 def attach_zabc(
@@ -380,4 +452,4 @@ def attach_zabc(
     config: PhaseConfig,
     geometry: LineGeometry = _DEFAULT_GEOMETRY,
 ) -> LineParams:
-    return replace(params, z_abc=carson_zabc(params, config, geometry))
+    return LineParams(params.r1_ohm_per_km, params.rho, carson_zabc(params, config, geometry))

@@ -94,7 +94,7 @@ class BusDemand:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p_kw, dtype=float)
-        if p.shape != (3,) or np.any(p < 0.0):
+        if p.shape != (3,) or any(x < 0.0 for x in p.tolist()):
             raise ValueError("p_kw must be a nonnegative 3-vector")
 
 
@@ -110,7 +110,7 @@ def mean_vector(draw, config: PhaseConfig) -> np.ndarray:
     ``delta_bi`` share; three-phase splits follow ``delta_tri``.
     """
     mu = np.zeros(3)
-    active = [ord(p) - ord("A") for p in config.phase_list]
+    active = config._phase_indices
     if len(active) == 1:
         mu[active[0]] = draw["p_pot_mono"]
     elif len(active) == 2:
@@ -126,14 +126,13 @@ def mean_vector(draw, config: PhaseConfig) -> np.ndarray:
 def sample_demand(draw, config: PhaseConfig, rng, pf: float) -> BusDemand:
     """Draw one bus demand. ``pf`` is the network-level power factor,
     drawn once per network sample, not per bus."""
-    mu = mean_vector(draw, config)
+    mu = mean_vector(draw, config).tolist()
     sigma = float(draw["sigma_p"])
-    p = np.zeros(3)
-    for phase in config.phase_list:
-        i = ord(phase) - ord("A")
+    p = [0.0, 0.0, 0.0]
+    for i in config._phase_indices:
         p[i] = sample_truncnormal(rng, mu[i], sigma, 0.0)
-    q = p * math.tan(math.acos(pf))
-    return BusDemand(p_kw=p, q_kvar=q)
+    ratio = math.tan(math.acos(pf))
+    return BusDemand(p_kw=np.array(p), q_kvar=np.array([x * ratio for x in p]))
 
 
 def fit_load_model(
@@ -159,7 +158,7 @@ def fit_load_model(
         if np.any(vec < 0.0):
             raise ValueError(f"bus {bus}: negative demand")
         cfg = allocations[bus]
-        active = [ord(p) - ord("A") for p in cfg.phase_list]
+        active = list(cfg._phase_indices)
         inactive = [i for i in (0, 1, 2) if i not in active]
         if np.any(vec[inactive] != 0.0):
             raise ValueError(

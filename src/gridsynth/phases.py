@@ -5,7 +5,9 @@ The allocation rule is structural: the source is three-phase, branch
 (ramification) nodes sample their configuration from zone-conditioned base
 probabilities masked to subsets of their parent's phases, and every other bus
 copies the nearest upstream ramification node. The subset rule therefore
-holds on every line by construction.
+holds on every line of the shortest-path tree. On a meshed feeder a line off
+that tree joins two buses allocated independently, so it can break the rule;
+``consistency_violations`` reports every line that does.
 
 Base probabilities are zone-level Dirichlet-Categorical posteriors: a
 concentration row per zone with a HalfNormal(1) prior, a probability vector
@@ -45,7 +47,13 @@ __all__ = [
 
 
 class PhaseConfig(Enum):
-    """Seven phase configurations with a fixed index order."""
+    """Seven phase configurations with a fixed index order.
+
+    Each member carries, as plain attributes set once at import, its phase
+    set ``phases``, its active phases ``phase_list`` in A, B, C order and
+    their positions 0-2 in a per-phase 3-vector, ``_phase_indices``: the
+    per-bus and per-line samplers read them on every draw.
+    """
 
     A = 0
     B = 1
@@ -55,18 +63,14 @@ class PhaseConfig(Enum):
     CA = 5
     ABC = 6
 
+    def __init__(self, value: int) -> None:
+        self.phases = frozenset(self.name)
+        self.phase_list = tuple(p for p in "ABC" if p in self.phases)
+        self._phase_indices = tuple("ABC".index(p) for p in self.phase_list)
+
     @property
     def index(self) -> int:
         return self.value
-
-    @property
-    def phases(self) -> frozenset[str]:
-        return _PHASE_SETS[self]
-
-    @property
-    def phase_list(self) -> tuple[str, ...]:
-        """Active phases in A, B, C order."""
-        return tuple(p for p in "ABC" if p in self.phases)
 
     @classmethod
     def from_name(cls, name: str) -> "PhaseConfig":
@@ -77,15 +81,6 @@ class PhaseConfig(Enum):
             raise ValueError(f"unknown phase configuration {name!r}") from None
 
 
-_PHASE_SETS = {
-    PhaseConfig.A: frozenset("A"),
-    PhaseConfig.B: frozenset("B"),
-    PhaseConfig.C: frozenset("C"),
-    PhaseConfig.AB: frozenset("AB"),
-    PhaseConfig.BC: frozenset("BC"),
-    PhaseConfig.CA: frozenset("CA"),
-    PhaseConfig.ABC: frozenset("ABC"),
-}
 _BY_SORTED_NAME = {"".join(sorted(c.phases)): c for c in PhaseConfig}
 
 CONFIGS: tuple[PhaseConfig, ...] = tuple(sorted(PhaseConfig, key=lambda c: c.value))

@@ -40,18 +40,13 @@ __all__ = [
 
 def sample_caidi(draw, zone: int, rng) -> float:
     """Zero with probability 1 - p_zone, else a Weibull duration draw."""
-    p = np.asarray(draw["hurdle_p"], dtype=float)[zone - 1]
-    if rng.random() >= p:
+    if rng.random() >= draw["hurdle_p"][zone - 1]:
         return 0.0
-    shape = np.asarray(draw["weib_shape"], dtype=float)[zone - 1]
-    scale = np.asarray(draw["weib_scale"], dtype=float)[zone - 1]
-    return float(sample_weibull(rng, shape, scale))
+    return float(sample_weibull(rng, draw["weib_shape"][zone - 1], draw["weib_scale"][zone - 1]))
 
 
 def sample_caifi(draw, zone: int, rng) -> int:
-    mu = np.asarray(draw["freq_mean"], dtype=float)[zone - 1]
-    alpha = float(draw["dispersion"])
-    return sample_negbinomial(rng, mu, alpha)
+    return sample_negbinomial(rng, draw["freq_mean"][zone - 1], float(draw["dispersion"]))
 
 
 def fit_caidi(

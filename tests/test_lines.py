@@ -1,6 +1,7 @@
 """Line-model mixture, input checks and the Carson/Kron impedance build."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,11 @@ def test_sample_line_total_expectation():
         ("weights", [0.5, math.nan, 0.5]),
         ("weights", [0.0, 0.0, 0.0]),
         ("weights", [0.5, 0.5]),
+        # cv^2, 1 / cv^2 or a rate outside the float range
+        ("cv", 1e-200),
+        ("cv", 1e200),
+        ("cv", 1e-160),
+        ("means", [1e-320, 0.4, 0.8]),
     ],
 )
 @pytest.mark.parametrize("prefix", ["r", "rho"])
@@ -140,8 +146,10 @@ def test_sample_line_rejects_invalid_draw(prefix, key, value):
     draw = mixture_draw([0.2, 0.4, 0.8], 0.3, [0.2, 0.3, 0.5])
     name = f"{prefix}_weights_z1" if key == "weights" else f"{prefix}_{key}"
     draw[name] = value if key == "cv" else np.array(value)
-    with pytest.raises(ParameterError):
-        sample_line(draw, 1, make_rng(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            sample_line(draw, 1, make_rng(3))
 
 
 def test_mixture_logpost_matches_scipy_reference():

@@ -169,6 +169,26 @@ def test_allocate_consistency_on_demo_feeder():
         assert consistency_violations(topo, phi, d) == []
 
 
+def test_mesh_line_off_the_tree_can_break_the_subset_rule():
+    # x is a branch point of the shortest-path tree (s-x, x-z, x-y) and draws
+    # A; y hangs off the source on the tree and copies its ABC, so the mesh
+    # line x-y, whose upstream end is x, carries phases x lacks
+    buses = tuple(Bus(i) for i in ("s", "x", "y", "z"))
+    lines = (
+        Line("l_sx", "s", "x", 0.5),
+        Line("l_sy", "s", "y", 1.0),
+        Line("l_xz", "x", "z", 0.3),
+        Line("l_xy", "x", "y", 0.6),
+    )
+    topo = NetworkTopology(buses=buses, lines=lines, source="s")
+    d, zones, hierarchy = _prepared(topo)
+    base = np.zeros((1, 7))
+    base[0, PhaseConfig.A.index] = 1.0
+    phi = allocate(topo, hierarchy, zones, base, make_rng(0))
+    assert phi["x"] is PhaseConfig.A and phi["y"] is PhaseConfig.ABC
+    assert consistency_violations(topo, phi, d) == ["l_xy"]
+
+
 def test_allocate_long_branch_property():
     topo = demo_topology()
     d = compute_distances(topo)
