@@ -191,7 +191,10 @@ def _each(rngs, method: str, counts) -> list[np.ndarray]:
 
 def sample_weibull(rng: Generator, shape: float, scale: float, size: int | None = None):
     """Weibull draw by inverse CDF; ``shape=1`` reduces to Exponential(scale)."""
-    _require(shape > 0.0 and scale > 0.0, "weibull needs positive shape and scale")
+    _require(
+        0.0 < shape < math.inf and 0.0 < scale < math.inf,
+        "weibull needs finite positive shape and scale",
+    )
     u = 1.0 - (rng.random() if size is None else rng.random(size))  # (0, 1]
     return scale * (-np.log(u)) ** (1.0 / shape)
 
@@ -280,16 +283,26 @@ def sample_truncnormal(
 ):
     """Normal(mu, sigma^2) conditioned on being >= lower.
 
-    ``sigma=0`` is accepted as the degenerate point mass at ``mu`` (which must
-    then satisfy the bound).
+    ``mu`` and ``sigma`` must be finite and ``lower`` not NaN; a ``lower`` of
+    -inf leaves the normal untruncated. ``sigma=0`` is accepted as the
+    degenerate point mass at ``mu`` (which must then satisfy the bound). A
+    bound so far above the mean that the rate of Robert's proposal overflows
+    (about 1e154 standard deviations) is rejected: no draw could be accepted.
     """
-    _require(sigma >= 0.0, "truncnormal needs nonnegative scale")
+    mu, sigma, lower = float(mu), float(sigma), float(lower)
+    _require(math.isfinite(mu), "truncnormal needs a finite mean")
+    _require(0.0 <= sigma < math.inf, "truncnormal needs a finite nonnegative scale")
+    _require(not math.isnan(lower), "truncnormal needs a bound, got NaN")
     if sigma == 0.0:
         _require(mu >= lower, "degenerate truncnormal needs mu >= lower")
-        return float(mu) if size is None else np.full(size, float(mu))
+        return mu if size is None else np.full(size, mu)
     a = (lower - mu) / sigma
     accept_rate = ndtr(-a)
     rejection = accept_rate >= _TRUNCNORM_REJECTION_MIN_ACCEPT
+    _require(
+        rejection or _robert_rate(a) < math.inf,
+        "truncnormal bound too far above the mean: the proposal rate overflows",
+    )
     if size is None:
         # the first accepted proposal of the same batches an array of one draws
         while True:
@@ -317,12 +330,18 @@ def _truncnorm_batch(
         batch = max(64, int(1.5 * pending / max(accept_rate, 1e-3)))
         z = rng.standard_normal(batch)
         return z[z >= a]
-    alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
+    alpha = _robert_rate(a)
     batch = max(64, 2 * pending)
     u1 = 1.0 - rng.random(batch)  # (0, 1]
     z = a - np.log(u1) / alpha
     accept = rng.random(batch) <= np.exp(-0.5 * (z - alpha) ** 2)
     return z[accept]
+
+
+def _robert_rate(a: float) -> float:
+    """The optimal rate of Robert's proposal for the standardized bound ``a``;
+    inf once ``a * a`` overflows."""
+    return 0.5 * (a + math.sqrt(a * a + 4.0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,20 @@ by construction.
 The sampler's state is each chain's row of constrained values. Metropolis
 blocks are deliberately simple: one Gaussian random-walk block per parameter
 group in unconstrained coordinates, with per-block step sizes adapted during
-warm-up by a Robbins-Monro recursion targeting 0.35 acceptance. A block
-transforms only its own parameters, and its acceptance ratio carries only
-their log-Jacobian (the other parameters' terms cancel). Parameters whose
-full conditional is known are passed to :func:`fit` as ``exact`` steps
-instead: each sweep draws them from that conditional after the Metropolis
-blocks, then rescores the chain with one log-posterior call. All chains
-advance in lockstep, so each block step is one transform call and one
-log-posterior call over a leading chain axis:
+warm-up by a Robbins-Monro recursion targeting 0.35 acceptance. Each step
+size starts at ``_INITIAL_STEP`` (0.5) over the square root of its block's
+size, and each chain starts from the init point plus Gaussian jitter of
+scale ``_INIT_JITTER`` (0.1) in unconstrained coordinates; neither is a
+``FitConfig`` field. A block transforms only its own parameters, and its
+acceptance ratio carries only their log-Jacobian (the other parameters'
+terms cancel). Parameters whose full conditional is known are passed to
+:func:`fit` as ``exact`` steps instead: each sweep draws them from that
+conditional after the Metropolis blocks, then rescores the chain with one
+log-posterior call. All chains advance in lockstep, so each block step is
+one transform call and one log-posterior call over a leading chain axis:
 
 - values carry a leading chain axis: a scalar parameter is a ``(chains,)``
-  array and a vector one ``(chains, n)``; ``ParamSpace.constrain`` takes ``z``
-  of shape ``(..., dim)`` the same way;
+  array and a vector one ``(chains, n)``;
 - the log-posterior returns one value per chain, a ``(chains,)`` array;
 - a row with an out-of-domain parameter scores ``-inf`` instead of raising,
   and a row outside the open support never reaches the model;
@@ -67,6 +69,10 @@ SUPPORTS = ("real", "positive", "unit", "simplex", "ordered_positive")
 # scalar whose split-R-hat exceeds the threshold is listed in a warning.
 _TARGET_ACCEPT = 0.35
 _RHAT_THRESHOLD = 1.05
+# Each block's first step size, split over its coordinates, and the scale of
+# the Gaussian jitter that moves each chain's start off the init point.
+_INITIAL_STEP = 0.5
+_INIT_JITTER = 0.1
 
 
 class InitializationError(RuntimeError):
@@ -153,18 +159,10 @@ class ParamSpace:
             idx.extend(range(lo, hi))
         return np.asarray(idx, dtype=int)
 
-    def constrain(self, z: np.ndarray) -> tuple[dict[str, float | np.ndarray], float | np.ndarray]:
-        """Constrained values of ``z`` and the log-Jacobian of the transform.
-
-        ``z`` has shape ``(..., dim)``; every value and the log-Jacobian keep
-        its leading axes. For a single vector ``z`` a scalar parameter is a
-        float and the log-Jacobian a float.
-        """
-        flat, log_jacobian = self._constrain_flat(z)
-        return self._unpack(flat), log_jacobian
-
     def _constrain_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """All constrained values as one ``(..., constrained size)`` array."""
+        """All constrained values of ``z`` (shape ``(..., dim)``) as one
+        ``(..., constrained size)`` array, and the log-Jacobian of the
+        transform, both keeping the leading axes of ``z``."""
         z = np.asarray(z, dtype=float)
         flat = np.empty(z.shape[:-1] + self._lower.shape)
         return flat, _transform(self._groups, z, flat)
@@ -308,8 +306,6 @@ class FitConfig:
     warmup: int = 2000
     draws: int = 2000
     thin: int = 4
-    initial_step: float = 0.5
-    init_jitter: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -334,22 +330,12 @@ class PosteriorEnsemble:
     def size(self) -> int:
         return next(iter(self.draws.values())).shape[0]
 
-    def draw(self, index: int) -> dict[str, float | np.ndarray]:
-        out: dict[str, float | np.ndarray] = {}
-        for name, arr in self.draws.items():
-            val = arr[index]
-            out[name] = float(val) if val.ndim == 0 else np.array(val)
-        return out
-
 
 @dataclass
 class Posterior:
-    """A fitted sub-model: its pooled ensemble, read one draw at a time."""
+    """A fitted sub-model: its pooled ensemble."""
 
     ensemble: PosteriorEnsemble
-
-    def draw(self, index: int) -> dict[str, float | np.ndarray]:
-        return self.ensemble.draw(index)
 
 
 def fit(
@@ -462,7 +448,7 @@ def fit(
     # and the proposal shape learned from warm-up draws (Welford covariance ->
     # Cholesky factor that correlates the proposals; None until then)
     log_step = np.array(
-        [[math.log(config.initial_step / math.sqrt(len(idx))) for idx in block_idx]] * chains
+        [[math.log(_INITIAL_STEP / math.sqrt(len(idx))) for idx in block_idx]] * chains
     )
     accepted = np.zeros((chains, len(blocks) + len(exact)))
     chol: list[np.ndarray | None] = [None] * len(blocks)
@@ -480,22 +466,21 @@ def fit(
         if not np.isfinite(init_lp[0]):
             raise InitializationError("log-posterior is not finite at the initialization point")
         lp = np.repeat(init_lp, chains)
-        if config.init_jitter > 0.0:
-            # up to 20 jittered starts per chain; a chain keeps its first finite one
-            pending = list(range(chains))
-            for _ in range(20):
-                if not pending:
-                    break
-                cand_z = init_z + config.init_jitter * np.array(
-                    [rngs[c].standard_normal(space.dim) for c in pending]
-                )
-                rows = current[pending]
-                _transform(space._groups, cand_z, rows)
-                cand_lp = score(rows, space._unpack(rows), current[pending])
-                for row, c in enumerate(pending):
-                    if np.isfinite(cand_lp[row]):
-                        z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
-                pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
+        # up to 20 jittered starts per chain; a chain keeps its first finite one
+        pending = list(range(chains))
+        for _ in range(20):
+            if not pending:
+                break
+            cand_z = init_z + _INIT_JITTER * np.array(
+                [rngs[c].standard_normal(space.dim) for c in pending]
+            )
+            rows = current[pending]
+            _transform(space._groups, cand_z, rows)
+            cand_lp = score(rows, space._unpack(rows), current[pending])
+            for row, c in enumerate(pending):
+                if np.isfinite(cand_lp[row]):
+                    z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
+            pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
         # each block's unconstrained coordinates, and the per-chain log-Jacobian
         # of its current values: only that block's moves change either
         z_blocks = [z[:, idx] for idx in block_idx]
@@ -620,15 +605,12 @@ def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
     return names, pooled, _split_rhat(chain_draws), _effective_sample_size(chain_draws)
 
 
-def _split_rhat(chains: np.ndarray):
-    """Split-R-hat over a ``(chains, draws)`` array of one scalar (a float), or
-    a ``(chains, draws, scalars)`` array of several (one value per scalar)."""
-    x, one = _scalar_axis(chains)
+def _split_rhat(x: np.ndarray) -> np.ndarray:
+    """Split-R-hat of each scalar of a ``(chains, draws, scalars)`` array."""
     c, n, width = x.shape
     half = n // 2
     if half < 2:
-        rhat = np.full(width, math.nan)
-        return float(rhat[0]) if one else rhat
+        return np.full(width, math.nan)
     seqs = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
     means = seqs.mean(axis=1)
     w = seqs.var(axis=1, ddof=1).mean(axis=0)
@@ -640,20 +622,17 @@ def _split_rhat(chains: np.ndarray):
     # they agree, stuck apart if not
     constant = ~np.ptp(seqs, axis=1).any(axis=0)
     agree = np.ptp(seqs[:, 0], axis=0) == 0.0
-    rhat = np.where(constant, np.where(agree, 1.0, math.inf), rhat)
-    return float(rhat[0]) if one else rhat
+    return np.where(constant, np.where(agree, 1.0, math.inf), rhat)
 
 
-def _effective_sample_size(chains: np.ndarray):
-    """ESS via chain-averaged autocorrelations with Geyer's initial-positive
-    rule, over a ``(chains, draws)`` array of one scalar (a float) or a
-    ``(chains, draws, scalars)`` array of several (one value per scalar).
+def _effective_sample_size(x: np.ndarray) -> np.ndarray:
+    """ESS of each scalar of a ``(chains, draws, scalars)`` array, via
+    chain-averaged autocorrelations with Geyer's initial-positive rule.
 
     The autocovariances of every chain and scalar come from one FFT along the
     draw axis; the sum of autocorrelation pairs stops, per scalar, before the
     first negative pair.
     """
-    x, one = _scalar_axis(chains)
     c, n, width = x.shape
     total = c * n
     centered = x - x.mean(axis=1, keepdims=True)
@@ -675,11 +654,4 @@ def _effective_sample_size(chains: np.ndarray):
     # constant chains: one sample each unless they all agree
     constant = ~np.ptp(x, axis=1).any(axis=0)
     agree = np.ptp(x[:, 0], axis=0) == 0.0
-    ess = np.where(constant, np.where(agree, float(total), float(c)), ess)
-    return float(ess[0]) if one else ess
-
-
-def _scalar_axis(chains: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``chains`` with a trailing scalar axis, and whether it had none."""
-    x = np.asarray(chains, dtype=float)
-    return (x[..., None], True) if x.ndim == 2 else (x, False)
+    return np.where(constant, np.where(agree, float(total), float(c)), ess)

@@ -13,19 +13,19 @@ means and the CV take Metropolis steps against the likelihood with the
 indicators summed out.
 
 The 3x3 phase impedance matrix is built deterministically from the sampled
-pair via the modified Carson earth-return equations at 60 Hz / 100 ohm-m
-(both configurable), followed by Kron reduction of a single neutral
-conductor. Rows and columns of phases absent from the line's configuration
-stay zero. Everything but the self terms depends only on the phase
-configuration and the geometry: the conductor positions, the mutual terms,
-the earth-return constants and the output cells are computed once per
-(configuration, geometry) pair and cached, so a line pays for its GMR, its
-self term, the Kron reduction and one scatter.
+pair via the modified Carson earth-return equations, followed by Kron
+reduction of a single neutral conductor. Every line has one fixed geometry:
+phases A, B and C collinear on a crossarm at 0.6/0.6/1.2 m spacings, a
+neutral 1.2 m above the midpoint of the line's active conductors, 60 Hz and
+100 ohm-m earth. Rows and columns of phases absent from the line's
+configuration stay zero. Everything but the self terms depends only on the
+phase configuration: the mutual terms and the output cells are computed
+once per configuration at import, so a line pays for its GMR, its self term,
+the Kron reduction and one scatter.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,65 +43,35 @@ from .distributions import (
     sample_gamma,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, PosteriorEnsemble, fit
-from .phases import PhaseConfig
+from .phases import CONFIGS, PhaseConfig
 from .topology import ZoneAssignment, group_by_zone
 
 __all__ = [
     "MIXTURE_COMPONENTS",
-    "LineGeometry",
     "LineParams",
     "sample_line",
     "fit_line_model",
-    "carson_primitive",
-    "kron_reduce",
     "carson_zabc",
     "attach_zabc",
 ]
 
 MIXTURE_COMPONENTS = 3
 
-
-@dataclass(frozen=True)
-class LineGeometry:
-    """Crossarm spacings plus Carson constants.
-
-    Phases sit at A=(0,0), B=(d_ab,0) and C placed by trilateration from
-    d_ac/d_bc (collinear for the default 0.6/0.6/1.2 m spacings). The neutral,
-    when enabled, runs ``neutral_offset_m`` above the midpoint of the active
-    conductors and has the phase conductor's GMR and resistance.
-    """
-
-    d_ab_m: float = 0.6
-    d_bc_m: float = 0.6
-    d_ac_m: float = 1.2
-    frequency_hz: float = 60.0
-    earth_resistivity_ohm_m: float = 100.0
-    include_neutral: bool = True
-    neutral_offset_m: float = 1.2
-
-    def __post_init__(self) -> None:
-        spacings = (self.d_ab_m, self.d_bc_m, self.d_ac_m)
-        if any(not (s > 0.0) for s in spacings):
-            raise ParameterError("conductor spacings must be positive")
-        if not (self.frequency_hz > 0.0 and self.earth_resistivity_ohm_m > 0.0):
-            raise ParameterError("frequency and earth resistivity must be positive")
-        if self.include_neutral and not (self.neutral_offset_m > 0.0):
-            raise ParameterError("neutral offset must be positive")
-        # triangle feasibility for the phase positions
-        a, b, c = sorted(spacings)
-        if a + b < c - 1e-12:
-            raise ParameterError(f"infeasible spacing triangle {spacings}")
-
-    def phase_positions(self) -> dict[str, tuple[float, float]]:
-        xc = (self.d_ab_m**2 + self.d_ac_m**2 - self.d_bc_m**2) / (2.0 * self.d_ab_m)
-        yc = math.sqrt(max(self.d_ac_m**2 - xc**2, 0.0))
-        return {"A": (0.0, 0.0), "B": (self.d_ab_m, 0.0), "C": (xc, yc)}
-
-    def gmd_m(self) -> float:
-        return (self.d_ab_m * self.d_bc_m * self.d_ac_m) ** (1.0 / 3.0)
-
-
-_DEFAULT_GEOMETRY = LineGeometry()
+# The one line geometry: phases A, B and C on a crossarm at spacings
+# 0.6/0.6/1.2 m, so collinear, and a neutral 1.2 m above the midpoint of the
+# active conductors with the phase conductor's GMR and resistance; 60 Hz over
+# 100 ohm-m earth.
+_PHASE_POSITIONS = {"A": (0.0, 0.0), "B": (0.6, 0.0), "C": (1.2, 0.0)}
+_NEUTRAL_OFFSET_M = 1.2
+_FREQUENCY_HZ = 60.0
+_EARTH_RESISTIVITY_OHM_M = 100.0
+# the modified Carson constants: the earth-return resistance term
+# pi^2 f 1e-4, the reactance coefficient 4 pi f 1e-4 and the equivalent
+# earth-return depth D_e = 658.368 sqrt(rho_e / f) m; and the phases' GMD
+_P_TERM = math.pi**2 * _FREQUENCY_HZ * 1e-4
+_Q_COEF = 4.0 * math.pi * _FREQUENCY_HZ * 1e-4
+_DEPTH_M = 658.368 * math.sqrt(_EARTH_RESISTIVITY_OHM_M / _FREQUENCY_HZ)
+_GMD_M = (0.6 * 0.6 * 1.2) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -320,136 +290,60 @@ def fit_line_model(
 # Carson impedance build
 
 
-def _earth_return(frequency_hz: float, earth_resistivity_ohm_m: float) -> tuple[float, ...]:
-    """The modified Carson constants: the earth-return resistance term
-    pi^2 f 1e-4, the reactance coefficient 4 pi f 1e-4 and the equivalent
-    earth-return depth D_e = 658.368 sqrt(rho_e / f) m."""
-    p_term = math.pi**2 * frequency_hz * 1e-4
-    q_coef = 4.0 * math.pi * frequency_hz * 1e-4
-    depth = 658.368 * math.sqrt(earth_resistivity_ohm_m / frequency_hz)
-    return p_term, q_coef, depth
-
-
-def _self_term(r_ac_ohm_per_km: float, gmr_m: float, p_term: float, q_coef: float, depth: float):
-    return r_ac_ohm_per_km + p_term + 1j * q_coef * math.log(depth / gmr_m)
-
-
-def carson_primitive(
-    positions: list[tuple[float, float]],
-    gmr_m: float,
-    r_ac_ohm_per_km: float,
-    frequency_hz: float,
-    earth_resistivity_ohm_m: float,
-) -> np.ndarray:
-    """Primitive impedance matrix (ohm/km) from the modified Carson equations,
-    for conductors that all have GMR ``gmr_m`` and AC resistance
-    ``r_ac_ohm_per_km``.
-
-    Self terms: r + pi^2 f 1e-4 + j 4pi f 1e-4 ln(D_e / gmr); mutual terms
-    replace gmr with the conductor spacing. D_e = 658.368 sqrt(rho_e / f) m is
-    the equivalent earth-return depth.
-    """
-    if not (gmr_m > 0.0 and r_ac_ohm_per_km > 0.0):
-        raise ParameterError("conductor gmr and resistance must be positive")
+def _carson_mutual(config: PhaseConfig):
+    """What a line's Carson build takes from its configuration alone: the
+    mutual terms between the active conductors and the neutral (placed last),
+    the number of active phases and the output cells of the flat 3x3 matrix.
+    The diagonal holds zeros, which each line overwrites with its self terms."""
+    positions = [_PHASE_POSITIONS[p] for p in config.phase_list]
+    xs = [p[0] for p in positions]
+    ys = [p[1] for p in positions]
+    positions.append((sum(xs) / len(xs), sum(ys) / len(ys) + _NEUTRAL_OFFSET_M))
     n = len(positions)
-    p_term, q_coef, depth = _earth_return(frequency_hz, earth_resistivity_ohm_m)
-    z = np.empty((n, n), dtype=complex)
+    z = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        z[i, i] = _self_term(r_ac_ohm_per_km, gmr_m, p_term, q_coef, depth)
         for j in range(i):
-            dx = positions[i][0] - positions[j][0]
-            dy = positions[i][1] - positions[j][1]
-            d = math.hypot(dx, dy)
-            if d <= 0.0:
-                raise ParameterError("coincident conductors")
-            z[i, j] = z[j, i] = p_term + 1j * q_coef * math.log(depth / d)
-    return z
-
-
-def kron_reduce(z: np.ndarray, keep: int) -> np.ndarray:
-    """Eliminate the trailing rows/columns (grounded neutral) of ``z``."""
-    zpp = z[:keep, :keep]
-    zpn = z[:keep, keep:]
-    znp = z[keep:, :keep]
-    znn = z[keep:, keep:]
-    if zpn.size == 0:
-        return zpp.copy()
-    return zpp - zpn @ np.linalg.solve(znn, znp)
-
-
-@dataclass(frozen=True)
-class _CarsonConstants:
-    """What a line's Carson build takes from its configuration and geometry."""
-
-    gmd_m: float
-    p_term: float
-    q_coef: float
-    depth_m: float
-    primitive: np.ndarray  # the mutual terms; each line writes its self terms
-    diagonal: slice  # the self terms in ``primitive.flat``
-    keep: int  # active phases, ahead of the neutral
-    cells: np.ndarray  # where the reduced matrix goes in the flat 3x3 output
-
-
-@functools.lru_cache(maxsize=128)
-def _carson_constants(config: PhaseConfig, geometry: LineGeometry) -> _CarsonConstants:
-    """Every part of a line's Carson build that does not depend on its
-    (r1, rho), for one configuration and geometry: the mutual terms between
-    the active conductors and the neutral (placed last), the earth-return
-    constants and the output cells."""
-    phase_pos = geometry.phase_positions()
-    positions = [phase_pos[p] for p in config.phase_list]
-    if geometry.include_neutral:
-        xs = [p[0] for p in positions]
-        ys = [p[1] for p in positions]
-        positions.append((sum(xs) / len(xs), sum(ys) / len(ys) + geometry.neutral_offset_m))
-    frequency, resistivity = geometry.frequency_hz, geometry.earth_resistivity_ohm_m
-    # unit placeholders on the diagonal, which each line overwrites
-    primitive = carson_primitive(positions, 1.0, 1.0, frequency, resistivity)
+            d = math.hypot(positions[i][0] - positions[j][0], positions[i][1] - positions[j][1])
+            z[i, j] = z[j, i] = _P_TERM + 1j * _Q_COEF * math.log(_DEPTH_M / d)
     idx = config._phase_indices
     cells = np.array([3 * i + j for i in idx for j in idx])
-    # every caller shares these arrays: a write is an error
-    primitive.flags.writeable = cells.flags.writeable = False
-    n = len(positions)
-    return _CarsonConstants(
-        geometry.gmd_m(),
-        *_earth_return(frequency, resistivity),
-        primitive,
-        slice(None, None, n + 1),
-        len(idx),
-        cells,
-    )
+    # every line shares these arrays: a write is an error
+    z.flags.writeable = cells.flags.writeable = False
+    return z, len(idx), cells
 
 
-def carson_zabc(
-    params: LineParams,
-    config: PhaseConfig,
-    geometry: LineGeometry = _DEFAULT_GEOMETRY,
-) -> np.ndarray:
-    """3x3 phase impedance matrix (ohm/km) for the line's configuration.
+# by configuration index
+_CARSON = tuple(map(_carson_mutual, CONFIGS))
 
-    The conductor is derived from the sampled pair: the AC resistance is R1
-    and the GMR is chosen so a transposed three-phase line reproduces X1
-    (gmr = GMD * exp(-x1 / (4 pi f 1e-4))). Only the active conductors (plus
-    the neutral) enter the primitive matrix; inactive phases are zero
-    rows/columns of the returned container. The terms that depend only on
-    ``config`` and ``geometry`` come from a per-pair cache.
-    """
-    c = _carson_constants(config, geometry)
+
+def _self_term(params: LineParams) -> complex:
+    """Self impedance (ohm/km) of each conductor of the line, the neutral
+    included: r + pi^2 f 1e-4 + j 4pi f 1e-4 ln(D_e / gmr). The AC resistance
+    is R1 and the GMR is chosen so a transposed three-phase line reproduces
+    X1 (gmr = GMD * exp(-x1 / (4 pi f 1e-4)))."""
     r1 = params.r1_ohm_per_km
-    gmr = c.gmd_m * math.exp(-params.x1_ohm_per_km / c.q_coef)
+    gmr = _GMD_M * math.exp(-params.x1_ohm_per_km / _Q_COEF)
     if not (gmr > 0.0 and r1 > 0.0):
         raise ParameterError("conductor gmr and resistance must be positive")
-    zprim = c.primitive.copy()
-    zprim.flat[c.diagonal] = _self_term(r1, gmr, c.p_term, c.q_coef, c.depth_m)
+    return r1 + _P_TERM + 1j * _Q_COEF * math.log(_DEPTH_M / gmr)
+
+
+def carson_zabc(params: LineParams, config: PhaseConfig) -> np.ndarray:
+    """3x3 phase impedance matrix (ohm/km) for the line's configuration.
+
+    Only the active conductors (plus the neutral) enter the primitive matrix,
+    each with the self term ``_self_term`` derives from the sampled pair;
+    inactive phases are zero rows/columns of the returned container. The
+    neutral is Kron-reduced: Z_pp - Z_pn Z_nn^-1 Z_np.
+    """
+    mutual, keep, cells = _CARSON[config.value]
+    z = mutual.copy()
+    z.flat[:: keep + 2] = _self_term(params)
+    reduced = z[:keep, :keep] - z[:keep, keep:] @ np.linalg.solve(z[keep:, keep:], z[keep:, :keep])
     out = np.zeros(9, dtype=complex)
-    out[c.cells] = kron_reduce(zprim, c.keep).ravel()
+    out[cells] = reduced.ravel()
     return out.reshape(3, 3)
 
 
-def attach_zabc(
-    params: LineParams,
-    config: PhaseConfig,
-    geometry: LineGeometry = _DEFAULT_GEOMETRY,
-) -> LineParams:
-    return LineParams(params.r1_ohm_per_km, params.rho, carson_zabc(params, config, geometry))
+def attach_zabc(params: LineParams, config: PhaseConfig) -> LineParams:
+    return LineParams(params.r1_ohm_per_km, params.rho, carson_zabc(params, config))

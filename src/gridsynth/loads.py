@@ -98,11 +98,6 @@ class BusDemand:
             raise ValueError("p_kw must be a nonnegative 3-vector")
 
 
-def _category(config: PhaseConfig) -> str:
-    n = len(config.phases)
-    return ("mono", "bi", "tri")[n - 1]
-
-
 def mean_vector(draw, config: PhaseConfig) -> np.ndarray:
     """Category mean demand placed on the configuration's active phases.
 

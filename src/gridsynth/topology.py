@@ -147,14 +147,6 @@ class NetworkTopology:
         )
         object.__setattr__(self, "_index", index)
 
-    def degree(self, bus_id: str) -> int:
-        index = self._index
-        return index.degree[index.position[bus_id]]
-
-    @property
-    def bus_ids(self) -> list[str]:
-        return list(self._index.ids)
-
 
 def _positive_finite(value) -> bool:
     try:
@@ -175,15 +167,14 @@ class ZoneAssignment:
     """Distance-quantile zones for buses and lines.
 
     Bins are half-open with ties at an edge resolved to the lower zone:
-    zone k covers (edge[k-1], edge[k]], except zone 1 which also includes
-    its lower edge. ``zone_count`` is the effective count after merging
-    degenerate bins.
+    between consecutive distance quantiles q, zone k covers (q[k-1], q[k]],
+    except zone 1 which also includes its lower edge. ``zone_count`` is the
+    effective count after merging degenerate bins.
     """
 
     zone_count: int
     bus_zone: dict[str, int]
     line_zone: dict[str, int]
-    edges: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -285,10 +276,7 @@ def assign_zones(
         _zones_at(bus_zone, lines, "from_bus"), _zones_at(bus_zone, lines, "to_bus")
     )
     line_zone = dict(zip(map(attrgetter("id"), lines), upstream.tolist()))
-    edges = (float(values.min()),) + tuple(float(e) for e in inner) + (float(values.max()),)
-    return ZoneAssignment(
-        zone_count=effective, bus_zone=bus_zone, line_zone=line_zone, edges=edges
-    )
+    return ZoneAssignment(zone_count=effective, bus_zone=bus_zone, line_zone=line_zone)
 
 
 def _zones_at(bus_zone: dict[str, int], lines, end: str) -> np.ndarray:
@@ -345,9 +333,11 @@ def load_topology(path: str) -> NetworkTopology:
     """Read a topology JSON file.
 
     Schema: ``{"source": id, "buses": [{"id", "x"?, "y"?, "no_load"?}],
-    "lines": [{"id", "from", "to", "length_km"}]}``. ``x`` and ``y`` are
-    numbers or null, ``no_load`` is true or false and ``length_km`` is a
-    number; a record that breaks this raises ``TopologyError`` naming it.
+    "lines": [{"id", "from", "to", "length_km"}]}``. ``buses`` and ``lines``
+    are lists; every id (``source``, ``id``, ``from`` and ``to``) is a string
+    or an integer, read as its decimal string; ``x`` and ``y`` are numbers or
+    null, ``no_load`` is true or false and ``length_km`` is a number. A key or
+    record that breaks this raises ``TopologyError`` naming it.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -359,6 +349,9 @@ def load_topology(path: str) -> NetworkTopology:
     for key in ("buses", "lines", "source"):
         if key not in doc:
             raise TopologyError(f"{path}: missing required key {key!r}")
+    for key in ("buses", "lines"):
+        if not isinstance(doc[key], list):
+            raise TopologyError(f"{path}: {key!r} must be a list, got {doc[key]!r}")
     buses = []
     for i, rec in enumerate(doc["buses"]):
         where = f"{path}: buses[{i}]"
@@ -373,7 +366,7 @@ def load_topology(path: str) -> NetworkTopology:
         no_load = rec.get("no_load", False)
         if not isinstance(no_load, bool):
             raise TopologyError(f"{where} 'no_load' must be true or false, got {no_load!r}")
-        buses.append(Bus(id=str(rec["id"]), x=x, y=y, no_load=no_load))
+        buses.append(Bus(id=_id(rec["id"], f"{where} 'id'"), x=x, y=y, no_load=no_load))
     lines = []
     for i, rec in enumerate(doc["lines"]):
         where = f"{path}: lines[{i}]"
@@ -384,13 +377,22 @@ def load_topology(path: str) -> NetworkTopology:
                 raise TopologyError(f"{where} missing {key!r}")
         lines.append(
             Line(
-                id=str(rec["id"]),
-                from_bus=str(rec["from"]),
-                to_bus=str(rec["to"]),
+                id=_id(rec["id"], f"{where} 'id'"),
+                from_bus=_id(rec["from"], f"{where} 'from'"),
+                to_bus=_id(rec["to"], f"{where} 'to'"),
                 length_km=_number(rec["length_km"], f"{where} 'length_km'"),
             )
         )
-    return NetworkTopology(buses=tuple(buses), lines=tuple(lines), source=str(doc["source"]))
+    source = _id(doc["source"], f"{path}: 'source'")
+    return NetworkTopology(buses=tuple(buses), lines=tuple(lines), source=source)
+
+
+def _id(value, where: str) -> str:
+    """A JSON id as a string: a string as it is, an integer as its decimal
+    string; anything else (a bool, null, a float, a list) raises."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise TopologyError(f"{where} must be a string or an integer, got {value!r}")
 
 
 def _number(value, where: str) -> float:

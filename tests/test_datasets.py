@@ -35,7 +35,7 @@ def test_topology_round_trips(reference):
 def test_written_phases_are_consistent(reference):
     topo = demo_topology()
     phases = {r["bus_id"]: PhaseConfig.from_name(r["phase"]) for r in _rows(reference["phases"])}
-    assert set(phases) == set(topo.bus_ids)
+    assert set(phases) == {b.id for b in topo.buses}
     assert consistency_violations(topo, phases, compute_distances(topo)) == []
 
 

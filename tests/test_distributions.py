@@ -171,6 +171,44 @@ def test_truncnormal_degenerate_scale():
         sample_truncnormal(rng, -1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "mu, sigma, lower",
+    [
+        (math.nan, 1.0, 0.0),
+        (-math.inf, 1.0, 0.0),
+        (math.inf, 1.0, 0.0),
+        (math.inf, 0.0, 0.0),
+        (0.0, math.inf, 0.0),
+        (0.0, math.nan, 0.0),
+        (0.0, 1.0, math.nan),
+        # the bound 1e160 standard deviations up: a^2, and with it Robert's
+        # rate, overflows, and no proposal would ever be accepted
+        (-1e160, 1.0, 0.0),
+        (0.0, 1e-300, 1.0),
+        (0.0, 1.0, math.inf),
+    ],
+)
+def test_truncnormal_rejects_parameters_it_cannot_draw_from(mu, sigma, lower):
+    for size in (None, 5):
+        with pytest.raises(ParameterError):
+            sample_truncnormal(make_rng(1), mu, sigma, lower, size)
+
+
+def test_truncnormal_without_a_bound_is_the_normal():
+    rng = make_rng(26)
+    assert math.isfinite(sample_truncnormal(rng, 0.5, 2.0, -math.inf))
+    assert_moments(sample_truncnormal(rng, 0.5, 2.0, -math.inf, N), 0.5, 4.0)
+
+
+@pytest.mark.parametrize(
+    "shape, scale", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (math.nan, 1.0)]
+)
+def test_weibull_rejects_non_finite_parameters(shape, scale):
+    for size in (None, 5):
+        with pytest.raises(ParameterError):
+            sample_weibull(make_rng(1), shape, scale, size)
+
+
 def test_dirichlet_simplex_one_million():
     rng = make_rng(25)
     draws = sample_dirichlet(rng, [0.5, 1.0, 2.0], 1_000_000)

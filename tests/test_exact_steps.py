@@ -89,7 +89,6 @@ MIX_ZONES = ZoneAssignment(
     zone_count=2,
     bus_zone={},
     line_zone={f"l{i}": 1 + i % 2 for i in range(6)},
-    edges=(0.0, 1.0, 2.0),
 )
 MIX_DATA = {f"l{i}": x for i, x in enumerate([0.8, 1.2, 1.9, 2.6, 3.5, 5.0])}
 MIX_MEANS = np.array([1.0, 2.0, 4.0])
@@ -139,5 +138,5 @@ def test_mixture_weights_step_matches_enumeration(fit_calls):
     for z in range(2):
         for k in range(MIXTURE_COMPONENTS):
             series = trace[:, :, z, k].T  # (chains, draws)
-            se = series.std() / np.sqrt(_effective_sample_size(series))
+            se = series.std() / np.sqrt(_effective_sample_size(series[..., None])[0])
             assert abs(series.mean() - expected[z, k]) < 4 * se, (z, k, series.mean(), expected)

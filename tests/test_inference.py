@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from gridsynth import inference
 from gridsynth.distributions import make_rng, sample_gamma
 from gridsynth.inference import (
     FitConfig,
@@ -25,6 +26,13 @@ from gridsynth.inference import (
 )
 
 FAST = FitConfig(chains=4, warmup=800, draws=800, thin=2, seed=42)
+
+
+def constrain(space, z):
+    """Named constrained values of ``z`` (shape ``(..., dim)``) and the
+    log-Jacobian of the transform."""
+    flat, log_jacobian = space._constrain_flat(z)
+    return space._unpack(flat), log_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +53,7 @@ FAST = FitConfig(chains=4, warmup=800, draws=800, thin=2, seed=42)
 def test_transform_round_trip(definition, z):
     space = ParamSpace([definition])
     z = np.asarray(z, dtype=float)
-    values, _ = space.constrain(z)
+    values, _ = constrain(space, z)
     back = space.to_unconstrained(values)
     np.testing.assert_allclose(back, z, atol=1e-9)
 
@@ -68,7 +76,7 @@ def test_log_jacobian_matches_finite_differences(definition, z):
     dim = len(z)
 
     def free_coords(zz):
-        v = np.atleast_1d(np.asarray(space.constrain(zz)[0][definition.name]))
+        v = np.atleast_1d(np.asarray(constrain(space, zz)[0][definition.name]))
         return v[:dim]  # simplex drops its last (dependent) coordinate
 
     eps = 1e-6
@@ -79,7 +87,7 @@ def test_log_jacobian_matches_finite_differences(definition, z):
         zm[j] -= eps
         jac[:, j] = (free_coords(zp) - free_coords(zm)) / (2 * eps)
     numeric = math.log(abs(np.linalg.det(jac)))
-    assert space.constrain(z)[1] == pytest.approx(numeric, abs=1e-5)
+    assert constrain(space, z)[1] == pytest.approx(numeric, abs=1e-5)
 
 
 def test_simplex_support_of_draws():
@@ -87,7 +95,7 @@ def test_simplex_support_of_draws():
     rng = make_rng(3)
     for _ in range(200):
         z = rng.standard_normal(space.dim) * 3
-        vals, _ = space.constrain(z)
+        vals, _ = constrain(space, z)
         w = vals["w"]
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) < 1e-12
         m = vals["m"]
@@ -127,7 +135,12 @@ def test_dirichlet_categorical_recovery():
         lp += np.sum(counts * np.log(probs), axis=-1)
         return lp
 
-    ensemble = fit(logpost, space, FAST, init={"conc": np.ones(7), "probs": counts / counts.sum()})
+    init = {"conc": np.ones(7), "probs": counts / counts.sum()}
+    with warnings.catch_warnings():
+        # R-hat of an 800-sweep fit: probs[1] and probs[6] read about 1.09
+        # and 1.06; the test bounds only the posterior mean
+        warnings.filterwarnings("ignore", "R-hat", UserWarning)
+        ensemble = fit(logpost, space, FAST, init=init)
     mean = ensemble.draws["probs"].mean(axis=0)
     empirical = counts / counts.sum()
     assert np.max(np.abs(mean - empirical)) <= 0.01
@@ -167,7 +180,7 @@ def test_initialization_error():
         fit(lambda v: np.full(v["x"].shape, np.nan), space, FAST)
 
 
-def test_rhat_warning_on_stuck_chains():
+def test_rhat_warning_on_stuck_chains(monkeypatch):
     # two narrow modes far apart: chains starting on opposite sides cannot mix
     space = ParamSpace([ParamDef("x", (), "real")])
 
@@ -175,13 +188,14 @@ def test_rhat_warning_on_stuck_chains():
         x = v["x"]
         return np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2)
 
-    config = FitConfig(chains=4, warmup=300, draws=300, thin=1, init_jitter=45.0, seed=11)
+    monkeypatch.setattr(inference, "_INIT_JITTER", 45.0)
+    config = FitConfig(chains=4, warmup=300, draws=300, thin=1, seed=11)
     with pytest.warns(UserWarning, match="R-hat"):
         ensemble = fit(logpost, space, config)
     assert ensemble.warnings
 
 
-def test_one_rhat_warning_per_fit():
+def test_one_rhat_warning_per_fit(monkeypatch):
     # the stuck bimodal target on every component of a vector parameter
     space = ParamSpace([ParamDef("x", (3,), "real")])
 
@@ -191,7 +205,8 @@ def test_one_rhat_warning_per_fit():
             np.logaddexp(-0.5 * ((x - 40) / 0.1) ** 2, -0.5 * ((x + 40) / 0.1) ** 2), axis=-1
         )
 
-    config = FitConfig(chains=4, warmup=300, draws=300, thin=1, init_jitter=45.0, seed=11)
+    monkeypatch.setattr(inference, "_INIT_JITTER", 45.0)
+    config = FitConfig(chains=4, warmup=300, draws=300, thin=1, seed=11)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ensemble = fit(logpost, space, config)
@@ -204,13 +219,13 @@ def test_one_rhat_warning_per_fit():
 
 def test_constant_chains_that_disagree_are_not_converged():
     # four chains stuck at 0, 1, 2 and 3: no within-chain variance at all
-    stuck = np.repeat(np.arange(4.0)[:, None], 20, axis=1)
-    assert _split_rhat(stuck) == math.inf
-    assert _effective_sample_size(stuck) == 4.0
+    stuck = np.repeat(np.arange(4.0)[:, None, None], 20, axis=1)
+    assert _split_rhat(stuck)[0] == math.inf
+    assert _effective_sample_size(stuck)[0] == 4.0
     # chains that agree on one constant are converged, one draw each apart
-    agreed = np.full((4, 20), 2.5)
-    assert _split_rhat(agreed) == 1.0
-    assert _effective_sample_size(agreed) == 80.0
+    agreed = np.full((4, 20, 1), 2.5)
+    assert _split_rhat(agreed)[0] == 1.0
+    assert _effective_sample_size(agreed)[0] == 80.0
 
 
 def test_thinning_past_the_draw_count_is_rejected():
@@ -292,9 +307,9 @@ def test_summary_matches_per_scalar_diagnostics(draws):
         series = chain_draws[:, :, j]
         assert rhat[j] == pytest.approx(reference_split_rhat(series), rel=1e-12), names[j]
         assert ess[j] == pytest.approx(reference_ess(series), rel=1e-12), names[j]
-        # one scalar at a time still returns a float
-        assert _split_rhat(series) == pytest.approx(rhat[j], rel=1e-12)
-        assert isinstance(_effective_sample_size(series), float)
+        # one scalar alone gets the value it gets among the others
+        assert _split_rhat(series[..., None])[0] == pytest.approx(rhat[j], rel=1e-12)
+        assert _effective_sample_size(series[..., None])[0] == pytest.approx(ess[j], rel=1e-12)
     assert (rhat[4], ess[4]) == (1.0, 4.0 * draws)
     assert (rhat[5], ess[5]) == (math.inf, 4.0)
 
@@ -314,7 +329,7 @@ def test_log_posterior_calls_per_fit():
     def draw_y(v, rngs):
         return {"y": np.array([rng.standard_normal() for rng in rngs])}
 
-    def rows_per_call(init_jitter, rejected_call=None):
+    def rows_per_call(rejected_call=None):
         calls = []
 
         def logpost(v):
@@ -322,19 +337,17 @@ def test_log_posterior_calls_per_fit():
             lp = -0.5 * (v["a"] ** 2 + v["b"] ** 2 + v["y"] ** 2) + stats.gamma.logpdf(v["c"], 2.0)
             return np.full(lp.shape, -np.inf) if len(calls) == rejected_call else lp
 
-        config = FitConfig(chains=3, warmup=7, draws=5, thin=1, init_jitter=init_jitter, seed=29)
+        config = FitConfig(chains=3, warmup=7, draws=5, thin=1, seed=29)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # R-hat of a 12-sweep fit
             fit(logpost, space, config, exact=[(["y"], draw_y)])
         return calls
 
     sweeps = 7 + 5
-    # init, then per sweep two blocks and one exact step
-    assert rows_per_call(0.0) == [1] + [3] * (sweeps * 3)
-    # init, one jitter attempt
-    assert rows_per_call(0.1) == [1, 3] + [3] * (sweeps * 3)
+    # init, one jitter attempt, then per sweep two blocks and one exact step
+    assert rows_per_call() == [1, 3] + [3] * (sweeps * 3)
     # the first jitter attempt scores -inf for every chain, so a second runs
-    assert rows_per_call(0.1, rejected_call=2) == [1, 3, 3] + [3] * (sweeps * 3)
+    assert rows_per_call(rejected_call=2) == [1, 3, 3] + [3] * (sweeps * 3)
 
 
 def test_rhat_warning_lists_infinite_values():
@@ -468,7 +481,7 @@ def test_overflowing_proposal_is_rejected():
         fit(broken, space, config)
 
 
-def test_underflowing_proposal_is_rejected():
+def test_underflowing_proposal_is_rejected(monkeypatch):
     # exp(z) underflows to 0.0 for z < ~-745.13, outside the positive support; a
     # gamma shape of 0 is outside the model's domain, so it must never see one
     space = ParamSpace([ParamDef("shape", (), "positive")])
@@ -480,7 +493,8 @@ def test_underflowing_proposal_is_rejected():
         return stats.gamma.logpdf(1.0, v["shape"]) - 2.0 * np.log(v["shape"])
 
     # long steps from exp(-700) make many proposals land below the underflow point
-    config = FitConfig(chains=2, warmup=50, draws=50, thin=1, initial_step=30.0, seed=3)
+    monkeypatch.setattr(inference, "_INITIAL_STEP", 30.0)
+    config = FitConfig(chains=2, warmup=50, draws=50, thin=1, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # R-hat of a wandering chain
         ensemble = fit(logpost, space, config, init={"shape": math.exp(-700.0)})

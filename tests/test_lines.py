@@ -12,9 +12,10 @@ from gridsynth.datasets import DEMO_ZONES, _line_truth_draw
 from gridsynth.distributions import ParameterError, make_rng
 from gridsynth.inference import FitConfig
 from gridsynth.lines import (
-    LineGeometry,
+    _CARSON,
     LineParams,
     _mixture_logpost,
+    _self_term,
     carson_zabc,
     fit_line_model,
     sample_line,
@@ -29,7 +30,6 @@ ZONES = ZoneAssignment(
     zone_count=2,
     bus_zone={},
     line_zone={f"l{i}": 1 + i % 2 for i in range(12)},
-    edges=(0.0, 1.0, 2.0),
 )
 
 
@@ -63,10 +63,13 @@ def positive_sequence(z_abc: np.ndarray) -> complex:
 
 
 def test_positive_sequence_without_neutral_reproduces_r1_and_x1():
-    # with no neutral to Kron-reduce, the derived GMR makes the transposed
-    # line's positive-sequence impedance exactly r1 + j x1
+    # on the three phase conductors alone, with no neutral to Kron-reduce,
+    # the derived GMR makes the transposed line's positive-sequence
+    # impedance exactly r1 + j x1
     params = LineParams(r1_ohm_per_km=0.3, rho=1.7)
-    z_abc = carson_zabc(params, PhaseConfig.ABC, LineGeometry(include_neutral=False))
+    mutual = _CARSON[PhaseConfig.ABC.value][0]
+    z_abc = mutual[:3, :3].copy()  # the neutral is the last row and column
+    np.fill_diagonal(z_abc, _self_term(params))
     z1 = positive_sequence(z_abc)
     assert abs(z1 - complex(0.3, 1.7 * 0.3)) < 1e-12
 

@@ -1,6 +1,7 @@
 """Demand model checks: mean vectors, power factor, sampling, fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,7 +128,11 @@ def _synthetic_dataset(n, rng, truth=TRUTH):
 def test_fit_recovers_potentials():
     rng = make_rng(202)
     demands, allocations = _synthetic_dataset(1500, rng)
-    posterior = fit_load_model(demands, allocations, FAST)
+    with warnings.catch_warnings():
+        # R-hat of a 600-sweep fit: the Gamma shapes and rates mix slowly;
+        # the test reads the potentials, the split and the scale
+        warnings.filterwarnings("ignore", "R-hat", UserWarning)
+        posterior = fit_load_model(demands, allocations, FAST)
     for name in ("p_pot_mono", "p_pot_bi", "p_pot_tri", "delta_bi", "sigma_p"):
         mean = posterior.ensemble.draws[name].mean(axis=0)
         assert mean == pytest.approx(TRUTH[name], rel=0.15), name
@@ -136,7 +141,8 @@ def test_fit_recovers_potentials():
     idx_rng = make_rng(203)
     predictive = []
     for _ in range(500):
-        draw = posterior.draw(int(idx_rng.random() * posterior.ensemble.size))
+        i = int(idx_rng.random() * posterior.ensemble.size)
+        draw = {name: values[i] for name, values in posterior.ensemble.draws.items()}
         cfg = list(allocations.values())[int(idx_rng.random() * len(allocations))]
         predictive.append(sample_demand(draw, cfg, idx_rng, 0.95).p_kw.sum())
     assert np.mean(predictive) == pytest.approx(observed_total, rel=0.05)
@@ -151,8 +157,12 @@ def test_fit_balanced_tri_recovers_even_split():
         bus = f"b{i:05d}"
         allocations[bus] = PhaseConfig.ABC
         demands[bus] = sample_demand(truth, PhaseConfig.ABC, rng, 0.95).p_kw
-    with pytest.warns(UserWarning, match="no (mono|bi)-phase observations"):
-        posterior = fit_load_model(demands, allocations, FAST)
+    with warnings.catch_warnings():
+        # R-hat of a 600-sweep fit: the Gamma shapes and rates mix slowly;
+        # the test reads only the three-phase split
+        warnings.filterwarnings("ignore", "R-hat", UserWarning)
+        with pytest.warns(UserWarning, match="no (mono|bi)-phase observations"):
+            posterior = fit_load_model(demands, allocations, FAST)
     mean = posterior.ensemble.draws["delta_tri"].mean(axis=0)
     np.testing.assert_allclose(mean, 1 / 3, atol=0.03)
 

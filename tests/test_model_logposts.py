@@ -26,6 +26,7 @@ from gridsynth.loads import fit_load_model, sample_demand
 from gridsynth.phases import CONFIGS, fit_phase_model
 from gridsynth.reliability import fit_caidi, fit_caifi
 from gridsynth.topology import ZoneAssignment, group_by_zone
+from test_inference import constrain
 
 BUSES = [f"b{i:02d}" for i in range(60)]
 LINES = [f"l{i:02d}" for i in range(40)]
@@ -34,7 +35,6 @@ ZONES = ZoneAssignment(
     zone_count=3,
     bus_zone={bus: 1 + i % 3 for i, bus in enumerate(BUSES)},
     line_zone={line: (1, 3)[i % 2] for i, line in enumerate(LINES)},
-    edges=(0.0, 20.0, 40.0, 60.0),
 )
 LOAD_TRUTH = {
     "p_pot_mono": 2.0,
@@ -289,7 +289,7 @@ def test_batched_log_posterior_matches_scalar_reference(model, fit_calls):
         z[28] *= 60.0
         z[29, :] = -30.0
         with np.errstate(all="ignore"):
-            values, _ = space.constrain(z)
+            values, _ = constrain(space, z)
             batched = log_posterior(values)
             expected = [scored_by_fit(reference, row(values, i)) for i in range(len(z))]
         assert batched.shape == (len(z),)

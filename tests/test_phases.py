@@ -235,7 +235,7 @@ def test_allocate_zero_mass_warns_once_per_zone_and_parent():
     topo = NetworkTopology(buses=tuple(buses), lines=tuple(lines), source="sub")
     bus_zone = {b.id: 1 if b.id in ("sub", "m") else 2 for b in buses}
     zones = ZoneAssignment(
-        zone_count=2, bus_zone=bus_zone, line_zone={}, edges=(0.0, 1.0, 3.0)
+        zone_count=2, bus_zone=bus_zone, line_zone={}
     )
     base = np.zeros((2, 7))
     base[0, PhaseConfig.A.index] = 1.0
@@ -253,8 +253,12 @@ def test_allocate_zero_mass_warns_once_per_zone_and_parent():
 def test_fit_all_abc_concentrates():
     topo = demo_topology()
     zones = assign_zones(compute_distances(topo), topo.lines, 1)
-    observed = {b: PhaseConfig.ABC for b in topo.bus_ids}
-    posterior = fit_phase_model(observed, zones, FAST)
+    observed = {b.id: PhaseConfig.ABC for b in topo.buses}
+    with warnings.catch_warnings():
+        # R-hat of a 600-sweep fit: the concentrations mix slowly; the test
+        # reads only the base row
+        warnings.filterwarnings("ignore", "R-hat", UserWarning)
+        posterior = fit_phase_model(observed, zones, FAST)
     mean = posterior.ensemble.draws["base_z1"].mean(axis=0)
     assert mean[PhaseConfig.ABC.index] > 0.95
 
@@ -264,12 +268,16 @@ def test_fit_two_zones_recovers_composition_direction():
     zones = assign_zones(compute_distances(topo), topo.lines, 2)
     rng = make_rng(12)
     observed = {}
-    for bus in topo.bus_ids:
+    for bus in (b.id for b in topo.buses):
         if zones.bus_zone[bus] == 1:
             observed[bus] = PhaseConfig.ABC if rng.random() < 0.7 else PhaseConfig.A
         else:
             observed[bus] = PhaseConfig.ABC if rng.random() < 0.2 else PhaseConfig.A
-    draws = fit_phase_model(observed, zones, FAST).ensemble.draws
+    with warnings.catch_warnings():
+        # R-hat of a 600-sweep fit: the concentrations mix slowly; the test
+        # reads only the base rows
+        warnings.filterwarnings("ignore", "R-hat", UserWarning)
+        draws = fit_phase_model(observed, zones, FAST).ensemble.draws
     abc = PhaseConfig.ABC.index
     assert draws["base_z1"][:, abc].mean() > draws["base_z2"][:, abc].mean()
 

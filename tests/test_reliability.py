@@ -1,16 +1,19 @@
 """Reliability-model input checks, the hurdle likelihood and sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from gridsynth.datasets import DEMO_CAIDI, DEMO_CAIFI, DEMO_ZONES
 from gridsynth.distributions import make_rng
 from gridsynth.inference import FitConfig
 from gridsynth.reliability import fit_caidi, fit_caifi, sample_caidi, sample_caifi
 from gridsynth.topology import ZoneAssignment
 from test_distributions import N, assert_moments
+from test_inference import constrain
 
 TINY = FitConfig(chains=1, warmup=10, draws=10, thin=1, seed=5)
 
@@ -18,7 +21,6 @@ ZONES = ZoneAssignment(
     zone_count=2,
     bus_zone={f"b{i}": 1 + i % 2 for i in range(20)},
     line_zone={},
-    edges=(0.0, 9.5, 19.0),
 )
 
 
@@ -42,13 +44,52 @@ def test_bus_without_zone_is_named(fit_model):
         fit_model(observations(1.0, bus="b99"), ZONES, TINY)
 
 
+@pytest.mark.parametrize(
+    "fit_model, data, message",
+    [
+        (fit_caidi, {}, "no duration observations"),
+        (fit_caidi, observations(-0.5), "durations must be nonnegative"),
+        (fit_caifi, {}, "no count observations"),
+        (fit_caifi, observations(-1), "nonnegative integers"),
+        (fit_caifi, observations(1.5), "nonnegative integers"),
+    ],
+)
+def test_fit_rejects_invalid_observations(fit_model, data, message):
+    with pytest.raises(ValueError, match=message):
+        fit_model(data, ZONES, TINY)
+
+
+def test_fits_recover_the_demo_truth():
+    # closed loop: 300 buses per zone drawn at the demo truth, fitted back.
+    # Tolerance: every posterior mean within 3 posterior standard deviations
+    # of the truth. Over FitConfig seeds 0-3 the largest distance measured
+    # was 2.04 (freq_mean in zone 4), and the largest relative error 16 %.
+    rng = make_rng(41)
+    bus_zone = {f"b{z}_{i}": z for z in range(1, DEMO_ZONES + 1) for i in range(300)}
+    zones = ZoneAssignment(zone_count=DEMO_ZONES, bus_zone=bus_zone, line_zone={})
+    durations = {b: sample_caidi(DEMO_CAIDI, z, rng) for b, z in bus_zone.items()}
+    counts = {b: sample_caifi(DEMO_CAIFI, z, rng) for b, z in bus_zone.items()}
+    config = FitConfig(chains=4, warmup=300, draws=300, thin=1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a 300-sweep fit
+        fitted = [
+            (fit_caidi(durations, zones, config), DEMO_CAIDI),
+            (fit_caifi(counts, zones, config), DEMO_CAIFI),
+        ]
+    for posterior, truth in fitted:
+        for name, value in truth.items():
+            draws = posterior.ensemble.draws[name]
+            distance = np.abs(draws.mean(axis=0) - value) / draws.std(axis=0)
+            assert np.all(distance < 3.0), (name, distance)
+
+
 def test_caidi_likelihood_is_the_bernoulli_gated_weibull_mixture(fit_calls):
     # brute force over the gate: a duration's measure sums "no interruption"
     # (a point mass at 0, weight 1 - p) and "interrupted" (Weibull, weight p)
     durations = observations()
     fit_caidi(durations, ZONES, TINY)
     ((log_posterior, space, _, _),) = fit_calls
-    values, _ = space.constrain(make_rng(6).standard_normal((5, space.dim)))
+    values, _ = constrain(space, make_rng(6).standard_normal((5, space.dim)))
     got = log_posterior(values)
     for i in range(5):
         p, shape, scale = (values[k][i] for k in ("hurdle_p", "weib_shape", "weib_scale"))

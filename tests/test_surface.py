@@ -1,10 +1,25 @@
-"""Every name a ``gridsynth`` module exports has a caller.
+"""Every name and member the ``gridsynth`` package defines has a reader.
 
 The package's surface is what its own modules and the benchmark harness
-call: fit a reference, generate networks from it, validate them. A name in
-an ``__all__`` that nothing in ``src/gridsynth`` or in the non-test files of
-``perfbench`` refers to, outside its own definition, is surface that only
-tests use: delete it, or move it into the tests.
+call: fit a reference, generate networks from it, validate them. Code that
+nothing in ``src/gridsynth`` or in the non-test files of ``perfbench`` reads
+is surface that only tests use: delete it, or move it into the tests. Three
+checks hold this:
+
+- every name in an ``__all__`` is referenced outside its own definition;
+- every top-level function or class, private ones included, is referenced
+  outside its own definition;
+- every public method, property and annotated field of a public class is
+  read as an attribute (``obj.name`` in load context) outside any function
+  of the same name, so a method that only forwards to a namesake does not
+  count as its reader. A keyword in a constructor call sets a field and does
+  not read it.
+
+The checks go by name, not by type: a member counts as read when any
+attribute of that name is read. A member that shares its name with a member
+that is read is invisible to them: a ``NetworkTopology.degree`` method that
+only tests call would pass, because the topology layers read
+``_Index.degree``.
 """
 
 import ast
@@ -17,10 +32,16 @@ PACKAGE = ROOT / "src" / "gridsynth"
 # them, by design.
 ENTRY_POINTS = {"make_rng", "load_topology"}
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def caller_files() -> list[Path]:
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
     return sorted(PACKAGE.glob("*.py")) + bench
+
+
+def parsed() -> list[tuple[Path, ast.Module]]:
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in caller_files()]
 
 
 def exports(tree: ast.Module) -> list[str]:
@@ -34,7 +55,7 @@ def exports(tree: ast.Module) -> list[str]:
 
 def defined_names(node: ast.stmt) -> set[str]:
     """The names a top-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
         return {node.name}
     targets = []
     if isinstance(node, ast.Assign):
@@ -64,11 +85,42 @@ def references(tree: ast.Module) -> set[str]:
     return found
 
 
+def attributes_read(tree: ast.Module) -> set[str]:
+    """Attribute names the module reads, leaving out reads inside a function
+    of the same name."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, functions: frozenset[str]) -> None:
+        if isinstance(node, FUNCTIONS):
+            functions = functions | {node.name}
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr not in functions
+        ):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(tree, frozenset())
+    return found
+
+
+def members(cls: ast.ClassDef) -> list[str]:
+    """The public methods, properties and annotated fields of a class."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, FUNCTIONS):
+            names.append(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_exported_name_has_a_caller():
     exported: dict[str, str] = {}
     referenced: set[str] = set()
-    for path in caller_files():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in parsed():
         referenced |= references(tree)
         if path.parent == PACKAGE:
             exported.update({name: path.stem for name in exports(tree)})
@@ -79,3 +131,33 @@ def test_every_exported_name_has_a_caller():
         if name not in referenced and name not in ENTRY_POINTS
     )
     assert unused == [], "exported but called only by tests, if at all: " + ", ".join(unused)
+
+
+def test_every_function_and_class_has_a_caller():
+    files = parsed()
+    referenced = set().union(*(references(tree) for _, tree in files))
+    unused = sorted(
+        f"{path.stem}.{node.name}"
+        for path, tree in files
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+        and node.name not in referenced
+        and node.name not in ENTRY_POINTS
+    )
+    assert unused == [], "defined but called only by tests, if at all: " + ", ".join(unused)
+
+
+def test_every_class_member_has_a_reader():
+    files = parsed()
+    read = set().union(*(attributes_read(tree) for _, tree in files))
+    unread = sorted(
+        f"{node.name}.{member}"
+        for path, tree in files
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in members(node)
+        if member not in read
+    )
+    assert unread == [], "members read only by tests, if at all: " + ", ".join(unread)

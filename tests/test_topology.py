@@ -5,6 +5,7 @@ import json
 import re
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ from gridsynth.topology import (
     save_topology,
     shortest_path_tree,
 )
+
+
+def bus_ids(topology):
+    return [b.id for b in topology.buses]
+
+
+def assert_zones_ordered(distances, bus_zone, zone_count):
+    """Zones are bins of distance: every bus of a zone is nearer the source
+    than every bus of a later zone (a zone may be empty)."""
+    by_zone = {}
+    for bus, zone in bus_zone.items():
+        assert 1 <= zone <= zone_count
+        by_zone.setdefault(zone, []).append(distances[bus])
+    spans = [(min(by_zone[z]), max(by_zone[z])) for z in sorted(by_zone)]
+    for (_, nearer_max), (farther_min, _) in zip(spans, spans[1:]):
+        assert nearer_max < farther_min
 
 
 def chain(lengths, prefix="b"):
@@ -151,14 +168,8 @@ def test_zone_interval_invariant():
     dists = {"src": 0.0}
     dists.update({f"n{i}": float(x) for i, x in enumerate(rng.random(40) * 12)})
     za = assign_zones(dists, (), 5)
-    edges = za.edges
-    for bus, zone in za.bus_zone.items():
-        d = dists[bus]
-        lo, hi = edges[zone - 1], edges[zone]
-        if zone == 1:
-            assert lo <= d <= hi
-        else:
-            assert lo < d <= hi
+    assert za.zone_count == 5
+    assert_zones_ordered(dists, za.bus_zone, za.zone_count)
 
 
 def test_hierarchy_path_graph():
@@ -222,11 +233,11 @@ def test_triangle_inequality_on_random_paths():
     rng = make_rng(10)
     topo = _random_tree(rng, 80, extra_edges=10)
     dist, parent = shortest_path_tree(topo)
-    neighbors = {bus: [] for bus in topo.bus_ids}
+    neighbors = {bus: [] for bus in bus_ids(topo)}
     for line in topo.lines:
         neighbors[line.from_bus].append((line.to_bus, line.length_km))
         neighbors[line.to_bus].append((line.from_bus, line.length_km))
-    ids = topo.bus_ids
+    ids = bus_ids(topo)
     for _ in range(100):
         bus = ids[int(rng.random() * len(ids))]
         # sum of edge lengths along the predecessor path equals the Dijkstra distance
@@ -313,7 +324,8 @@ def test_line_shorter_than_distance_resolution():
 def _walk_to_root_hierarchy(topology):
     """Reference: the walk-to-root hierarchy, ordered by (distance, bus id)."""
     dist, tree_parent = shortest_path_tree(topology)
-    ram = {b for b in topology.bus_ids if topology.degree(b) > 2}
+    degree = Counter(b for line in topology.lines for b in (line.from_bus, line.to_bus))
+    ram = {b for b in bus_ids(topology) if degree[b] > 2}
     ram.add(topology.source)
 
     def first_ram_ancestor(bus):
@@ -325,7 +337,7 @@ def _walk_to_root_hierarchy(topology):
         return topology.source
 
     parent = {r: first_ram_ancestor(r) for r in ram if r != topology.source}
-    nearest = {v: first_ram_ancestor(v) for v in topology.bus_ids if v not in ram}
+    nearest = {v: first_ram_ancestor(v) for v in bus_ids(topology) if v not in ram}
     ordered = tuple(sorted(ram, key=lambda b: (dist[b], b)))
     return RamificationHierarchy(
         ramification_set=ordered, parent=parent, nearest_ramification=nearest
@@ -370,14 +382,12 @@ def test_allocation_and_zones_on_random_trees(topo, zone_count, seed):
     rng = make_rng(seed)
     base = rng.random((zones.zone_count, 7))
     allocation = allocate(topo, build_hierarchy(topo), zones, base, rng)
-    assert set(allocation) == set(topo.bus_ids)
+    assert set(allocation) == set(bus_ids(topo))
     assert consistency_violations(topo, allocation, d) == []
     for line in topo.lines:
         near = min((line.from_bus, line.to_bus), key=lambda b: (d[b], b))
         assert zones.line_zone[line.id] == zones.bus_zone[near]
-    for bus, zone in zones.bus_zone.items():
-        lo, hi = zones.edges[zone - 1], zones.edges[zone]
-        assert (lo <= d[bus] if zone == 1 else lo < d[bus]) and d[bus] <= hi
+    assert_zones_ordered(d, zones.bus_zone, zones.zone_count)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +404,17 @@ def test_allocation_and_zones_on_random_trees(topo, zone_count, seed):
         ({"buses": [{"id": "a"}, {"id": "b", "x": "foo"}]}, "buses[1]"),
         ({"buses": [{"id": "a", "y": [1.0]}, {"id": "b"}]}, "buses[0]"),
         ({"buses": [{"id": "a"}, "b"]}, "buses[1]"),
+        ({"buses": 5}, "'buses'"),
+        ({"buses": None}, "'buses'"),
+        ({"lines": 7}, "'lines'"),
+        ({"buses": [{"id": None}, {"id": "b"}]}, "buses[0] 'id'"),
+        ({"buses": [{"id": "a"}, {"id": True}]}, "buses[1] 'id'"),
+        ({"buses": [{"id": "a"}, {"id": 2.0}]}, "buses[1] 'id'"),
+        ({"lines": [{"id": None, "from": "a", "to": "b", "length_km": 1.0}]}, "lines[0] 'id'"),
+        ({"lines": [{"id": "l", "from": None, "to": "b", "length_km": 1.0}]}, "lines[0] 'from'"),
+        ({"lines": [{"id": "l", "from": "a", "to": True, "length_km": 1.0}]}, "lines[0] 'to'"),
+        ({"source": ["a"]}, "'source'"),
+        ({"source": None}, "'source'"),
     ],
 )
 def test_load_topology_names_a_malformed_record(tmp_path, record, name):
@@ -419,6 +440,18 @@ def test_load_topology_reads_numbers_and_flags(tmp_path):
     topo = load_topology(str(p))
     assert topo.buses == (Bus("a", x=1.0), Bus("b", no_load=True))
     assert topo.lines == (Line("l", "a", "b", 2.0),)
+
+
+def test_load_topology_reads_integer_ids_as_strings(tmp_path):
+    p = tmp_path / "topo.json"
+    p.write_text(
+        '{"source": 1, "buses": [{"id": 1}, {"id": "2"}],'
+        ' "lines": [{"id": 7, "from": 1, "to": 2, "length_km": 1.5}]}'
+    )
+    topo = load_topology(str(p))
+    assert topo.source == "1"
+    assert topo.buses == (Bus("1"), Bus("2"))
+    assert topo.lines == (Line("7", "1", "2", 1.5),)
 
 
 @pytest.mark.parametrize("length", ["1.5", None, float("nan"), float("inf"), -1.0])
@@ -487,7 +520,7 @@ def _reference_tree(topology):
 
 
 def _reference_hierarchy(topology, tree_parent, order, degree):
-    ram = {b for b in topology.bus_ids if degree[b] > 2}
+    ram = {b for b in bus_ids(topology) if degree[b] > 2}
     ram.add(topology.source)
     above = {}
     for v in order[1:]:
@@ -497,7 +530,7 @@ def _reference_hierarchy(topology, tree_parent, order, degree):
     return RamificationHierarchy(
         ramification_set=ordered,
         parent={r: above[r] for r in ordered[1:]},
-        nearest_ramification={v: above[v] for v in topology.bus_ids if v not in ram},
+        nearest_ramification={v: above[v] for v in bus_ids(topology) if v not in ram},
     )
 
 
@@ -559,7 +592,7 @@ def test_index_layers_match_string_keyed_references(topo, zone_count, seed):
     assert shortest_path_tree(topo) == (dist, parent)
     index = topo._index
     assert [index.ids[b] for b in index.order] == order
-    assert all(topo.degree(b) == degree[b] for b in topo.bus_ids)
+    assert dict(zip(index.ids, index.degree)) == degree
 
     hierarchy = build_hierarchy(topo)
     assert hierarchy == _reference_hierarchy(topo, parent, order, degree)
@@ -576,7 +609,7 @@ def test_index_layers_match_string_keyed_references(topo, zone_count, seed):
 
     # a mesh line between two branches can violate; a tree line never does
     configs = make_rng(seed).integers(0, 7, len(topo.buses)).tolist()
-    scrambled = {b: CONFIGS[i] for b, i in zip(topo.bus_ids, configs)}
+    scrambled = {b: CONFIGS[i] for b, i in zip(bus_ids(topo), configs)}
     for phases in (allocation, scrambled):
         assert consistency_violations(topo, phases, dist) == _reference_violations(
             topo, phases, dist, order
