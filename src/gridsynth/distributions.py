@@ -6,14 +6,15 @@ streams on any platform. Substreams for independent workers are derived from
 ``(seed, *path)`` labels, never by jumping a shared stream.
 
 Samplers accept ``size=None`` for a scalar draw or an integer for a vectorized
-batch. Log-densities return ``-inf`` outside the support.
+batch. Log-densities return ``-inf`` outside the support. A categorical pick
+has no sampler of its own: the callers draw one uniform each and place it on
+the running totals of ``_cumulative``, which holds the checks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -27,7 +28,6 @@ __all__ = [
     "sample_weibull",
     "sample_beta",
     "sample_dirichlet",
-    "sample_categorical",
     "sample_negbinomial",
     "sample_truncnormal",
 ]
@@ -229,13 +229,15 @@ def sample_dirichlet(rng, concentration, size: int | None = None):
         return g / g.sum(axis=-1, keepdims=True)
 
 
-def _cumulative(p: np.ndarray) -> list[float]:
-    """Running totals of a validated probability vector, for ``bisect_right``
-    on ``u * total``. Plain Python: on the short vectors drawn one at a time,
-    numpy's per-call cost would dominate."""
+def _cumulative(p) -> list[float]:
+    """Running totals of a sequence of probabilities (need not be
+    normalized), for ``bisect_right(cum, u * cum[-1])`` with ``u`` one
+    uniform: the one categorical pick, which ``phases.allocate`` and the line
+    mixtures both make. Plain Python: on the short vectors drawn one at a
+    time, numpy's per-call cost would dominate."""
     cum = []
     total = 0.0
-    for value in p.tolist():
+    for value in p:
         if not value >= 0.0:
             raise ParameterError("categorical probabilities must be nonnegative")
         total += value
@@ -243,21 +245,6 @@ def _cumulative(p: np.ndarray) -> list[float]:
     _require(total > 0.0, "categorical probabilities must not all be zero")
     _require(total < math.inf, "categorical probabilities must have a finite total")
     return cum
-
-
-def sample_categorical(rng: Generator, probs, size: int | None = None):
-    """Index draw proportional to ``probs`` (need not be normalized)."""
-    p = np.asarray(probs, dtype=float)
-    _require(p.ndim == 1 and p.size >= 1, "categorical needs a probability vector")
-    if size is None:
-        cum = _cumulative(p)
-        return bisect_right(cum, rng.random() * cum[-1])
-    _require(bool(np.all(p >= 0.0)), "categorical probabilities must be nonnegative")
-    total = p.sum()
-    _require(total > 0.0, "categorical probabilities must not all be zero")
-    _require(total < math.inf, "categorical probabilities must have a finite total")
-    cum = np.cumsum(p)
-    return np.searchsorted(cum, rng.random(size) * total, side="right").astype(np.int64)
 
 
 def sample_negbinomial(rng: Generator, mu: float, alpha: float, size: int | None = None):

@@ -39,8 +39,8 @@ one transform call and one log-posterior call over a leading chain axis:
 Chains are pooled after warm-up and thinning; the kept draws are the
 constrained rows. Split-R-hat and effective sample size are attached as
 diagnostics (chains stuck at different constants have an infinite R-hat),
-computed for all scalars at once; an R-hat above the threshold is a warning
-on the ensemble, never a hard failure.
+computed for all scalars at once; R-hats above the threshold are listed in
+one ``UserWarning`` per fit, never a hard failure.
 """
 
 from __future__ import annotations
@@ -324,7 +324,6 @@ class PosteriorEnsemble:
 
     draws: dict[str, np.ndarray]
     diagnostics: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -393,8 +392,8 @@ def fit(
     the rest of the row is the chain's current state, which is inside.
 
     At most one ``UserWarning`` per call lists the scalars above the R-hat
-    threshold (an infinite R-hat included); ``ensemble.warnings`` holds one
-    message per scalar. Chains start from ``init`` (or the transform origin)
+    threshold (an infinite R-hat included); ``diagnostics["rhat"]`` holds
+    every scalar's value. Chains start from ``init`` (or the transform origin)
     with per-chain jitter; step sizes adapt during warm-up only, so the kept
     draws target the exact posterior.
     """
@@ -562,7 +561,6 @@ def fit(
     }
     # NaN (too few draws) compares false; an infinite R-hat is listed
     high = [(n, r) for n, r in zip(names, rhat) if r > _RHAT_THRESHOLD]
-    ensemble.warnings = [f"R-hat {r:.3f} above {_RHAT_THRESHOLD} for {n}" for n, r in high]
     if high:
         listed = ", ".join(f"{n} ({r:.3f})" for n, r in high)
         warnings.warn(

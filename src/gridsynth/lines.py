@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     ParameterError,
+    _cumulative,
     _logpdf_dirichlet,
     _logpdf_gamma,
     _logpdf_halfnormal,
     _positive,
-    sample_categorical,
     sample_dirichlet,
     sample_gamma,
 )
@@ -60,8 +61,8 @@ MIXTURE_COMPONENTS = 3
 # The one line geometry: phases A, B and C on a crossarm at spacings
 # 0.6/0.6/1.2 m, so collinear, and a neutral 1.2 m above the midpoint of the
 # active conductors with the phase conductor's GMR and resistance; 60 Hz over
-# 100 ohm-m earth.
-_PHASE_POSITIONS = {"A": (0.0, 0.0), "B": (0.6, 0.0), "C": (1.2, 0.0)}
+# 100 ohm-m earth. Positions of phases A, B and C, indexed 0-2.
+_PHASE_POSITIONS = ((0.0, 0.0), (0.6, 0.0), (1.2, 0.0))
 _NEUTRAL_OFFSET_M = 1.2
 _FREQUENCY_HZ = 60.0
 _EARTH_RESISTIVITY_OHM_M = 100.0
@@ -106,9 +107,10 @@ _WEIGHTS_ERROR = "{} weights must be nonnegative with a finite positive sum"
 
 def _sample_mixture(draw, prefix: str, zone: int, rng) -> float:
     """One draw from a zone's mixture, validated and computed on Python
-    floats: the component by ``sample_categorical`` on ``w / sum(w)``, then
-    its gamma. The random numbers and every bit are those of the same
-    arithmetic on the draw's numpy arrays."""
+    floats: the component by one uniform on the running totals of
+    ``w / sum(w)`` (``_cumulative``, as ``phases.allocate`` picks), then its
+    gamma. The random numbers and every bit are those of the same arithmetic
+    on the draw's numpy arrays."""
     means = np.asarray(draw[f"{prefix}_means"], dtype=float).tolist()
     cv = float(draw[f"{prefix}_cv"])
     weights = np.asarray(draw[f"{prefix}_weights_z{zone}"], dtype=float).tolist()
@@ -137,8 +139,8 @@ def _sample_mixture(draw, prefix: str, zone: int, rng) -> float:
     rates = [1.0 / x if x else math.inf for x in [cv2 * m for m in means]]
     if not (0.0 < shape < math.inf and 0.0 < min(rates) and max(rates) < math.inf):
         raise ParameterError(f"{prefix} means and cv give a gamma shape or rate out of range")
-    k = sample_categorical(rng, [w / total for w in weights])
-    return sample_gamma(rng, shape, rates[k])
+    cum = _cumulative([w / total for w in weights])
+    return sample_gamma(rng, shape, rates[bisect_right(cum, rng.random() * cum[-1])])
 
 
 def sample_line(draw, zone: int, rng) -> LineParams:
@@ -159,16 +161,19 @@ def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
     return ParamSpace(defs)
 
 
-def _mixture_components(prefix: str, grouped: list[np.ndarray]):
-    """The terms a mixture's log-posterior and its weights step share, for
-    values with a leading chain axis: the weights stacked (chains, zones, K),
-    the Gamma shape and rates, and each line's log weight plus component
-    log-density, (K, chains, lines)."""
+def _mixture(prefix: str, grouped: list[np.ndarray]):
+    """One mixture's batched log-posterior and the exact step of ``fit`` for
+    its zone weights, ``(logpost, (names, draw))``, over one set of shared
+    terms: values carry a leading chain axis."""
     observed = np.concatenate(grouped)
     zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
     names = [f"{prefix}_weights_z{z}" for z in range(1, len(grouped) + 1)]
+    cells = len(names) * MIXTURE_COMPONENTS
 
     def components(v):
+        """The weights stacked (chains, zones, K), the Gamma shape and rates,
+        and each line's log weight plus component log-density, (K, chains,
+        lines)."""
         weights = np.stack([v[name] for name in names], axis=-2)
         # components lead from here on, so reductions over them run over the
         # first axis. A weight that underflowed to 0 is off the simplex (-inf
@@ -180,13 +185,6 @@ def _mixture_components(prefix: str, grouped: list[np.ndarray]):
         # way for any number of chains)
         rates_first = np.ascontiguousarray(rates.T)[:, :, None]
         return weights, shape, rates, log_w + _logpdf_gamma(observed, shape, rates_first)
-
-    return components, names, zone_of
-
-
-def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
-    """Batched log-posterior of one mixture: values carry a leading chain axis."""
-    components, _, _ = _mixture_components(prefix, grouped)
 
     def logpost(v) -> np.ndarray:
         means = v[f"{prefix}_means"]
@@ -201,15 +199,6 @@ def _mixture_logpost(prefix: str, grouped: list[np.ndarray]):
         # one component out of its gamma domain (a mean or the cv at 0 or inf)
         # rules the row out, not just that component
         return np.where(_positive(rates).all(axis=-1) & _positive(shape[:, 0]), lp, -np.inf)
-
-    return logpost
-
-
-def _mixture_weights_step(prefix: str, grouped: list[np.ndarray]):
-    """The exact step of ``fit`` for one mixture's zone weights:
-    ``(names, draw)``."""
-    components, names, zone_of = _mixture_components(prefix, grouped)
-    cells = len(names) * MIXTURE_COMPONENTS
 
     def draw(v, rngs) -> dict[str, np.ndarray]:
         # indicators given everything else: each line picks component k with
@@ -227,15 +216,18 @@ def _mixture_weights_step(prefix: str, grouped: list[np.ndarray]):
         weights = sample_dirichlet(rngs, 1.0 + counts)
         return {name: weights[:, z] for z, name in enumerate(names)}
 
-    return names, draw
+    return logpost, (names, draw)
 
 
-def _mixture_init(prefix: str, values: np.ndarray, zone_count: int) -> dict:
-    qs = np.quantile(values, [0.15, 0.5, 0.85])
+def _mixture_init(prefix: str, grouped: list[np.ndarray]) -> dict:
+    """Component means at the data's 15/50/85 % quantiles (1 with no data),
+    CV 0.3 and uniform zone weights."""
+    values = np.concatenate(grouped)
+    qs = np.quantile(values if values.size else np.array([1.0]), [0.15, 0.5, 0.85])
     for i in range(1, MIXTURE_COMPONENTS):
         qs[i] = max(qs[i], qs[i - 1] * 1.05 + 1e-6)
     init = {f"{prefix}_means": qs, f"{prefix}_cv": 0.3}
-    for z in range(1, zone_count + 1):
+    for z in range(1, len(grouped) + 1):
         init[f"{prefix}_weights_z{z}"] = np.full(MIXTURE_COMPONENTS, 1.0 / MIXTURE_COMPONENTS)
     return init
 
@@ -247,7 +239,8 @@ def fit_line_model(
     config: FitConfig | None = None,
 ) -> Posterior:
     """Fit both mixtures (resistance and ratio) over the line observations;
-    each mixture's weights are drawn exactly (see the module docstring)."""
+    each mixture's weights are drawn exactly (see the module docstring). The
+    resistance mixture is fit first."""
     for name, data in (("r1", r1), ("rho", rho)):
         if any(v <= 0.0 for v in data.values()):
             raise ValueError(f"{name} observations must be positive")
@@ -257,33 +250,19 @@ def fit_line_model(
             stacklevel=2,
         )
     z_count = zones.zone_count
-    r_grouped = group_by_zone(r1, zones.line_zone, z_count)
-    rho_grouped = group_by_zone(rho, zones.line_zone, z_count)
-    r_space = _mixture_space("r", z_count)
-    rho_space = _mixture_space("rho", z_count)
-    r_values = np.concatenate([g for g in r_grouped if g.size]) if r1 else np.array([1.0])
-    rho_values = np.concatenate([g for g in rho_grouped if g.size]) if rho else np.array([1.0])
-
-    r_ens = fit(
-        _mixture_logpost("r", r_grouped),
-        r_space,
-        config,
-        init=_mixture_init("r", r_values, z_count),
-        exact=[_mixture_weights_step("r", r_grouped)],
-    )
-    rho_ens = fit(
-        _mixture_logpost("rho", rho_grouped),
-        rho_space,
-        config,
-        init=_mixture_init("rho", rho_values, z_count),
-        exact=[_mixture_weights_step("rho", rho_grouped)],
-    )
-    merged = PosteriorEnsemble(
-        draws={**r_ens.draws, **rho_ens.draws},
-        diagnostics={"r": r_ens.diagnostics, "rho": rho_ens.diagnostics},
-        warnings=r_ens.warnings + rho_ens.warnings,
-    )
-    return Posterior(merged)
+    mixtures = [
+        (prefix, group_by_zone(data, zones.line_zone, z_count))
+        for prefix, data in (("r", r1), ("rho", rho))
+    ]
+    draws, diagnostics = {}, {}
+    for prefix, grouped in mixtures:
+        logpost, weights_step = _mixture(prefix, grouped)
+        space = _mixture_space(prefix, z_count)
+        init = _mixture_init(prefix, grouped)
+        ensemble = fit(logpost, space, config, init=init, exact=[weights_step])
+        draws.update(ensemble.draws)
+        diagnostics[prefix] = ensemble.diagnostics
+    return Posterior(PosteriorEnsemble(draws=draws, diagnostics=diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +274,8 @@ def _carson_mutual(config: PhaseConfig):
     mutual terms between the active conductors and the neutral (placed last),
     the number of active phases and the output cells of the flat 3x3 matrix.
     The diagonal holds zeros, which each line overwrites with its self terms."""
-    positions = [_PHASE_POSITIONS[p] for p in config.phase_list]
+    idx = config._phase_indices
+    positions = [_PHASE_POSITIONS[i] for i in idx]
     xs = [p[0] for p in positions]
     ys = [p[1] for p in positions]
     positions.append((sum(xs) / len(xs), sum(ys) / len(ys) + _NEUTRAL_OFFSET_M))
@@ -305,7 +285,6 @@ def _carson_mutual(config: PhaseConfig):
         for j in range(i):
             d = math.hypot(positions[i][0] - positions[j][0], positions[i][1] - positions[j][1])
             z[i, j] = z[j, i] = _P_TERM + 1j * _Q_COEF * math.log(_DEPTH_M / d)
-    idx = config._phase_indices
     cells = np.array([3 * i + j for i in idx for j in idx])
     # every line shares these arrays: a write is an error
     z.flags.writeable = cells.flags.writeable = False

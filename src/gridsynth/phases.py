@@ -7,7 +7,10 @@ probabilities masked to subsets of their parent's phases, and every other bus
 copies the nearest upstream ramification node. The subset rule therefore
 holds on every line of the shortest-path tree. On a meshed feeder a line off
 that tree joins two buses allocated independently, so it can break the rule;
-``consistency_violations`` reports every line that does.
+``consistency_violations`` reports every line that does. One 7x7 table by
+configuration index, ``_ALLOWED[parent, child]``, holds the subset rule:
+``constrain`` masks by the parent's row and ``consistency_violations`` looks
+up each line's (upstream, downstream) pair.
 
 Base probabilities are zone-level Dirichlet-Categorical posteriors: a
 concentration row per zone with a HalfNormal(1) prior, a probability vector
@@ -50,9 +53,9 @@ class PhaseConfig(Enum):
     """Seven phase configurations with a fixed index order.
 
     Each member carries, as plain attributes set once at import, its phase
-    set ``phases``, its active phases ``phase_list`` in A, B, C order and
-    their positions 0-2 in a per-phase 3-vector, ``_phase_indices``: the
-    per-bus and per-line samplers read them on every draw.
+    set ``phases`` and the positions 0-2 of its active phases in a per-phase
+    3-vector, in A, B, C order, ``_phase_indices``: the per-bus and per-line
+    samplers read them on every draw.
     """
 
     A = 0
@@ -65,8 +68,7 @@ class PhaseConfig(Enum):
 
     def __init__(self, value: int) -> None:
         self.phases = frozenset(self.name)
-        self.phase_list = tuple(p for p in "ABC" if p in self.phases)
-        self._phase_indices = tuple("ABC".index(p) for p in self.phase_list)
+        self._phase_indices = tuple(i for i, p in enumerate("ABC") if p in self.phases)
 
     @property
     def index(self) -> int:
@@ -85,10 +87,10 @@ _BY_SORTED_NAME = {"".join(sorted(c.phases)): c for c in PhaseConfig}
 
 CONFIGS: tuple[PhaseConfig, ...] = tuple(sorted(PhaseConfig, key=lambda c: c.value))
 
-_TRANSITION_MASK = {
-    parent: np.array([c.phases <= parent.phases for c in CONFIGS], dtype=float)
-    for parent in CONFIGS
-}
+# The subset rule, by configuration index: _ALLOWED[parent, child] is 1.0
+# where the child's phase set is a subset of the parent's, else 0.0.
+_ALLOWED = np.array([[c.phases <= p.phases for c in CONFIGS] for p in CONFIGS], dtype=float)
+_ALLOWED.flags.writeable = False
 
 
 def constrain(base: np.ndarray, parent: PhaseConfig) -> np.ndarray:
@@ -103,7 +105,7 @@ def constrain(base: np.ndarray, parent: PhaseConfig) -> np.ndarray:
         raise ValueError("base probabilities must be a length-7 vector")
     if not np.all((base >= 0.0) & (base < np.inf)):
         raise ValueError("base probabilities must be finite and nonnegative")
-    mask = _TRANSITION_MASK[parent]
+    mask = _ALLOWED[parent.value]
     masked = base * mask
     total = masked.sum()
     if total == 0.0:
@@ -191,8 +193,8 @@ def allocate(
     (zone, parent configuration), so a fallback warns once per pair. The
     uniforms come from one ``rng.random(k)`` call, one per branch point in
     ramification order; each is scaled by the row total and placed by
-    ``bisect_right`` on the row's running totals, as ``sample_categorical``
-    does. All other buses copy their nearest upstream ramification node.
+    ``bisect_right`` on the row's running totals (``_cumulative``). All other
+    buses copy their nearest upstream ramification node.
     """
     base = np.asarray(base, dtype=float)
     if base.shape != (zones.zone_count, 7):
@@ -207,15 +209,13 @@ def allocate(
         key = (bus_zone[node], phi[parent[node]])
         cum = rows.get(key)
         if cum is None:
-            cum = rows[key] = _cumulative(constrain(base[key[0] - 1], key[1]))
+            cum = rows[key] = _cumulative(constrain(base[key[0] - 1], key[1]).tolist())
         phi[node] = CONFIGS[bisect_right(cum, u * cum[-1])]
     nearest = hierarchy.nearest_ramification
     phi.update(zip(nearest, map(phi.__getitem__, nearest.values())))
     return phi
 
 
-# phase set of each configuration as bits A=1, B=2, C=4, by index
-_BITS = np.array([sum(1 << "ABC".index(p) for p in c.phases) for c in CONFIGS])
 _VALUE = attrgetter("_value_")
 
 
@@ -236,12 +236,11 @@ def consistency_violations(
     dist = np.fromiter(map(distances.__getitem__, index.ids), float, n)
     # _value_ is the plain member attribute; .value goes through a descriptor
     config = np.fromiter(map(_VALUE, map(allocation.__getitem__, index.ids)), np.int64, n)
-    bits = _BITS[config]
     seq = np.empty(n, dtype=np.int64)  # pop order position of each bus
     seq[index.order] = np.arange(n)
     a, b = np.array(index.line_from), np.array(index.line_to)
     a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
-    # phases the downstream end has and the upstream end lacks
-    extra = np.where(a_up, bits[b] & ~bits[a], bits[a] & ~bits[b])
+    ca, cb = config[a], config[b]
+    up, down = np.where(a_up, ca, cb), np.where(a_up, cb, ca)
     lines = topology.lines
-    return [lines[i].id for i in np.flatnonzero(extra).tolist()]
+    return [lines[i].id for i in np.flatnonzero(_ALLOWED[up, down] == 0.0).tolist()]

@@ -61,16 +61,19 @@ class DisconnectedGraphError(TopologyError):
         )
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
+    """A bus record. Records are tuples: one compares equal to the plain
+    tuple of its fields, and its fields cannot be assigned."""
+
     id: str
     x: float | None = None
     y: float | None = None
     no_load: bool = False
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
+    """A line record between two bus ids, a tuple like ``Bus``."""
+
     id: str
     from_bus: str
     to_bus: str
@@ -123,18 +126,17 @@ class NetworkTopology:
         neighbors: list[list[tuple[int, float]]] = [[] for _ in ids]
         line_from: list[int] = []
         line_to: list[int] = []
-        for line in self.lines:
-            u = position.get(line.from_bus)
-            v = position.get(line.to_bus)
+        for line_id, from_bus, to_bus, w in self.lines:
+            u = position.get(from_bus)
+            v = position.get(to_bus)
             if u is None or v is None:
-                raise TopologyError(f"line {line.id!r} references unknown bus")
-            w = line.length_km
+                raise TopologyError(f"line {line_id!r} references unknown bus")
             if not _positive_finite(w):
                 raise TopologyError(
-                    f"line {line.id!r} length must be strictly positive, got {w!r}"
+                    f"line {line_id!r} length must be strictly positive, got {w!r}"
                 )
             if u == v:
-                raise TopologyError(f"line {line.id!r} is a self-loop")
+                raise TopologyError(f"line {line_id!r} is a self-loop")
             line_from.append(u)
             line_to.append(v)
             neighbors[u].append((v, w))
@@ -169,7 +171,8 @@ class ZoneAssignment:
     Bins are half-open with ties at an edge resolved to the lower zone:
     between consecutive distance quantiles q, zone k covers (q[k-1], q[k]],
     except zone 1 which also includes its lower edge. ``zone_count`` is the
-    effective count after merging degenerate bins.
+    effective count after merging degenerate bins: every zone 1..``zone_count``
+    holds at least one bus.
     """
 
     zone_count: int
@@ -252,9 +255,10 @@ def assign_zones(
 
     Lines take the zone of their upstream endpoint, the one closer to the
     source. Zones never decrease with distance, so that is the smaller of the
-    two endpoint zones, and equidistant endpoints share a zone. Requesting
-    more bins than there are distinct quantile edges degrades gracefully:
-    duplicate edges are merged and a warning is emitted.
+    two endpoint zones, and equidistant endpoints share a zone. Only bins
+    that hold a bus are numbered, so every zone 1..``zone_count`` holds one.
+    Requesting more bins than that degrades gracefully: duplicate edges and
+    empty bins are merged and a warning is emitted.
     """
     if zone_count < 1:
         raise TopologyError(f"zone count must be >= 1, got {zone_count}")
@@ -262,15 +266,18 @@ def assign_zones(
     qs = np.quantile(values, np.linspace(0.0, 1.0, zone_count + 1))
     inner = np.unique(qs[1:-1])
     inner = inner[(inner > values.min()) & (inner <= values.max())]
-    effective = int(inner.size) + 1
+    # side='left' puts a value equal to an edge into the lower bin
+    bins = np.searchsorted(inner, values, side="left")
+    # interpolated edges can leave a bin empty: number only the bins held
+    held = np.bincount(bins, minlength=inner.size + 1) > 0
+    zones = np.cumsum(held)[bins]
+    effective = int(held.sum())
     if effective < zone_count:
         warnings.warn(
-            f"only {effective} distinct distance bins available for {zone_count} "
+            f"only {effective} non-empty distance bins for {zone_count} "
             "requested zones; merging degenerate bins",
             stacklevel=2,
         )
-    # side='left' puts a value equal to an edge into the lower zone
-    zones = np.searchsorted(inner, values, side="left") + 1
     bus_zone = dict(zip(distances, zones.tolist()))
     upstream = np.minimum(
         _zones_at(bus_zone, lines, "from_bus"), _zones_at(bus_zone, lines, "to_bus")

@@ -1,13 +1,14 @@
 """The per-item samplers against reference copies kept here.
 
 Each reference is a plain, unoptimized form of a sampler: numpy arithmetic on
-small arrays, the public categorical and gamma samplers, the Carson matrix
-built from scratch for every line. The package's samplers must return the
-same bits and leave the generator in the same state, on any parameters and
-any seed.
+small arrays, a plain categorical pick, the public gamma sampler, the Carson
+matrix built from scratch for every line. The package's samplers must return
+the same bits and leave the generator in the same state, on any parameters
+and any seed.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from scipy.special import ndtr
 from gridsynth.distributions import (
     ParameterError,
     make_rng,
-    sample_categorical,
     sample_gamma,
     sample_negbinomial,
     sample_truncnormal,
@@ -50,12 +50,19 @@ def same_state(rng_a, rng_b) -> bool:
 # Reference copies
 
 
+def ref_sample_categorical(rng, probs):
+    """The scalar categorical draw as the package once had it: running totals
+    of the probabilities, then one uniform scaled by their total."""
+    cum = np.cumsum(np.asarray(probs, dtype=float)).tolist()
+    return bisect_right(cum, rng.random() * cum[-1])
+
+
 def ref_sample_mixture(draw, prefix, zone, rng):
     means = np.asarray(draw[f"{prefix}_means"], dtype=float)
     cv = float(draw[f"{prefix}_cv"])
     weights = np.asarray(draw[f"{prefix}_weights_z{zone}"], dtype=float)
     shape, rates = 1.0 / cv**2, 1.0 / (cv**2 * means)
-    k = sample_categorical(rng, weights / weights.sum())
+    k = ref_sample_categorical(rng, weights / weights.sum())
     return float(sample_gamma(rng, shape, rates[k]))
 
 

@@ -6,6 +6,7 @@ deterministic. Support checks run at 1e6 draws.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.special import gammaln, log_ndtr
 
 from gridsynth.distributions import (
     ParameterError,
+    _cumulative,
     _logpdf_beta,
     _logpdf_dirichlet,
     _logpdf_gamma,
@@ -24,7 +26,6 @@ from gridsynth.distributions import (
     _truncnormal_stats,
     make_rng,
     sample_beta,
-    sample_categorical,
     sample_dirichlet,
     sample_gamma,
     sample_negbinomial,
@@ -320,16 +321,22 @@ def test_scalar_shape_gamma_batch_keeps_its_stream(shape):
     np.testing.assert_array_equal(got, expected)
 
 
+def pick(rng, probs) -> int:
+    """The package's categorical pick (``phases.allocate`` and the line
+    mixtures): one uniform, scaled by the total, on the running totals."""
+    cum = _cumulative(probs)
+    return bisect_right(cum, rng.random() * cum[-1])
+
+
 def test_categorical_degenerate():
     rng = make_rng(27)
-    draws = sample_categorical(rng, [1, 0, 0, 0, 0, 0, 0], 10_000)
-    assert np.all(draws == 0)
+    assert all(pick(rng, [1.0, 0, 0, 0, 0, 0, 0]) == 0 for _ in range(10_000))
 
 
 def test_categorical_frequencies():
     rng = make_rng(28)
-    p = np.array([0.2, 0.5, 0.3])
-    draws = sample_categorical(rng, p, N)
+    p = [0.2, 0.5, 0.3]
+    draws = np.array([pick(rng, p) for _ in range(N)])
     for k in range(3):
         freq = np.mean(draws == k)
         se = math.sqrt(p[k] * (1 - p[k]) / N)
@@ -337,8 +344,8 @@ def test_categorical_frequencies():
 
 
 def test_scalar_categorical_draw_matches_cumsum_searchsorted():
-    # the scalar path against the numpy formula it replaced, on the same
-    # stream: same index every time on the short vectors drawn one at a time
+    # the pick against the numpy formula it replaced, on the same stream:
+    # same index every time on the short vectors drawn one at a time
     rng = make_rng(32)
     for n in range(1, 8):
         ours, reference = make_rng(n), make_rng(n)  # both take one uniform per draw
@@ -349,14 +356,14 @@ def test_scalar_categorical_draw_matches_cumsum_searchsorted():
                 p[0] = 1.0
             u = reference.random()
             expected = int(np.searchsorted(np.cumsum(p), u * p.sum(), side="right"))
-            assert sample_categorical(ours, p) == expected
+            assert pick(ours, p.tolist()) == expected
 
 
 @pytest.mark.parametrize(
     "probs, message",
     [
-        ([[0.5, 0.5]], "probability vector"),
-        ([], "probability vector"),
+        ([math.nan], "nonnegative"),
+        ([], "must not all be zero"),
         ([0.5, -0.1, 0.6], "nonnegative"),
         ([0.5, math.nan], "nonnegative"),
         ([0.0, 0.0], "must not all be zero"),
@@ -365,9 +372,8 @@ def test_scalar_categorical_draw_matches_cumsum_searchsorted():
     ],
 )
 def test_categorical_errors(probs, message):
-    for size in (None, 5):
-        with pytest.raises(ParameterError, match=message):
-            sample_categorical(make_rng(33), probs, size)
+    with pytest.raises(ParameterError, match=message):
+        _cumulative(probs)
 
 
 def test_logpdf_gamma_exponential_value():

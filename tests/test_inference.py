@@ -192,7 +192,7 @@ def test_rhat_warning_on_stuck_chains(monkeypatch):
     config = FitConfig(chains=4, warmup=300, draws=300, thin=1, seed=11)
     with pytest.warns(UserWarning, match="R-hat"):
         ensemble = fit(logpost, space, config)
-    assert ensemble.warnings
+    assert ensemble.diagnostics["rhat"]["x"] > 1.05
 
 
 def test_one_rhat_warning_per_fit(monkeypatch):
@@ -211,10 +211,12 @@ def test_one_rhat_warning_per_fit(monkeypatch):
         warnings.simplefilter("always")
         ensemble = fit(logpost, space, config)
     rhat_warnings = [str(w.message) for w in caught if "R-hat" in str(w.message)]
-    assert len(ensemble.warnings) >= 2
+    high = [name for name, r in ensemble.diagnostics["rhat"].items() if r > 1.05]
+    assert len(high) >= 2
     assert len(rhat_warnings) == 1
-    for message in ensemble.warnings:
-        assert message.rsplit(" ", 1)[1] in rhat_warnings[0]
+    assert f"for {len(high)} scalars" in rhat_warnings[0]
+    for name in high:
+        assert f"{name} (" in rhat_warnings[0]
 
 
 def test_constant_chains_that_disagree_are_not_converged():
@@ -354,7 +356,7 @@ def test_rhat_warning_lists_infinite_values():
     # an exact step that keeps every chain where its jittered start put it
     space = ParamSpace([ParamDef("x", (), "real"), ParamDef("s", (), "real")])
     config = FitConfig(chains=4, warmup=20, draws=40, thin=1, seed=5)
-    with pytest.warns(UserWarning, match=r"s \(inf\)"):
+    with pytest.warns(UserWarning, match=r"s \(inf\)") as record:
         ensemble = fit(
             lambda v: -0.5 * (v["x"] ** 2 + v["s"] ** 2),
             space,
@@ -363,7 +365,7 @@ def test_rhat_warning_lists_infinite_values():
         )
     assert ensemble.diagnostics["rhat"]["s"] == math.inf
     assert ensemble.diagnostics["ess"]["s"] == 4.0
-    assert any("s" in w and "inf" in w for w in ensemble.warnings)
+    assert any("s (inf)" in str(w.message) for w in record)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +515,22 @@ def test_acceptance_rate_near_target():
     ensemble = fit(lambda v: -0.5 * np.sum(v["x"] ** 2, axis=-1), space, FAST)
     rate = ensemble.diagnostics["acceptance"]["x"]
     assert 0.2 < rate < 0.55
+
+
+def test_proposal_covariance_adaptation_mixes_a_correlated_block():
+    # correlation 0.99: an isotropic random walk must step at the minor
+    # axis's scale and crawls along the major one. The adaptation factors
+    # the warm-up covariance from sweep 100 on and steps along it. With it,
+    # both scalars read ESS 198-344 and R-hat at most 1.026 over seeds 0-5;
+    # with the update switched off, ESS 20-36 and R-hat 1.11-1.54.
+    precision = np.linalg.inv(np.array([[1.0, 0.99], [0.99, 1.0]]))
+    space = ParamSpace([ParamDef("x", (2,), "real")])
+    config = FitConfig(chains=4, warmup=300, draws=600, thin=1, seed=0)
+    ensemble = fit(
+        lambda v: -0.5 * np.einsum("ci,ij,cj->c", v["x"], precision, v["x"]), space, config
+    )
+    assert min(ensemble.diagnostics["ess"].values()) > 100
+    assert max(ensemble.diagnostics["rhat"].values()) < 1.05
 
 
 def test_posterior_predictive_gamma_recovery():

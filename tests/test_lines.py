@@ -14,7 +14,7 @@ from gridsynth.inference import FitConfig
 from gridsynth.lines import (
     _CARSON,
     LineParams,
-    _mixture_logpost,
+    _mixture,
     _self_term,
     carson_zabc,
     fit_line_model,
@@ -179,7 +179,7 @@ def test_mixture_logpost_matches_scipy_reference():
         expected += logsumexp(comp, axis=0).sum()
     # the log-posterior takes a leading chain axis: one chain here
     batch = {name: np.asarray(value)[None] for name, value in values.items()}
-    assert _mixture_logpost("r", grouped)(batch)[0] == pytest.approx(expected, rel=1e-12)
+    assert _mixture("r", grouped)[0](batch)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_mixture_logpost_zero_weight_is_off_support():
@@ -187,7 +187,7 @@ def test_mixture_logpost_zero_weight_is_off_support():
     grouped = [np.array([0.15, 0.3])]
     values = {"r_means": np.array([[0.2, 0.45, 0.8]]), "r_cv": np.array([0.3])}
     values["r_weights_z1"] = np.array([[1.0, 0.0, 0.0]])
-    assert _mixture_logpost("r", grouped)(values)[0] == -np.inf
+    assert _mixture("r", grouped)[0](values)[0] == -np.inf
 
 
 def test_carson_kron_reduced_neutral_matches_independent_value():

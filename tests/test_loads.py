@@ -99,7 +99,7 @@ def test_sample_demand_sparsity_all_configs():
     for cfg in CONFIGS:
         for _ in range(50):
             d = sample_demand(TRUTH, cfg, rng, 0.95)
-            active = [ord(p) - ord("A") for p in cfg.phase_list]
+            active = [i for i, p in enumerate("ABC") if p in cfg.phases]
             inactive = [i for i in range(3) if i not in active]
             assert np.all(d.p_kw[inactive] == 0.0)
             assert np.all(d.p_kw[active] >= 0.0)

@@ -135,7 +135,7 @@ def phase_reference(data):
 def load_reference(data):
     mono_rows, bi_rows, tri_rows = [], [], []
     for bus, vec in data["loads"].items():
-        active = [ord(p) - ord("A") for p in data["phases"][bus].phase_list]
+        active = [i for i, p in enumerate("ABC") if p in data["phases"][bus].phases]
         {1: mono_rows, 2: bi_rows, 3: tri_rows}[len(active)].append(np.asarray(vec)[active])
     mono = np.array(mono_rows).reshape(-1) if mono_rows else np.empty(0)
     bi = np.array(bi_rows) if bi_rows else np.empty((0, 2))

@@ -5,6 +5,7 @@ import json
 import re
 import time
 import warnings
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsynth.distributions import make_rng, sample_categorical
+from gridsynth.distributions import make_rng
 from gridsynth.phases import CONFIGS, PhaseConfig, allocate, consistency_violations, constrain
 from gridsynth.topology import (
     Bus,
@@ -36,12 +37,12 @@ def bus_ids(topology):
 
 
 def assert_zones_ordered(distances, bus_zone, zone_count):
-    """Zones are bins of distance: every bus of a zone is nearer the source
-    than every bus of a later zone (a zone may be empty)."""
+    """Zones are bins of distance: every zone 1..zone_count holds a bus, and
+    every bus of a zone is nearer the source than every bus of a later zone."""
     by_zone = {}
     for bus, zone in bus_zone.items():
-        assert 1 <= zone <= zone_count
         by_zone.setdefault(zone, []).append(distances[bus])
+    assert sorted(by_zone) == list(range(1, zone_count + 1))
     spans = [(min(by_zone[z]), max(by_zone[z])) for z in sorted(by_zone)]
     for (_, nearer_max), (farther_min, _) in zip(spans, spans[1:]):
         assert nearer_max < farther_min
@@ -143,6 +144,14 @@ def test_zone_degenerate_warning():
     assert za.zone_count == 1
 
 
+def test_zone_count_counts_only_bins_that_hold_a_bus():
+    # the interpolated edges 2.5, 5 and 7.5 leave the two middle bins empty
+    with pytest.warns(UserWarning, match="only 2 non-empty distance bins for 4"):
+        za = assign_zones({"a": 0.0, "b": 10.0}, (), 4)
+    assert za.zone_count == 2
+    assert za.bus_zone == {"a": 1, "b": 2}
+
+
 def test_zone_of_source_is_one_and_line_upstream_rule():
     topo = chain([1.0, 1.0, 1.0, 1.0])
     d = compute_distances(topo)
@@ -158,7 +167,9 @@ def test_line_zone_tie_breaks_to_smaller_bus_id():
     lines = (Line("l1", "src", "a", 1.0), Line("l2", "src", "b", 1.0), Line("l3", "b", "a", 2.0))
     topo = NetworkTopology(buses=buses, lines=lines, source="src")
     d = compute_distances(topo)
-    za = assign_zones(d, topo.lines, 2)
+    # the median edge is 1.0, the distance of a and b, so the far bin is empty
+    with pytest.warns(UserWarning, match="merging degenerate bins"):
+        za = assign_zones(d, topo.lines, 2)
     # l3 endpoints are equidistant; 'a' < 'b' so the upstream pick is 'a'
     assert za.line_zone["l3"] == za.bus_zone["a"]
 
@@ -390,6 +401,21 @@ def test_allocation_and_zones_on_random_trees(topo, zone_count, seed):
     assert_zones_ordered(d, zones.bus_zone, zones.zone_count)
 
 
+@PROPERTY
+@given(radial_trees(), st.integers(1, 8))
+def test_every_zone_holds_a_bus_and_zones_follow_distance(topo, zone_count):
+    d = compute_distances(topo)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zones = assign_zones(d, topo.lines, zone_count)
+    assert set(zones.bus_zone.values()) == set(range(1, zones.zone_count + 1))
+    by_distance = sorted(d, key=d.__getitem__)
+    ordered = [zones.bus_zone[b] for b in by_distance]
+    assert ordered == sorted(ordered)
+    assert zones.zone_count <= zone_count
+    assert len(caught) == (zones.zone_count < zone_count)
+
+
 # ---------------------------------------------------------------------------
 # Input validation
 
@@ -534,11 +560,18 @@ def _reference_hierarchy(topology, tree_parent, order, degree):
     )
 
 
+def _reference_categorical(rng, probs):
+    """The scalar categorical draw as the package once had it: running totals
+    of the probabilities, then one uniform scaled by their total."""
+    cum = np.cumsum(np.asarray(probs, dtype=float)).tolist()
+    return bisect_right(cum, rng.random() * cum[-1])
+
+
 def _reference_allocation(topology, hierarchy, zones, base, rng):
     phi = {topology.source: PhaseConfig.ABC}
     for node in hierarchy.ramification_set[1:]:
         probs = constrain(base[zones.bus_zone[node] - 1], phi[hierarchy.parent[node]])
-        phi[node] = CONFIGS[sample_categorical(rng, probs)]
+        phi[node] = CONFIGS[_reference_categorical(rng, probs)]
     for node, ram in hierarchy.nearest_ramification.items():
         phi[node] = phi[ram]
     return phi
