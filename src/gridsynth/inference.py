@@ -556,7 +556,6 @@ def fit(
         "acceptance": {"-".join(b): float(accept_rates[:, i].mean()) for i, b in enumerate(steps)},
         "rhat": {n: float(r) for n, r in zip(names, rhat)},
         "ess": {n: float(e) for n, e in zip(names, ess)},
-        "chains": chains,
         "kept_draws": int(chains * kept_per_chain),
     }
     # NaN (too few draws) compares false; an infinite R-hat is listed

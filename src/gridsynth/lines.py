@@ -109,11 +109,15 @@ def _sample_mixture(draw, prefix: str, zone: int, rng) -> float:
     """One draw from a zone's mixture, validated and computed on Python
     floats: the component by one uniform on the running totals of
     ``w / sum(w)`` (``_cumulative``, as ``phases.allocate`` picks), then its
-    gamma. The random numbers and every bit are those of the same arithmetic
-    on the draw's numpy arrays."""
+    gamma. With fewer than 8 components, as every draw has, the random
+    numbers and every bit are those of the same arithmetic on the draw's
+    numpy arrays."""
     means = np.asarray(draw[f"{prefix}_means"], dtype=float).tolist()
     cv = float(draw[f"{prefix}_cv"])
-    weights = np.asarray(draw[f"{prefix}_weights_z{zone}"], dtype=float).tolist()
+    weights = draw.get(f"{prefix}_weights_z{zone}")
+    if weights is None:
+        raise ParameterError(f"zone {zone} has no {prefix} weights in the draw")
+    weights = np.asarray(weights, dtype=float).tolist()
     if len(weights) != len(means):
         raise ParameterError(f"{prefix} weights and means must have equal length")
     for value in (*means, cv):
@@ -127,8 +131,6 @@ def _sample_mixture(draw, prefix: str, zone: int, rng) -> float:
         total += w
     if not 0.0 < total < math.inf:
         raise ParameterError(_WEIGHTS_ERROR.format(prefix))
-    if len(weights) >= 8:
-        total = float(np.sum(weights))
     # _gamma_shape_rates on floats: a cv^2 or a cv^2 * mean outside the float
     # range gives a shape or rate of 0 or inf, which is rejected here
     try:

@@ -152,7 +152,9 @@ def fit_load_model(
             raise ValueError(f"bus {bus}: non-finite demand {vec.tolist()}")
         if np.any(vec < 0.0):
             raise ValueError(f"bus {bus}: negative demand")
-        cfg = allocations[bus]
+        cfg = allocations.get(bus)
+        if cfg is None:
+            raise ValueError(f"bus {bus}: no phase configuration")
         active = list(cfg._phase_indices)
         inactive = [i for i in (0, 1, 2) if i not in active]
         if np.any(vec[inactive] != 0.0):

@@ -1,12 +1,12 @@
 """Phase configurations, the subset-consistency constraint, and allocation.
 
 A bus is served by one of seven configurations {A, B, C, AB, BC, CA, ABC}.
-The allocation rule is structural: the source is three-phase, branch
-(ramification) nodes sample their configuration from zone-conditioned base
-probabilities masked to subsets of their parent's phases, and every other bus
-copies the nearest upstream ramification node. The subset rule therefore
-holds on every line of the shortest-path tree. On a meshed feeder a line off
-that tree joins two buses allocated independently, so it can break the rule;
+The allocation rule is structural and walks the shortest-path tree: the
+source is three-phase, branch (ramification) nodes sample their configuration
+from zone-conditioned base probabilities masked to subsets of their tree
+parent's phases, and every other bus copies its tree parent. The subset rule
+therefore holds on every line of that tree. On a meshed feeder a line off the
+tree joins two buses allocated independently, so it can break the rule;
 ``consistency_violations`` reports every line that does. One 7x7 table by
 configuration index, ``_ALLOWED[parent, child]``, holds the subset rule:
 ``constrain`` masks by the parent's row and ``consistency_violations`` looks
@@ -187,33 +187,39 @@ def allocate(
 ) -> dict[str, PhaseConfig]:
     """Draw one subset-consistent allocation from zone base probabilities.
 
-    ``base`` is a (Z, 7) matrix (one posterior draw). The source is
-    three-phase; the other ramification nodes are sampled in topological
-    order from the constrained categorical, which is computed once per
-    (zone, parent configuration), so a fallback warns once per pair. The
-    uniforms come from one ``rng.random(k)`` call, one per branch point in
-    ramification order; each is scaled by the row total and placed by
-    ``bisect_right`` on the row's running totals (``_cumulative``). All other
-    buses copy their nearest upstream ramification node.
+    ``base`` is a (Z, 7) matrix (one posterior draw). One walk down the
+    shortest-path tree: the source is three-phase, each other ramification
+    node draws from its zone's row constrained to its tree parent's
+    configuration, and every other bus copies its tree parent. A constrained
+    row is computed once per (zone, parent configuration), so a fallback
+    warns once per pair. One ``rng.random(k)`` call gives one uniform per
+    branch point in ramification order, scaled by the row total and placed
+    by ``bisect_right`` on the row's running totals (``_cumulative``). The
+    result is keyed in ``topology.buses`` order.
     """
     base = np.asarray(base, dtype=float)
     if base.shape != (zones.zone_count, 7):
         raise ValueError(
             f"base matrix shape {base.shape} does not match zone count {zones.zone_count}"
         )
-    phi: dict[str, PhaseConfig] = {topology.source: PhaseConfig.ABC}
-    rows: dict[tuple[int, PhaseConfig], list[float]] = {}
-    bus_zone, parent = zones.bus_zone, hierarchy.parent
+    index = topology._index
+    ids, parent, bus_zone = index.ids, index.parent, zones.bus_zone
     nodes = hierarchy.ramification_set[1:]
-    for node, u in zip(nodes, rng.random(len(nodes)).tolist()):
-        key = (bus_zone[node], phi[parent[node]])
-        cum = rows.get(key)
-        if cum is None:
-            cum = rows[key] = _cumulative(constrain(base[key[0] - 1], key[1]).tolist())
-        phi[node] = CONFIGS[bisect_right(cum, u * cum[-1])]
-    nearest = hierarchy.nearest_ramification
-    phi.update(zip(nearest, map(phi.__getitem__, nearest.values())))
-    return phi
+    uniform = dict(zip(nodes, rng.random(len(nodes)).tolist()))
+    rows: dict[tuple[int, PhaseConfig], list[float]] = {}
+    config = [PhaseConfig.ABC] * len(ids)  # the source's; the walk sets every other bus
+    for v in index.order[1:]:
+        above = config[parent[v]]
+        u = uniform.get(ids[v])
+        if u is None:
+            config[v] = above
+        else:
+            key = (bus_zone[ids[v]], above)
+            cum = rows.get(key)
+            if cum is None:
+                cum = rows[key] = _cumulative(constrain(base[key[0] - 1], above).tolist())
+            config[v] = CONFIGS[bisect_right(cum, u * cum[-1])]
+    return dict(zip(ids, config))
 
 
 _VALUE = attrgetter("_value_")

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from .distributions import (
+    ParameterError,
     _logpdf_beta,
     _logpdf_halfnormal,
     _logpdf_weibull,
@@ -38,15 +39,29 @@ __all__ = [
 ]
 
 
+def _require_zone(zone: int, per_zone) -> None:
+    """Raise ``ParameterError`` naming ``zone`` unless it is one of 1..Z,
+    where Z is the length of the draw's per-zone vector ``per_zone``."""
+    if not 1 <= zone <= len(per_zone):
+        raise ParameterError(f"zone {zone} is outside 1..{len(per_zone)}")
+
+
 def sample_caidi(draw, zone: int, rng) -> float:
     """Zero with probability 1 - p_zone, else a Weibull duration draw."""
-    if rng.random() >= draw["hurdle_p"][zone - 1]:
+    hurdle_p = draw["hurdle_p"]
+    _require_zone(zone, hurdle_p)
+    p = hurdle_p[zone - 1]
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"zone {zone}: hurdle probability {p} is outside [0, 1]")
+    if rng.random() >= p:
         return 0.0
     return float(sample_weibull(rng, draw["weib_shape"][zone - 1], draw["weib_scale"][zone - 1]))
 
 
 def sample_caifi(draw, zone: int, rng) -> int:
-    return sample_negbinomial(rng, draw["freq_mean"][zone - 1], float(draw["dispersion"]))
+    freq_mean = draw["freq_mean"]
+    _require_zone(zone, freq_mean)
+    return sample_negbinomial(rng, freq_mean[zone - 1], float(draw["dispersion"]))
 
 
 def fit_caidi(

@@ -90,7 +90,6 @@ class _Index(NamedTuple):
     """
 
     ids: tuple[str, ...]
-    position: dict[str, int]
     line_from: list[int]
     line_to: list[int]
     degree: list[int]
@@ -144,9 +143,7 @@ class NetworkTopology:
         dist, parent, order = _dijkstra(ids, neighbors, source)
         if len(order) != len(ids):
             raise DisconnectedGraphError([b for b, d in zip(ids, dist) if d is None])
-        index = _Index(
-            ids, position, line_from, line_to, [len(e) for e in neighbors], dist, parent, order
-        )
+        index = _Index(ids, line_from, line_to, [len(e) for e in neighbors], dist, parent, order)
         object.__setattr__(self, "_index", index)
 
 
@@ -185,14 +182,13 @@ class RamificationHierarchy:
     """Branch points (degree > 2, plus the source) in topological order.
 
     ``parent`` maps each non-source ramification bus to the nearest
-    ramification bus on its shortest path to the source. Every other bus maps
-    through ``nearest_ramification`` to the ramification node whose phase it
-    will inherit.
+    ramification bus on its shortest path to the source. ``phases.allocate``
+    draws a configuration at each non-source ramification bus; every other
+    bus copies its parent on the shortest-path tree.
     """
 
     ramification_set: tuple[str, ...]
     parent: dict[str, str]
-    nearest_ramification: dict[str, str]
 
 
 def _dijkstra(
@@ -328,7 +324,6 @@ def build_hierarchy(topology: NetworkTopology) -> RamificationHierarchy:
     return RamificationHierarchy(
         ramification_set=tuple(ids[b] for b in ordered),
         parent={ids[r]: ids[above[r]] for r in ordered[1:]},
-        nearest_ramification={ids[v]: ids[above[v]] for v in range(len(ids)) if not ram[v]},
     )
 
 

@@ -155,6 +155,13 @@ def test_sample_line_rejects_invalid_draw(prefix, key, value):
             sample_line(draw, 1, make_rng(3))
 
 
+@pytest.mark.parametrize("zone", [0, 2])
+def test_sample_line_rejects_a_zone_outside_the_draw(zone):
+    draw = mixture_draw([0.2, 0.4, 0.8], 0.3, [0.2, 0.3, 0.5])
+    with pytest.raises(ParameterError, match=f"zone {zone} has no r weights"):
+        sample_line(draw, zone, make_rng(3))
+
+
 def test_mixture_logpost_matches_scipy_reference():
     grouped = [np.array([0.15, 0.22, 0.41, 0.9]), np.array([]), np.array([0.35, 0.6, 1.3])]
     values = {

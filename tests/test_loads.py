@@ -186,6 +186,11 @@ def test_fit_rejects_demand_on_inactive_phase():
         fit_load_model({"b": np.array([-1.0, 0.0, 0.0])}, {"b": PhaseConfig.A}, FAST)
 
 
+def test_fit_rejects_a_bus_without_allocation_naming_it():
+    with pytest.raises(ValueError, match="bus a: no phase configuration"):
+        fit_load_model({"a": np.array([1.0, 0.0, 0.0])}, {}, FAST)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_fit_rejects_non_finite_demand_naming_the_bus(value):
     demands = {"b0": np.array([1.0, 0.0, 0.0]), "b7": np.array([value, 0.0, 0.0])}

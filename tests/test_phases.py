@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsynth.datasets import demo_topology
 from gridsynth.distributions import make_rng, substream
@@ -24,7 +26,9 @@ from gridsynth.topology import (
     assign_zones,
     build_hierarchy,
     compute_distances,
+    shortest_path_tree,
 )
+from test_topology import meshed_feeders, radial_trees
 
 FAST = FitConfig(chains=4, warmup=600, draws=600, thin=2, seed=31)
 
@@ -189,15 +193,28 @@ def test_mesh_line_off_the_tree_can_break_the_subset_rule():
     assert consistency_violations(topo, phi, d) == ["l_xy"]
 
 
-def test_allocate_long_branch_property():
-    topo = demo_topology()
-    d = compute_distances(topo)
-    zones = assign_zones(d, topo.lines, 1)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(radial_trees(), meshed_feeders()), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_allocation_follows_the_tree(topo, zone_count, seed):
+    """On radial and meshed feeders alike, every non-source bus holds its
+    tree parent's configuration unless it is a branch point, whose phase set
+    is a subset of its tree parent's."""
+    distances, tree_parent = shortest_path_tree(topo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        zones = assign_zones(distances, topo.lines, zone_count)
     hierarchy = build_hierarchy(topo)
-    base = np.full((1, 7), 1.0 / 7.0)
-    phi = allocate(topo, hierarchy, zones, base, make_rng(5))
-    for bus, ram in hierarchy.nearest_ramification.items():
-        assert phi[bus] is phi[ram]
+    rng = make_rng(seed)
+    phi = allocate(topo, hierarchy, zones, rng.random((zones.zone_count, 7)), rng)
+    branch = set(hierarchy.ramification_set)
+    assert phi[topo.source] is PhaseConfig.ABC
+    for bus, parent in tree_parent.items():
+        if parent is None:
+            continue
+        if bus in branch:
+            assert phi[bus].phases <= phi[parent].phases
+        else:
+            assert phi[bus] is phi[parent]
 
 
 def test_allocate_skew_under_uniform_base():

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from gridsynth.datasets import DEMO_CAIDI, DEMO_CAIFI, DEMO_ZONES
-from gridsynth.distributions import make_rng
+from gridsynth.distributions import ParameterError, make_rng
 from gridsynth.inference import FitConfig
 from gridsynth.reliability import fit_caidi, fit_caifi, sample_caidi, sample_caifi
 from gridsynth.topology import ZoneAssignment
@@ -112,6 +112,21 @@ DRAW = {
     "freq_mean": np.array([0.7, 3.5]),
     "dispersion": 1.6,
 }
+
+
+@pytest.mark.parametrize("sample", [sample_caidi, sample_caifi])
+@pytest.mark.parametrize("zone", [0, -1, 3])
+def test_sampler_rejects_a_zone_outside_the_draw(sample, zone):
+    # a zone of 0 or -1 would otherwise wrap round to the last zone's entry
+    with pytest.raises(ParameterError, match=f"zone {zone} is outside 1..2"):
+        sample(DRAW, zone, make_rng(0))
+
+
+@pytest.mark.parametrize("p", [math.nan, 1.5, -0.5])
+def test_sample_caidi_rejects_a_hurdle_probability_outside_0_1(p):
+    draw = {**DRAW, "hurdle_p": np.array([0.3, p])}
+    with pytest.raises(ParameterError, match="zone 2: hurdle probability"):
+        sample_caidi(draw, 2, make_rng(0))
 
 
 @pytest.mark.parametrize("zone", [1, 2])

@@ -183,12 +183,21 @@ def test_zone_interval_invariant():
     assert_zones_ordered(dists, za.bus_zone, za.zone_count)
 
 
+def _allocations(topo, seeds=20):
+    """Allocations under a uniform base on one zone, one per seed."""
+    zones = assign_zones(compute_distances(topo), topo.lines, 1)
+    hierarchy = build_hierarchy(topo)
+    base = np.ones((1, 7))
+    return [allocate(topo, hierarchy, zones, base, make_rng(seed)) for seed in range(seeds)]
+
+
 def test_hierarchy_path_graph():
     topo = chain([1.0, 1.0, 1.0])
     h = build_hierarchy(topo)
     assert h.ramification_set == ("src",)
     assert h.parent == {}
-    assert set(h.nearest_ramification.values()) == {"src"}
+    for phi in _allocations(topo):
+        assert set(phi.values()) == {PhaseConfig.ABC}
 
 
 def test_hierarchy_star_with_center():
@@ -203,7 +212,10 @@ def test_hierarchy_star_with_center():
     h = build_hierarchy(topo)
     assert set(h.ramification_set) == {"src", "m"}
     assert h.parent["m"] == "src"
-    assert h.nearest_ramification == {"x": "m", "y": "m"}
+    allocations = _allocations(topo)
+    assert any(phi["m"] is not PhaseConfig.ABC for phi in allocations)
+    for phi in allocations:
+        assert phi["x"] is phi["m"] and phi["y"] is phi["m"]
 
 
 def test_hierarchy_two_nested_branch_points():
@@ -223,10 +235,12 @@ def test_hierarchy_two_nested_branch_points():
     assert set(h.ramification_set) == {"src", "m1", "m2"}
     assert h.parent["m1"] == "src"
     assert h.parent["m2"] == "m1"
-    assert h.nearest_ramification["a"] == "src"
-    assert h.nearest_ramification["p"] == "m1"
-    assert h.nearest_ramification["b"] == "m1"
-    assert h.nearest_ramification["q"] == "m2"
+    allocations = _allocations(topo)
+    assert any(phi["m2"] is not phi["m1"] for phi in allocations)
+    for phi in allocations:
+        assert phi["a"] is PhaseConfig.ABC
+        assert phi["p"] is phi["m1"] and phi["b"] is phi["m1"]
+        assert phi["q"] is phi["m2"] and phi["r"] is phi["m2"]
 
 
 def test_topological_order_parents_first():
@@ -348,11 +362,8 @@ def _walk_to_root_hierarchy(topology):
         return topology.source
 
     parent = {r: first_ram_ancestor(r) for r in ram if r != topology.source}
-    nearest = {v: first_ram_ancestor(v) for v in bus_ids(topology) if v not in ram}
     ordered = tuple(sorted(ram, key=lambda b: (dist[b], b)))
-    return RamificationHierarchy(
-        ramification_set=ordered, parent=parent, nearest_ramification=nearest
-    )
+    return RamificationHierarchy(ramification_set=ordered, parent=parent)
 
 
 @st.composite
@@ -556,7 +567,6 @@ def _reference_hierarchy(topology, tree_parent, order, degree):
     return RamificationHierarchy(
         ramification_set=ordered,
         parent={r: above[r] for r in ordered[1:]},
-        nearest_ramification={v: above[v] for v in bus_ids(topology) if v not in ram},
     )
 
 
@@ -567,13 +577,20 @@ def _reference_categorical(rng, probs):
     return bisect_right(cum, rng.random() * cum[-1])
 
 
-def _reference_allocation(topology, hierarchy, zones, base, rng):
+def _reference_allocation(topology, hierarchy, tree_parent, zones, base, rng):
+    """Reference: the branch points draw in ramification order under their
+    hierarchy parent; every other bus copies its nearest branch point up the
+    tree ``tree_parent``."""
     phi = {topology.source: PhaseConfig.ABC}
     for node in hierarchy.ramification_set[1:]:
         probs = constrain(base[zones.bus_zone[node] - 1], phi[hierarchy.parent[node]])
         phi[node] = CONFIGS[_reference_categorical(rng, probs)]
-    for node, ram in hierarchy.nearest_ramification.items():
-        phi[node] = phi[ram]
+    ram = set(hierarchy.ramification_set)
+    for bus in bus_ids(topology):
+        node = bus
+        while node not in ram:
+            node = tree_parent[node]
+        phi[bus] = phi[node]
     return phi
 
 
@@ -636,8 +653,9 @@ def test_index_layers_match_string_keyed_references(topo, zone_count, seed):
     base = make_rng(seed).random((zones.zone_count, 7))
     rng, reference_rng = make_rng(seed), make_rng(seed)
     allocation = allocate(topo, hierarchy, zones, base, rng)
-    reference = _reference_allocation(topo, hierarchy, zones, base, reference_rng)
-    assert list(allocation.items()) == list(reference.items())
+    reference = _reference_allocation(topo, hierarchy, parent, zones, base, reference_rng)
+    assert allocation == reference
+    assert list(allocation) == bus_ids(topo)
     assert rng.random() == reference_rng.random()  # both consumed the same draws
 
     # a mesh line between two branches can violate; a tree line never does
