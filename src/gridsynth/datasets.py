@@ -3,9 +3,10 @@ attribute tables generated from documented ground-truth parameters.
 
 The demo feeder is a 136-bus radial network: an 18-bus trunk with nine
 laterals, each lateral carrying a sub-branch and a spur. Reference attribute
-tables (phases, loads, reliability, line parameters) are drawn from the
-ground-truth constants below through the same generative machinery the
-fitted models use, so fitting them back is a closed-loop exercise.
+tables (phases, loads, reliability, line parameters) are one network that
+``generate.network`` draws from the ground-truth constants below
+(``demo_draw``), the generator that also draws from a fitted model, so
+fitting them back is a closed-loop exercise.
 """
 
 from __future__ import annotations
@@ -16,19 +17,8 @@ import os
 import numpy as np
 
 from .distributions import substream
-from .lines import sample_line
-from .loads import draw_power_factor, sample_demand
-from .phases import PhaseConfig, allocate
-from .reliability import sample_caidi, sample_caifi
-from .topology import (
-    Bus,
-    Line,
-    NetworkTopology,
-    assign_zones,
-    build_hierarchy,
-    compute_distances,
-    save_topology,
-)
+from .generate import Feeder, network
+from .topology import Bus, Line, NetworkTopology, save_topology
 
 __all__ = [
     "DEMO_ZONES",
@@ -37,6 +27,7 @@ __all__ = [
     "DEMO_CAIDI",
     "DEMO_CAIFI",
     "DEMO_LINE",
+    "demo_draw",
     "demo_topology",
     "write_demo_reference",
 ]
@@ -101,14 +92,13 @@ DEMO_LINE = {
 }
 
 
-def _line_truth_draw() -> dict:
-    draw = {
-        "r_means": DEMO_LINE["r_means"],
-        "r_cv": DEMO_LINE["r_cv"],
-        "rho_means": DEMO_LINE["rho_means"],
-        "rho_cv": DEMO_LINE["rho_cv"],
-    }
+def demo_draw() -> dict:
+    """The ground truth as one draw in the fits' parameter names, the format
+    ``generate.network`` reads."""
+    draw = {**DEMO_LOAD, **DEMO_CAIDI, **DEMO_CAIFI}
+    draw.update((k, DEMO_LINE[k]) for k in ("r_means", "r_cv", "rho_means", "rho_cv"))
     for z in range(1, DEMO_ZONES + 1):
+        draw[f"base_z{z}"] = DEMO_PHASE_BASE[z - 1]
         draw[f"r_weights_z{z}"] = DEMO_LINE["r_weights"][z - 1]
         draw[f"rho_weights_z{z}"] = DEMO_LINE["rho_weights"][z - 1]
     return draw
@@ -146,37 +136,7 @@ def write_demo_reference(out_dir: str, seed: int = 2024) -> dict[str, str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     topo = demo_topology()
-    distances = compute_distances(topo)
-    zones = assign_zones(distances, topo.lines, DEMO_ZONES)
-    hierarchy = build_hierarchy(topo)
-
-    alloc_rng = substream(seed, "demo", "phases")
-    allocation = allocate(topo, hierarchy, zones, DEMO_PHASE_BASE, alloc_rng)
-
-    load_rng = substream(seed, "demo", "loads")
-    pf = draw_power_factor(load_rng)
-    demands = {}
-    for bus in topo.buses:
-        if bus.id == topo.source or bus.no_load:
-            continue
-        demands[bus.id] = sample_demand(DEMO_LOAD, allocation[bus.id], load_rng, pf)
-
-    rel_rng = substream(seed, "demo", "reliability")
-    caidi = {}
-    caifi = {}
-    for bus in topo.buses:
-        if bus.id == topo.source:
-            continue
-        z = zones.bus_zone[bus.id]
-        caidi[bus.id] = sample_caidi(DEMO_CAIDI, z, rel_rng)
-        caifi[bus.id] = sample_caifi(DEMO_CAIFI, z, rel_rng)
-
-    line_rng = substream(seed, "demo", "lines")
-    truth = _line_truth_draw()
-    line_params = {
-        line.id: sample_line(truth, zones.line_zone[line.id], line_rng)
-        for line in topo.lines
-    }
+    net = network(demo_draw(), Feeder(topo, DEMO_ZONES), seed, "demo")
 
     paths = {
         "topology": os.path.join(out_dir, "topology.json"),
@@ -189,27 +149,27 @@ def write_demo_reference(out_dir: str, seed: int = 2024) -> dict[str, str]:
     _write_csv(
         paths["phases"],
         ["bus_id", "phase"],
-        [[b, allocation[b].name] for b in sorted(allocation)],
+        [[b, net.phases[b].name] for b in sorted(net.phases)],
     )
     _write_csv(
         paths["loads"],
         ["bus_id", "p_kw_a", "p_kw_b", "p_kw_c"],
         [
-            [b] + [f"{x:.6f}" for x in demands[b].p_kw]
-            for b in sorted(demands)
+            [b] + [f"{x:.6f}" for x in net.demands[b].p_kw]
+            for b in sorted(net.demands)
         ],
     )
     _write_csv(
         paths["reliability"],
         ["bus_id", "caidi_hours", "caifi_count"],
-        [[b, f"{caidi[b]:.6f}", str(caifi[b])] for b in sorted(caidi)],
+        [[b, f"{net.caidi[b]:.6f}", str(net.caifi[b])] for b in sorted(net.caidi)],
     )
     _write_csv(
         paths["lines"],
         ["line_id", "r1_ohm_per_km", "rho"],
         [
-            [l, f"{line_params[l].r1_ohm_per_km:.6f}", f"{line_params[l].rho:.6f}"]
-            for l in sorted(line_params)
+            [l, f"{net.lines[l].r1_ohm_per_km:.6f}", f"{net.lines[l].rho:.6f}"]
+            for l in sorted(net.lines)
         ],
     )
     return paths

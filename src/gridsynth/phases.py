@@ -10,7 +10,8 @@ tree joins two buses allocated independently, so it can break the rule;
 ``consistency_violations`` reports every line that does. One 7x7 table by
 configuration index, ``_ALLOWED[parent, child]``, holds the subset rule:
 ``constrain`` masks by the parent's row and ``consistency_violations`` looks
-up each line's (upstream, downstream) pair.
+up each line's (upstream, downstream) pair. One helper, ``_line_ends``,
+orders each line's ends for it and for ``generate.Feeder``.
 
 Base probabilities are zone-level Dirichlet-Categorical posteriors: a
 concentration row per zone with a HalfNormal(1) prior, a probability vector
@@ -225,6 +226,22 @@ def allocate(
 _VALUE = attrgetter("_value_")
 
 
+def _line_ends(
+    topology: NetworkTopology, distances: dict[str, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upstream and downstream end positions of each line, in line order, by
+    the rule ``consistency_violations`` states."""
+    index = topology._index
+    n = len(index.ids)
+    dist = np.fromiter(map(distances.__getitem__, index.ids), float, n)
+    seq = np.empty(n, dtype=np.int64)  # pop order position of each bus
+    seq[index.order] = np.arange(n)
+    a = np.array(index.line_from, dtype=np.int64)
+    b = np.array(index.line_to, dtype=np.int64)
+    a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
+    return np.where(a_up, a, b), np.where(a_up, b, a)
+
+
 def consistency_violations(
     topology: NetworkTopology,
     allocation: dict[str, PhaseConfig],
@@ -235,18 +252,9 @@ def consistency_violations(
     The upstream end is the one closer to the source; between equidistant
     ends, the one the shortest-path tree reaches first.
     """
-    if not topology.lines:
-        return []
-    index = topology._index
-    n = len(index.ids)
-    dist = np.fromiter(map(distances.__getitem__, index.ids), float, n)
+    ids = topology._index.ids
     # _value_ is the plain member attribute; .value goes through a descriptor
-    config = np.fromiter(map(_VALUE, map(allocation.__getitem__, index.ids)), np.int64, n)
-    seq = np.empty(n, dtype=np.int64)  # pop order position of each bus
-    seq[index.order] = np.arange(n)
-    a, b = np.array(index.line_from), np.array(index.line_to)
-    a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
-    ca, cb = config[a], config[b]
-    up, down = np.where(a_up, ca, cb), np.where(a_up, cb, ca)
-    lines = topology.lines
-    return [lines[i].id for i in np.flatnonzero(_ALLOWED[up, down] == 0.0).tolist()]
+    config = np.fromiter(map(_VALUE, map(allocation.__getitem__, ids)), np.int64, len(ids))
+    up, down = _line_ends(topology, distances)
+    bad = np.flatnonzero(_ALLOWED[config[up], config[down]] == 0.0)
+    return [topology.lines[i].id for i in bad.tolist()]

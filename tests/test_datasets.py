@@ -1,6 +1,7 @@
 """Demo reference writer: files, topology round trip and table invariants."""
 
 import csv
+import hashlib
 import os
 
 import pytest
@@ -65,6 +66,25 @@ def test_same_seed_is_byte_identical_and_other_seed_differs(reference, tmp_path)
     assert again == first
     assert other["topology"] == first["topology"]
     assert all(other[t] != first[t] for t in TABLES)
+
+
+# sha256 of each file at seed 2024, recorded while the tables were still
+# drawn by a loop of their own, before generate.network drew them: any change
+# to a value, its formatting or the order of rows changes one
+PINNED_SHA256 = {
+    "topology": "5185ade01dce5a99d77780c67d13ad998d4417153a18feb7ef03511664a1a86d",
+    "phases": "acaa916e58e35780774e799b99c40f1b31ed61a13ff91b633c02b694e491a854",
+    "loads": "f03ee5539aedd8a102ff60ac1ba875fbae7f5c4030314d74dc0c9b3ef0dcede8",
+    "reliability": "4142ffc21754ca072cf75930cd2cfb895e0e1597691d8fd6d31bce30c0025226",
+    "lines": "0c621b21b95e78f7167494bf99ffd3551de2b1961e9aaa8433cdcf3221022c1e",
+}
+
+
+def test_files_at_seed_2024_are_pinned(tmp_path):
+    contents = _contents(write_demo_reference(str(tmp_path), seed=2024))
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()} == (
+        PINNED_SHA256
+    )
 
 
 def scalar_demo_topology():

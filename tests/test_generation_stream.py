@@ -16,21 +16,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from gridsynth.datasets import (
-    DEMO_CAIDI,
-    DEMO_CAIFI,
-    DEMO_LOAD,
-    DEMO_PHASE_BASE,
-    DEMO_ZONES,
-    _line_truth_draw,
-    demo_topology,
-)
+from gridsynth.datasets import DEMO_PHASE_BASE, DEMO_ZONES, demo_draw, demo_topology
 from gridsynth.distributions import substream
+from gridsynth.generate import Feeder, network
 from gridsynth.inference import FitConfig
-from gridsynth.lines import attach_zabc, fit_line_model, sample_line
-from gridsynth.loads import draw_power_factor, fit_load_model, sample_demand
+from gridsynth.lines import fit_line_model
+from gridsynth.loads import draw_power_factor, fit_load_model
 from gridsynth.phases import allocate, fit_phase_model
-from gridsynth.reliability import fit_caidi, fit_caifi, sample_caidi, sample_caifi
+from gridsynth.reliability import fit_caidi, fit_caifi
 from gridsynth.topology import (
     Bus,
     Line,
@@ -54,60 +47,22 @@ TREE_BUSES = 2000
 
 
 def demo_network(seed):
-    """One network on the demo feeder, drawn in ``write_demo_reference``'s
-    order, with ``z_abc`` built on each line's downstream configuration."""
-    topo = demo_topology()
-    distances, parent = shortest_path_tree(topo)
-    zones = assign_zones(distances, topo.lines, DEMO_ZONES)
-    allocation = allocate(
-        topo, build_hierarchy(topo), zones, DEMO_PHASE_BASE, substream(seed, "demo", "phases")
-    )
-
-    rng = substream(seed, "demo", "loads")
-    pf = draw_power_factor(rng)
-    demands = {
-        bus.id: sample_demand(DEMO_LOAD, allocation[bus.id], rng, pf)
-        for bus in topo.buses
-        if bus.id != topo.source and not bus.no_load
-    }
-
-    rng = substream(seed, "demo", "reliability")
-    caidi, caifi = {}, {}
-    for bus in topo.buses:
-        if bus.id != topo.source:
-            z = zones.bus_zone[bus.id]
-            caidi[bus.id] = sample_caidi(DEMO_CAIDI, z, rng)
-            caifi[bus.id] = sample_caifi(DEMO_CAIFI, z, rng)
-
-    rng = substream(seed, "demo", "lines")
-    truth = _line_truth_draw()
-    lines = {}
-    for line in topo.lines:
-        params = sample_line(truth, zones.line_zone[line.id], rng)
-        downstream = line.to_bus if parent[line.to_bus] == line.from_bus else line.from_bus
-        lines[line.id] = attach_zabc(params, allocation[downstream])
-    return {
-        "topology": topo,
-        "zones": zones,
-        "allocation": allocation,
-        "pf": pf,
-        "demands": demands,
-        "caidi": caidi,
-        "caifi": caifi,
-        "lines": lines,
-    }
+    """The demo feeder and one network on it, as ``write_demo_reference``
+    draws it."""
+    feeder = Feeder(demo_topology(), DEMO_ZONES)
+    return feeder, network(demo_draw(), feeder, seed, "demo")
 
 
 def demo_network_values(seed):
     """Every value of one network, in the order it was drawn."""
-    net = demo_network(seed)
-    values = [net["allocation"][b.id].name for b in net["topology"].buses]
-    values.append(net["pf"])
-    for demand in net["demands"].values():
+    feeder, net = demo_network(seed)
+    values = [net.phases[b.id].name for b in feeder.topology.buses]
+    values.append(draw_power_factor(substream(seed, "demo", "loads")))
+    for demand in net.demands.values():
         values += demand.p_kw.tolist() + demand.q_kvar.tolist()
-    for bus, caidi in net["caidi"].items():
-        values += [caidi, net["caifi"][bus]]
-    for params in net["lines"].values():
+    for bus, caidi in net.caidi.items():
+        values += [caidi, net.caifi[bus]]
+    for params in net.lines.values():
         values += [params.r1_ohm_per_km, params.rho]
         values += [part for z in params.z_abc.ravel().tolist() for part in (z.real, z.imag)]
     return values
@@ -125,24 +80,26 @@ def test_demo_generation_stream_is_pinned():
     assert stream_digest(demo_network_values(SEED)) == EXPECTED_DIGEST
 
 
-@pytest.mark.filterwarnings("ignore:R-hat above")
-def test_fit_streams_are_pinned():
-    net = demo_network(SEED)
-    zones, allocation = net["zones"], net["allocation"]
-    fits = [
-        fit_phase_model(allocation, zones, FIT_CONFIG),
-        fit_load_model(
-            {bus: d.p_kw for bus, d in net["demands"].items()}, allocation, FIT_CONFIG
-        ),
-        fit_caidi(net["caidi"], zones, FIT_CONFIG),
-        fit_caifi(net["caifi"], zones, FIT_CONFIG),
+def fit_network(feeder, net, config):
+    """The five sub-model fits to one network, in draw order."""
+    zones = feeder.zones
+    return [
+        fit_phase_model(net.phases, zones, config),
+        fit_load_model({bus: d.p_kw for bus, d in net.demands.items()}, net.phases, config),
+        fit_caidi(net.caidi, zones, config),
+        fit_caifi(net.caifi, zones, config),
         fit_line_model(
-            {lid: p.r1_ohm_per_km for lid, p in net["lines"].items()},
-            {lid: p.rho for lid, p in net["lines"].items()},
+            {lid: p.r1_ohm_per_km for lid, p in net.lines.items()},
+            {lid: p.rho for lid, p in net.lines.items()},
             zones,
-            FIT_CONFIG,
+            config,
         ),
     ]
+
+
+@pytest.mark.filterwarnings("ignore:R-hat above")
+def test_fit_streams_are_pinned():
+    fits = fit_network(*demo_network(SEED), FIT_CONFIG)
     values = []
     for posterior in fits:
         for name, draws in posterior.ensemble.draws.items():

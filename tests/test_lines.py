@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from gridsynth.datasets import DEMO_ZONES, _line_truth_draw
+from gridsynth.datasets import DEMO_ZONES, demo_draw
 from gridsynth.distributions import ParameterError, make_rng
 from gridsynth.inference import FitConfig
 from gridsynth.lines import (
@@ -84,7 +84,7 @@ def test_absent_phases_are_exact_zeros(config):
 
 
 def test_sampled_reactance_is_rho_times_r1():
-    draw = _line_truth_draw()
+    draw = demo_draw()
     rng = make_rng(12)
     for zone in range(1, DEMO_ZONES + 1):
         for _ in range(20):
