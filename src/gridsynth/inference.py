@@ -19,12 +19,21 @@ acceptance ratio carries only their log-Jacobian (the other parameters'
 terms cancel). Parameters whose full conditional is known are passed to
 :func:`fit` as ``exact`` steps instead: each sweep draws them from that
 conditional after the Metropolis blocks, then rescores the chain with one
-log-posterior call. All chains advance in lockstep, so each block step is
-one transform call and one log-posterior call over a leading chain axis:
+log-posterior call. All chains advance in lockstep, and the Metropolis
+blocks are scored in pairs, in block order: one log-posterior call over a
+leading row axis scores three row sets of one row per chain, the first
+block's candidate, the second block's candidate on the current state, and
+the second block's candidate after the first block moved. The sampler decides
+the first block, then the second on the row set that matches each chain's
+first decision, so two blocks cost one call, and each draw is the one that
+scoring the blocks one by one would give (pre-fetching; Brockwell 2006,
+J. Comput. Graph. Stat. 15:246). An odd last block is a pair of one and scores one row set:
 
-- values carry a leading chain axis: a scalar parameter is a ``(chains,)``
-  array and a vector one ``(chains, n)``;
-- the log-posterior returns one value per chain, a ``(chains,)`` array;
+- values carry a leading row axis of up to three times the chain count: a
+  scalar parameter is a ``(rows,)`` array and a vector one ``(rows, n)``;
+- the log-posterior returns one value per row, a ``(rows,)`` array, and must
+  score each row independently of the others, to the last bit: a row's value
+  may not depend on which or how many rows share its call;
 - a row with an out-of-domain parameter scores ``-inf`` instead of raising,
   and a row outside the open support never reaches the model;
 - chain ``c`` consumes only its own substream ``(seed, "mcmc-chain", c)``, in
@@ -182,11 +191,14 @@ class ParamSpace:
             for d, (lo, hi) in zip(self.defs, self._columns.values())
         }
 
-    def _inside(self, flat: np.ndarray, cols=slice(None)) -> np.ndarray:
+    def _inside(self, flat: np.ndarray, cols=slice(None), fallback=None) -> np.ndarray:
         """Whether each row lies in the open support on the columns ``cols``
-        (NaN never does)."""
+        (NaN never does); a row outside is reset to its row of ``fallback``."""
         x = flat[..., cols]
-        return ((x > self._lower[cols]) & (x < self._upper[cols])).all(axis=-1)
+        inside = ((x > self._lower[cols]) & (x < self._upper[cols])).all(axis=-1)
+        if fallback is not None and not inside.all():
+            flat[~inside] = fallback[~inside]
+        return inside
 
     def _column_slice(self, names: list[str]):
         """The constrained columns of ``names``: a slice when contiguous."""
@@ -348,18 +360,20 @@ def fit(
 
     All chains advance together, and the sampler's state is each chain's row
     of constrained values. ``log_posterior`` receives a dict of constrained
-    values with a leading chain axis (a scalar parameter is a ``(rows,)``
+    values with a leading row axis (a scalar parameter is a ``(rows,)``
     array, a vector one ``(rows, n)``) and returns one value per row, ``-inf``
     allowed away from the init point; a row with an out-of-domain parameter
-    should score ``-inf`` rather than raise. It runs with numpy's overflow,
+    should score ``-inf`` rather than raise. A call gets up to
+    ``3 * chains`` rows, and each row must score as it would alone, bit for
+    bit, whatever else shares the call. It runs with numpy's overflow,
     divide-by-zero and invalid-value warnings off: the batched kernels
     evaluate every row's formula before masking, and a row that is finite but
     extreme (a positive value above 1e154 squares to inf in a half-normal
     prior) must be rejected, not abort the fit where warnings are errors. Any
     non-finite value it returns rejects the row. The model never sees a row
     outside the open support (an overflow to inf, an underflow to 0, a unit
-    value rounded to 1): the row is swapped for the chain's current state and
-    scored ``-inf``.
+    value rounded to 1): the row is swapped for the state it was proposed from
+    and scored ``-inf``.
 
     The values dict passed to ``log_posterior`` (and to ``draw`` below) holds
     views into a buffer the sampler reuses: it is valid for that call only,
@@ -381,6 +395,13 @@ def fit(
     unconstrained coordinates of its own parameters and transforms only
     those; its acceptance ratio carries only their log-Jacobian, since the
     other parameters' terms cancel. Kept draws are the constrained rows.
+    Blocks are scored two at a time: one call scores the first block's
+    candidate, the second block's candidate on the current state, and the
+    second block's candidate after the first moved (``3 * chains`` rows);
+    the second block is then decided on whichever of its two row sets
+    matches each chain's first decision, so the draws are those of one call
+    per block. An odd last block is scored alone (``chains`` rows), as is
+    each exact step.
 
     Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
     and keeps its own step sizes and proposal covariance, so its draws do not
@@ -389,7 +410,7 @@ def fit(
     of all Metropolis blocks (each block takes its slice, in block order),
     then one uniform per block for the accept test, and then its exact steps
     draw in order. A support check covers only the columns the step changed;
-    the rest of the row is the chain's current state, which is inside.
+    the rest of the row is the state it was proposed from, which is inside.
 
     At most one ``UserWarning`` per call lists the scalars above the R-hat
     threshold (an infinite R-hat included); ``diagnostics["rhat"]`` holds
@@ -404,15 +425,10 @@ def fit(
     chains = config.chains
     width = space._lower.size
 
-    def score(rows, values, fallback, cols=slice(None)) -> np.ndarray:
-        """Model log-posterior of each row of ``rows``, read through its named
-        views ``values``. ``cols`` are the columns the step changed; the
-        others are the chain's current state, which is inside. A row outside
-        the open support on them is first reset to ``fallback`` and then
-        scored -inf."""
-        inside = space._inside(rows, cols)
-        if not inside.all():
-            rows[~inside] = fallback[~inside]
+    def score(values, inside) -> np.ndarray:
+        """Model log-posterior of each row that ``values`` views. A row
+        outside the open support (``inside`` false), reset beforehand to a
+        row inside, scores -inf, as does a non-finite value."""
         lp = np.asarray(log_posterior(values), dtype=float)
         if lp.shape != inside.shape:
             raise ValueError(
@@ -427,12 +443,18 @@ def fit(
     z = np.repeat(init_z[None], chains, axis=0)
     current = np.repeat(init_flat, chains, axis=0)  # the state: constrained rows
     current_values = space._unpack(current)
-    # the candidate rows of every step, and the named views the model reads
-    cand = np.empty_like(current)
-    cand_values = space._unpack(cand)
+    # the candidate rows of every step, up to three row sets of one row per
+    # chain: the first block's candidate, the second's on the current state,
+    # and the second's after the first moved; the model reads named views of
+    # the first row set, or of all three
+    cand = np.empty((3 * chains, width))
+    first, second, second_moved = cand[:chains], cand[chains : 2 * chains], cand[2 * chains :]
+    cand_values = {sets: space._unpack(cand[: sets * chains]) for sets in (1, 3)}
     block_idx = [space.block_indices(b) for b in blocks]
     block_groups = [space._block_groups(b) for b in blocks]
     block_changed = [space._column_slice(b) for b in blocks]
+    pairs = [range(bi, min(bi + 2, len(blocks))) for bi in range(0, len(blocks), 2)]
+    chain_rows = np.arange(chains)
     exact_cols = [[space._columns[n] for n in names] for names, _ in exact]
     exact_changed = [space._column_slice(names) for names, _ in exact]
     # each sweep's random numbers: one normal per Metropolis coordinate, each
@@ -457,11 +479,8 @@ def fit(
     kept = 0
     with np.errstate(**quiet):
         # the model sees the init row only inside the support
-        init_lp = (
-            score(init_flat, space._unpack(init_flat), init_flat)
-            if space._inside(init_flat)[0]
-            else np.array([-np.inf])
-        )
+        inside = space._inside(init_flat)
+        init_lp = score(space._unpack(init_flat), inside) if inside[0] else np.array([-np.inf])
         if not np.isfinite(init_lp[0]):
             raise InitializationError("log-posterior is not finite at the initialization point")
         lp = np.repeat(init_lp, chains)
@@ -475,7 +494,8 @@ def fit(
             )
             rows = current[pending]
             _transform(space._groups, cand_z, rows)
-            cand_lp = score(rows, space._unpack(rows), current[pending])
+            inside = space._inside(rows, fallback=current[pending])
+            cand_lp = score(space._unpack(rows), inside)
             for row, c in enumerate(pending):
                 if np.isfinite(cand_lp[row]):
                     z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
@@ -485,7 +505,7 @@ def fit(
         z_blocks = [z[:, idx] for idx in block_idx]
         log_jac = np.zeros((chains, len(blocks)))
         for bi, groups in enumerate(block_groups):
-            log_jac[:, bi] = _transform(groups, z_blocks[bi], cand)
+            log_jac[:, bi] = _transform(groups, z_blocks[bi], first)
 
         for it in range(config.warmup + config.draws):
             warm = it < config.warmup
@@ -493,37 +513,55 @@ def fit(
                 rng.standard_normal(out=noise[c])
                 rng.random(out=uniform[c])
             step = np.exp(log_step)
-            for bi, zb in enumerate(z_blocks):
-                shift = noise[:, starts[bi] : starts[bi + 1]]
-                if chol[bi] is not None:
-                    shift = (chol[bi] @ shift[:, :, None])[:, :, 0]
-                cand_z = zb + step[:, bi, None] * shift
-                np.copyto(cand, current)
-                cand_lj = _transform(block_groups[bi], cand_z, cand)
-                cand_lp = score(cand, cand_values, current, block_changed[bi])
-                # min(1, exp(log ratio)), floored at exp(-700)
-                log_ratio = (cand_lp + cand_lj) - (lp + log_jac[:, bi])
-                accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
-                sweep_accept[:, bi] = accept_prob
-                move = uniform[:, bi] < accept_prob
-                if move.any():
-                    np.copyto(zb, cand_z, where=move[:, None])
-                    np.copyto(current, cand, where=move[:, None])
-                    np.copyto(lp, cand_lp, where=move)
-                    np.copyto(log_jac[:, bi], cand_lj, where=move)
+            for pair in pairs:
+                # propose both blocks of the pair, each on the current state,
+                # and score every row set they can need in one call
+                cand_z, cand_lj, inside = [], [], []
+                for bi, rows in zip(pair, (first, second)):
+                    shift = noise[:, starts[bi] : starts[bi + 1]]
+                    if chol[bi] is not None:
+                        shift = (chol[bi] @ shift[:, :, None])[:, :, 0]
+                    cand_z.append(z_blocks[bi] + step[:, bi, None] * shift)
+                    np.copyto(rows, current)
+                    cand_lj.append(_transform(block_groups[bi], cand_z[-1], rows))
+                    inside.append(space._inside(rows, block_changed[bi], current))
+                if len(pair) == 2:
+                    changed = block_changed[pair[1]]
+                    np.copyto(second_moved, first)
+                    second_moved[:, changed] = second[:, changed]
+                    inside.append(inside[1])
+                cand_lp = score(cand_values[len(inside)], np.concatenate(inside))
+                at = slice(0, chains)
+                for k, bi in enumerate(pair):
+                    if k:
+                        # the second block reads the row set that matches
+                        # each chain's first decision
+                        at = np.where(move, 2 * chains, chains) + chain_rows
+                    block_lp = cand_lp[at]
+                    # min(1, exp(log ratio)), floored at exp(-700)
+                    log_ratio = (block_lp + cand_lj[k]) - (lp + log_jac[:, bi])
+                    accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
+                    sweep_accept[:, bi] = accept_prob
+                    move = uniform[:, bi] < accept_prob
+                    if move.any():
+                        np.copyto(z_blocks[bi], cand_z[k], where=move[:, None])
+                        np.copyto(current, cand[at], where=move[:, None])
+                        np.copyto(lp, block_lp, where=move)
+                        np.copyto(log_jac[:, bi], cand_lj[k], where=move)
             if warm:
                 # Robbins-Monro gain on the log step size, toward the target acceptance
                 log_step += (it + 10.0) ** -0.6 * (sweep_accept - _TARGET_ACCEPT)
             else:
                 accepted[:, : len(blocks)] += sweep_accept
             for ei, ((step_names, draw), cols) in enumerate(zip(exact, exact_cols)):
-                np.copyto(cand, current)
+                np.copyto(first, current)
                 new = draw(current_values, rngs)
                 for name, (lo, hi) in zip(step_names, cols):
-                    cand[:, lo:hi] = np.reshape(new[name], (chains, hi - lo))
-                cand_lp = score(cand, cand_values, current, exact_changed[ei])
+                    first[:, lo:hi] = np.reshape(new[name], (chains, hi - lo))
+                inside = space._inside(first, exact_changed[ei], current)
+                cand_lp = score(cand_values[1], inside)
                 move = np.isfinite(cand_lp)
-                np.copyto(current, cand, where=move[:, None])
+                np.copyto(current, first, where=move[:, None])
                 np.copyto(lp, cand_lp, where=move)
                 if not warm:
                     accepted[:, len(blocks) + ei] += move

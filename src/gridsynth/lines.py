@@ -166,7 +166,7 @@ def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
 def _mixture(prefix: str, grouped: list[np.ndarray]):
     """One mixture's batched log-posterior and the exact step of ``fit`` for
     its zone weights, ``(logpost, (names, draw))``, over one set of shared
-    terms: values carry a leading chain axis."""
+    terms: values carry a leading row axis."""
     observed = np.concatenate(grouped)
     zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
     names = [f"{prefix}_weights_z{z}" for z in range(1, len(grouped) + 1)]
@@ -183,8 +183,8 @@ def _mixture(prefix: str, grouped: list[np.ndarray]):
         log_w = np.log(np.where(weights > 0.0, weights, 1.0))
         log_w = np.take(np.moveaxis(log_w, -1, 0), zone_of, axis=-1)  # (K, chains, lines)
         shape, rates = _gamma_shape_rates(v[f"{prefix}_means"], v[f"{prefix}_cv"][:, None])
-        # (rows stay contiguous, so each chain's sum over lines runs the same
-        # way for any number of chains)
+        # (rows stay contiguous, so each row's sum over lines runs the same
+        # way for any number of rows)
         rates_first = np.ascontiguousarray(rates.T)[:, :, None]
         return weights, shape, rates, log_w + _logpdf_gamma(observed, shape, rates_first)
 

@@ -153,7 +153,7 @@ def fit_phase_model(
     base_names = [f"base_z{z}" for z in range(1, z_count + 1)]
 
     def logpost(values) -> np.ndarray:
-        # (chains, zones, 7) stacks of the concentration rows and base rows
+        # (rows, zones, 7) stacks of the concentration rows and base rows
         conc = np.stack([values[name] for name in conc_names], axis=-2)
         base = np.stack([values[name] for name in base_names], axis=-2)
         lp = _logpdf_halfnormal(conc, 1.0).sum(axis=-1)

@@ -111,7 +111,7 @@ def fit_caidi(
         # hurdle indicator marginalized: zeros -> log(1-p), positives -> log p + Weibull
         lp += xlog1py(n_zero, -p).sum(axis=-1) + xlogy(n_pos, p).sum(axis=-1)
         # np.take keeps rows contiguous, so each row sums the same way for any
-        # number of chains (shape[:, zone_of] would be column-major)
+        # number of rows (shape[:, zone_of] would be column-major)
         shape_of, scale_of = np.take(shape, zone_of, axis=-1), np.take(scale, zone_of, axis=-1)
         lp += _logpdf_weibull(durations_pos, shape_of, scale_of).sum(axis=-1)
         return lp

@@ -4,6 +4,7 @@ The toy models score with ``scipy.stats`` or closed forms, never with the
 package's own log-density kernels.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -317,12 +318,14 @@ def test_summary_matches_per_scalar_diagnostics(draws):
 
 
 def test_log_posterior_calls_per_fit():
-    # a grouped block, a scalar block and one exact step: 2 Metropolis blocks
+    # a grouped block and two scalar blocks, then one exact step: the first
+    # two blocks are scored as a pair, the third alone
     space = ParamSpace(
         [
             ParamDef("a", (), "real"),
             ParamDef("b", (), "real"),
             ParamDef("c", (), "positive"),
+            ParamDef("d", (), "real"),
             ParamDef("y", (), "real"),
         ],
         blocks=[["a", "b"]],
@@ -336,7 +339,8 @@ def test_log_posterior_calls_per_fit():
 
         def logpost(v):
             calls.append(v["a"].shape[0])
-            lp = -0.5 * (v["a"] ** 2 + v["b"] ** 2 + v["y"] ** 2) + stats.gamma.logpdf(v["c"], 2.0)
+            lp = -0.5 * (v["a"] ** 2 + v["b"] ** 2 + v["d"] ** 2 + v["y"] ** 2)
+            lp = lp + stats.gamma.logpdf(v["c"], 2.0)
             return np.full(lp.shape, -np.inf) if len(calls) == rejected_call else lp
 
         config = FitConfig(chains=3, warmup=7, draws=5, thin=1, seed=29)
@@ -346,10 +350,11 @@ def test_log_posterior_calls_per_fit():
         return calls
 
     sweeps = 7 + 5
-    # init, one jitter attempt, then per sweep two blocks and one exact step
-    assert rows_per_call() == [1, 3] + [3] * (sweeps * 3)
+    # init, one jitter attempt, then per sweep a pair of blocks (three row
+    # sets of 3 chains), the lone third block and the exact step
+    assert rows_per_call() == [1, 3] + [9, 3, 3] * sweeps
     # the first jitter attempt scores -inf for every chain, so a second runs
-    assert rows_per_call(rejected_call=2) == [1, 3, 3] + [3] * (sweeps * 3)
+    assert rows_per_call(rejected_call=2) == [1, 3, 3] + [9, 3, 3] * sweeps
 
 
 def test_rhat_warning_lists_infinite_values():
@@ -502,6 +507,64 @@ def test_underflowing_proposal_is_rejected(monkeypatch):
         ensemble = fit(logpost, space, config, init={"shape": math.exp(-700.0)})
     assert min(seen) > 0.0
     assert np.all(ensemble.draws["shape"] > 0.0)
+
+
+def fit_beside_a_partner(name, init, logdensity, first, config):
+    """Fit the positive scalar ``name`` from ``init`` beside a well-behaved
+    positive partner, each in its own block (``name`` the first of the two
+    blocks when ``first``). Returns the ensemble and whether every row of
+    every call held only finite, positive values."""
+    defs = [ParamDef(name, (), "positive"), ParamDef("partner", (), "positive")]
+    space = ParamSpace(defs if first else defs[::-1])
+    clean = []
+
+    def logpost(v):
+        clean.append(all(np.all(np.isfinite(x) & (x > 0.0)) for x in v.values()))
+        return logdensity(v[name]) + stats.gamma.logpdf(v["partner"], 2.0)
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a wandering chain
+        ensemble = fit(logpost, space, config, init={name: init, "partner": 1.0})
+    return ensemble, all(clean)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_overflowing_proposal_is_rejected_beside_another_block(first):
+    config = FitConfig(chains=2, warmup=50, draws=50, thin=1, seed=3)
+    ensemble, clean = fit_beside_a_partner(
+        "scale", math.exp(709.0), lambda s: -np.log(s) - 1.0 / s, first, config
+    )
+    assert clean
+    for draws in ensemble.draws.values():
+        assert np.all(np.isfinite(draws) & (draws > 0.0))
+
+
+# The draws of the underflow fit below, with the reset parameter second, at
+# 12 significant digits; recorded before Metropolis blocks were scored in
+# pairs, whose reset path must change no draw
+UNDERFLOW_PAIR_DIGEST = "d9769295be13381d"
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_underflowing_proposal_is_rejected_beside_another_block(monkeypatch, first):
+    monkeypatch.setattr(inference, "_INITIAL_STEP", 30.0)
+    config = FitConfig(chains=2, warmup=50, draws=50, thin=1, seed=3)
+    ensemble, clean = fit_beside_a_partner(
+        "shape",
+        math.exp(-700.0),
+        lambda k: stats.gamma.logpdf(1.0, k) - 2.0 * np.log(k),
+        first,
+        config,
+    )
+    assert clean
+    for draws in ensemble.draws.values():
+        assert np.all(draws > 0.0)
+    if not first:
+        h = hashlib.sha256()
+        for name in ("partner", "shape"):
+            for value in ensemble.draws[name].tolist():
+                h.update(format(value, ".12g").encode() + b";")
+        assert h.hexdigest()[:16] == UNDERFLOW_PAIR_DIGEST
 
 
 def test_log_posterior_must_return_one_value_per_chain():

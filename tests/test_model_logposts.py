@@ -2,8 +2,9 @@
 
 Each batched log-posterior is checked row by row against a test-local copy of
 the scalar log-posterior it replaced (one constrained draw in, one float out),
-scored with ``scipy.stats`` rather than the package's own kernels, and each
-model's first chain of a 4-chain fit against a 1-chain fit.
+scored with ``scipy.stats`` rather than the package's own kernels; a batch
+against its rows and slices scored alone, bit for bit; and each model's first
+chain of a 4-chain fit against a 1-chain fit.
 """
 
 import math
@@ -293,9 +294,15 @@ def test_batched_log_posterior_matches_scalar_reference(model, fit_calls):
             batched = log_posterior(values)
             expected = [scored_by_fit(reference, row(values, i)) for i in range(len(z))]
         assert batched.shape == (len(z),)
-        # ordinary rows score the same on their own, with numpy's warnings on
-        ordinary = {name: v[:24] for name, v in values.items()}
-        np.testing.assert_array_equal(log_posterior(ordinary), batched[:24])
+        # each row, and each 10-row slice, scores bit for bit as in the whole
+        # batch: the sampler stacks several row sets into one call
+        parts = [slice(i, i + 1) for i in range(len(z))] + [slice(i, i + 10) for i in (0, 10, 20)]
+        for part in parts:
+            with np.errstate(all="ignore"):
+                alone = log_posterior({name: v[part] for name, v in values.items()})
+            np.testing.assert_array_equal(alone, batched[part], err_msg=str(part))
+        # ordinary rows score with numpy's warnings on
+        log_posterior({name: v[:24] for name, v in values.items()})
         assert sum(math.isfinite(e) for e in expected) >= 20
         assert sum(e == -np.inf for e in expected) >= 2
         for i, e in enumerate(expected):
