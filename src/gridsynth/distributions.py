@@ -5,10 +5,16 @@ counter-based Philox bit generator, so identical seeds reproduce identical
 streams on any platform. Substreams for independent workers are derived from
 ``(seed, *path)`` labels, never by jumping a shared stream.
 
-Samplers accept ``size=None`` for a scalar draw or an integer for a vectorized
-batch. Log-densities return ``-inf`` outside the support. A categorical pick
-has no sampler of its own: the callers draw one uniform each and place it on
-the running totals of ``_cumulative``, which holds the checks.
+Each sampler has the one calling convention its callers use. The per-item
+samplers (gamma, Weibull, negative binomial, truncated normal) take one
+generator and return one value, as the generator draws each bus and line
+attribute. The per-chain samplers (Dirichlet, Beta) take one generator per
+entry of the parameters' first axis, as the fits' exact steps draw every
+chain in one call.
+
+Log-densities return ``-inf`` outside the support. A categorical pick has no
+sampler of its own: the callers draw one uniform each and place it on the
+running totals of ``_cumulative``, which holds the checks.
 """
 
 from __future__ import annotations
@@ -87,38 +93,15 @@ def substream(seed: int, *path: object) -> Generator:
 # Samplers
 
 
-def sample_gamma(rng: Generator, shape: float, rate: float, size: int | None = None):
-    """Gamma draw via the Marsaglia-Tsang squeeze.
+def sample_gamma(rng: Generator, shape: float, rate: float) -> float:
+    """One Gamma(shape, rate) draw from ``rng``, by the Marsaglia-Tsang
+    squeeze.
 
     Shapes below one are boosted through Gamma(shape + 1) * U^(1/shape).
     """
     _require_positive(shape, "gamma shape must be finite and positive, got {}")
     _require_positive(rate, "gamma rate must be finite and positive, got {}")
-    if size is None:
-        return _gamma_mt_scalar(rng, shape) / rate
-    return _gamma_variates(rng, shape, size) / rate
-
-
-def _gamma_variates(rng, alpha, size: int | None) -> np.ndarray:
-    """Gamma(alpha, 1) draws of shape ``(size,) + alpha.shape`` (``alpha.shape``
-    when ``size`` is None).
-
-    ``rng`` may instead be a sequence of generators, one per row along the
-    first axis of ``alpha`` (and no size): row ``r`` is drawn only from
-    ``rng[r]``, exactly as that generator would draw it alone.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if not isinstance(rng, Generator):
-        _require(
-            size is None and alpha.ndim >= 1 and alpha.shape[0] == len(rng),
-            "one generator per row of the parameters",
-        )
-        rows = alpha.reshape(len(rng), -1)
-        return _gamma_mt_batch(rng, rows, rows.shape[1]).reshape(alpha.shape)
-    shape = (() if size is None else (int(size),)) + alpha.shape
-    n = math.prod(shape)
-    rows = alpha if alpha.ndim == 0 else np.broadcast_to(alpha, shape).reshape(1, n)
-    return _gamma_mt_batch([rng], rows, n).reshape(shape)
+    return _gamma_mt_scalar(rng, shape) / rate
 
 
 def _gamma_mt_scalar(rng: Generator, alpha: float) -> float:
@@ -140,27 +123,23 @@ def _gamma_mt_scalar(rng: Generator, alpha: float) -> float:
             return d * v
 
 
-def _gamma_mt_batch(rngs, alpha: np.ndarray, n: int) -> np.ndarray:
-    """``n`` Gamma(alpha, 1) draws from each generator of ``rngs``, as a
-    ``(len(rngs), n)`` array; ``alpha`` is one shape (a 0-d array) or a
-    ``(len(rngs), n)`` array of shapes.
+def _gamma_mt_batch(rngs, alpha: np.ndarray) -> np.ndarray:
+    """Gamma(alpha, 1) draws for a ``(len(rngs), n)`` array of shapes.
 
     Row ``r`` is drawn only from ``rngs[r]``, and in the same order whatever
     the other rows do: first the uniforms that boost its entries below 1, one
     per boosted entry, then in each squeeze round one normal and one uniform
     per entry still pending.
     """
-    small = np.broadcast_to(alpha < 1.0, (len(rngs), n))
+    n = alpha.shape[1]
+    small = alpha < 1.0
     boost = None
     if small.any():
         u = np.concatenate(_each(rngs, "random", small.sum(axis=1)))
-        # one shape keeps a scalar exponent, which numpy evaluates differently
-        # from an array one (it squares for 2), so its stream stays as it was
-        exponent = 1.0 / (alpha if alpha.ndim == 0 else alpha[small])
         boost = np.ones(small.shape)
-        boost[small] = (1.0 - u) ** exponent
-        alpha = np.where(alpha < 1.0, alpha + 1.0, alpha)
-    d = np.broadcast_to(alpha - 1.0 / 3.0, small.shape).ravel()
+        boost[small] = (1.0 - u) ** (1.0 / alpha[small])
+        alpha = np.where(small, alpha + 1.0, alpha)
+    d = (alpha - 1.0 / 3.0).ravel()
     c = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(small.shape)
     pending = np.arange(d.size)
@@ -189,42 +168,46 @@ def _each(rngs, method: str, counts) -> list[np.ndarray]:
     return [getattr(rng, method)(m) for rng, m in zip(rngs, counts.tolist()) if m]
 
 
-def sample_weibull(rng: Generator, shape: float, scale: float, size: int | None = None):
-    """Weibull draw by inverse CDF; ``shape=1`` reduces to Exponential(scale)."""
+def sample_weibull(rng: Generator, shape: float, scale: float) -> float:
+    """One Weibull draw from ``rng``, by inverse CDF; ``shape=1`` reduces to
+    Exponential(scale)."""
     _require(
         0.0 < shape < math.inf and 0.0 < scale < math.inf,
         "weibull needs finite positive shape and scale",
     )
-    u = 1.0 - (rng.random() if size is None else rng.random(size))  # (0, 1]
+    u = 1.0 - rng.random()  # (0, 1]
     return scale * (-np.log(u)) ** (1.0 / shape)
 
 
-def sample_beta(rng, a, b, size: int | None = None):
-    """Beta(a, b) draw: the first coordinate of a Dirichlet(a, b) draw.
-    ``a`` and ``b`` may be arrays (they broadcast): one draw per entry, and
-    ``rng`` one generator per entry of their first axis, as in
-    :func:`sample_dirichlet`."""
+def sample_beta(rngs, a, b) -> np.ndarray:
+    """Beta(a, b) draws, one generator per entry of the first axis: the
+    first coordinate of :func:`sample_dirichlet` on ``(a, b)``. ``a`` and
+    ``b`` broadcast; entry ``c`` of their first axis comes only from
+    ``rngs[c]``."""
     _require_positive(a, "beta needs positive shape parameters")
     _require_positive(b, "beta needs positive shape parameters")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.take(sample_dirichlet(rng, np.stack([a, b], axis=-1), size), 0, axis=-1)
+    return sample_dirichlet(rngs, np.stack([a, b], axis=-1))[..., 0]
 
 
-def sample_dirichlet(rng, concentration, size: int | None = None):
-    """Dirichlet draw over the last axis of ``concentration``.
+def sample_dirichlet(rngs, concentration) -> np.ndarray:
+    """Dirichlet draws over the last axis of ``concentration``, one
+    generator per entry of its first axis.
 
-    A ``(rows, k)`` concentration draws one vector per row; ``size`` draws
-    stack on a new leading axis. ``rng`` may also be a sequence of
-    generators, one per entry of the first axis (and no size), so that
-    independent streams such as the chains of a fit draw in one call: entry
-    ``c`` comes only from ``rng[c]``, exactly as ``sample_dirichlet(rng[c],
-    concentration[c])`` would draw it. A row whose gamma variates all
-    underflow to 0 (every concentration tiny) comes back NaN.
+    The independent streams of a fit's chains draw in one call: entry ``c``
+    of the first axis comes only from ``rngs[c]``, exactly as
+    ``sample_dirichlet([rngs[c]], concentration[c:c + 1])`` would draw it.
+    A vector whose gamma variates all underflow to 0 (every concentration
+    tiny) comes back NaN.
     """
     conc = np.asarray(concentration, dtype=float)
-    _require(conc.ndim >= 1 and conc.size >= 1, "dirichlet concentration must be a vector")
+    _require(
+        conc.ndim >= 2 and conc.size >= 1,
+        "dirichlet concentration must hold a vector per generator",
+    )
     _require_positive(conc, "dirichlet concentration entries must be positive")
-    g = _gamma_variates(rng, conc, size)
+    _require(conc.shape[0] == len(rngs), "one generator per row of the parameters")
+    g = _gamma_mt_batch(rngs, conc.reshape(len(rngs), -1)).reshape(conc.shape)
     with np.errstate(invalid="ignore"):
         return g / g.sum(axis=-1, keepdims=True)
 
@@ -247,28 +230,30 @@ def _cumulative(p) -> list[float]:
     return cum
 
 
-def sample_negbinomial(rng: Generator, mu: float, alpha: float, size: int | None = None):
-    """Negative Binomial with mean ``mu`` and variance ``mu + mu^2/alpha``.
+def sample_negbinomial(rng: Generator, mu: float, alpha: float) -> int:
+    """One Negative Binomial draw from ``rng``, with mean ``mu`` and variance
+    ``mu + mu^2/alpha``.
 
     Drawn as a Gamma-Poisson mixture: lambda ~ Gamma(alpha, alpha/mu),
     count ~ Poisson(lambda).
     """
     _require(mu > 0.0 and alpha > 0.0, "negbinomial needs positive mean and dispersion")
-    lam = sample_gamma(rng, alpha, alpha / mu, size)
-    if size is None:
-        return int(rng.poisson(lam))
-    return rng.poisson(lam).astype(np.int64)
+    return int(rng.poisson(sample_gamma(rng, alpha, alpha / mu)))
 
 
 # When at least this much of the parent normal lies above the bound, plain
 # rejection is used; otherwise Robert's one-sided exponential proposal.
 _TRUNCNORM_REJECTION_MIN_ACCEPT = 0.1
+# Proposals drawn per round, under either scheme: at an acceptance of 0.1 or
+# more, all 64 miss with probability at most 0.9**64, about 1e-3.
+_TRUNCNORM_BATCH = 64
 
 
-def sample_truncnormal(
-    rng: Generator, mu: float, sigma: float, lower: float, size: int | None = None
-):
-    """Normal(mu, sigma^2) conditioned on being >= lower.
+def sample_truncnormal(rng: Generator, mu: float, sigma: float, lower: float) -> float:
+    """One draw from ``rng`` of Normal(mu, sigma^2) conditioned on being >=
+    lower: the first accepted proposal of plain rejection, or of Robert's
+    (1995) shifted-exponential proposal with the optimal rate when less than
+    ``_TRUNCNORM_REJECTION_MIN_ACCEPT`` of the normal lies above the bound.
 
     ``mu`` and ``sigma`` must be finite and ``lower`` not NaN; a ``lower`` of
     -inf leaves the normal untruncated. ``sigma=0`` is accepted as the
@@ -282,53 +267,23 @@ def sample_truncnormal(
     _require(not math.isnan(lower), "truncnormal needs a bound, got NaN")
     if sigma == 0.0:
         _require(mu >= lower, "degenerate truncnormal needs mu >= lower")
-        return mu if size is None else np.full(size, mu)
+        return mu
     a = (lower - mu) / sigma
-    accept_rate = ndtr(-a)
-    rejection = accept_rate >= _TRUNCNORM_REJECTION_MIN_ACCEPT
-    _require(
-        rejection or _robert_rate(a) < math.inf,
-        "truncnormal bound too far above the mean: the proposal rate overflows",
-    )
-    if size is None:
-        # the first accepted proposal of the same batches an array of one draws
+    if ndtr(-a) >= _TRUNCNORM_REJECTION_MIN_ACCEPT:
         while True:
-            z = _truncnorm_batch(rng, a, 1, accept_rate, rejection)
+            z = rng.standard_normal(_TRUNCNORM_BATCH)
+            z = z[z >= a]
             if z.size:
                 return float(mu + sigma * z[0])
-    n = int(size)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        z = _truncnorm_batch(rng, a, n - filled, accept_rate, rejection)
-        take = min(z.size, n - filled)
-        out[filled : filled + take] = z[:take]
-        filled += take
-    return mu + sigma * out
-
-
-def _truncnorm_batch(
-    rng: Generator, a: float, pending: int, accept_rate: float, rejection: bool
-) -> np.ndarray:
-    """One batch of standardized proposals for ``pending`` outstanding
-    draws, and the ones accepted: plain rejection, or Robert's (1995)
-    shifted-exponential proposal with the optimal rate."""
-    if rejection:
-        batch = max(64, int(1.5 * pending / max(accept_rate, 1e-3)))
-        z = rng.standard_normal(batch)
-        return z[z >= a]
-    alpha = _robert_rate(a)
-    batch = max(64, 2 * pending)
-    u1 = 1.0 - rng.random(batch)  # (0, 1]
-    z = a - np.log(u1) / alpha
-    accept = rng.random(batch) <= np.exp(-0.5 * (z - alpha) ** 2)
-    return z[accept]
-
-
-def _robert_rate(a: float) -> float:
-    """The optimal rate of Robert's proposal for the standardized bound ``a``;
-    inf once ``a * a`` overflows."""
-    return 0.5 * (a + math.sqrt(a * a + 4.0))
+    rate = 0.5 * (a + math.sqrt(a * a + 4.0))  # inf once a * a overflows
+    _require(
+        rate < math.inf, "truncnormal bound too far above the mean: the proposal rate overflows"
+    )
+    while True:
+        z = a - np.log(1.0 - rng.random(_TRUNCNORM_BATCH)) / rate  # 1 - U in (0, 1]
+        z = z[rng.random(_TRUNCNORM_BATCH) <= np.exp(-0.5 * (z - rate) ** 2)]
+        if z.size:
+            return float(mu + sigma * z[0])
 
 
 # ---------------------------------------------------------------------------

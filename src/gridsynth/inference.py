@@ -125,7 +125,8 @@ class ParamSpace:
     """Named parameters with supports, packed into one unconstrained vector.
 
     ``blocks`` optionally groups parameter names that should be proposed
-    jointly; ungrouped parameters get their own block.
+    jointly, each name in at most one block; ungrouped parameters get their
+    own block.
     """
 
     def __init__(self, defs: list[ParamDef], blocks: list[list[str]] | None = None):
@@ -145,10 +146,13 @@ class ParamSpace:
             cpos += d.constrained_size
         self.dim = pos
         grouped = blocks or []
-        seen = {n for g in grouped for n in g}
-        for n in seen:
+        seen: set[str] = set()
+        for n in (n for g in grouped for n in g):
             if n not in self._by_name:
                 raise ValueError(f"unknown parameter in blocks: {n!r}")
+            if n in seen:
+                raise ValueError(f"parameter listed twice in blocks: {n!r}")
+            seen.add(n)
         self.blocks = [list(g) for g in grouped] + [[n] for n in names if n not in seen]
         self._groups = _transform_groups(self.defs, self._offsets, self._columns)
         # open support of each constrained column: lower < value < upper

@@ -48,15 +48,13 @@ from .phases import CONFIGS, PhaseConfig
 from .topology import ZoneAssignment, group_by_zone
 
 __all__ = [
-    "MIXTURE_COMPONENTS",
     "LineParams",
     "sample_line",
     "fit_line_model",
-    "carson_zabc",
     "attach_zabc",
 ]
 
-MIXTURE_COMPONENTS = 3
+_MIXTURE_COMPONENTS = 3
 
 # The one line geometry: phases A, B and C on a crossarm at spacings
 # 0.6/0.6/1.2 m, so collinear, and a neutral 1.2 m above the midpoint of the
@@ -155,11 +153,11 @@ def sample_line(draw, zone: int, rng) -> LineParams:
 
 def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
     defs = [
-        ParamDef(f"{prefix}_means", (MIXTURE_COMPONENTS,), "ordered_positive"),
+        ParamDef(f"{prefix}_means", (_MIXTURE_COMPONENTS,), "ordered_positive"),
         ParamDef(f"{prefix}_cv", (), "positive"),
     ]
     for z in range(1, zone_count + 1):
-        defs.append(ParamDef(f"{prefix}_weights_z{z}", (MIXTURE_COMPONENTS,), "simplex"))
+        defs.append(ParamDef(f"{prefix}_weights_z{z}", (_MIXTURE_COMPONENTS,), "simplex"))
     return ParamSpace(defs)
 
 
@@ -170,7 +168,7 @@ def _mixture(prefix: str, grouped: list[np.ndarray]):
     observed = np.concatenate(grouped)
     zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
     names = [f"{prefix}_weights_z{z}" for z in range(1, len(grouped) + 1)]
-    cells = len(names) * MIXTURE_COMPONENTS
+    cells = len(names) * _MIXTURE_COMPONENTS
 
     def components(v):
         """The weights stacked (chains, zones, K), the Gamma shape and rates,
@@ -194,7 +192,7 @@ def _mixture(prefix: str, grouped: list[np.ndarray]):
         lp += _logpdf_halfnormal(np.diff(means, axis=-1), 1.0).sum(axis=-1)
         lp += _logpdf_halfnormal(v[f"{prefix}_cv"], 0.5)
         weights, shape, rates, comp = components(v)
-        lp += _logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS)).sum(axis=-1)
+        lp += _logpdf_dirichlet(weights, np.ones(_MIXTURE_COMPONENTS)).sum(axis=-1)
         # the floor keeps a line whose components are all -inf at -inf, not nan
         peak = np.maximum(comp.max(axis=0), -1e300)
         lp += (peak + np.log(np.sum(np.exp(comp - peak), axis=0))).sum(axis=-1)
@@ -212,9 +210,9 @@ def _mixture(prefix: str, grouped: list[np.ndarray]):
         u = np.stack([rng.random(zone_of.size) for rng in rngs]) * cum[-1]
         picked = (u >= cum[:-1]).sum(axis=0)  # (chains, lines)
         # weights given the indicators: Dirichlet(1 + counts) per zone
-        cell = zone_of * MIXTURE_COMPONENTS + picked + cells * np.arange(len(rngs))[:, None]
+        cell = zone_of * _MIXTURE_COMPONENTS + picked + cells * np.arange(len(rngs))[:, None]
         counts = np.bincount(cell.ravel(), minlength=len(rngs) * cells)
-        counts = counts.reshape(len(rngs), len(names), MIXTURE_COMPONENTS)
+        counts = counts.reshape(len(rngs), len(names), _MIXTURE_COMPONENTS)
         weights = sample_dirichlet(rngs, 1.0 + counts)
         return {name: weights[:, z] for z, name in enumerate(names)}
 
@@ -226,11 +224,11 @@ def _mixture_init(prefix: str, grouped: list[np.ndarray]) -> dict:
     CV 0.3 and uniform zone weights."""
     values = np.concatenate(grouped)
     qs = np.quantile(values if values.size else np.array([1.0]), [0.15, 0.5, 0.85])
-    for i in range(1, MIXTURE_COMPONENTS):
+    for i in range(1, _MIXTURE_COMPONENTS):
         qs[i] = max(qs[i], qs[i - 1] * 1.05 + 1e-6)
     init = {f"{prefix}_means": qs, f"{prefix}_cv": 0.3}
     for z in range(1, len(grouped) + 1):
-        init[f"{prefix}_weights_z{z}"] = np.full(MIXTURE_COMPONENTS, 1.0 / MIXTURE_COMPONENTS)
+        init[f"{prefix}_weights_z{z}"] = np.full(_MIXTURE_COMPONENTS, 1.0 / _MIXTURE_COMPONENTS)
     return init
 
 
@@ -246,7 +244,7 @@ def fit_line_model(
     for name, data in (("r1", r1), ("rho", rho)):
         if any(v <= 0.0 for v in data.values()):
             raise ValueError(f"{name} observations must be positive")
-    if len(r1) < MIXTURE_COMPONENTS:
+    if len(r1) < _MIXTURE_COMPONENTS:
         warnings.warn(
             f"fewer observations ({len(r1)}) than mixture components; fit proceeds",
             stacklevel=2,
@@ -309,7 +307,7 @@ def _self_term(params: LineParams) -> complex:
     return r1 + _P_TERM + 1j * _Q_COEF * math.log(_DEPTH_M / gmr)
 
 
-def carson_zabc(params: LineParams, config: PhaseConfig) -> np.ndarray:
+def _carson_zabc(params: LineParams, config: PhaseConfig) -> np.ndarray:
     """3x3 phase impedance matrix (ohm/km) for the line's configuration.
 
     Only the active conductors (plus the neutral) enter the primitive matrix,
@@ -327,4 +325,4 @@ def carson_zabc(params: LineParams, config: PhaseConfig) -> np.ndarray:
 
 
 def attach_zabc(params: LineParams, config: PhaseConfig) -> LineParams:
-    return LineParams(params.r1_ohm_per_km, params.rho, carson_zabc(params, config))
+    return LineParams(params.r1_ohm_per_km, params.rho, _carson_zabc(params, config))

@@ -37,9 +37,7 @@ from .phases import PhaseConfig
 
 __all__ = [
     "BusDemand",
-    "power_factor_from_uniform",
     "draw_power_factor",
-    "mean_vector",
     "sample_demand",
     "fit_load_model",
 ]
@@ -71,7 +69,7 @@ _GAMMA_NAMES = (
 _DELTA_TRI_CONCENTRATION = np.array([2.0, 2.0, 2.0])
 
 
-def power_factor_from_uniform(u: float) -> float:
+def _power_factor_from_uniform(u: float) -> float:
     """Map a uniform draw to the three-level network power factor."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"uniform draw outside [0, 1]: {u}")
@@ -82,7 +80,7 @@ def power_factor_from_uniform(u: float) -> float:
 
 
 def draw_power_factor(rng) -> float:
-    return power_factor_from_uniform(rng.random())
+    return _power_factor_from_uniform(rng.random())
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ class BusDemand:
             raise ValueError("p_kw must be a nonnegative 3-vector")
 
 
-def mean_vector(draw, config: PhaseConfig) -> np.ndarray:
+def _mean_vector(draw, config: PhaseConfig) -> np.ndarray:
     """Category mean demand placed on the configuration's active phases.
 
     Dual-phase splits give the alphabetically first active phase the
@@ -121,7 +119,7 @@ def mean_vector(draw, config: PhaseConfig) -> np.ndarray:
 def sample_demand(draw, config: PhaseConfig, rng, pf: float) -> BusDemand:
     """Draw one bus demand. ``pf`` is the network-level power factor,
     drawn once per network sample, not per bus."""
-    mu = mean_vector(draw, config).tolist()
+    mu = _mean_vector(draw, config).tolist()
     sigma = float(draw["sigma_p"])
     p = [0.0, 0.0, 0.0]
     for i in config._phase_indices:

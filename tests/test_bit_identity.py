@@ -23,7 +23,7 @@ from gridsynth.distributions import (
     sample_truncnormal,
     sample_weibull,
 )
-from gridsynth.lines import LineParams, attach_zabc, carson_zabc, sample_line
+from gridsynth.lines import LineParams, _carson_zabc, attach_zabc, sample_line
 from gridsynth.loads import sample_demand
 from gridsynth.phases import CONFIGS
 from gridsynth.reliability import sample_caidi, sample_caifi
@@ -230,7 +230,7 @@ def test_sample_line_matches_reference(draw, seed):
 def test_carson_zabc_matches_reference(config, r1, rho):
     expected = ref_carson_zabc(r1, rho, config)
     params = LineParams(r1_ohm_per_km=r1, rho=rho)
-    assert carson_zabc(params, config).tobytes() == expected.tobytes()
+    assert _carson_zabc(params, config).tobytes() == expected.tobytes()
     attached = attach_zabc(params, config)
     assert attached.z_abc.tobytes() == expected.tobytes()
     assert (attached.r1_ohm_per_km, attached.rho) == (r1, rho)

@@ -2,7 +2,9 @@
 
 Moment tests compare 1e5-draw empirical means/variances against analytic
 values within 4 standard errors; seeds are fixed so the suite is
-deterministic. Support checks run at 1e6 draws.
+deterministic. Support checks run at 1e6 draws. Each sampler is called as the
+package calls it: the per-item samplers one value at a time, the per-chain
+ones with one generator per row.
 """
 
 import math
@@ -73,28 +75,40 @@ def assert_moments(draws, mean, var):
     assert abs(sample_var - var) < 4 * se_var, (sample_var, var, se_var)
 
 
+def repeat(n, draw):
+    """``n`` calls of the per-item sampler call ``draw()``, one value at a
+    time as the generator makes them."""
+    return np.array([draw() for _ in range(n)])
+
+
+def rows_of(params, n):
+    """``n`` copies of ``params`` in the one row of a per-chain call with one
+    generator: a ``(1, n) + shape(params)`` array."""
+    return np.broadcast_to(params, (1, n) + np.shape(params))
+
+
 def test_gamma_mean_example():
     rng = make_rng(11)
-    draws = sample_gamma(rng, 4.0, 4.0, N)
+    draws = repeat(N, lambda: sample_gamma(rng, 4.0, 4.0))
     # Gamma(4, 4): mean 1, sd 0.5
     assert abs(draws.mean() - 1.0) < 3 * (0.5 / math.sqrt(N))
 
 
 def test_gamma_moments_small_shape():
     rng = make_rng(12)
-    draws = sample_gamma(rng, 0.4, 2.0, N)
+    draws = repeat(N, lambda: sample_gamma(rng, 0.4, 2.0))
     assert_moments(draws, 0.4 / 2.0, 0.4 / 4.0)
     assert np.all(draws > 0)
 
 
 def test_gamma_moments_large_shape():
     rng = make_rng(13)
-    assert_moments(sample_gamma(rng, 9.0, 3.0, N), 3.0, 1.0)
+    assert_moments(repeat(N, lambda: sample_gamma(rng, 9.0, 3.0)), 3.0, 1.0)
 
 
 def test_weibull_exponential_case():
     rng = make_rng(14)
-    draws = sample_weibull(rng, 1.0, 2.0, N)
+    draws = repeat(N, lambda: sample_weibull(rng, 1.0, 2.0))
     # shape 1 reduces to Exponential with mean = scale = 2
     assert abs(draws.mean() - 2.0) < 3 * (2.0 / math.sqrt(N))
 
@@ -104,7 +118,7 @@ def test_weibull_moments():
     a, b = 1.7, 3.0
     mean = b * math.gamma(1 + 1 / a)
     var = b * b * (math.gamma(1 + 2 / a) - math.gamma(1 + 1 / a) ** 2)
-    assert_moments(sample_weibull(rng, a, b, N), mean, var)
+    assert_moments(repeat(N, lambda: sample_weibull(rng, a, b)), mean, var)
 
 
 def test_beta_moments():
@@ -112,23 +126,23 @@ def test_beta_moments():
     a, b = 2.0, 5.0
     mean = a / (a + b)
     var = a * b / ((a + b) ** 2 * (a + b + 1))
-    draws = sample_beta(rng, a, b, N)
+    draws = sample_beta([rng], rows_of(a, N), b)[0]
     assert_moments(draws, mean, var)
     assert np.all((draws > 0) & (draws < 1))
 
 
 def test_negbinomial_variance_example():
     rng = make_rng(19)
-    draws = sample_negbinomial(rng, 2.0, 1.0, N)
+    assert type(sample_negbinomial(rng, 2.0, 1.0)) is int
+    draws = repeat(N, lambda: sample_negbinomial(rng, 2.0, 1.0))
     # var = mu + mu^2/alpha = 6
     assert_moments(draws, 2.0, 6.0)
-    assert draws.dtype == np.int64
     assert np.all(draws >= 0)
 
 
 def test_negbinomial_poisson_limit():
     rng = make_rng(20)
-    draws = sample_negbinomial(rng, 2.0, 1e9, N)
+    draws = repeat(N, lambda: sample_negbinomial(rng, 2.0, 1e9))
     assert_moments(draws, 2.0, 2.0)
 
 
@@ -141,7 +155,7 @@ def test_truncnormal_moments_mild():
     lam = phi / tail
     mean = mu + sigma * lam
     var = sigma * sigma * (1 + a * lam - lam * lam)
-    assert_moments(sample_truncnormal(rng, mu, sigma, lower, N), mean, var)
+    assert_moments(repeat(N, lambda: sample_truncnormal(rng, mu, sigma, lower)), mean, var)
 
 
 def test_truncnormal_moments_far_tail():
@@ -154,15 +168,18 @@ def test_truncnormal_moments_far_tail():
     lam = phi / tail
     mean = mu + sigma * lam
     var = sigma * sigma * (1 + a * lam - lam * lam)
-    draws = sample_truncnormal(rng, mu, sigma, lower, N)
+    draws = repeat(N, lambda: sample_truncnormal(rng, mu, sigma, lower))
     assert np.all(draws >= lower)
     assert_moments(draws, mean, var)
 
 
 def test_truncnormal_support_one_million():
-    rng = make_rng(23)
-    draws = sample_truncnormal(rng, 0.5, 1.0, 0.0, 1_000_000)
-    assert np.all(draws >= 0.0)
+    # the second case has a narrower scale: the bound 1.67 standard
+    # deviations below the mean
+    for seed, mu, sigma in ((23, 0.5, 1.0), (5, 0.5, 0.3)):
+        rng = make_rng(seed)
+        draws = np.array([sample_truncnormal(rng, mu, sigma, 0.0) for _ in range(1_000_000)])
+        assert np.all(draws >= 0.0), (mu, sigma)
 
 
 def test_truncnormal_degenerate_scale():
@@ -190,29 +207,27 @@ def test_truncnormal_degenerate_scale():
     ],
 )
 def test_truncnormal_rejects_parameters_it_cannot_draw_from(mu, sigma, lower):
-    for size in (None, 5):
-        with pytest.raises(ParameterError):
-            sample_truncnormal(make_rng(1), mu, sigma, lower, size)
+    with pytest.raises(ParameterError):
+        sample_truncnormal(make_rng(1), mu, sigma, lower)
 
 
 def test_truncnormal_without_a_bound_is_the_normal():
     rng = make_rng(26)
     assert math.isfinite(sample_truncnormal(rng, 0.5, 2.0, -math.inf))
-    assert_moments(sample_truncnormal(rng, 0.5, 2.0, -math.inf, N), 0.5, 4.0)
+    assert_moments(repeat(N, lambda: sample_truncnormal(rng, 0.5, 2.0, -math.inf)), 0.5, 4.0)
 
 
 @pytest.mark.parametrize(
     "shape, scale", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (math.nan, 1.0)]
 )
 def test_weibull_rejects_non_finite_parameters(shape, scale):
-    for size in (None, 5):
-        with pytest.raises(ParameterError):
-            sample_weibull(make_rng(1), shape, scale, size)
+    with pytest.raises(ParameterError):
+        sample_weibull(make_rng(1), shape, scale)
 
 
 def test_dirichlet_simplex_one_million():
     rng = make_rng(25)
-    draws = sample_dirichlet(rng, [0.5, 1.0, 2.0], 1_000_000)
+    draws = sample_dirichlet([rng], rows_of([0.5, 1.0, 2.0], 1_000_000))[0]
     assert np.all(draws >= 0.0)
     np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
@@ -220,7 +235,7 @@ def test_dirichlet_simplex_one_million():
 def test_dirichlet_component_moments():
     rng = make_rng(26)
     conc = np.array([2.0, 3.0, 5.0])
-    draws = sample_dirichlet(rng, conc, N)
+    draws = sample_dirichlet([rng], rows_of(conc, N))[0]
     s = conc.sum()
     for j in range(3):
         mean = conc[j] / s
@@ -232,7 +247,7 @@ def test_dirichlet_per_row_moments():
     # one draw per row of a (rows, k) concentration, entries below 1 included
     rng = make_rng(126)
     conc = np.array([[0.3, 0.5, 2.0], [4.0, 0.7, 1.0]])
-    draws = sample_dirichlet(rng, conc, N)
+    draws = sample_dirichlet([rng], rows_of(conc, N))[0]
     assert draws.shape == (N, 2, 3)
     np.testing.assert_allclose(draws.sum(axis=-1), 1.0, atol=1e-12)
     for r in range(2):
@@ -246,11 +261,11 @@ def test_dirichlet_per_row_moments():
 def test_dirichlet_per_row_single_draw():
     rng = make_rng(127)
     conc = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0]])
-    draw = sample_dirichlet(rng, conc)
+    draw = sample_dirichlet([rng], conc[None])[0]
     assert draw.shape == (3, 2)
     np.testing.assert_allclose(draw.sum(axis=-1), 1.0, atol=1e-12)
     with pytest.raises(ParameterError):
-        sample_dirichlet(rng, [[1.0, 0.0]])
+        sample_dirichlet([rng], [[1.0, 0.0]])
 
 
 def test_one_generator_per_row_draws_as_each_alone():
@@ -261,19 +276,23 @@ def test_one_generator_per_row_draws_as_each_alone():
     for _ in range(200):
         rows = sample_dirichlet(together, conc)
         for r in range(4):
-            np.testing.assert_array_equal(rows[r], sample_dirichlet(alone[r], conc[r]))
+            np.testing.assert_array_equal(rows[r], sample_dirichlet([alone[r]], conc[r : r + 1])[0])
     p = sample_beta(together, conc[:, :2], conc[:, 2:])
     for r in range(4):
-        np.testing.assert_array_equal(p[r], sample_beta(alone[r], conc[r, :2], conc[r, 2]))
+        expected = sample_beta([alone[r]], conc[r : r + 1, :2], conc[r : r + 1, 2:])[0]
+        np.testing.assert_array_equal(p[r], expected)
     with pytest.raises(ParameterError, match="one generator per row"):
         sample_dirichlet(together[:3], conc)
+    # one generator per entry of a single vector would normalize across them
+    with pytest.raises(ParameterError, match="a vector per generator"):
+        sample_dirichlet(together[:3], conc[0])
 
 
 def test_beta_per_row_moments():
     rng = make_rng(128)
     a = np.array([0.4, 2.0, 5.0])
     b = np.array([0.6, 3.0, 0.8])
-    draws = sample_beta(rng, a, b, N)
+    draws = sample_beta([rng], rows_of(a, N), b)[0]
     assert draws.shape == (N, 3)
     assert np.all((draws >= 0.0) & (draws <= 1.0))
     for j in range(3):
@@ -281,44 +300,7 @@ def test_beta_per_row_moments():
         var = a[j] * b[j] / ((a[j] + b[j]) ** 2 * (a[j] + b[j] + 1))
         assert_moments(draws[:, j], mean, var)
     # a scalar parameter broadcasts against the other's rows
-    assert sample_beta(rng, 2.0, b).shape == (3,)
-
-
-def _gamma_mt_batch_scalar_shape(rng, alpha, n):
-    """The batch gamma sampler as it was for one scalar shape: the stream a
-    scalar-shape ``sample_gamma(..., size=n)`` must keep."""
-    boost = None
-    if alpha < 1.0:
-        boost = (1.0 - rng.random(n)) ** (1.0 / alpha)
-        alpha = alpha + 1.0
-    d = alpha - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
-        x = rng.standard_normal(m)
-        v = 1.0 + c * x
-        u = rng.random(m)
-        positive = v > 0.0
-        v3 = np.where(positive, v, 1.0) ** 3
-        squeeze = u < 1.0 - 0.0331 * x**4
-        with np.errstate(divide="ignore"):
-            log_test = np.log(u) < 0.5 * x * x + d * (1.0 - v3 + np.log(v3))
-        accept = positive & (squeeze | log_test)
-        out[pending[accept]] = d * v3[accept]
-        pending = pending[~accept]
-    if boost is not None:
-        out *= boost
-    return out
-
-
-@pytest.mark.parametrize("shape", [0.5, 0.25, 0.3, 1.0, 2.5, 7.0])
-def test_scalar_shape_gamma_batch_keeps_its_stream(shape):
-    # a shape of 0.5 boosts by U**2, where a scalar and an array exponent differ
-    expected = _gamma_mt_batch_scalar_shape(make_rng(129), shape, 20_000) / 1.5
-    got = sample_gamma(make_rng(129), shape, 1.5, 20_000)
-    np.testing.assert_array_equal(got, expected)
+    assert sample_beta([rng], 2.0, b[None]).shape == (1, 3)
 
 
 def pick(rng, probs) -> int:
@@ -438,11 +420,11 @@ def test_same_seed_bit_identical_streams():
     a = make_rng(123)
     b = make_rng(123)
     for sampler in (
-        lambda r: sample_gamma(r, 2.5, 1.5, 1000),
-        lambda r: sample_weibull(r, 1.2, 2.0, 1000),
-        lambda r: sample_truncnormal(r, 0.0, 1.0, 0.5, 1000),
-        lambda r: sample_negbinomial(r, 3.0, 0.7, 1000),
-        lambda r: sample_dirichlet(r, [1.0, 2.0, 3.0], 100),
+        lambda r: repeat(1000, lambda: sample_gamma(r, 2.5, 1.5)),
+        lambda r: repeat(1000, lambda: sample_weibull(r, 1.2, 2.0)),
+        lambda r: repeat(1000, lambda: sample_truncnormal(r, 0.0, 1.0, 0.5)),
+        lambda r: repeat(1000, lambda: sample_negbinomial(r, 3.0, 0.7)),
+        lambda r: sample_dirichlet([r], rows_of([1.0, 2.0, 3.0], 100)),
     ):
         np.testing.assert_array_equal(sampler(a), sampler(b))
 
@@ -527,14 +509,14 @@ def test_kernels_score_out_of_domain_parameters_minus_inf():
 def test_truncnormal_stats_kernel_matches_sum_over_observations(case):
     rng = make_rng(808)
     if case == "ordinary":
-        x, mu, sigma = sample_truncnormal(rng, 2.0, 1.5, 0.0, 200), 2.5, 1.2
+        x, mu, sigma = repeat(200, lambda: sample_truncnormal(rng, 2.0, 1.5, 0.0)), 2.5, 1.2
     elif case == "far from zero":
         # 1e4 plus noise of 1e-3: sum(x^2) - n mean^2 would cancel every digit
         x = 1e4 + 1e-3 * rng.standard_normal(50)
         mu, sigma = 1e4, 1e-3
     else:
         # mu / sigma = -30: the retained tail mass is about exp(-454)
-        x, mu, sigma = sample_truncnormal(rng, -30.0, 1.0, 0.0, 100), -30.0, 1.0
+        x, mu, sigma = repeat(100, lambda: sample_truncnormal(rng, -30.0, 1.0, 0.0)), -30.0, 1.0
     expected = math.fsum(logpdf_truncnormal(x, mu, sigma, 0.0))
     got = _logpdf_truncnormal_stats(_truncnormal_stats(x), mu, sigma, 0.0)
     assert got == pytest.approx(expected, rel=1e-12)

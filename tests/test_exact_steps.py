@@ -15,7 +15,7 @@ from scipy.special import gammaln, logsumexp
 
 from gridsynth.distributions import make_rng
 from gridsynth.inference import _effective_sample_size
-from gridsynth.lines import MIXTURE_COMPONENTS, fit_line_model
+from gridsynth.lines import _MIXTURE_COMPONENTS, fit_line_model
 from gridsynth.topology import ZoneAssignment, group_by_zone
 from test_distributions import assert_moments
 from test_model_logposts import ZONES, dataset, fit_model
@@ -100,7 +100,7 @@ def enumerated_weight_means() -> np.ndarray:
     summing over every indicator assignment: p(s) is the Gamma likelihood of
     the assignment times the Dirichlet(1)-multinomial marginal of each zone's
     counts, and E[w_zk | s] = (1 + n_zk) / (K + n_z)."""
-    k = MIXTURE_COMPONENTS
+    k = _MIXTURE_COMPONENTS
     grouped = group_by_zone(MIX_DATA, MIX_ZONES.line_zone, MIX_ZONES.zone_count)
     x = np.concatenate(grouped)
     zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
@@ -128,7 +128,7 @@ def test_mixture_weights_step_matches_enumeration(fit_calls):
     chains, burn, kept = 16, 50, 600
     values = chain_rows({**init, "r_means": MIX_MEANS, "r_cv": MIX_CV}, chains)
     rngs = [make_rng(720 + c) for c in range(chains)]
-    trace = np.empty((kept, chains, 2, MIXTURE_COMPONENTS))
+    trace = np.empty((kept, chains, 2, _MIXTURE_COMPONENTS))
     for it in range(burn + kept):
         values.update(draw(values, rngs))
         if it >= burn:
@@ -136,7 +136,7 @@ def test_mixture_weights_step_matches_enumeration(fit_calls):
     np.testing.assert_array_equal(values["r_means"], np.repeat(MIX_MEANS[None], chains, 0))
     expected = enumerated_weight_means()
     for z in range(2):
-        for k in range(MIXTURE_COMPONENTS):
+        for k in range(_MIXTURE_COMPONENTS):
             series = trace[:, :, z, k].T  # (chains, draws)
             se = series.std() / np.sqrt(_effective_sample_size(series[..., None])[0])
             assert abs(series.mean() - expected[z, k]) < 4 * se, (z, k, series.mean(), expected)

@@ -7,7 +7,7 @@ import pytest
 from gridsynth.datasets import demo_draw
 from gridsynth.generate import Feeder, network
 from gridsynth.inference import FitConfig
-from gridsynth.lines import carson_zabc
+from gridsynth.lines import _carson_zabc
 from gridsynth.phases import PhaseConfig, consistency_violations
 from gridsynth.topology import Bus, Line, NetworkTopology, compute_distances
 from test_generation_stream import SEED, demo_network, fit_network
@@ -63,7 +63,7 @@ def test_an_off_tree_line_takes_z_abc_from_its_downstream_end():
     net = network(draw, feeder, 0, "mesh")
     assert (net.phases["a"], net.phases["b"]) == (PhaseConfig.ABC, PhaseConfig.A)
     m = net.lines["m"]
-    np.testing.assert_array_equal(m.z_abc, carson_zabc(m, PhaseConfig.A))
+    np.testing.assert_array_equal(m.z_abc, _carson_zabc(m, PhaseConfig.A))
 
     # consistency_violations reads the same ends: with the two branches
     # swapped, only m has a downstream phase set outside its upstream one

@@ -175,6 +175,14 @@ def test_reproducible_ensembles():
     np.testing.assert_array_equal(a.draws["x"], b.draws["x"])
 
 
+@pytest.mark.parametrize("blocks", [[["x"], ["x"]], [["x", "x"]]])
+def test_parameter_in_two_blocks_is_rejected(blocks):
+    # two copies of one parameter's coordinates would go stale against each other
+    defs = [ParamDef("x", (), "positive"), ParamDef("y", (), "real")]
+    with pytest.raises(ValueError, match="'x'"):
+        ParamSpace(defs, blocks=blocks)
+
+
 def test_initialization_error():
     space = ParamSpace([ParamDef("x", (), "real")])
     with pytest.raises(InitializationError):
@@ -601,7 +609,7 @@ def test_posterior_predictive_gamma_recovery():
     # uniformly chosen draws through the generative pass; the predictive mean
     # must recover the truth
     rng = make_rng(21)
-    data = sample_gamma(rng, 25.0, 5.0, 400)  # mean 5, sd 1
+    data = np.array([sample_gamma(rng, 25.0, 5.0) for _ in range(400)])  # mean 5, sd 1
     space = ParamSpace([ParamDef("mu", (), "positive")])
 
     def logpost(v):

@@ -14,9 +14,9 @@ from gridsynth.inference import FitConfig
 from gridsynth.lines import (
     _CARSON,
     LineParams,
+    _carson_zabc,
     _mixture,
     _self_term,
-    carson_zabc,
     fit_line_model,
     sample_line,
 )
@@ -76,7 +76,7 @@ def test_positive_sequence_without_neutral_reproduces_r1_and_x1():
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_absent_phases_are_exact_zeros(config):
-    z_abc = carson_zabc(LineParams(r1_ohm_per_km=0.45, rho=1.5), config)
+    z_abc = _carson_zabc(LineParams(r1_ohm_per_km=0.45, rho=1.5), config)
     absent = [i for i, p in enumerate("ABC") if p not in config.phases]
     present = [i for i, p in enumerate("ABC") if p in config.phases]
     assert np.all(z_abc[absent, :] == 0.0) and np.all(z_abc[:, absent] == 0.0)
@@ -209,6 +209,6 @@ def test_carson_kron_reduced_neutral_matches_independent_value():
     z_self = complex(r1 + p, q * math.log(depth / gmr))
     z_an = complex(p, q * math.log(depth / 1.2))
     expected = z_self - z_an**2 / z_self
-    z_abc = carson_zabc(LineParams(r1_ohm_per_km=r1, rho=rho), PhaseConfig.A)
+    z_abc = _carson_zabc(LineParams(r1_ohm_per_km=r1, rho=rho), PhaseConfig.A)
     assert abs(z_abc[0, 0] - expected) < 1e-12 * abs(expected)
     assert np.count_nonzero(z_abc) == 1

@@ -22,7 +22,7 @@ from gridsynth.distributions import (
     sample_weibull,
 )
 from gridsynth.inference import FitConfig
-from gridsynth.lines import MIXTURE_COMPONENTS, fit_line_model
+from gridsynth.lines import _MIXTURE_COMPONENTS, fit_line_model
 from gridsynth.loads import fit_load_model, sample_demand
 from gridsynth.phases import CONFIGS, fit_phase_model
 from gridsynth.reliability import fit_caidi, fit_caifi
@@ -222,7 +222,7 @@ def line_reference(data):
             shape, rates = 1.0 / cv**2, 1.0 / (cv**2 * means)
             for z, values in enumerate(grouped, start=1):
                 weights = v[f"{prefix}_weights_z{z}"]
-                lp += logpdf_dirichlet(weights, np.ones(MIXTURE_COMPONENTS))
+                lp += logpdf_dirichlet(weights, np.ones(_MIXTURE_COMPONENTS))
                 if lp == -np.inf:
                     return lp
                 if values.size == 0:
@@ -230,7 +230,7 @@ def line_reference(data):
                 comp = np.stack(
                     [
                         np.log(weights[k]) + logpdf_gamma(values, shape, rates[k])
-                        for k in range(MIXTURE_COMPONENTS)
+                        for k in range(_MIXTURE_COMPONENTS)
                     ]
                 )
                 peak = comp.max(axis=0)
