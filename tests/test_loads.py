@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gridsynth.distributions import make_rng
+from gridsynth.distributions import make_rng, sample_truncnormal
 from gridsynth.inference import FitConfig
 from gridsynth.loads import (
     BusDemand,
@@ -104,6 +104,14 @@ def test_sample_demand_sparsity_all_configs():
             assert np.all(d.p_kw[inactive] == 0.0)
             assert np.all(d.p_kw[active] >= 0.0)
             assert np.all(d.q_kvar[inactive] == 0.0)
+
+
+def test_demand_support_one_million_draws():
+    # the truncation engine behind sample_demand never goes negative, drawn
+    # one value at a time as sample_demand draws each active phase
+    rng = make_rng(5)
+    draws = np.array([sample_truncnormal(rng, 0.5, 0.3, 0.0) for _ in range(1_000_000)])
+    assert np.all(draws >= 0.0)
 
 
 def _synthetic_dataset(n, rng, truth=TRUTH):
