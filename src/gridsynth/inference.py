@@ -18,18 +18,21 @@ scale ``_INIT_JITTER`` (0.1) in unconstrained coordinates; neither is a
 acceptance ratio carries only their log-Jacobian (the other parameters'
 terms cancel). Parameters whose full conditional is known are passed to
 :func:`fit` as ``exact`` steps instead: each sweep draws them from that
-conditional after the Metropolis blocks, then rescores the chain with one
-log-posterior call. All chains advance in lockstep, and the Metropolis
-blocks are scored in pairs, in block order: one log-posterior call over a
-leading row axis scores three row sets of one row per chain, the first
-block's candidate, the second block's candidate on the current state, and
-the second block's candidate after the first block moved. The sampler decides
-the first block, then the second on the row set that matches each chain's
-first decision, so two blocks cost one call, and each draw is the one that
-scoring the blocks one by one would give (pre-fetching; Brockwell 2006,
-J. Comput. Graph. Stat. 15:246). An odd last block is a pair of one and scores one row set:
+conditional after the Metropolis blocks, and each draw is scored by one
+log-posterior call, the last step's in the next sweep's first call. All
+chains advance in lockstep, and the Metropolis blocks are scored in pairs,
+in block order: one log-posterior call over a leading row axis scores three
+row sets of one row per chain, the first block's candidate, the second
+block's candidate on the current state, and the second block's candidate
+after the first block moved. The sampler decides the first block, then
+the second on the row set that matches each chain's first decision, so two
+blocks cost one call, and each draw is the one that scoring the blocks one
+by one would give (pre-fetching; Brockwell 2006, J. Comput. Graph. Stat.
+15:246). An odd last block is a pair of one and scores one row set, and the
+last exact step's drawn rows ride along in the next sweep's first call as
+one more row set (see :func:`fit`):
 
-- values carry a leading row axis of up to three times the chain count: a
+- values carry a leading row axis of up to four times the chain count: a
   scalar parameter is a ``(rows,)`` array and a vector one ``(rows, n)``;
 - the log-posterior returns one value per row, a ``(rows,)`` array, and must
   score each row independently of the others, to the last bit: a row's value
@@ -178,15 +181,11 @@ class ParamSpace:
         transform, both keeping the leading axes of ``z``."""
         z = np.asarray(z, dtype=float)
         flat = np.empty(z.shape[:-1] + self._lower.shape)
-        return flat, _transform(self._groups, z, flat)
-
-    def _block_groups(self, block: list[str]):
-        """The transform groups of the parameters in ``block`` alone, reading
-        the block's own unconstrained coordinates (``block_indices`` order)."""
-        defs = [self._by_name[n] for n in block]
-        sizes = np.cumsum([0] + [d.unconstrained_size for d in defs]).tolist()
-        local = {d.name: (lo, hi) for d, lo, hi in zip(defs, sizes, sizes[1:])}
-        return _transform_groups(defs, local, self._columns)
+        log_jacobian = 0.0
+        for terms in _transform(self._groups, z, flat):
+            if terms is not None:
+                log_jacobian = log_jacobian + terms.sum(axis=-1)
+        return flat, log_jacobian
 
     def _unpack(self, flat: np.ndarray) -> dict[str, float | np.ndarray]:
         """Named views into a constrained row (or stack of rows)."""
@@ -206,17 +205,32 @@ class ParamSpace:
 
     def _column_slice(self, names: list[str]):
         """The constrained columns of ``names``: a slice when contiguous."""
-        cols = np.concatenate([np.arange(*self._columns[n]) for n in names])
-        if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
-            return slice(int(cols[0]), int(cols[0]) + cols.size)
-        return cols
+        return _as_slice(np.concatenate([np.arange(*self._columns[n]) for n in names]))
 
     def to_unconstrained(self, values: dict[str, float | np.ndarray]) -> np.ndarray:
+        missing = [n for n in self._by_name if n not in values]
+        unknown = [n for n in values if n not in self._by_name]
+        wrong = [f"{kind} {n}" for kind, n in (("missing", missing), ("unknown", unknown)) if n]
+        if wrong:
+            raise ValueError("init entries " + " and ".join(wrong))
         z = np.empty(self.dim)
         for d in self.defs:
+            size = np.size(values[d.name])
+            if size != d.constrained_size:
+                raise ValueError(
+                    f"init entry {d.name!r} needs size {d.constrained_size}, got size {size}"
+                )
             lo, hi = self._offsets[d.name]
             z[lo:hi] = _inverse(d, values[d.name])
         return z
+
+
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a slice when it runs through consecutive integers, which
+    indexes by a view instead of a copy."""
+    if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
 
 
 def _transform_groups(defs, offsets, columns):
@@ -237,11 +251,12 @@ def _transform_groups(defs, offsets, columns):
     ]
 
 
-def _transform(groups, z: np.ndarray, flat: np.ndarray):
+def _transform(groups, z: np.ndarray, flat: np.ndarray) -> list:
     """Write the constrained values of ``groups`` from ``z`` (``(..., dim)``)
-    into their columns of ``flat`` and return their summed log-Jacobian."""
+    into their columns of ``flat`` and return each group's log-Jacobian
+    terms, as :func:`_forward` gives them."""
     batch = z.shape[:-1]
-    log_jacobian = 0.0
+    terms = []
     for support, width, ucols, ccols in groups:
         # np.take keeps rows contiguous (z[..., ucols] would be column-major),
         # so each row's log-Jacobian sums the same way for any number of rows;
@@ -249,24 +264,26 @@ def _transform(groups, z: np.ndarray, flat: np.ndarray):
         zg = z if ucols.size == z.shape[-1] else np.take(z, ucols, axis=-1)
         if width:
             zg = zg.reshape(batch + (-1, width))
-        x, lj = _forward(support, zg)
+        x, group_terms = _forward(support, zg)
         flat[..., ccols] = x.reshape(batch + (-1,))
-        log_jacobian = log_jacobian + lj
-    return log_jacobian
+        terms.append(group_terms)
+    return terms
 
 
 def _forward(support: str, z: np.ndarray):
-    """Constrained values and summed log-Jacobian per leading row. The
-    simplex and ordered supports get ``z`` as ``(..., vectors, free size)``."""
+    """Constrained values and log-Jacobian terms per leading row, whose sum
+    is the row's log-Jacobian: one term per coordinate for the elementwise
+    supports, one per vector for the simplex and ordered supports (which get
+    ``z`` as ``(..., vectors, free size)``), and None on the real line."""
     if support == "real":
-        return z, 0.0
+        return z, None
     if support == "positive":
-        return np.exp(z), z.sum(axis=-1)
+        return np.exp(z), z
     if support == "unit":
         x = _expit(z)
-        return x, (np.log(x) + np.log1p(-x)).sum(axis=-1)
+        return x, np.log(x) + np.log1p(-x)
     if support == "ordered_positive":
-        return np.cumsum(np.exp(z), axis=-1), z.sum(axis=-1).sum(axis=-1)
+        return np.cumsum(np.exp(z), axis=-1), z.sum(axis=-1)
     if support == "simplex":
         # stick breaking: break i takes v_i of what is left, where
         # v_i = expit(z_i - log(k - 1 - i)) centres z = 0 on the uniform point
@@ -280,7 +297,7 @@ def _forward(support: str, z: np.ndarray):
             + np.log(np.maximum(v, 1e-300))
             + np.log(np.maximum(1.0 - v, 1e-300))
         )
-        return x, lj.sum(axis=-1).sum(axis=-1)
+        return x, lj.sum(axis=-1)
     raise AssertionError(support)  # pragma: no cover
 
 
@@ -368,7 +385,7 @@ def fit(
     array, a vector one ``(rows, n)``) and returns one value per row, ``-inf``
     allowed away from the init point; a row with an out-of-domain parameter
     should score ``-inf`` rather than raise. A call gets up to
-    ``3 * chains`` rows, and each row must score as it would alone, bit for
+    ``4 * chains`` rows, and each row must score as it would alone, bit for
     bit, whatever else shares the call. It runs with numpy's overflow,
     divide-by-zero and invalid-value warnings off: the batched kernels
     evaluate every row's formula before masking, and a row that is finite but
@@ -389,11 +406,20 @@ def fit(
     values for ``names``, drawing chain ``c``'s row only from ``rngs[c]``. It
     runs under the same warning settings as ``log_posterior``. These
     parameters leave the Metropolis blocks. Each sweep runs the Metropolis
-    blocks, then each exact step in order followed by one log-posterior call
-    that refreshes the chain's score; a drawn row that leaves the open
+    blocks, then each exact step in order; a drawn row that leaves the open
     support or scores non-finite keeps the chain's current values and counts
     as a rejection in that step's ``diagnostics["acceptance"]`` entry (keyed
-    by its names joined with ``-``, like a block).
+    by its names joined with ``-``, like a block), in the sweep that drew it.
+    The support is checked as soon as a step draws, and a row outside it is
+    never scored. Each exact step but the last is then scored by a call of
+    its own. The last one's drawn rows are scored in the next sweep's first
+    call, as one more row set beside the first pair's: each chain moves to
+    its drawn row meanwhile, and the first pair proposes from it. A drawn row
+    that scores non-finite sends its chain back to its row and score from
+    before the draw (and its kept draw, if that sweep kept one), and the
+    first pair is proposed again and scored in a second call. The last
+    sweep's draw is scored alone after it, and a fit with no Metropolis block
+    scores every exact step in a call of its own.
 
     A Metropolis block proposes a Gaussian random-walk step in the
     unconstrained coordinates of its own parameters and transforms only
@@ -401,11 +427,15 @@ def fit(
     other parameters' terms cancel. Kept draws are the constrained rows.
     Blocks are scored two at a time: one call scores the first block's
     candidate, the second block's candidate on the current state, and the
-    second block's candidate after the first moved (``3 * chains`` rows);
+    second block's candidate after the first moved (``3 * chains`` rows,
+    and ``chains`` more in the first pair's call for a deferred exact draw);
     the second block is then decided on whichever of its two row sets
     matches each chain's first decision, so the draws are those of one call
-    per block. An odd last block is scored alone (``chains`` rows), as is
-    each exact step.
+    per block. An odd last block is scored alone (``chains`` rows). Every
+    block's candidate is proposed at the sweep's start, from the state then,
+    since a block's own coordinates change only at its own decision: one
+    step over all blocks' coordinates, one transform and one support check,
+    after which a pair only copies its candidates' columns into its rows.
 
     Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
     and keeps its own step sizes and proposal covariance, so its draws do not
@@ -415,6 +445,8 @@ def fit(
     then one uniform per block for the accept test, and then its exact steps
     draw in order. A support check covers only the columns the step changed;
     the rest of the row is the state it was proposed from, which is inside.
+    The draws are those of scoring every step in a call of its own, bit for
+    bit.
 
     At most one ``UserWarning`` per call lists the scalars above the R-hat
     threshold (an infinite R-hat included); ``diagnostics["rhat"]`` holds
@@ -447,40 +479,79 @@ def fit(
     z = np.repeat(init_z[None], chains, axis=0)
     current = np.repeat(init_flat, chains, axis=0)  # the state: constrained rows
     current_values = space._unpack(current)
-    # the candidate rows of every step, up to three row sets of one row per
+    # the candidate rows of every call, up to four row sets of one row per
     # chain: the first block's candidate, the second's on the current state,
-    # and the second's after the first moved; the model reads named views of
-    # the first row set, or of all three
-    cand = np.empty((3 * chains, width))
-    first, second, second_moved = cand[:chains], cand[chains : 2 * chains], cand[2 * chains :]
-    cand_values = {sets: space._unpack(cand[: sets * chains]) for sets in (1, 3)}
-    block_idx = [space.block_indices(b) for b in blocks]
-    block_groups = [space._block_groups(b) for b in blocks]
-    block_changed = [space._column_slice(b) for b in blocks]
+    # and the second's after the first moved, then the chains' rows as the
+    # last exact step drew them; the model reads named views of the first sets
+    cand = np.empty((4 * chains, width))
+    first, second, second_moved = (cand[k * chains : (k + 1) * chains] for k in range(3))
+    cand_values = {sets: space._unpack(cand[: sets * chains]) for sets in (1, 2, 3, 4)}
+    layout = _BlockLayout(space, blocks)
+    starts = layout.starts
     pairs = [range(bi, min(bi + 2, len(blocks))) for bi in range(0, len(blocks), 2)]
     chain_rows = np.arange(chains)
     exact_cols = [[space._columns[n] for n in names] for names, _ in exact]
     exact_changed = [space._column_slice(names) for names, _ in exact]
+    # the last exact step's draw waits for the next sweep's first call, when
+    # there is one: the chains take their drawn rows, ``held`` keeps their
+    # rows from before the draw, and ``drawn`` says which chains moved and
+    # whether that sweep was a warm-up sweep and kept a draw
+    deferred = len(exact) - 1 if blocks else -1
+    held = np.empty((chains, width))
+    drawn = None
     # each sweep's random numbers: one normal per Metropolis coordinate, each
-    # block reading its slice of them, and one uniform per block
-    starts = np.cumsum([0] + [idx.size for idx in block_idx]).tolist()
+    # block reading its slice of them, and one uniform per block; every
+    # block's candidate values in its own constrained columns
     noise = np.empty((chains, starts[-1]))
     uniform = np.empty((chains, len(blocks)))
+    prop = np.zeros((chains, width))
     sweep_accept = np.empty((chains, len(blocks)))
     kept_per_chain = config.draws // config.thin
     chain_draws = np.empty((chains, kept_per_chain, width))
     # per-chain, per-block state: log step size, summed acceptance probability,
-    # and the proposal shape learned from warm-up draws (Welford covariance ->
-    # Cholesky factor that correlates the proposals; None until then)
+    # and the proposal shape learned from warm-up draws (Welford covariance of
+    # each block -> Cholesky factors that correlate the proposals, stacked by
+    # block size; None until then)
     log_step = np.array(
-        [[math.log(_INITIAL_STEP / math.sqrt(len(idx))) for idx in block_idx]] * chains
+        [[math.log(_INITIAL_STEP / math.sqrt(hi - lo)) for lo, hi in zip(starts, starts[1:])]]
+        * chains
     )
     accepted = np.zeros((chains, len(blocks) + len(exact)))
-    chol: list[np.ndarray | None] = [None] * len(blocks)
+    chol: list[np.ndarray] | None = None
     w_count = 0
-    w_mean = [np.zeros((chains, idx.size)) for idx in block_idx]
-    w_cov = [np.zeros((chains, idx.size, idx.size)) for idx in block_idx]
+    w_mean = np.zeros((chains, starts[-1]))
+    w_cov = np.zeros((chains, layout.cov_i.size))
     kept = 0
+
+    def settle(draw_lp) -> bool:
+        """Decide the deferred exact draw on its scores ``draw_lp``: a chain
+        whose drawn row scored non-finite goes back to its row from before
+        the draw, kept draw included. Whether any did."""
+        moved, warm, kept_row = drawn
+        move = moved & np.isfinite(draw_lp)
+        np.copyto(lp, draw_lp, where=move)
+        if not warm:
+            accepted[:, len(blocks) + deferred] += move
+        back = moved & ~move
+        if back.any():
+            current[back] = held[back]
+            if kept_row:
+                chain_draws[back, kept - 1] = held[back]
+        return back.any()
+
+    def pair_rows(pair) -> list[np.ndarray]:
+        """Fill the row sets of ``pair`` from the current state and the
+        blocks' candidates; whether each row set is inside the support."""
+        for bi, rows in zip(pair, (first, second)):
+            np.copyto(rows, current)
+            rows[:, layout.changed[bi]] = prop[:, layout.changed[bi]]
+        inside = [block_inside[:, bi] for bi in pair]
+        if len(pair) == 2:
+            np.copyto(second_moved, first)
+            second_moved[:, layout.changed[pair[1]]] = prop[:, layout.changed[pair[1]]]
+            inside.append(inside[1])
+        return inside
+
     with np.errstate(**quiet):
         # the model sees the init row only inside the support
         inside = space._inside(init_flat)
@@ -504,37 +575,43 @@ def fit(
                 if np.isfinite(cand_lp[row]):
                     z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
             pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
-        # each block's unconstrained coordinates, and the per-chain log-Jacobian
-        # of its current values: only that block's moves change either
-        z_blocks = [z[:, idx] for idx in block_idx]
-        log_jac = np.zeros((chains, len(blocks)))
-        for bi, groups in enumerate(block_groups):
-            log_jac[:, bi] = _transform(groups, z_blocks[bi], first)
+        # the blocks' unconstrained coordinates, and the per-chain log-Jacobian
+        # of each block's current values: only that block's moves change either
+        zb = z[:, layout.coords]
+        log_jac = layout.transform(zb, prop)
 
         for it in range(config.warmup + config.draws):
             warm = it < config.warmup
+            keep = not warm and (it - config.warmup) % config.thin == config.thin - 1
             for c, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[c])
                 rng.random(out=uniform[c])
-            step = np.exp(log_step)
-            for pair in pairs:
-                # propose both blocks of the pair, each on the current state,
-                # and score every row set they can need in one call
-                cand_z, cand_lj, inside = [], [], []
-                for bi, rows in zip(pair, (first, second)):
-                    shift = noise[:, starts[bi] : starts[bi + 1]]
-                    if chol[bi] is not None:
-                        shift = (chol[bi] @ shift[:, :, None])[:, :, 0]
-                    cand_z.append(z_blocks[bi] + step[:, bi, None] * shift)
-                    np.copyto(rows, current)
-                    cand_lj.append(_transform(block_groups[bi], cand_z[-1], rows))
-                    inside.append(space._inside(rows, block_changed[bi], current))
-                if len(pair) == 2:
-                    changed = block_changed[pair[1]]
-                    np.copyto(second_moved, first)
-                    second_moved[:, changed] = second[:, changed]
-                    inside.append(inside[1])
-                cand_lp = score(cand_values[len(inside)], np.concatenate(inside))
+            # every block's candidate, each on the state at the sweep's start
+            # (a block's own coordinates change only at its own decision);
+            # a block outside the support proposes its current values
+            shift = noise if chol is None else layout.correlate(chol, noise)
+            cand_z = zb + np.exp(log_step)[:, layout.coord_block] * shift
+            cand_lj = layout.transform(cand_z, prop)
+            outside = ~((prop > space._lower) & (prop < space._upper)) @ layout.members
+            block_inside = ~outside
+            if outside.any():
+                np.copyto(prop, current, where=outside @ layout.members.T)
+            for pi, pair in enumerate(pairs):
+                # score every row set the pair can need in one call, and a
+                # deferred exact draw with the first pair
+                inside = pair_rows(pair)
+                sets = len(inside)
+                if pi == 0 and drawn is not None:
+                    cand[sets * chains : (sets + 1) * chains] = current
+                    cand_lp = score(cand_values[sets + 1], np.concatenate(inside + [drawn[0]]))
+                    redo = settle(cand_lp[sets * chains :])
+                    drawn = None
+                    if redo:
+                        # a chain went back: propose the pair again on its row
+                        inside = pair_rows(pair)
+                        cand_lp = score(cand_values[sets], np.concatenate(inside))
+                else:
+                    cand_lp = score(cand_values[sets], np.concatenate(inside))
                 at = slice(0, chains)
                 for k, bi in enumerate(pair):
                     if k:
@@ -543,15 +620,16 @@ def fit(
                         at = np.where(move, 2 * chains, chains) + chain_rows
                     block_lp = cand_lp[at]
                     # min(1, exp(log ratio)), floored at exp(-700)
-                    log_ratio = (block_lp + cand_lj[k]) - (lp + log_jac[:, bi])
+                    log_ratio = (block_lp + cand_lj[:, bi]) - (lp + log_jac[:, bi])
                     accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
                     sweep_accept[:, bi] = accept_prob
                     move = uniform[:, bi] < accept_prob
                     if move.any():
-                        np.copyto(z_blocks[bi], cand_z[k], where=move[:, None])
+                        block = slice(starts[bi], starts[bi + 1])
+                        np.copyto(zb[:, block], cand_z[:, block], where=move[:, None])
                         np.copyto(current, cand[at], where=move[:, None])
                         np.copyto(lp, block_lp, where=move)
-                        np.copyto(log_jac[:, bi], cand_lj[k], where=move)
+                        np.copyto(log_jac[:, bi], cand_lj[:, bi], where=move)
             if warm:
                 # Robbins-Monro gain on the log step size, toward the target acceptance
                 log_step += (it + 10.0) ** -0.6 * (sweep_accept - _TARGET_ACCEPT)
@@ -563,6 +641,12 @@ def fit(
                 for name, (lo, hi) in zip(step_names, cols):
                     first[:, lo:hi] = np.reshape(new[name], (chains, hi - lo))
                 inside = space._inside(first, exact_changed[ei], current)
+                if ei == deferred:
+                    # move to the drawn rows until the next call scores them
+                    np.copyto(held, current)
+                    np.copyto(current, first)
+                    drawn = (inside, warm, keep)
+                    continue
                 cand_lp = score(cand_values[1], inside)
                 move = np.isfinite(cand_lp)
                 np.copyto(current, first, where=move[:, None])
@@ -571,24 +655,17 @@ def fit(
                     accepted[:, len(blocks) + ei] += move
             if warm:
                 w_count += 1
-                for bi, zb in enumerate(z_blocks):
-                    delta = zb - w_mean[bi]
-                    w_mean[bi] += delta / w_count
-                    w_cov[bi] += delta[:, :, None] * (zb - w_mean[bi])[:, None, :]
+                delta = zb - w_mean
+                w_mean += delta / w_count
+                w_cov += delta[:, layout.cov_i] * (zb - w_mean)[:, layout.cov_j]
                 if w_count >= 100 and w_count % 50 == 0:
-                    for bi, idx in enumerate(block_idx):
-                        if chol[bi] is None:
-                            chol[bi] = np.repeat(np.eye(idx.size)[None], chains, axis=0)
-                        for c in range(chains):
-                            cov = w_cov[bi][c] / (w_count - 1)
-                            jitter = 1e-8 + 1e-6 * float(np.trace(cov)) / idx.size
-                            try:
-                                chol[bi][c] = np.linalg.cholesky(cov + jitter * np.eye(idx.size))
-                            except np.linalg.LinAlgError:
-                                pass
-            if not warm and (it - config.warmup) % config.thin == config.thin - 1:
+                    chol = layout.factor(w_cov / (w_count - 1), chol)
+            if keep:
                 chain_draws[:, kept] = current
                 kept += 1
+        if drawn is not None:
+            np.copyto(first, current)
+            settle(score(cand_values[1], drawn[0]))
     accept_rates = accepted / config.draws
 
     names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
@@ -609,6 +686,113 @@ def fit(
             stacklevel=2,
         )
     return ensemble
+
+
+class _BlockLayout:
+    """The Metropolis blocks' unconstrained coordinates side by side, in block
+    order, and the index arrays that let a sweep propose, transform,
+    support-check and adapt every block at once."""
+
+    def __init__(self, space: ParamSpace, blocks: list[list[str]]):
+        defs = [space._by_name[n] for block in blocks for n in block]
+        sizes = [sum(space._by_name[n].unconstrained_size for n in b) for b in blocks]
+        self.starts = np.cumsum([0] + sizes).tolist()
+        # each block-ordered coordinate's column of z, and its block
+        self.coords = np.array([i for b in blocks for i in space.block_indices(b)], dtype=int)
+        self.coord_block = np.repeat(np.arange(len(blocks)), sizes)
+        offsets, pos = {}, 0
+        for d in defs:
+            offsets[d.name] = (pos, pos + d.unconstrained_size)
+            pos += d.unconstrained_size
+        self.groups = _transform_groups(defs, offsets, space._columns)
+        # A block's log-Jacobian adds, in the order its parameters first meet
+        # each transform group, the sum of its span of that group's terms, as
+        # a transform of the block alone would: one sum per (order, group,
+        # span length) over all blocks that share them
+        group_of = {(support, w): g for g, (support, w, _, _) in enumerate(self.groups)}
+        used = [0] * len(self.groups)
+        spans: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
+        for bi, block in enumerate(blocks):
+            own: dict[int, list[int]] = {}
+            for d in (space._by_name[n] for n in block):
+                vector = d.support in ("simplex", "ordered_positive")
+                g = group_of[d.support, d.unconstrained_size if vector else 0]
+                units = 1 if vector else d.unconstrained_size
+                own.setdefault(g, [used[g], used[g]])[1] += units
+                used[g] += units
+            terms = [(g, lo, hi) for g, (lo, hi) in own.items() if self.groups[g][0] != "real"]
+            for order, (g, lo, hi) in enumerate(terms):
+                members, firsts = spans.setdefault((order, g, hi - lo), ([], []))
+                members.append(bi)
+                firsts.append(lo)
+        self.jacobian = []
+        for (_, g, length), (members, firsts) in sorted(spans.items(), key=lambda kv: kv[0][0]):
+            span = np.add.outer(firsts, np.arange(length)).ravel()
+            self.jacobian.append((_as_slice(np.array(members)), len(members), g, _as_slice(span)))
+        # which constrained columns each block owns, as a matrix and as columns
+        self.members = np.zeros((space._lower.size, len(blocks)), dtype=bool)
+        for bi, block in enumerate(blocks):
+            for n in block:
+                self.members[slice(*space._columns[n]), bi] = True
+        self.changed = [space._column_slice(b) for b in blocks]
+        # the entries of each block's covariance, row-major, block after block
+        bounds = list(zip(self.starts, self.starts[1:]))
+        self.cov_i = np.array(
+            [i for lo, hi in bounds for i in range(lo, hi) for _ in range(lo, hi)], dtype=int
+        )
+        self.cov_j = np.array(
+            [j for lo, hi in bounds for _ in range(lo, hi) for j in range(lo, hi)], dtype=int
+        )
+        self.cov_starts = np.cumsum([0] + [k * k for k in sizes]).tolist()
+        # the blocks of each size, whose Cholesky factors stack into one array
+        by_size: dict[int, list[int]] = {}
+        for bi, k in enumerate(sizes):
+            by_size.setdefault(k, []).append(bi)
+        self.by_size = [
+            (k, bis, np.array([np.arange(self.starts[b], self.starts[b + 1]) for b in bis]))
+            for k, bis in by_size.items()
+        ]
+
+    def transform(self, z: np.ndarray, prop: np.ndarray) -> np.ndarray:
+        """Write every block's constrained values from the block-ordered
+        ``z`` (``(rows, coordinates)``) into its columns of ``prop``, and
+        return each block's log-Jacobian, ``(rows, blocks)``."""
+        terms = _transform(self.groups, z, prop)
+        rows = z.shape[0]
+        log_jacobian = np.zeros((rows, len(self.starts) - 1))
+        for members, count, g, span in self.jacobian:
+            # each block's span of terms on a trailing axis of its own, which
+            # sums as the block's terms alone would
+            log_jacobian[:, members] += terms[g][:, span].reshape(rows, count, -1).sum(axis=-1)
+        return log_jacobian
+
+    def correlate(self, chol: list[np.ndarray], noise: np.ndarray) -> np.ndarray:
+        """Each block's slice of ``noise`` times its chain's Cholesky factor:
+        one stacked product per block size."""
+        shift = np.empty_like(noise)
+        for (_, _, idx), factors in zip(self.by_size, chol):
+            shift[:, idx] = (factors @ noise[:, idx][..., None])[..., 0]
+        return shift
+
+    def factor(self, cov: np.ndarray, chol: list[np.ndarray] | None) -> list[np.ndarray]:
+        """Cholesky factors of each chain's block covariances (``cov`` holds
+        their entries as ``cov_i``/``cov_j`` list them), with a small ridge;
+        a covariance that fails keeps its block's last factor (the identity
+        at first)."""
+        chains = cov.shape[0]
+        if chol is None:
+            chol = [np.tile(np.eye(k), (chains, len(bis), 1, 1)) for k, bis, _ in self.by_size]
+        for (k, bis, _), factors in zip(self.by_size, chol):
+            for j, bi in enumerate(bis):
+                start = self.cov_starts[bi]
+                for c in range(chains):
+                    block_cov = cov[c, start : start + k * k].reshape(k, k)
+                    jitter = 1e-8 + 1e-6 * float(np.trace(block_cov)) / k
+                    try:
+                        factors[c, j] = np.linalg.cholesky(block_cov + jitter * np.eye(k))
+                    except np.linalg.LinAlgError:
+                        pass
+        return chol
 
 
 def _metropolis_blocks(space: ParamSpace, exact_names: list[str]) -> list[list[str]]:

@@ -2,16 +2,18 @@
 
 A network drawn on the demo feeder at one seed, hashed value by value, must
 keep the digest recorded here: a change to any stream, or to a sampler's
-arithmetic beyond the last bits, changes it. Two more pins hold the fits and
-the feeder layers the same way: the draws of all five sub-model fits on that
-network at a short ``FitConfig`` whose warm-up reaches the proposal-covariance
-adaptation, and the hierarchy and allocation on a random tree of 2000 buses.
+arithmetic beyond the last bits, changes it. More pins hold the fits and the
+feeder layers the same way: the draws and the acceptance rates of all five
+sub-model fits on that network at a short ``FitConfig`` whose warm-up reaches
+the proposal-covariance adaptation, and the hierarchy and allocation on a
+random tree of 2000 buses.
 Every value is formatted to 12 significant digits, so last-bit differences
 between platforms' math libraries do not; tests/test_bit_identity.py holds
 the bits on one machine.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ SEED = 2024
 # new digest here, as it records perfbench's new digests.
 EXPECTED_DIGEST = "f0dc0cee8139dcd1"
 EXPECTED_FIT_DIGEST = "14db3a0f7d294632"
+EXPECTED_ACCEPTANCE_DIGEST = "c4c2bbf9f9a14bd5"
 EXPECTED_TREE_DIGEST = "77a8d19ad019ea9c"
 
 # 150 sweeps: the adaptation first factors the proposal covariance after 100
@@ -97,14 +100,33 @@ def fit_network(feeder, net, config):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:R-hat above")
-def test_fit_streams_are_pinned():
-    fits = fit_network(*demo_network(SEED), FIT_CONFIG)
+@pytest.fixture(scope="module")
+def pinned_fits():
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "R-hat above", UserWarning)
+        return fit_network(*demo_network(SEED), FIT_CONFIG)
+
+
+def test_fit_streams_are_pinned(pinned_fits):
     values = []
-    for posterior in fits:
+    for posterior in pinned_fits:
         for name, draws in posterior.ensemble.draws.items():
             values += [name, *draws.ravel().tolist()]
     assert stream_digest(values) == EXPECTED_FIT_DIGEST
+
+
+def test_fit_acceptance_is_pinned(pinned_fits):
+    """Each step's acceptance rate, so that bookkeeping which counts a move in
+    the wrong sweep fails even where the draws hold."""
+    values = []
+    for posterior in pinned_fits:
+        diagnostics = posterior.ensemble.diagnostics
+        # the line model keeps one diagnostics dict per mixture
+        parts = [diagnostics] if "acceptance" in diagnostics else diagnostics.values()
+        for part in parts:
+            for name, rate in part["acceptance"].items():
+                values += [name, rate]
+    assert stream_digest(values) == EXPECTED_ACCEPTANCE_DIGEST
 
 
 def test_feeder_stream_is_pinned():

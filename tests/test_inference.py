@@ -183,6 +183,21 @@ def test_parameter_in_two_blocks_is_rejected(blocks):
         ParamSpace(defs, blocks=blocks)
 
 
+@pytest.mark.parametrize(
+    "init,message",
+    [
+        ({"x": 1.0}, "missing.*'y'"),
+        ({"x": 1.0, "y": np.zeros(2), "z": 0.0}, "unknown.*'z'"),
+        ({"x": 1.0, "y": np.zeros(3)}, "'y'.*size 2.*size 3"),
+    ],
+    ids=["missing", "unknown", "wrong-size"],
+)
+def test_init_entries_must_match_the_space(init, message):
+    space = ParamSpace([ParamDef("x", (), "positive"), ParamDef("y", (2,), "real")])
+    with pytest.raises(ValueError, match=message):
+        space.to_unconstrained(init)
+
+
 def test_initialization_error():
     space = ParamSpace([ParamDef("x", (), "real")])
     with pytest.raises(InitializationError):
@@ -359,10 +374,12 @@ def test_log_posterior_calls_per_fit():
 
     sweeps = 7 + 5
     # init, one jitter attempt, then per sweep a pair of blocks (three row
-    # sets of 3 chains), the lone third block and the exact step
-    assert rows_per_call() == [1, 3] + [9, 3, 3] * sweeps
+    # sets of 3 chains) and the lone third block; from the second sweep on,
+    # the pair's call also scores the exact step's draw of the sweep before,
+    # and the last sweep's draw is scored alone at the end
+    assert rows_per_call() == [1, 3, 9, 3] + [12, 3] * (sweeps - 1) + [3]
     # the first jitter attempt scores -inf for every chain, so a second runs
-    assert rows_per_call(rejected_call=2) == [1, 3, 3] + [9, 3, 3] * sweeps
+    assert rows_per_call(rejected_call=2) == [1, 3, 3, 9, 3] + [12, 3] * (sweeps - 1) + [3]
 
 
 def test_rhat_warning_lists_infinite_values():
@@ -453,6 +470,80 @@ def test_exact_steps_are_reproducible():
     b = fit(bivariate_normal, space, config, exact=[(["y"], draw_y)])
     for name in ("x", "y"):
         np.testing.assert_array_equal(a.draws[name], b.draws[name])
+
+
+def banded(v):
+    """a ~ N(0, 1), t | a ~ N(a, 1), b ~ Gamma(2) and s ~ Gamma(3), except
+    that s inside (1, 2) scores -inf: the support admits it, the model not."""
+    lp = -0.5 * (v["a"] ** 2 + (v["t"] - v["a"]) ** 2)
+    lp = lp + stats.gamma.logpdf(v["b"], 2.0) + stats.gamma.logpdf(v["s"], 3.0)
+    return np.where((v["s"] > 1.0) & (v["s"] < 2.0), -np.inf, lp)
+
+
+def normals(rngs):
+    return np.array([rng.standard_normal() for rng in rngs])
+
+
+BANDED_STEPS = {
+    # s drawn from Gamma(3) alone, so about a quarter of its draws land in the band
+    "s": lambda v, rngs: {"s": np.array([rng.gamma(3.0) for rng in rngs])},
+    "t": lambda v, rngs: {"t": v["a"] + normals(rngs)},
+    "a": lambda v, rngs: {"a": 0.5 * v["t"] + math.sqrt(0.5) * normals(rngs)},
+    "b": lambda v, rngs: {"b": np.array([rng.gamma(2.0) for rng in rngs])},
+}
+
+# Full bits of the draws and acceptance rates of each banded fit below, keyed
+# by its exact steps in order and its thinning. They were recorded with every
+# exact draw scored in a call of its own, which scoring the last step's draw
+# in the next sweep's first call must reproduce; like tests/test_bit_identity.py
+# they hold the bits of one platform's math library
+BANDED_DIGESTS = {
+    ("s", 1): "05deaffeb2021a93",
+    ("s", 3): "2c7f3f519a706e0d",
+    ("s-t", 1): "cca014a24556840e",
+    ("t-s", 1): "799e687d4c4d4116",
+    ("a-b-s-t", 1): "f60c6af12f2b4a70",
+}
+
+
+def banded_fit(steps, thin):
+    """The banded model fitted with ``steps`` (exact step names joined by
+    ``-``, in order) drawn exactly and the rest by Metropolis."""
+    space = ParamSpace(
+        [
+            ParamDef("a", (), "real"),
+            ParamDef("b", (), "positive"),
+            ParamDef("s", (), "positive"),
+            ParamDef("t", (), "real"),
+        ]
+    )
+    # 110 warm-up sweeps reach the proposal-covariance adaptation
+    config = FitConfig(chains=3, warmup=110, draws=30, thin=thin, seed=31)
+    exact = [([name], BANDED_STEPS[name]) for name in steps.split("-")]
+    init = {"a": 0.0, "b": 2.0, "s": 3.0, "t": 0.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a short fit
+        return fit(banded, space, config, init=init, exact=exact)
+
+
+def full_bits_digest(ensemble):
+    h = hashlib.sha256()
+    for name, draws in ensemble.draws.items():
+        h.update(name.encode() + draws.tobytes())
+    for name, rate in ensemble.diagnostics["acceptance"].items():
+        h.update(name.encode() + rate.hex().encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("steps,thin", list(BANDED_DIGESTS))
+def test_exact_draws_the_model_rejects_keep_the_state(steps, thin):
+    # the last exact step's draws are scored in the next sweep's first call,
+    # and every drawn s in the band must be sent back before it is kept
+    ensemble = banded_fit(steps, thin)
+    s = ensemble.draws["s"]
+    assert not np.any((s > 1.0) & (s < 2.0))
+    assert 0.0 < ensemble.diagnostics["acceptance"]["s"] < 1.0
+    assert full_bits_digest(ensemble) == BANDED_DIGESTS[steps, thin]
 
 
 def test_exact_names_must_be_known_and_whole_blocks():
