@@ -18,19 +18,21 @@ scale ``_INIT_JITTER`` (0.1) in unconstrained coordinates; neither is a
 acceptance ratio carries only their log-Jacobian (the other parameters'
 terms cancel). Parameters whose full conditional is known are passed to
 :func:`fit` as ``exact`` steps instead: each sweep draws them from that
-conditional after the Metropolis blocks, and each draw is scored by one
-log-posterior call, the last step's in the next sweep's first call. All
-chains advance in lockstep, and the Metropolis blocks are scored in pairs,
-in block order: one log-posterior call over a leading row axis scores three
-row sets of one row per chain, the first block's candidate, the second
-block's candidate on the current state, and the second block's candidate
-after the first block moved. The sampler decides the first block, then
-the second on the row set that matches each chain's first decision, so two
-blocks cost one call, and each draw is the one that scoring the blocks one
-by one would give (pre-fetching; Brockwell 2006, J. Comput. Graph. Stat.
-15:246). An odd last block is a pair of one and scores one row set, and the
-last exact step's drawn rows ride along in the next sweep's first call as
-one more row set (see :func:`fit`):
+conditional after the Metropolis blocks.
+
+All chains advance in lockstep, and every log-posterior call follows one
+rule: it scores up to four row sets of one row per chain, each the state
+with the candidate columns of some blocks copied in (a boolean mask over
+the columns). The Metropolis blocks are scored in pairs, in block order:
+one call scores the first block's candidate, the second block's, and both
+(the second after the first moved), and the sampler decides the first
+block, then the second on the set that matches each chain's first
+decision, so two blocks cost one call and each draw is the one that
+scoring the blocks one by one would give (pre-fetching; Brockwell 2006,
+J. Comput. Graph. Stat. 15:246); an odd last block is a pair of one. An
+exact draw moves the chains at once and is provisional: the next call
+scores it as one more set, with nothing copied in, and settles it (see
+:func:`fit`):
 
 - values carry a leading row axis of up to four times the chain count: a
   scalar parameter is a ``(rows,)`` array and a vector one ``(rows, n)``;
@@ -194,18 +196,10 @@ class ParamSpace:
             for d, (lo, hi) in zip(self.defs, self._columns.values())
         }
 
-    def _inside(self, flat: np.ndarray, cols=slice(None), fallback=None) -> np.ndarray:
-        """Whether each row lies in the open support on the columns ``cols``
-        (NaN never does); a row outside is reset to its row of ``fallback``."""
-        x = flat[..., cols]
-        inside = ((x > self._lower[cols]) & (x < self._upper[cols])).all(axis=-1)
-        if fallback is not None and not inside.all():
-            flat[~inside] = fallback[~inside]
-        return inside
-
-    def _column_slice(self, names: list[str]):
-        """The constrained columns of ``names``: a slice when contiguous."""
-        return _as_slice(np.concatenate([np.arange(*self._columns[n]) for n in names]))
+    def _outside(self, flat: np.ndarray) -> np.ndarray:
+        """Whether each value of the constrained rows ``flat`` lies outside
+        its column's open support (NaN does)."""
+        return ~((flat > self._lower) & (flat < self._upper))
 
     def to_unconstrained(self, values: dict[str, float | np.ndarray]) -> np.ndarray:
         missing = [n for n in self._by_name if n not in values]
@@ -406,36 +400,34 @@ def fit(
     values for ``names``, drawing chain ``c``'s row only from ``rngs[c]``. It
     runs under the same warning settings as ``log_posterior``. These
     parameters leave the Metropolis blocks. Each sweep runs the Metropolis
-    blocks, then each exact step in order; a drawn row that leaves the open
-    support or scores non-finite keeps the chain's current values and counts
-    as a rejection in that step's ``diagnostics["acceptance"]`` entry (keyed
-    by its names joined with ``-``, like a block), in the sweep that drew it.
-    The support is checked as soon as a step draws, and a row outside it is
-    never scored. Each exact step but the last is then scored by a call of
-    its own. The last one's drawn rows are scored in the next sweep's first
-    call, as one more row set beside the first pair's: each chain moves to
-    its drawn row meanwhile, and the first pair proposes from it. A drawn row
-    that scores non-finite sends its chain back to its row and score from
-    before the draw (and its kept draw, if that sweep kept one), and the
-    first pair is proposed again and scored in a second call. The last
-    sweep's draw is scored alone after it, and a fit with no Metropolis block
-    scores every exact step in a call of its own.
+    blocks, then each exact step in order.
 
-    A Metropolis block proposes a Gaussian random-walk step in the
-    unconstrained coordinates of its own parameters and transforms only
-    those; its acceptance ratio carries only their log-Jacobian, since the
-    other parameters' terms cancel. Kept draws are the constrained rows.
-    Blocks are scored two at a time: one call scores the first block's
-    candidate, the second block's candidate on the current state, and the
-    second block's candidate after the first moved (``3 * chains`` rows,
-    and ``chains`` more in the first pair's call for a deferred exact draw);
-    the second block is then decided on whichever of its two row sets
-    matches each chain's first decision, so the draws are those of one call
-    per block. An odd last block is scored alone (``chains`` rows). Every
-    block's candidate is proposed at the sweep's start, from the state then,
-    since a block's own coordinates change only at its own decision: one
-    step over all blocks' coordinates, one transform and one support check,
-    after which a pair only copies its candidates' columns into its rows.
+    Every log-posterior call of a sweep scores row sets of one row per
+    chain, each the state with the candidate columns of some blocks copied
+    in. Every Metropolis candidate of a sweep is proposed at its start, from
+    the state then, since a block's own coordinates change only at its own
+    decision: one step over all blocks' coordinates, one transform and one
+    support check. A Metropolis block proposes a Gaussian random-walk step
+    in the unconstrained coordinates of its own parameters; its acceptance
+    ratio carries only their log-Jacobian, since the other parameters' terms
+    cancel. Blocks are scored two at a time: one call scores the first
+    block's candidate, the second block's, and both (``3 * chains`` rows);
+    the second block is then decided on whichever of its two sets matches
+    each chain's first decision, so the draws are those of one call per
+    block. An odd last block is scored alone (``chains`` rows).
+
+    An exact step's drawn rows are provisional: each chain moves to its
+    drawn row, and the next call that scores anything scores them as one
+    more set, with nothing copied in, and settles them. That is the next
+    sweep's first pair call, or a call of its own when another exact draw
+    or the end of the fit comes first. A drawn row that leaves the open
+    support never reaches the model, and the chain keeps its row; one that
+    scores non-finite sends its chain back to its row and score from before
+    the draw, and its kept draw too if one was kept meanwhile, and a pair
+    whose call sent a chain back is scored again in a second call. Either
+    counts as a rejection in the step's ``diagnostics["acceptance"]`` entry
+    (keyed by its names joined with ``-``, like a block), in the sweep that
+    drew it. Kept draws are the constrained rows.
 
     Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
     and keeps its own step sizes and proposal covariance, so its draws do not
@@ -443,16 +435,15 @@ def fit(
     draws one standard-normal vector covering the unconstrained coordinates
     of all Metropolis blocks (each block takes its slice, in block order),
     then one uniform per block for the accept test, and then its exact steps
-    draw in order. A support check covers only the columns the step changed;
-    the rest of the row is the state it was proposed from, which is inside.
-    The draws are those of scoring every step in a call of its own, bit for
-    bit.
+    draw in order. The draws are those of scoring every step in a call of
+    its own, bit for bit.
 
     At most one ``UserWarning`` per call lists the scalars above the R-hat
     threshold (an infinite R-hat included); ``diagnostics["rhat"]`` holds
-    every scalar's value. Chains start from ``init`` (or the transform origin)
-    with per-chain jitter; step sizes adapt during warm-up only, so the kept
-    draws target the exact posterior.
+    every scalar's value. Chains start from ``init`` (the transform origin
+    when it is None; a missing entry raises) with per-chain jitter; step
+    sizes adapt during warm-up only, so the kept draws target the exact
+    posterior.
     """
     config = config or FitConfig()
     exact = [(list(names), draw) for names, draw in exact]
@@ -473,32 +464,37 @@ def fit(
             )
         return np.where(inside & np.isfinite(lp), lp, -np.inf)
 
-    init_z = space.to_unconstrained(init) if init else np.zeros(space.dim)
+    init_z = space.to_unconstrained(init) if init is not None else np.zeros(space.dim)
     init_flat, _ = space._constrain_flat(init_z[None])
     rngs = [substream(config.seed, "mcmc-chain", c) for c in range(chains)]
     z = np.repeat(init_z[None], chains, axis=0)
     current = np.repeat(init_flat, chains, axis=0)  # the state: constrained rows
     current_values = space._unpack(current)
-    # the candidate rows of every call, up to four row sets of one row per
-    # chain: the first block's candidate, the second's on the current state,
-    # and the second's after the first moved, then the chains' rows as the
-    # last exact step drew them; the model reads named views of the first sets
+    # an exact draw moves the chains at once and waits for the next call to
+    # score it: ``held`` keeps their rows from before it, and ``pending``
+    # which chains moved, the step, its sweep's warm-up flag and kept row
+    held = np.empty((chains, width))
+    held_values = space._unpack(held)
+    pending = None
+    # the rows of every call: up to four row sets of one row per chain, each
+    # the state with the candidate columns of some blocks copied in
     cand = np.empty((4 * chains, width))
-    first, second, second_moved = (cand[k * chains : (k + 1) * chains] for k in range(3))
+    cand_sets = cand.reshape(4, chains, width)
     cand_values = {sets: space._unpack(cand[: sets * chains]) for sets in (1, 2, 3, 4)}
     layout = _BlockLayout(space, blocks)
     starts = layout.starts
-    pairs = [range(bi, min(bi + 2, len(blocks))) for bi in range(0, len(blocks), 2)]
+    # each pair's row sets as masks of the columns taken from the candidates:
+    # the first block, the second on the state, and both (the second after the
+    # first moved); a set is decided by its last block. A pending exact draw
+    # is the set with nothing taken
+    pairs = []
+    for bi in range(0, len(blocks), 2):
+        pair = range(bi, min(bi + 2, len(blocks)))
+        sets = [[b] for b in pair] + [list(pair)] * (len(pair) - 1)
+        masks = np.array([layout.members[:, s].any(axis=1) for s in sets])
+        pairs.append((pair, masks, [s[-1] for s in sets]))
+    nothing = np.zeros((1, width), dtype=bool)
     chain_rows = np.arange(chains)
-    exact_cols = [[space._columns[n] for n in names] for names, _ in exact]
-    exact_changed = [space._column_slice(names) for names, _ in exact]
-    # the last exact step's draw waits for the next sweep's first call, when
-    # there is one: the chains take their drawn rows, ``held`` keeps their
-    # rows from before the draw, and ``drawn`` says which chains moved and
-    # whether that sweep was a warm-up sweep and kept a draw
-    deferred = len(exact) - 1 if blocks else -1
-    held = np.empty((chains, width))
-    drawn = None
     # each sweep's random numbers: one normal per Metropolis coordinate, each
     # block reading its slice of them, and one uniform per block; every
     # block's candidate values in its own constrained columns
@@ -509,9 +505,9 @@ def fit(
     kept_per_chain = config.draws // config.thin
     chain_draws = np.empty((chains, kept_per_chain, width))
     # per-chain, per-block state: log step size, summed acceptance probability,
-    # and the proposal shape learned from warm-up draws (Welford covariance of
-    # each block -> Cholesky factors that correlate the proposals, stacked by
-    # block size; None until then)
+    # and the proposal shape learned from warm-up draws (Welford covariances
+    # -> Cholesky factors that correlate the proposals, both stacked by block
+    # size; no factors until then)
     log_step = np.array(
         [[math.log(_INITIAL_STEP / math.sqrt(hi - lo)) for lo, hi in zip(starts, starts[1:])]]
         * chains
@@ -520,61 +516,70 @@ def fit(
     chol: list[np.ndarray] | None = None
     w_count = 0
     w_mean = np.zeros((chains, starts[-1]))
-    w_cov = np.zeros((chains, layout.cov_i.size))
+    w_cov = [np.zeros((chains,) + idx.shape + idx.shape[1:]) for idx in layout.by_size]
     kept = 0
 
-    def settle(draw_lp) -> bool:
-        """Decide the deferred exact draw on its scores ``draw_lp``: a chain
-        whose drawn row scored non-finite goes back to its row from before
-        the draw, kept draw included. Whether any did."""
-        moved, warm, kept_row = drawn
-        move = moved & np.isfinite(draw_lp)
-        np.copyto(lp, draw_lp, where=move)
-        if not warm:
-            accepted[:, len(blocks) + deferred] += move
-        back = moved & ~move
-        if back.any():
-            current[back] = held[back]
-            if kept_row:
-                chain_draws[back, kept - 1] = held[back]
-        return back.any()
+    def fill(masks: np.ndarray) -> dict:
+        """The state with the candidate columns that each row of ``masks``
+        selects copied in, one row set per mask; the model's views of them."""
+        rows = cand_sets[: len(masks)]
+        np.copyto(rows, current)
+        np.copyto(rows, prop, where=masks[:, None])
+        return cand_values[len(masks)]
 
-    def pair_rows(pair) -> list[np.ndarray]:
-        """Fill the row sets of ``pair`` from the current state and the
-        blocks' candidates; whether each row set is inside the support."""
-        for bi, rows in zip(pair, (first, second)):
-            np.copyto(rows, current)
-            rows[:, layout.changed[bi]] = prop[:, layout.changed[bi]]
-        inside = [block_inside[:, bi] for bi in pair]
-        if len(pair) == 2:
-            np.copyto(second_moved, first)
-            second_moved[:, layout.changed[pair[1]]] = prop[:, layout.changed[pair[1]]]
-            inside.append(inside[1])
-        return inside
+    def call(masks=nothing[:0], inside=np.zeros((0, chains), dtype=bool)) -> np.ndarray:
+        """Score the row sets of ``masks`` (none by default; ``inside``: whether
+        each set's rows are inside the support, one row per set) in one
+        log-posterior call, with a pending exact draw as one more set, which
+        settles it: a chain whose drawn row scores non-finite goes back to its
+        row from before the draw, kept row included, and the sets are scored
+        again."""
+        nonlocal pending
+        if pending is not None:
+            moved, ei, warm, kept_row = pending
+            pending = None
+            sets = len(masks)
+            lp_rows = score(
+                fill(np.concatenate([masks, nothing])),
+                np.concatenate([inside, moved[None]]).ravel(),
+            )
+            draw_lp = lp_rows[sets * chains :]
+            move = moved & np.isfinite(draw_lp)
+            np.copyto(lp, draw_lp, where=move)
+            if not warm:
+                accepted[:, len(blocks) + ei] += move
+            back = moved & ~move
+            current[back] = held[back]
+            if kept_row is not None:  # a keep still to come writes it again
+                chain_draws[back, kept_row] = held[back]
+            if not (sets and back.any()):
+                return lp_rows[: sets * chains]
+        return score(fill(masks), inside.ravel())
 
     with np.errstate(**quiet):
         # the model sees the init row only inside the support
-        inside = space._inside(init_flat)
-        init_lp = score(space._unpack(init_flat), inside) if inside[0] else np.array([-np.inf])
+        outside = space._outside(init_flat).any(axis=-1)
+        init_lp = np.array([-np.inf]) if outside[0] else score(space._unpack(init_flat), ~outside)
         if not np.isfinite(init_lp[0]):
             raise InitializationError("log-posterior is not finite at the initialization point")
         lp = np.repeat(init_lp, chains)
         # up to 20 jittered starts per chain; a chain keeps its first finite one
-        pending = list(range(chains))
+        waiting = list(range(chains))
         for _ in range(20):
-            if not pending:
+            if not waiting:
                 break
             cand_z = init_z + _INIT_JITTER * np.array(
-                [rngs[c].standard_normal(space.dim) for c in pending]
+                [rngs[c].standard_normal(space.dim) for c in waiting]
             )
-            rows = current[pending]
+            rows = current[waiting]
             _transform(space._groups, cand_z, rows)
-            inside = space._inside(rows, fallback=current[pending])
-            cand_lp = score(space._unpack(rows), inside)
-            for row, c in enumerate(pending):
+            outside = space._outside(rows).any(axis=-1)
+            rows[outside] = current[waiting][outside]
+            cand_lp = score(space._unpack(rows), ~outside)
+            for row, c in enumerate(waiting):
                 if np.isfinite(cand_lp[row]):
                     z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
-            pending = [c for row, c in enumerate(pending) if not np.isfinite(cand_lp[row])]
+            waiting = [c for row, c in enumerate(waiting) if not np.isfinite(cand_lp[row])]
         # the blocks' unconstrained coordinates, and the per-chain log-Jacobian
         # of each block's current values: only that block's moves change either
         zb = z[:, layout.coords]
@@ -592,26 +597,13 @@ def fit(
             shift = noise if chol is None else layout.correlate(chol, noise)
             cand_z = zb + np.exp(log_step)[:, layout.coord_block] * shift
             cand_lj = layout.transform(cand_z, prop)
-            outside = ~((prop > space._lower) & (prop < space._upper)) @ layout.members
+            outside = space._outside(prop) @ layout.members
             block_inside = ~outside
             if outside.any():
                 np.copyto(prop, current, where=outside @ layout.members.T)
-            for pi, pair in enumerate(pairs):
-                # score every row set the pair can need in one call, and a
-                # deferred exact draw with the first pair
-                inside = pair_rows(pair)
-                sets = len(inside)
-                if pi == 0 and drawn is not None:
-                    cand[sets * chains : (sets + 1) * chains] = current
-                    cand_lp = score(cand_values[sets + 1], np.concatenate(inside + [drawn[0]]))
-                    redo = settle(cand_lp[sets * chains :])
-                    drawn = None
-                    if redo:
-                        # a chain went back: propose the pair again on its row
-                        inside = pair_rows(pair)
-                        cand_lp = score(cand_values[sets], np.concatenate(inside))
-                else:
-                    cand_lp = score(cand_values[sets], np.concatenate(inside))
+            for pair, masks, deciders in pairs:
+                # every row set the pair can need, in one call
+                cand_lp = call(masks, block_inside[:, deciders].T)
                 at = slice(0, chains)
                 for k, bi in enumerate(pair):
                     if k:
@@ -635,37 +627,33 @@ def fit(
                 log_step += (it + 10.0) ** -0.6 * (sweep_accept - _TARGET_ACCEPT)
             else:
                 accepted[:, : len(blocks)] += sweep_accept
-            for ei, ((step_names, draw), cols) in enumerate(zip(exact, exact_cols)):
-                np.copyto(first, current)
-                new = draw(current_values, rngs)
-                for name, (lo, hi) in zip(step_names, cols):
-                    first[:, lo:hi] = np.reshape(new[name], (chains, hi - lo))
-                inside = space._inside(first, exact_changed[ei], current)
-                if ei == deferred:
-                    # move to the drawn rows until the next call scores them
-                    np.copyto(held, current)
-                    np.copyto(current, first)
-                    drawn = (inside, warm, keep)
-                    continue
-                cand_lp = score(cand_values[1], inside)
-                move = np.isfinite(cand_lp)
-                np.copyto(current, first, where=move[:, None])
-                np.copyto(lp, cand_lp, where=move)
-                if not warm:
-                    accepted[:, len(blocks) + ei] += move
+            for ei, (step_names, draw) in enumerate(exact):
+                if pending is not None:
+                    call()  # the draw before this one, in a call of its own
+                # the step reads ``held``, so writing its draw into the state
+                # cannot change what it returned
+                np.copyto(held, current)
+                new = draw(held_values, rngs)
+                for name in step_names:
+                    view = current_values[name]
+                    view[...] = np.reshape(new[name], view.shape)
+                outside = space._outside(current).any(axis=-1)
+                current[outside] = held[outside]
+                pending = (~outside, ei, warm, kept if keep else None)
             if warm:
                 w_count += 1
                 delta = zb - w_mean
                 w_mean += delta / w_count
-                w_cov += delta[:, layout.cov_i] * (zb - w_mean)[:, layout.cov_j]
+                after = zb - w_mean
+                for idx, cov in zip(layout.by_size, w_cov):
+                    cov += delta[:, idx][..., None] * after[:, idx][..., None, :]
                 if w_count >= 100 and w_count % 50 == 0:
-                    chol = layout.factor(w_cov / (w_count - 1), chol)
+                    chol = _factor([cov / (w_count - 1) for cov in w_cov], chol)
             if keep:
                 chain_draws[:, kept] = current
                 kept += 1
-        if drawn is not None:
-            np.copyto(first, current)
-            settle(score(cand_values[1], drawn[0]))
+        if pending is not None:
+            call()  # the last sweep's draw
     accept_rates = accepted / config.draws
 
     names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
@@ -734,24 +722,12 @@ class _BlockLayout:
         for bi, block in enumerate(blocks):
             for n in block:
                 self.members[slice(*space._columns[n]), bi] = True
-        self.changed = [space._column_slice(b) for b in blocks]
-        # the entries of each block's covariance, row-major, block after block
-        bounds = list(zip(self.starts, self.starts[1:]))
-        self.cov_i = np.array(
-            [i for lo, hi in bounds for i in range(lo, hi) for _ in range(lo, hi)], dtype=int
-        )
-        self.cov_j = np.array(
-            [j for lo, hi in bounds for _ in range(lo, hi) for j in range(lo, hi)], dtype=int
-        )
-        self.cov_starts = np.cumsum([0] + [k * k for k in sizes]).tolist()
-        # the blocks of each size, whose Cholesky factors stack into one array
-        by_size: dict[int, list[int]] = {}
-        for bi, k in enumerate(sizes):
-            by_size.setdefault(k, []).append(bi)
-        self.by_size = [
-            (k, bis, np.array([np.arange(self.starts[b], self.starts[b + 1]) for b in bis]))
-            for k, bis in by_size.items()
-        ]
+        # the coordinates of the blocks of each size, ``(blocks, size)``:
+        # their covariances and Cholesky factors stack into one array
+        by_size: dict[int, list[np.ndarray]] = {}
+        for lo, hi in zip(self.starts, self.starts[1:]):
+            by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
+        self.by_size = [np.array(idx) for idx in by_size.values()]
 
     def transform(self, z: np.ndarray, prop: np.ndarray) -> np.ndarray:
         """Write every block's constrained values from the block-ordered
@@ -770,29 +746,26 @@ class _BlockLayout:
         """Each block's slice of ``noise`` times its chain's Cholesky factor:
         one stacked product per block size."""
         shift = np.empty_like(noise)
-        for (_, _, idx), factors in zip(self.by_size, chol):
+        for idx, factors in zip(self.by_size, chol):
             shift[:, idx] = (factors @ noise[:, idx][..., None])[..., 0]
         return shift
 
-    def factor(self, cov: np.ndarray, chol: list[np.ndarray] | None) -> list[np.ndarray]:
-        """Cholesky factors of each chain's block covariances (``cov`` holds
-        their entries as ``cov_i``/``cov_j`` list them), with a small ridge;
-        a covariance that fails keeps its block's last factor (the identity
-        at first)."""
-        chains = cov.shape[0]
-        if chol is None:
-            chol = [np.tile(np.eye(k), (chains, len(bis), 1, 1)) for k, bis, _ in self.by_size]
-        for (k, bis, _), factors in zip(self.by_size, chol):
-            for j, bi in enumerate(bis):
-                start = self.cov_starts[bi]
-                for c in range(chains):
-                    block_cov = cov[c, start : start + k * k].reshape(k, k)
-                    jitter = 1e-8 + 1e-6 * float(np.trace(block_cov)) / k
-                    try:
-                        factors[c, j] = np.linalg.cholesky(block_cov + jitter * np.eye(k))
-                    except np.linalg.LinAlgError:
-                        pass
-        return chol
+
+def _factor(covs: list[np.ndarray], chol: list[np.ndarray] | None) -> list[np.ndarray]:
+    """Cholesky factors of each chain's block covariances, stacked by block
+    size as ``covs`` stacks them, with a small ridge; a covariance that fails
+    keeps its block's last factor (the identity at first)."""
+    if chol is None:
+        chol = [np.tile(np.eye(cov.shape[-1]), cov.shape[:2] + (1, 1)) for cov in covs]
+    for cov, factors in zip(covs, chol):
+        k = cov.shape[-1]
+        for c, j in np.ndindex(cov.shape[:2]):
+            jitter = 1e-8 + 1e-6 * float(np.trace(cov[c, j])) / k
+            try:
+                factors[c, j] = np.linalg.cholesky(cov[c, j] + jitter * np.eye(k))
+            except np.linalg.LinAlgError:
+                pass
+    return chol
 
 
 def _metropolis_blocks(space: ParamSpace, exact_names: list[str]) -> list[list[str]]:

@@ -186,16 +186,20 @@ def test_parameter_in_two_blocks_is_rejected(blocks):
 @pytest.mark.parametrize(
     "init,message",
     [
+        ({}, "missing.*'x'.*'y'"),
         ({"x": 1.0}, "missing.*'y'"),
         ({"x": 1.0, "y": np.zeros(2), "z": 0.0}, "unknown.*'z'"),
         ({"x": 1.0, "y": np.zeros(3)}, "'y'.*size 2.*size 3"),
     ],
-    ids=["missing", "unknown", "wrong-size"],
+    ids=["empty", "missing", "unknown", "wrong-size"],
 )
 def test_init_entries_must_match_the_space(init, message):
     space = ParamSpace([ParamDef("x", (), "positive"), ParamDef("y", (2,), "real")])
     with pytest.raises(ValueError, match=message):
         space.to_unconstrained(init)
+    # fit reads an empty init as one, not as no init
+    with pytest.raises(ValueError, match=message):
+        fit(lambda v: np.zeros(v["x"].shape), space, FAST, init=init)
 
 
 def test_initialization_error():
@@ -381,6 +385,24 @@ def test_log_posterior_calls_per_fit():
     # the first jitter attempt scores -inf for every chain, so a second runs
     assert rows_per_call(rejected_call=2) == [1, 3, 3, 9, 3] + [12, 3] * (sweeps - 1) + [3]
 
+    # no Metropolis block and two exact steps: after init and one jitter
+    # attempt, each of the 4 + 6 sweeps scores each step's draw in a call
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("y", (), "real")])
+    calls = []
+
+    def logpost_xy(v):
+        calls.append(v["x"].shape[0])
+        return -0.5 * (v["x"] ** 2 + v["y"] ** 2)
+
+    def draw_x(v, rngs):
+        return {"x": np.array([rng.standard_normal() for rng in rngs])}
+
+    config = FitConfig(chains=3, warmup=4, draws=6, thin=1, seed=29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a 10-sweep fit
+        fit(logpost_xy, space, config, exact=[(["x"], draw_x), (["y"], draw_y)])
+    assert calls == [1] + [3] * 21
+
 
 def test_rhat_warning_lists_infinite_values():
     # an exact step that keeps every chain where its jittered start put it
@@ -493,16 +515,21 @@ BANDED_STEPS = {
 }
 
 # Full bits of the draws and acceptance rates of each banded fit below, keyed
-# by its exact steps in order and its thinning. They were recorded with every
-# exact draw scored in a call of its own, which scoring the last step's draw
-# in the next sweep's first call must reproduce; like tests/test_bit_identity.py
-# they hold the bits of one platform's math library
+# by its exact steps in order and its thinning. The first five were recorded
+# with every exact draw scored in a call of its own, the last three with the
+# last step's draw scored in the next sweep's first call; settling each draw
+# in the next call that scores anything must reproduce both. Like
+# tests/test_bit_identity.py they hold the bits of one numpy SIMD target
 BANDED_DIGESTS = {
     ("s", 1): "05deaffeb2021a93",
     ("s", 3): "2c7f3f519a706e0d",
     ("s-t", 1): "cca014a24556840e",
     ("t-s", 1): "799e687d4c4d4116",
     ("a-b-s-t", 1): "f60c6af12f2b4a70",
+    # thinning by 3 also covers sweeps that keep no draw
+    ("s-t", 3): "b4fc0c3bc9a3e2cc",
+    ("t-s", 3): "8d3e26c9f67ab705",
+    ("a-b-s-t", 3): "46780dddbd7efcd0",
 }
 
 
