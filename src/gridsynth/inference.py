@@ -23,32 +23,23 @@ conditional after the Metropolis blocks.
 All chains advance in lockstep, and every log-posterior call follows one
 rule: it scores up to four row sets of one row per chain, each the state
 with the candidate columns of some blocks copied in (a boolean mask over
-the columns). The Metropolis blocks are scored in pairs, in block order:
-one call scores the first block's candidate, the second block's, and both
-(the second after the first moved), and the sampler decides the first
-block, then the second on the set that matches each chain's first
-decision, so two blocks cost one call and each draw is the one that
-scoring the blocks one by one would give (pre-fetching; Brockwell 2006,
-J. Comput. Graph. Stat. 15:246); an odd last block is a pair of one. An
-exact draw moves the chains at once and is provisional: the next call
-scores it as one more set, with nothing copied in, and settles it (see
-:func:`fit`):
+the columns). A log-posterior may return its terms as columns and state
+which columns each parameter enters. Blocks that read disjoint columns are
+conditionally independent, so :func:`fit` colours the blocks greedily and
+decides each colour on one row set (chromatic Gibbs; Gonzalez, Low, Gretton
+& Guestrin 2011, AISTATS), two colours per call, the second on the sets
+that match the first's decisions (pre-fetching; Brockwell 2006, J. Comput.
+Graph. Stat. 15:246). An exact draw moves the chains at once and is
+provisional: the next call scores it as one more set and settles it.
 
-- values carry a leading row axis of up to four times the chain count: a
-  scalar parameter is a ``(rows,)`` array and a vector one ``(rows, n)``;
-- the log-posterior returns one value per row, a ``(rows,)`` array, and must
-  score each row independently of the others, to the last bit: a row's value
-  may not depend on which or how many rows share its call;
-- a row with an out-of-domain parameter scores ``-inf`` instead of raising,
-  and a row outside the open support never reaches the model;
-- chain ``c`` consumes only its own substream ``(seed, "mcmc-chain", c)``, in
-  its Metropolis blocks and its exact steps alike, so its draws do not depend
-  on the number of chains. Each sweep it first draws one standard normal per
-  unconstrained coordinate of all its Metropolis blocks, then one uniform per
-  block, then whatever its exact steps draw, in order;
-- the values dict the model reads is a set of views into one buffer that the
-  sampler reuses from call to call: a log-posterior or an exact draw must not
-  keep it or write to it.
+The contract, stated in full at :func:`fit`: values carry a leading row axis
+of up to four times the chain count; the log-posterior returns one value, or
+one row of term columns, per row, and scores each row as it would alone, to
+the last bit; a row with an out-of-domain parameter scores ``-inf``, and a
+row outside the open support never reaches the model; chain ``c`` draws only
+from its own substream ``(seed, "mcmc-chain", c)``, so its draws do not
+depend on the number of chains; and the values dict the model reads views a
+buffer the sampler reuses, which must not be kept or written to.
 
 Chains are pooled after warm-up and thinning; the kept draws are the
 constrained rows. Split-R-hat and effective sample size are attached as
@@ -169,13 +160,6 @@ class ParamSpace:
                 self._lower[lo:hi] = 0.0
             if d.support == "unit":
                 self._upper[lo:hi] = 1.0
-
-    def block_indices(self, block: list[str]) -> np.ndarray:
-        idx: list[int] = []
-        for name in block:
-            lo, hi = self._offsets[name]
-            idx.extend(range(lo, hi))
-        return np.asarray(idx, dtype=int)
 
     def _constrain_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
         """All constrained values of ``z`` (shape ``(..., dim)``) as one
@@ -370,6 +354,7 @@ def fit(
     config: FitConfig | None = None,
     init: dict[str, float | np.ndarray] | None = None,
     exact=(),
+    terms: dict[str, list[int]] | None = None,
 ) -> PosteriorEnsemble:
     """Sample the posterior of ``log_posterior`` over ``space``.
 
@@ -377,73 +362,74 @@ def fit(
     of constrained values. ``log_posterior`` receives a dict of constrained
     values with a leading row axis (a scalar parameter is a ``(rows,)``
     array, a vector one ``(rows, n)``) and returns one value per row, ``-inf``
-    allowed away from the init point; a row with an out-of-domain parameter
-    should score ``-inf`` rather than raise. A call gets up to
-    ``4 * chains`` rows, and each row must score as it would alone, bit for
-    bit, whatever else shares the call. It runs with numpy's overflow,
-    divide-by-zero and invalid-value warnings off: the batched kernels
-    evaluate every row's formula before masking, and a row that is finite but
-    extreme (a positive value above 1e154 squares to inf in a half-normal
-    prior) must be rejected, not abort the fit where warnings are errors. Any
-    non-finite value it returns rejects the row. The model never sees a row
-    outside the open support (an overflow to inf, an underflow to 0, a unit
-    value rounded to 1): the row is swapped for the state it was proposed from
-    and scored ``-inf``.
-
-    The values dict passed to ``log_posterior`` (and to ``draw`` below) holds
-    views into a buffer the sampler reuses: it is valid for that call only,
-    and must not be kept or written to.
+    allowed away from the init point. With ``terms``, which states for every
+    parameter the term columns it enters, it returns its terms as columns,
+    ``(rows, terms)``, whose row sum is the log-posterior, and a column must
+    keep its bits when only a parameter that does not enter it changes;
+    without, its one value per row is one column that every parameter
+    enters. A call gets up to ``4 * chains`` rows, and each row must score as
+    it would alone, bit for bit, whatever else shares the call. It runs with
+    numpy's overflow, divide-by-zero and invalid-value warnings off: the
+    batched kernels evaluate every row's formula before masking, and a row
+    that is finite but extreme (a positive value above 1e154 squares to inf
+    in a half-normal prior) must be rejected, not abort the fit where
+    warnings are errors. A row with an out-of-domain parameter should score
+    ``-inf`` rather than raise, and any non-finite term rejects the row. The
+    model never sees a row outside the open support (an overflow to inf, an
+    underflow to 0, a unit value rounded to 1): the row is swapped for the
+    state it was proposed from and scored ``-inf``. The values dict passed
+    to ``log_posterior`` (and to ``draw`` below) holds views into a buffer
+    the sampler reuses: it is valid for that call only, and must not be kept
+    or written to.
 
     ``exact`` lists the parameters whose full conditional can be drawn
     directly, as ``(names, draw)`` pairs. ``draw(values, rngs)`` gets the
     current constrained values (one row per chain) and returns a dict of new
-    values for ``names``, drawing chain ``c``'s row only from ``rngs[c]``. It
-    runs under the same warning settings as ``log_posterior``. These
-    parameters leave the Metropolis blocks. Each sweep runs the Metropolis
-    blocks, then each exact step in order.
+    values for ``names``, drawing chain ``c``'s row only from ``rngs[c]``,
+    under the same warning settings. These parameters leave the Metropolis
+    blocks. Each sweep runs the Metropolis blocks, then each exact step in
+    order.
 
-    Every log-posterior call of a sweep scores row sets of one row per
-    chain, each the state with the candidate columns of some blocks copied
-    in. Every Metropolis candidate of a sweep is proposed at its start, from
-    the state then, since a block's own coordinates change only at its own
-    decision: one step over all blocks' coordinates, one transform and one
-    support check. A Metropolis block proposes a Gaussian random-walk step
-    in the unconstrained coordinates of its own parameters; its acceptance
-    ratio carries only their log-Jacobian, since the other parameters' terms
-    cancel. Blocks are scored two at a time: one call scores the first
-    block's candidate, the second block's, and both (``3 * chains`` rows);
-    the second block is then decided on whichever of its two sets matches
-    each chain's first decision, so the draws are those of one call per
-    block. An odd last block is scored alone (``chains`` rows).
+    Every Metropolis candidate of a sweep is proposed at its start, a
+    Gaussian random-walk step in the unconstrained coordinates of its
+    block's parameters, whose log-Jacobian alone enters its acceptance
+    ratio. The blocks are coloured greedily in block order: a block joins
+    the first colour none of whose blocks reads one of its term columns, so
+    without ``terms`` each block has a colour of its own. A colour is one row
+    set, the state with all its candidates copied in; each of its blocks is
+    decided on the sum of its own columns against the same sum of the
+    state's score, kept per column, and a block whose candidate leaves the
+    open support is rejected alone. Colours are scored two at a time: one
+    call scores the first colour, the second, and both (``3 * chains``
+    rows). Once the first colour is decided, each column of the second
+    colour's score comes from the set with both where the first-colour block
+    that reads it moved, and from the set with the second alone where it did
+    not, which is exact because no two blocks of a colour read one column.
+    An odd last colour is scored alone (``chains`` rows). The draws are
+    those of deciding every block in a call of its own, in colour order.
 
     An exact step's drawn rows are provisional: each chain moves to its
-    drawn row, and the next call that scores anything scores them as one
-    more set, with nothing copied in, and settles them. That is the next
-    sweep's first pair call, or a call of its own when another exact draw
-    or the end of the fit comes first. A drawn row that leaves the open
-    support never reaches the model, and the chain keeps its row; one that
-    scores non-finite sends its chain back to its row and score from before
-    the draw, and its kept draw too if one was kept meanwhile, and a pair
-    whose call sent a chain back is scored again in a second call. Either
-    counts as a rejection in the step's ``diagnostics["acceptance"]`` entry
-    (keyed by its names joined with ``-``, like a block), in the sweep that
-    drew it. Kept draws are the constrained rows.
+    drawn row, and the next call that scores anything (the next sweep's
+    first, or one of its own when another exact draw or the end of the fit
+    comes first) scores them as one more set and settles them. A drawn row
+    that leaves the open support never reaches the model, and the chain
+    keeps its row; one that scores non-finite sends its chain back to its
+    row and score from before the draw, and its kept draw too if one was
+    kept meanwhile, and the call's colours are scored again. Either counts
+    as a rejection in the step's ``diagnostics["acceptance"]`` entry (keyed
+    by its names joined with ``-``, like a block), in the sweep that drew
+    it. Kept draws are the constrained rows.
 
     Chain ``c`` draws only from its own substream ``(seed, "mcmc-chain", c)``
-    and keeps its own step sizes and proposal covariance, so its draws do not
-    depend on how many chains run beside it. Each sweep, in this order, it
-    draws one standard-normal vector covering the unconstrained coordinates
-    of all Metropolis blocks (each block takes its slice, in block order),
-    then one uniform per block for the accept test, and then its exact steps
-    draw in order. The draws are those of scoring every step in a call of
-    its own, bit for bit.
-
-    At most one ``UserWarning`` per call lists the scalars above the R-hat
-    threshold (an infinite R-hat included); ``diagnostics["rhat"]`` holds
-    every scalar's value. Chains start from ``init`` (the transform origin
-    when it is None; a missing entry raises) with per-chain jitter; step
-    sizes adapt during warm-up only, so the kept draws target the exact
-    posterior.
+    and keeps its own step sizes and proposal covariance. Each sweep it draws
+    one standard-normal vector covering the unconstrained coordinates of all
+    Metropolis blocks (each block takes its slice, in block order), then one
+    uniform per block, then its exact steps' draws in order. Chains start
+    from ``init`` (the transform origin when it is None; a missing entry
+    raises) with per-chain jitter; step sizes adapt during warm-up only, so
+    the kept draws target the exact posterior. At most one ``UserWarning``
+    per call lists the scalars above the R-hat threshold (an infinite R-hat
+    included); ``diagnostics["rhat"]`` holds every scalar's value.
     """
     config = config or FitConfig()
     exact = [(list(names), draw) for names, draw in exact]
@@ -451,18 +437,22 @@ def fit(
     quiet = dict(over="ignore", divide="ignore", invalid="ignore")
     chains = config.chains
     width = space._lower.size
+    layout = _BlockLayout(space, blocks)
+    starts = layout.starts
+    colours, n_terms = _colours(space, blocks, terms, layout)
 
-    def score(values, inside) -> np.ndarray:
-        """Model log-posterior of each row that ``values`` views. A row
-        outside the open support (``inside`` false), reset beforehand to a
-        row inside, scores -inf, as does a non-finite value."""
+    def score(values, rows: int) -> np.ndarray:
+        """Model log-posterior terms of the ``rows`` rows that ``values``
+        views, ``(rows, term columns)``; a non-finite term scores -inf."""
         lp = np.asarray(log_posterior(values), dtype=float)
-        if lp.shape != inside.shape:
+        shape = (rows,) if terms is None else (rows, n_terms)
+        if lp.shape != shape:
             raise ValueError(
-                f"log_posterior must return one value per row, shape {inside.shape}; "
-                f"got shape {lp.shape}"
+                f"log_posterior must return one value per row{'' if terms is None else ' and term'}"
+                f", shape {shape}; got shape {lp.shape}"
             )
-        return np.where(inside & np.isfinite(lp), lp, -np.inf)
+        lp = lp.reshape(rows, n_terms)
+        return np.where(np.isfinite(lp), lp, -np.inf)
 
     init_z = space.to_unconstrained(init) if init is not None else np.zeros(space.dim)
     init_flat, _ = space._constrain_flat(init_z[None])
@@ -481,20 +471,15 @@ def fit(
     cand = np.empty((4 * chains, width))
     cand_sets = cand.reshape(4, chains, width)
     cand_values = {sets: space._unpack(cand[: sets * chains]) for sets in (1, 2, 3, 4)}
-    layout = _BlockLayout(space, blocks)
-    starts = layout.starts
-    # each pair's row sets as masks of the columns taken from the candidates:
-    # the first block, the second on the state, and both (the second after the
-    # first moved); a set is decided by its last block. A pending exact draw
-    # is the set with nothing taken
-    pairs = []
-    for bi in range(0, len(blocks), 2):
-        pair = range(bi, min(bi + 2, len(blocks)))
-        sets = [[b] for b in pair] + [list(pair)] * (len(pair) - 1)
-        masks = np.array([layout.members[:, s].any(axis=1) for s in sets])
-        pairs.append((pair, masks, [s[-1] for s in sets]))
+    # each call's colours and its row sets as masks of the columns taken from
+    # the candidates: the first colour, the second on the state, and both. A
+    # pending exact draw is the set with nothing taken
+    calls = []
+    for ci in range(0, len(colours), 2):
+        pair = colours[ci : ci + 2]
+        taken = [columns.any(axis=0) for *_, columns, _ in pair]
+        calls.append((pair, np.array(taken + [taken[0] | taken[-1]] * (len(pair) - 1))))
     nothing = np.zeros((1, width), dtype=bool)
-    chain_rows = np.arange(chains)
     # each sweep's random numbers: one normal per Metropolis coordinate, each
     # block reading its slice of them, and one uniform per block; every
     # block's candidate values in its own constrained columns
@@ -527,42 +512,65 @@ def fit(
         np.copyto(rows, prop, where=masks[:, None])
         return cand_values[len(masks)]
 
-    def call(masks=nothing[:0], inside=np.zeros((0, chains), dtype=bool)) -> np.ndarray:
-        """Score the row sets of ``masks`` (none by default; ``inside``: whether
-        each set's rows are inside the support, one row per set) in one
+    def call(masks=nothing[:0]) -> np.ndarray:
+        """Score the row sets of ``masks`` (none by default) in one
         log-posterior call, with a pending exact draw as one more set, which
         settles it: a chain whose drawn row scores non-finite goes back to its
         row from before the draw, kept row included, and the sets are scored
         again."""
         nonlocal pending
+        rows = len(masks) * chains
         if pending is not None:
             moved, ei, warm, kept_row = pending
             pending = None
-            sets = len(masks)
-            lp_rows = score(
-                fill(np.concatenate([masks, nothing])),
-                np.concatenate([inside, moved[None]]).ravel(),
-            )
-            draw_lp = lp_rows[sets * chains :]
-            move = moved & np.isfinite(draw_lp)
-            np.copyto(lp, draw_lp, where=move)
+            lp_rows = score(fill(np.concatenate([masks, nothing])), rows + chains)
+            draw_lp = lp_rows[rows:]
+            move = moved & np.isfinite(draw_lp).all(axis=1)
+            np.copyto(lp, draw_lp, where=move[:, None])
             if not warm:
                 accepted[:, len(blocks) + ei] += move
             back = moved & ~move
             current[back] = held[back]
             if kept_row is not None:  # a keep still to come writes it again
                 chain_draws[back, kept_row] = held[back]
-            if not (sets and back.any()):
-                return lp_rows[: sets * chains]
-        return score(fill(masks), inside.ravel())
+            if not (rows and back.any()):
+                return lp_rows[:rows]
+        return score(fill(masks), rows)
+
+    def decide(colour, cand_lp: np.ndarray) -> np.ndarray | None:
+        """Decide every block of ``colour`` on its own term columns of
+        ``cand_lp`` (one row per chain); return which term columns of each
+        chain's score moved, None where no block moved."""
+        members, single, reads, coords, columns, own = colour
+        if single is not None:  # each block reads one column
+            new, old = cand_lp[:, single], lp[:, single]
+        else:
+            # each block's columns, zero where it reads none, on a trailing
+            # axis of its own: each row sums the same way for any number of
+            # rows, and as the one column would where the block reads one
+            new, old = np.where(reads, np.stack((cand_lp, lp))[:, :, None], 0.0).sum(axis=-1)
+        # min(1, exp(log ratio)), floored at exp(-700)
+        log_ratio = (new + cand_lj[:, members]) - (old + log_jac[:, members])
+        accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
+        sweep_accept[:, members] = accept_prob
+        move = uniform[:, members] < accept_prob
+        if not move.any():
+            return None
+        np.copyto(zb, cand_z, where=move @ coords)
+        np.copyto(current, prop, where=move @ columns)
+        np.copyto(log_jac, cand_lj, where=move @ own)
+        took = move @ reads
+        np.copyto(lp, cand_lp, where=took)
+        return took
 
     with np.errstate(**quiet):
         # the model sees the init row only inside the support
-        outside = space._outside(init_flat).any(axis=-1)
-        init_lp = np.array([-np.inf]) if outside[0] else score(space._unpack(init_flat), ~outside)
-        if not np.isfinite(init_lp[0]):
+        lp = np.full((1, n_terms), -np.inf)
+        if not space._outside(init_flat).any():
+            lp = score(space._unpack(init_flat), 1)
+        if not np.isfinite(lp).all():
             raise InitializationError("log-posterior is not finite at the initialization point")
-        lp = np.repeat(init_lp, chains)
+        lp = np.repeat(lp, chains, axis=0)  # the state's score, per term column
         # up to 20 jittered starts per chain; a chain keeps its first finite one
         waiting = list(range(chains))
         for _ in range(20):
@@ -575,11 +583,12 @@ def fit(
             _transform(space._groups, cand_z, rows)
             outside = space._outside(rows).any(axis=-1)
             rows[outside] = current[waiting][outside]
-            cand_lp = score(space._unpack(rows), ~outside)
+            cand_lp = score(space._unpack(rows), len(waiting))
+            finite = ~outside & np.isfinite(cand_lp).all(axis=1)
             for row, c in enumerate(waiting):
-                if np.isfinite(cand_lp[row]):
+                if finite[row]:
                     z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
-            waiting = [c for row, c in enumerate(waiting) if not np.isfinite(cand_lp[row])]
+            waiting = [c for row, c in enumerate(waiting) if not finite[row]]
         # the blocks' unconstrained coordinates, and the per-chain log-Jacobian
         # of each block's current values: only that block's moves change either
         zb = z[:, layout.coords]
@@ -593,35 +602,22 @@ def fit(
                 rng.random(out=uniform[c])
             # every block's candidate, each on the state at the sweep's start
             # (a block's own coordinates change only at its own decision);
-            # a block outside the support proposes its current values
+            # a block outside the support proposes its current values, and
+            # its log-Jacobian of -inf rejects it
             shift = noise if chol is None else layout.correlate(chol, noise)
             cand_z = zb + np.exp(log_step)[:, layout.coord_block] * shift
             cand_lj = layout.transform(cand_z, prop)
             outside = space._outside(prop) @ layout.members
-            block_inside = ~outside
             if outside.any():
                 np.copyto(prop, current, where=outside @ layout.members.T)
-            for pair, masks, deciders in pairs:
-                # every row set the pair can need, in one call
-                cand_lp = call(masks, block_inside[:, deciders].T)
-                at = slice(0, chains)
-                for k, bi in enumerate(pair):
-                    if k:
-                        # the second block reads the row set that matches
-                        # each chain's first decision
-                        at = np.where(move, 2 * chains, chains) + chain_rows
-                    block_lp = cand_lp[at]
-                    # min(1, exp(log ratio)), floored at exp(-700)
-                    log_ratio = (block_lp + cand_lj[:, bi]) - (lp + log_jac[:, bi])
-                    accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
-                    sweep_accept[:, bi] = accept_prob
-                    move = uniform[:, bi] < accept_prob
-                    if move.any():
-                        block = slice(starts[bi], starts[bi + 1])
-                        np.copyto(zb[:, block], cand_z[:, block], where=move[:, None])
-                        np.copyto(current, cand[at], where=move[:, None])
-                        np.copyto(lp, block_lp, where=move)
-                        np.copyto(log_jac[:, bi], cand_lj[:, bi], where=move)
+                cand_lj[outside] = -np.inf
+            for pair, masks in calls:
+                # every row set the pair of colours can need, in one call
+                cand_lp = call(masks)
+                took = decide(pair[0], cand_lp[:chains])
+                if len(pair) > 1:
+                    both, alone = cand_lp[2 * chains :], cand_lp[chains : 2 * chains]
+                    decide(pair[1], alone if took is None else np.where(took, both, alone))
             if warm:
                 # Robbins-Monro gain on the log step size, toward the target acceptance
                 log_step += (it + 10.0) ** -0.6 * (sweep_accept - _TARGET_ACCEPT)
@@ -676,6 +672,45 @@ def fit(
     return ensemble
 
 
+def _colours(space: ParamSpace, blocks: list[list[str]], terms, layout) -> tuple[list, int]:
+    """Colour the blocks greedily in block order, each joining the first
+    colour none of whose blocks reads one of its term columns (without
+    ``terms``, every block reads the one column). Per colour: its blocks (a
+    slice where they run in order); the column each reads where each reads
+    one (None otherwise); then one boolean row per block of the term columns
+    it reads, and of the block-ordered coordinates, constrained columns and
+    blocks it owns. Also the number of term columns."""
+    if terms is None:
+        reads = np.ones((len(blocks), 1), dtype=bool)
+    else:
+        missing = [n for n in space._by_name if n not in terms]
+        unknown = [n for n in terms if n not in space._by_name]
+        if missing or unknown:
+            raise ValueError(
+                f"terms must state every parameter: missing {missing}, unknown {unknown}"
+            )
+        reads = np.zeros((len(blocks), 1 + max(c for cols in terms.values() for c in cols)), bool)
+        for row, block in zip(reads, blocks):
+            row[[c for n in block for c in terms[n]]] = True
+    groups: list[list[int]] = []
+    for b, row in enumerate(reads):
+        for g in groups:
+            if not (reads[g].any(axis=0) & row).any():
+                g.append(b)
+                break
+        else:
+            groups.append([b])
+    colours = []
+    for g in map(np.array, groups):
+        single = None
+        if (reads[g].sum(axis=1) == 1).all():
+            single = _as_slice(reads[g].argmax(axis=1))
+        coords, columns = g[:, None] == layout.coord_block, layout.members[:, g].T
+        own = g[:, None] == np.arange(len(blocks))
+        colours.append((_as_slice(g), single, reads[g], coords, columns, own))
+    return colours, reads.shape[1]
+
+
 class _BlockLayout:
     """The Metropolis blocks' unconstrained coordinates side by side, in block
     order, and the index arrays that let a sweep propose, transform,
@@ -686,7 +721,7 @@ class _BlockLayout:
         sizes = [sum(space._by_name[n].unconstrained_size for n in b) for b in blocks]
         self.starts = np.cumsum([0] + sizes).tolist()
         # each block-ordered coordinate's column of z, and its block
-        self.coords = np.array([i for b in blocks for i in space.block_indices(b)], dtype=int)
+        self.coords = np.array([i for d in defs for i in range(*space._offsets[d.name])], dtype=int)
         self.coord_block = np.repeat(np.arange(len(blocks)), sizes)
         offsets, pos = {}, 0
         for d in defs:
@@ -717,7 +752,7 @@ class _BlockLayout:
         for (_, g, length), (members, firsts) in sorted(spans.items(), key=lambda kv: kv[0][0]):
             span = np.add.outer(firsts, np.arange(length)).ravel()
             self.jacobian.append((_as_slice(np.array(members)), len(members), g, _as_slice(span)))
-        # which constrained columns each block owns, as a matrix and as columns
+        # which constrained columns each block owns
         self.members = np.zeros((space._lower.size, len(blocks)), dtype=bool)
         for bi, block in enumerate(blocks):
             for n in block:

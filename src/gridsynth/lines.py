@@ -6,11 +6,13 @@ sequence (a base mean plus positive increments) sharing one coefficient of
 variation; mixture weights are per-zone simplexes, so the conductor mix can
 shift along the feeder. Reactance is X1 = rho * R1 by definition.
 
-The fit draws each mixture's weights exactly: component indicators for every
-line given the current parameters, then each zone's weights from
-Dirichlet(1 + indicator counts) (Diebolt & Robert 1994), as one step. The
-means and the CV take Metropolis steps against the likelihood with the
-indicators summed out.
+Both mixtures are fitted as one model, stacked on a mixture axis, with one
+term column each, so ``fit`` decides the two means blocks in one colour and
+the two CV blocks in another. The fit draws both mixtures' weights exactly:
+component indicators for every line given the current parameters, then each
+zone's weights from Dirichlet(1 + indicator counts) (Diebolt & Robert 1994),
+as one step. The means and the CVs take Metropolis steps against the
+likelihood with the indicators summed out.
 
 The 3x3 phase impedance matrix is built deterministically from the sampled
 pair via the modified Carson earth-return equations, followed by Kron
@@ -43,7 +45,7 @@ from .distributions import (
     sample_dirichlet,
     sample_gamma,
 )
-from .inference import FitConfig, ParamDef, ParamSpace, Posterior, PosteriorEnsemble, fit
+from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
 from .phases import CONFIGS, PhaseConfig
 from .topology import ZoneAssignment, group_by_zone
 
@@ -151,70 +153,89 @@ def sample_line(draw, zone: int, rng) -> LineParams:
     return LineParams(r1_ohm_per_km=r1, rho=rho)
 
 
-def _mixture_space(prefix: str, zone_count: int) -> ParamSpace:
-    defs = [
-        ParamDef(f"{prefix}_means", (_MIXTURE_COMPONENTS,), "ordered_positive"),
-        ParamDef(f"{prefix}_cv", (), "positive"),
-    ]
-    for z in range(1, zone_count + 1):
-        defs.append(ParamDef(f"{prefix}_weights_z{z}", (_MIXTURE_COMPONENTS,), "simplex"))
-    return ParamSpace(defs)
+_PREFIXES = ("r", "rho")
 
 
-def _mixture(prefix: str, grouped: list[np.ndarray]):
-    """One mixture's batched log-posterior and the exact step of ``fit`` for
-    its zone weights, ``(logpost, (names, draw))``, over one set of shared
-    terms: values carry a leading row axis."""
-    observed = np.concatenate(grouped)
-    zone_of = np.repeat(np.arange(len(grouped)), [g.size for g in grouped])
-    names = [f"{prefix}_weights_z{z}" for z in range(1, len(grouped) + 1)]
+def _mixture_space(zone_count: int) -> tuple[ParamSpace, dict[str, list[int]]]:
+    """Both mixtures' parameters, and the term column each enters: its
+    mixture's."""
+    defs, terms = [], {}
+    for column, prefix in enumerate(_PREFIXES):
+        own = [
+            ParamDef(f"{prefix}_means", (_MIXTURE_COMPONENTS,), "ordered_positive"),
+            ParamDef(f"{prefix}_cv", (), "positive"),
+        ] + [
+            ParamDef(f"{prefix}_weights_z{z}", (_MIXTURE_COMPONENTS,), "simplex")
+            for z in range(1, zone_count + 1)
+        ]
+        defs += own
+        terms.update({d.name: [column] for d in own})
+    return ParamSpace(defs), terms
+
+
+def _mixtures(grouped: list[list[np.ndarray]]):
+    """Both mixtures' batched log-posterior and the exact step of ``fit`` for
+    their zone weights, ``(logpost, (names, draw))``, over one set of shared
+    terms. ``grouped`` holds each mixture's observations by zone, with the
+    same number of lines in each zone; the mixtures stack on an axis after
+    the leading row axis, and the log-posterior returns one term column per
+    mixture."""
+    observed = np.stack([np.concatenate(g) for g in grouped])  # (mixtures, lines)
+    zone_count = len(grouped[0])
+    zone_of = np.repeat(np.arange(zone_count), [g.size for g in grouped[0]])
+    names = [f"{p}_weights_z{z}" for p in _PREFIXES for z in range(1, zone_count + 1)]
     cells = len(names) * _MIXTURE_COMPONENTS
 
+    def stacked(v, suffix):
+        return np.stack([v[f"{p}{suffix}"] for p in _PREFIXES], axis=1)
+
     def components(v):
-        """The weights stacked (chains, zones, K), the Gamma shape and rates,
-        and each line's log weight plus component log-density, (K, chains,
-        lines)."""
-        weights = np.stack([v[name] for name in names], axis=-2)
+        """The weights stacked (rows, mixtures, zones, K), the Gamma shapes
+        and rates, and each line's log weight plus component log-density,
+        (K, rows, mixtures, lines)."""
+        weights = np.stack([v[name] for name in names], axis=1)
+        weights = weights.reshape(len(weights), len(_PREFIXES), -1, _MIXTURE_COMPONENTS)
         # components lead from here on, so reductions over them run over the
         # first axis. A weight that underflowed to 0 is off the simplex (-inf
         # in the log-posterior); log 1 stands in for its log so no log(0) runs.
         log_w = np.log(np.where(weights > 0.0, weights, 1.0))
-        log_w = np.take(np.moveaxis(log_w, -1, 0), zone_of, axis=-1)  # (K, chains, lines)
-        shape, rates = _gamma_shape_rates(v[f"{prefix}_means"], v[f"{prefix}_cv"][:, None])
+        log_w = np.take(np.moveaxis(log_w, -1, 0), zone_of, axis=-1)
+        shape, rates = _gamma_shape_rates(stacked(v, "_means"), stacked(v, "_cv")[..., None])
         # (rows stay contiguous, so each row's sum over lines runs the same
         # way for any number of rows)
-        rates_first = np.ascontiguousarray(rates.T)[:, :, None]
+        rates_first = np.ascontiguousarray(np.moveaxis(rates, -1, 0))[..., None]
         return weights, shape, rates, log_w + _logpdf_gamma(observed, shape, rates_first)
 
     def logpost(v) -> np.ndarray:
-        means = v[f"{prefix}_means"]
-        lp = _logpdf_halfnormal(means[:, 0], 1.0)
+        means = stacked(v, "_means")
+        lp = _logpdf_halfnormal(means[..., 0], 1.0)
         lp += _logpdf_halfnormal(np.diff(means, axis=-1), 1.0).sum(axis=-1)
-        lp += _logpdf_halfnormal(v[f"{prefix}_cv"], 0.5)
+        lp += _logpdf_halfnormal(stacked(v, "_cv"), 0.5)
         weights, shape, rates, comp = components(v)
         lp += _logpdf_dirichlet(weights, np.ones(_MIXTURE_COMPONENTS)).sum(axis=-1)
         # the floor keeps a line whose components are all -inf at -inf, not nan
         peak = np.maximum(comp.max(axis=0), -1e300)
         lp += (peak + np.log(np.sum(np.exp(comp - peak), axis=0))).sum(axis=-1)
         # one component out of its gamma domain (a mean or the cv at 0 or inf)
-        # rules the row out, not just that component
-        return np.where(_positive(rates).all(axis=-1) & _positive(shape[:, 0]), lp, -np.inf)
+        # rules the mixture out, not just that component
+        return np.where(_positive(rates).all(axis=-1) & _positive(shape[..., 0]), lp, -np.inf)
 
     def draw(v, rngs) -> dict[str, np.ndarray]:
         # indicators given everything else: each line picks component k with
         # probability proportional to w_zk * Gamma(x | shape, rate_k), by
-        # inverse CDF on one uniform per line. The current row scored finite,
-        # so every line has a finite component.
+        # inverse CDF on one uniform per line and mixture. The current row
+        # scored finite, so every line has a finite component.
         comp = components(v)[3]
         cum = np.cumsum(np.exp(comp - comp.max(axis=0)), axis=0)
-        u = np.stack([rng.random(zone_of.size) for rng in rngs]) * cum[-1]
-        picked = (u >= cum[:-1]).sum(axis=0)  # (chains, lines)
-        # weights given the indicators: Dirichlet(1 + counts) per zone
-        cell = zone_of * _MIXTURE_COMPONENTS + picked + cells * np.arange(len(rngs))[:, None]
+        u = np.stack([rng.random(observed.shape) for rng in rngs]) * cum[-1]
+        picked = (u >= cum[:-1]).sum(axis=0)  # (chains, mixtures, lines)
+        # weights given the indicators: Dirichlet(1 + counts) per mixture and zone
+        cell = (zone_of + zone_count * np.arange(len(_PREFIXES))[:, None]) * _MIXTURE_COMPONENTS
+        cell = cell + picked + cells * np.arange(len(rngs))[:, None, None]
         counts = np.bincount(cell.ravel(), minlength=len(rngs) * cells)
         counts = counts.reshape(len(rngs), len(names), _MIXTURE_COMPONENTS)
         weights = sample_dirichlet(rngs, 1.0 + counts)
-        return {name: weights[:, z] for z, name in enumerate(names)}
+        return {name: weights[:, i] for i, name in enumerate(names)}
 
     return logpost, (names, draw)
 
@@ -238,31 +259,30 @@ def fit_line_model(
     zones: ZoneAssignment,
     config: FitConfig | None = None,
 ) -> Posterior:
-    """Fit both mixtures (resistance and ratio) over the line observations;
-    each mixture's weights are drawn exactly (see the module docstring). The
-    resistance mixture is fit first."""
+    """Fit both mixtures (resistance and ratio) over the line observations,
+    as one model; the mixtures' weights are drawn exactly (see the module
+    docstring). ``r1`` and ``rho`` must observe the same lines."""
     for name, data in (("r1", r1), ("rho", rho)):
         if any(v <= 0.0 for v in data.values()):
             raise ValueError(f"{name} observations must be positive")
+    for name, data, other in (("r1", r1, rho), ("rho", rho, r1)):
+        alone = next((line for line in data if line not in other), None)
+        if alone is not None:
+            raise ValueError(f"line {alone!r} is observed in {name} only")
     if len(r1) < _MIXTURE_COMPONENTS:
         warnings.warn(
             f"fewer observations ({len(r1)}) than mixture components; fit proceeds",
             stacklevel=2,
         )
     z_count = zones.zone_count
-    mixtures = [
-        (prefix, group_by_zone(data, zones.line_zone, z_count))
-        for prefix, data in (("r", r1), ("rho", rho))
-    ]
-    draws, diagnostics = {}, {}
-    for prefix, grouped in mixtures:
-        logpost, weights_step = _mixture(prefix, grouped)
-        space = _mixture_space(prefix, z_count)
-        init = _mixture_init(prefix, grouped)
-        ensemble = fit(logpost, space, config, init=init, exact=[weights_step])
-        draws.update(ensemble.draws)
-        diagnostics[prefix] = ensemble.diagnostics
-    return Posterior(PosteriorEnsemble(draws=draws, diagnostics=diagnostics))
+    grouped = [group_by_zone(data, zones.line_zone, z_count) for data in (r1, rho)]
+    logpost, weights_step = _mixtures(grouped)
+    space, terms = _mixture_space(z_count)
+    init = {}
+    for prefix, by_zone in zip(_PREFIXES, grouped):
+        init.update(_mixture_init(prefix, by_zone))
+    ensemble = fit(logpost, space, config, init=init, exact=[weights_step], terms=terms)
+    return Posterior(ensemble)
 
 
 # ---------------------------------------------------------------------------

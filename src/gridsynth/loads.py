@@ -12,7 +12,9 @@ reactive power follows a network-wide power factor.
 The fit scores that likelihood on sufficient statistics: the count, mean and
 centred sum of squares of the observations in each (category, active phase)
 column, computed once per fit, so a log-posterior call costs the same for
-any number of buses.
+any number of buses. It returns its terms as columns and states which
+columns each parameter enters, so ``fit`` decides its ten blocks in three
+colours.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ _GAMMA_NAMES = (
     "p_pot_tri",
 )
 _DELTA_TRI_CONCENTRATION = np.array([2.0, 2.0, 2.0])
+# the log-posterior's term columns: the Gamma terms in _GAMMA_NAMES order,
+# the priors of delta_bi, delta_tri and sigma_p, then the likelihood columns
+_FIRST_LIKELIHOOD = 14
 
 
 def _power_factor_from_uniform(u: float) -> float:
@@ -200,20 +205,23 @@ def fit_load_model(
     columns = [c for _, cols in observed for c in cols]
 
     def logpost(v) -> np.ndarray:
-        # the eleven Gamma terms in one call: the hyperparameters under the
-        # fixed hyperprior, each category's shape and rate under the
-        # hyperparameters, each potential under its category's shape and rate
+        # the terms as columns: the eleven Gamma terms, the hyperparameters
+        # under the fixed hyperprior, each category's shape and rate under
+        # the hyperparameters and each potential under its category's shape
+        # and rate; the priors of delta_bi, delta_tri and sigma_p; then one
+        # truncated-normal likelihood term per observed column
         g = np.stack([v[name] for name in _GAMMA_NAMES], axis=-1)
         shape = np.empty_like(g)
         rate = np.empty_like(g)
         shape[..., :2], rate[..., :2] = _HYPER_SHAPE, _HYPER_RATE
         shape[..., 2:8], rate[..., 2:8] = g[..., :1], g[..., 1:2]
         shape[..., 8:], rate[..., 8:] = g[..., 2:8:2], g[..., 3:8:2]
-        lp = _logpdf_gamma(g, shape, rate).sum(axis=-1)
-        lp += _logpdf_beta(v["delta_bi"], 2.0, 2.0)
-        lp += _logpdf_dirichlet(v["delta_tri"], _DELTA_TRI_CONCENTRATION)
+        lp = np.empty(g.shape[:-1] + (_FIRST_LIKELIHOOD + len(columns),))
+        lp[..., :11] = _logpdf_gamma(g, shape, rate)
+        lp[..., 11] = _logpdf_beta(v["delta_bi"], 2.0, 2.0)
+        lp[..., 12] = _logpdf_dirichlet(v["delta_tri"], _DELTA_TRI_CONCENTRATION)
         sigma = v["sigma_p"]
-        lp += _logpdf_halfnormal(sigma, sigma_scale)
+        lp[..., 13] = _logpdf_halfnormal(sigma, sigma_scale)
         # each category potential split over its active phases
         delta_bi = v["delta_bi"]
         means = np.empty(g.shape[:-1] + (6,))
@@ -221,8 +229,24 @@ def fit_load_model(
         means[..., 1] = g[..., 9] * delta_bi
         means[..., 2] = g[..., 9] * (1.0 - delta_bi)
         means[..., 3:] = g[..., 10:] * v["delta_tri"]
-        terms = _logpdf_truncnormal_stats(stats, means[..., columns], sigma[..., None], 0.0)
-        return lp + terms.sum(axis=-1)
+        lp[..., _FIRST_LIKELIHOOD:] = _logpdf_truncnormal_stats(
+            stats, means[..., columns], sigma[..., None], 0.0
+        )
+        return lp
+
+    # the columns each parameter enters: its own term, the Gamma terms it is
+    # a shape or rate of, and the likelihood columns of the means it feeds
+    mean_of = [("p_pot_mono",)] + [("p_pot_bi", "delta_bi")] * 2 + [("p_pot_tri", "delta_tri")] * 3
+    terms = {name: [i] for i, name in enumerate(_GAMMA_NAMES)}
+    terms.update(delta_bi=[11], delta_tri=[12], sigma_p=[13])
+    for name in ("alpha_hp", "beta_hp"):
+        terms[name] += list(range(2, 8))
+    for i, cat in enumerate(("mono", "bi", "tri")):
+        terms[f"alpha_{cat}"].append(8 + i)
+        terms[f"beta_{cat}"].append(8 + i)
+    for j, c in enumerate(columns, start=_FIRST_LIKELIHOOD):
+        for name in (*mean_of[c], "sigma_p"):
+            terms[name].append(j)
 
     init = {
         "alpha_hp": 4.0,
@@ -244,5 +268,5 @@ def fit_load_model(
         else np.full(3, 1.0 / 3.0),
         "sigma_p": max(sigma_scale * 0.5, 1e-3),
     }
-    ensemble = fit(logpost, space, config, init=init)
+    ensemble = fit(logpost, space, config, init=init, terms=terms)
     return Posterior(ensemble)

@@ -18,7 +18,9 @@ concentration row per zone with a HalfNormal(1) prior, a probability vector
 per zone drawn from it, and a categorical likelihood over the observed bus
 configurations. The fit draws every zone's base row exactly from its full
 conditional, Dirichlet(concentration + counts), in one step; only the
-concentration rows take Metropolis steps.
+concentration rows take Metropolis steps. The log-posterior returns one term
+column per zone, so the zones' concentration blocks share one colour of
+``fit`` and one call per sweep.
 """
 
 from __future__ import annotations
@@ -145,9 +147,11 @@ def fit_phase_model(
             stacklevel=2,
         )
     defs: list[ParamDef] = []
+    terms: dict[str, list[int]] = {}  # zone z's parameters enter its column alone
     for z in range(1, z_count + 1):
         defs.append(ParamDef(f"conc_z{z}", (7,), "positive"))
         defs.append(ParamDef(f"base_z{z}", (7,), "simplex"))
+        terms[f"conc_z{z}"] = terms[f"base_z{z}"] = [z - 1]
     space = ParamSpace(defs)
     conc_names = [f"conc_z{z}" for z in range(1, z_count + 1)]
     base_names = [f"base_z{z}" for z in range(1, z_count + 1)]
@@ -161,7 +165,7 @@ def fit_phase_model(
         # xlogy scores an unobserved configuration 0 even where its base
         # probability underflowed to 0; the Dirichlet term is -inf there anyway
         lp += xlogy(counts, base).sum(axis=-1)
-        return lp.sum(axis=-1)
+        return lp  # one column per zone
 
     def draw_base(values, rngs) -> dict[str, np.ndarray]:
         # base_z | conc_z, counts ~ Dirichlet(conc_z + counts_z): every zone of
@@ -175,7 +179,9 @@ def fit_phase_model(
         init[f"conc_z{z}"] = np.ones(7)
         smoothed = counts[z - 1] + 1.0
         init[f"base_z{z}"] = smoothed / smoothed.sum()
-    ensemble = fit(logpost, space, config, init=init, exact=[(base_names, draw_base)])
+    ensemble = fit(
+        logpost, space, config, init=init, exact=[(base_names, draw_base)], terms=terms
+    )
     return Posterior(ensemble)
 
 

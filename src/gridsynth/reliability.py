@@ -8,7 +8,9 @@ overdispersion parameter. The hurdle indicator is marginalized analytically
 in the likelihood rather than sampled. The gate probabilities are
 independent of the Weibull block, so the fit draws them exactly from
 Beta(1 + positives, 1 + zeros); the Weibull parameters and the CAIFI model
-take Metropolis steps.
+take Metropolis steps. Each zone's Weibull (shape, scale) pair is one block,
+and the log-posterior returns one term column per zone, so the five blocks
+share one colour of ``fit``.
 """
 
 from __future__ import annotations
@@ -91,29 +93,33 @@ def fit_caidi(
             stacklevel=2,
         )
 
+    # one (shape, scale) block per zone, as scalars that the fit stacks back
+    zone_names = [(f"weib_shape_z{z}", f"weib_scale_z{z}") for z in range(1, z_count + 1)]
     space = ParamSpace(
-        [
-            ParamDef("hurdle_p", (z_count,), "unit"),
-            ParamDef("weib_shape", (z_count,), "positive"),
-            ParamDef("weib_scale", (z_count,), "positive"),
-        ]
+        [ParamDef("hurdle_p", (z_count,), "unit")]
+        + [ParamDef(name, (), "positive") for pair in zone_names for name in pair],
+        blocks=[list(pair) for pair in zone_names],
     )
+    # zone z's Weibull parameters enter its column alone; hurdle_p enters all
+    terms = {name: [z] for z, pair in enumerate(zone_names) for name in pair}
+    terms["hurdle_p"] = list(range(z_count))
 
-    # positive durations side by side, with the zone index of each
-    durations_pos = np.concatenate(positives)
-    zone_of = np.repeat(np.arange(z_count), [p.size for p in positives])
+    # positive durations by zone, padded to one length with masked ones
+    width = max([1] + [p.size for p in positives])
+    valid = np.arange(width) < n_pos[:, None]
+    durations_pos = np.ones((z_count, width))
+    durations_pos[valid] = np.concatenate(positives)
 
     def logpost(v) -> np.ndarray:
-        p, shape, scale = v["hurdle_p"], v["weib_shape"], v["weib_scale"]
-        lp = _logpdf_beta(p, 1.0, 1.0).sum(axis=-1)
-        lp += _logpdf_halfnormal(shape, 1.0).sum(axis=-1)
-        lp += _logpdf_halfnormal(scale, 1.0).sum(axis=-1)
+        # one column per zone, (rows, zones)
+        p = v["hurdle_p"]
+        shape, scale = (np.stack([v[pair[i]] for pair in zone_names], axis=-1) for i in (0, 1))
+        lp = _logpdf_beta(p, 1.0, 1.0)
+        lp += _logpdf_halfnormal(shape, 1.0) + _logpdf_halfnormal(scale, 1.0)
         # hurdle indicator marginalized: zeros -> log(1-p), positives -> log p + Weibull
-        lp += xlog1py(n_zero, -p).sum(axis=-1) + xlogy(n_pos, p).sum(axis=-1)
-        # np.take keeps rows contiguous, so each row sums the same way for any
-        # number of rows (shape[:, zone_of] would be column-major)
-        shape_of, scale_of = np.take(shape, zone_of, axis=-1), np.take(scale, zone_of, axis=-1)
-        lp += _logpdf_weibull(durations_pos, shape_of, scale_of).sum(axis=-1)
+        lp += xlog1py(n_zero, -p) + xlogy(n_pos, p)
+        weibull = _logpdf_weibull(durations_pos, shape[..., None], scale[..., None])
+        lp += np.where(valid, weibull, 0.0).sum(axis=-1)
         return lp
 
     def draw_hurdle(values, rngs) -> dict[str, np.ndarray]:
@@ -122,14 +128,16 @@ def fit_caidi(
         successes = np.tile(1.0 + n_pos, (len(rngs), 1))
         return {"hurdle_p": sample_beta(rngs, successes, 1.0 + n_zero)}
 
-    init = {
-        "hurdle_p": np.clip(n_pos / np.maximum(n_pos + n_zero, 1.0), 0.02, 0.98),
-        "weib_shape": np.ones(z_count),
-        "weib_scale": np.array(
-            [float(np.mean(p)) if p.size else 1.0 for p in positives]
-        ),
-    }
-    ensemble = fit(logpost, space, config, init=init, exact=[(["hurdle_p"], draw_hurdle)])
+    init = {"hurdle_p": np.clip(n_pos / np.maximum(n_pos + n_zero, 1.0), 0.02, 0.98)}
+    for (shape_name, scale_name), p in zip(zone_names, positives):
+        init[shape_name] = 1.0
+        init[scale_name] = float(np.mean(p)) if p.size else 1.0
+    ensemble = fit(
+        logpost, space, config, init=init, exact=[(["hurdle_p"], draw_hurdle)], terms=terms
+    )
+    for i, name in enumerate(("weib_shape", "weib_scale")):
+        per_zone = [ensemble.draws.pop(pair[i]) for pair in zone_names]
+        ensemble.draws[name] = np.stack(per_zone, axis=-1)
     return Posterior(ensemble)
 
 

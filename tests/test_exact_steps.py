@@ -28,7 +28,7 @@ def recorded_step(fit_calls, model, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         fit_model(model, data)
-    _, _, init, exact = fit_calls[0]
+    _, _, init, exact, _ = fit_calls[0]
     ((names, draw),) = exact
     return names, draw, init
 
@@ -119,24 +119,27 @@ def enumerated_weight_means() -> np.ndarray:
 
 
 def test_mixture_weights_step_matches_enumeration(fit_calls):
+    # one step draws both mixtures' weights; both see the same data here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         fit_line_model(MIX_DATA, MIX_DATA, MIX_ZONES)
-    _, _, init, exact = fit_calls[0]
+    _, _, init, exact, _ = fit_calls[0]
     ((names, draw),) = exact
-    assert names == ["r_weights_z1", "r_weights_z2"]
+    assert names == ["r_weights_z1", "r_weights_z2", "rho_weights_z1", "rho_weights_z2"]
     chains, burn, kept = 16, 50, 600
-    values = chain_rows({**init, "r_means": MIX_MEANS, "r_cv": MIX_CV}, chains)
+    fixed = {f"{p}_{k}": v for p in ("r", "rho") for k, v in (("means", MIX_MEANS), ("cv", MIX_CV))}
+    values = chain_rows({**init, **fixed}, chains)
     rngs = [make_rng(720 + c) for c in range(chains)]
-    trace = np.empty((kept, chains, 2, _MIXTURE_COMPONENTS))
+    trace = np.empty((kept, chains, 4, _MIXTURE_COMPONENTS))
     for it in range(burn + kept):
         values.update(draw(values, rngs))
         if it >= burn:
             trace[it - burn] = np.stack([values[n] for n in names], axis=1)
     np.testing.assert_array_equal(values["r_means"], np.repeat(MIX_MEANS[None], chains, 0))
     expected = enumerated_weight_means()
-    for z in range(2):
+    for i, name in enumerate(names):
+        z = i % 2
         for k in range(_MIXTURE_COMPONENTS):
-            series = trace[:, :, z, k].T  # (chains, draws)
+            series = trace[:, :, i, k].T  # (chains, draws)
             se = series.std() / np.sqrt(_effective_sample_size(series[..., None])[0])
-            assert abs(series.mean() - expected[z, k]) < 4 * se, (z, k, series.mean(), expected)
+            assert abs(series.mean() - expected[z, k]) < 4 * se, (name, k, series.mean(), expected)

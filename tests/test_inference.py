@@ -404,6 +404,76 @@ def test_log_posterior_calls_per_fit():
     assert calls == [1] + [3] * 21
 
 
+# ---------------------------------------------------------------------------
+# Term columns and colours
+
+# x1 and the vector x2 ~ N(0, s^2) each, y | x1 ~ N(x1, 1) drawn exactly, and
+# s ~ Gamma(2): one term column per factor, s in all of them but the last
+FACTOR_TERMS = {"x1": [0], "y": [0], "x2": [1], "s": [0, 1, 2]}
+
+
+def factors(v):
+    s = v["s"]
+    lp = np.empty((s.shape[0], 3))
+    lp[:, 0] = -0.5 * (v["x1"] / s) ** 2 - np.log(s) - 0.5 * (v["y"] - v["x1"]) ** 2
+    lp[:, 1] = (-0.5 * (v["x2"] / s[:, None]) ** 2).sum(axis=-1) - 2.0 * np.log(s)
+    lp[:, 2] = stats.gamma.logpdf(s, 2.0)
+    return lp
+
+
+def factor_fit(log_posterior, terms):
+    space = ParamSpace(
+        [
+            ParamDef("x1", (), "real"),
+            ParamDef("x2", (2,), "real"),
+            ParamDef("y", (), "real"),
+            ParamDef("s", (), "positive"),
+        ]
+    )
+    calls = []
+
+    def counted(v):
+        calls.append(v["s"].shape[0])
+        return log_posterior(v)
+
+    def draw_y(v, rngs):
+        return {"y": v["x1"] + np.array([rng.standard_normal() for rng in rngs])}
+
+    # 110 warm-up sweeps reach the proposal-covariance adaptation
+    config = FitConfig(chains=3, warmup=110, draws=30, thin=1, seed=37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a short fit
+        ensemble = fit(counted, space, config, exact=[(["y"], draw_y)], terms=terms)
+    return ensemble, calls
+
+
+def test_a_colour_decided_in_one_call_draws_as_its_blocks_one_by_one():
+    # x1 and x2 read disjoint columns and share a colour, decided in the call
+    # that also scores s's colour; a zero column that every parameter enters
+    # forces every block into a colour of its own, decided one by one in the
+    # same order, in two calls per sweep
+    coloured, calls = factor_fit(factors, FACTOR_TERMS)
+    alone, alone_calls = factor_fit(
+        lambda v: np.concatenate([factors(v), np.zeros((v["s"].shape[0], 1))], axis=1),
+        {name: columns + [3] for name, columns in FACTOR_TERMS.items()},
+    )
+    assert full_bits_digest(coloured) == full_bits_digest(alone)
+    # init, one jitter attempt, then one call per sweep against two; each
+    # sweep's first call also settles the exact draw of the sweep before
+    sweeps = 110 + 30
+    assert calls == [1, 3, 9] + [12] * (sweeps - 1) + [3]
+    assert alone_calls == [1, 3, 9, 3] + [12, 3] * (sweeps - 1) + [3]
+
+
+def test_terms_must_state_every_parameter_and_match_the_columns():
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("y", (), "real")])
+    two = lambda v: np.stack([-0.5 * v["x"] ** 2, -0.5 * v["y"] ** 2], axis=-1)  # noqa: E731
+    with pytest.raises(ValueError, match=r"missing \['y'\], unknown \['z'\]"):
+        fit(two, space, FAST, terms={"x": [0], "z": [1]})
+    with pytest.raises(ValueError, match=r"one value per row and term, shape \(1, 3\)"):
+        fit(two, space, FAST, terms={"x": [0], "y": [2]})
+
+
 def test_rhat_warning_lists_infinite_values():
     # an exact step that keeps every chain where its jittered start put it
     space = ParamSpace([ParamDef("x", (), "real"), ParamDef("s", (), "real")])

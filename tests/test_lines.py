@@ -15,7 +15,7 @@ from gridsynth.lines import (
     _CARSON,
     LineParams,
     _carson_zabc,
-    _mixture,
+    _mixtures,
     _self_term,
     fit_line_model,
     sample_line,
@@ -52,6 +52,15 @@ def test_non_finite_observation_names_the_line(value, field):
 def test_line_without_zone_is_named():
     with pytest.raises(ValueError, match="'l99'"):
         fit_line_model(observations(0.5, line="l99"), observations(), ZONES, TINY)
+
+
+@pytest.mark.parametrize("field", ["r1", "rho"])
+def test_line_observed_in_one_mixture_only_is_named(field):
+    # both mixtures are fitted as one model over the same lines
+    data = {"r1": observations(), "rho": observations()}
+    del data["rho" if field == "r1" else "r1"]["l4"]
+    with pytest.raises(ValueError, match=f"line 'l4' is observed in {field} only"):
+        fit_line_model(data["r1"], data["rho"], ZONES, TINY)
 
 
 def positive_sequence(z_abc: np.ndarray) -> complex:
@@ -184,17 +193,32 @@ def test_mixture_logpost_matches_scipy_reference():
             for w, m in zip(weights, means)
         ]
         expected += logsumexp(comp, axis=0).sum()
-    # the log-posterior takes a leading chain axis: one chain here
+    # the log-posterior takes a leading chain axis, one chain here, and scores
+    # each mixture in a column of its own: rho is given the same values
     batch = {name: np.asarray(value)[None] for name, value in values.items()}
-    assert _mixture("r", grouped)[0](batch)[0] == pytest.approx(expected, rel=1e-12)
+    batch.update({"rho" + name[1:]: value for name, value in batch.items()})
+    lp = _mixtures([grouped, grouped])[0](batch)
+    assert lp.shape == (1, 2)
+    assert lp[0] == pytest.approx([expected, expected], rel=1e-12)
 
 
 def test_mixture_logpost_zero_weight_is_off_support():
     # a weight that underflowed to 0 scores -inf without running np.log(0)
+    # in its own mixture's column only
     grouped = [np.array([0.15, 0.3])]
-    values = {"r_means": np.array([[0.2, 0.45, 0.8]]), "r_cv": np.array([0.3])}
+    values = {}
+    for prefix in ("r", "rho"):
+        values[f"{prefix}_means"] = np.array([[0.2, 0.45, 0.8]])
+        values[f"{prefix}_cv"] = np.array([0.3])
     values["r_weights_z1"] = np.array([[1.0, 0.0, 0.0]])
-    assert _mixture("r", grouped)[0](values)[0] == -np.inf
+    values["rho_weights_z1"] = np.array([[0.5, 0.5, 0.0]])
+    with np.errstate(divide="raise", invalid="raise"):
+        lp = _mixtures([grouped, grouped])[0](values)
+    assert lp[0, 0] == -np.inf
+    assert lp[0, 1] == -np.inf
+    values["rho_weights_z1"] = np.array([[0.5, 0.25, 0.25]])
+    lp = _mixtures([grouped, grouped])[0](values)
+    assert lp[0, 0] == -np.inf and np.isfinite(lp[0, 1])
 
 
 def test_carson_kron_reduced_neutral_matches_independent_value():

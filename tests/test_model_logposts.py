@@ -2,8 +2,10 @@
 
 Each batched log-posterior is checked row by row against a test-local copy of
 the scalar log-posterior it replaced (one constrained draw in, one float out),
-scored with ``scipy.stats`` rather than the package's own kernels; a batch
-against its rows and slices scored alone, bit for bit; and each model's first
+scored with ``scipy.stats`` rather than the package's own kernels, on the sum
+of its term columns; a batch against its rows and slices scored alone, bit
+for bit; each model's statement of the term columns each parameter enters
+against what changing that parameter alone changes; and each model's first
 chain of a 4-chain fit against a 1-chain fit.
 """
 
@@ -63,7 +65,7 @@ def dataset():
 
 
 def fit_model(model, data, config=None):
-    """Run one model's fit; the line model returns two fits' worth of calls."""
+    """Run one model's fit."""
     if model == "phase":
         return fit_phase_model(data["phases"], ZONES, config)
     if model == "load":
@@ -179,8 +181,9 @@ def caidi_reference(data):
 
     def logpost(v) -> float:
         p = np.atleast_1d(v["hurdle_p"])
-        shape = np.atleast_1d(v["weib_shape"])
-        scale = np.atleast_1d(v["weib_scale"])
+        # one (shape, scale) pair of scalars per zone
+        shape = np.array([v[f"weib_shape_z{z}"] for z in range(1, z_count + 1)])
+        scale = np.array([v[f"weib_scale_z{z}"] for z in range(1, z_count + 1)])
         lp = float(np.sum(stats.beta.logpdf(p, 1.0, 1.0)))
         lp += float(np.sum(logpdf_halfnormal(shape, 1.0)))
         lp += float(np.sum(logpdf_halfnormal(scale, 1.0)))
@@ -240,10 +243,10 @@ def line_reference(data):
         return logpost
 
     z_count = ZONES.zone_count
-    return [
-        mixture("r", group_by_zone(data["r1"], ZONES.line_zone, z_count)),
-        mixture("rho", group_by_zone(data["rho"], ZONES.line_zone, z_count)),
-    ]
+    r = mixture("r", group_by_zone(data["r1"], ZONES.line_zone, z_count))
+    rho = mixture("rho", group_by_zone(data["rho"], ZONES.line_zone, z_count))
+    # both mixtures are fitted as one model
+    return [lambda v: r(v) + rho(v)]
 
 
 REFERENCES = {
@@ -279,7 +282,7 @@ def test_batched_log_posterior_matches_scalar_reference(model, fit_calls):
     references = REFERENCES[model](data)
     assert len(fit_calls) == len(references)
     rng = make_rng(505)
-    for (log_posterior, space, init, _), reference in zip(fit_calls, references):
+    for (log_posterior, space, init, _, terms), reference in zip(fit_calls, references):
         z = space.to_unconstrained(init) + rng.standard_normal((30, space.dim))
         # rows the model must score -inf: coordinates whose transforms underflow
         # to 0 or overflow to inf, and a far row where densities vanish
@@ -293,7 +296,7 @@ def test_batched_log_posterior_matches_scalar_reference(model, fit_calls):
             values, _ = constrain(space, z)
             batched = log_posterior(values)
             expected = [scored_by_fit(reference, row(values, i)) for i in range(len(z))]
-        assert batched.shape == (len(z),)
+        assert batched.shape == ((len(z),) if terms is None else (len(z), term_count(terms)))
         # each row, and each 10-row slice, scores bit for bit as in the whole
         # batch: the sampler stacks several row sets into one call
         parts = [slice(i, i + 1) for i in range(len(z))] + [slice(i, i + 10) for i in (0, 10, 20)]
@@ -305,11 +308,39 @@ def test_batched_log_posterior_matches_scalar_reference(model, fit_calls):
         log_posterior({name: v[:24] for name, v in values.items()})
         assert sum(math.isfinite(e) for e in expected) >= 20
         assert sum(e == -np.inf for e in expected) >= 2
+        total = batched.reshape(len(z), -1).sum(axis=-1)
         for i, e in enumerate(expected):
             if e == -np.inf:
-                assert batched[i] == -np.inf, (i, batched[i])
+                assert total[i] == -np.inf, (i, batched[i])
             else:
-                assert batched[i] == pytest.approx(e, rel=1e-12), i
+                assert total[i] == pytest.approx(e, rel=1e-12), i
+
+
+def term_count(terms) -> int:
+    return 1 + max(c for columns in terms.values() for c in columns)
+
+
+@pytest.mark.parametrize("model", sorted(REFERENCES))
+def test_term_statement_is_complete(model, fit_calls):
+    # changing one parameter alone, to another in-support value, leaves the
+    # bits of every term column not stated for it
+    data = dataset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fit_model(model, data)
+    ((log_posterior, space, init, _, terms),) = fit_calls
+    terms = terms or {name: [0] for name in space._by_name}
+    assert terms.keys() == space._by_name.keys()
+    rng = make_rng(606)
+    start = space.to_unconstrained(init)
+    values, _ = constrain(space, start + 0.3 * rng.standard_normal((16, space.dim)))
+    moved, _ = constrain(space, start + 0.3 * rng.standard_normal((16, space.dim)))
+    before = log_posterior(values).reshape(16, -1)
+    assert np.all(np.isfinite(before))
+    for name, stated in terms.items():
+        after = log_posterior({**values, name: moved[name]}).reshape(16, -1)
+        others = [c for c in range(before.shape[1]) if c not in stated]
+        np.testing.assert_array_equal(after[:, others], before[:, others], err_msg=name)
 
 
 @pytest.mark.parametrize("model", sorted(REFERENCES))

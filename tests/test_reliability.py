@@ -88,11 +88,13 @@ def test_caidi_likelihood_is_the_bernoulli_gated_weibull_mixture(fit_calls):
     # (a point mass at 0, weight 1 - p) and "interrupted" (Weibull, weight p)
     durations = observations()
     fit_caidi(durations, ZONES, TINY)
-    ((log_posterior, space, _, _),) = fit_calls
+    ((log_posterior, space, _, _, _),) = fit_calls
     values, _ = constrain(space, make_rng(6).standard_normal((5, space.dim)))
-    got = log_posterior(values)
+    got = log_posterior(values).sum(axis=-1)  # one term column per zone
+    zones = range(1, ZONES.zone_count + 1)
     for i in range(5):
-        p, shape, scale = (values[k][i] for k in ("hurdle_p", "weib_shape", "weib_scale"))
+        p = values["hurdle_p"][i]
+        shape, scale = ([values[f"weib_{k}_z{z}"][i] for z in zones] for k in ("shape", "scale"))
         expected = stats.beta.logpdf(p, 1.0, 1.0).sum()
         expected += stats.halfnorm.logpdf(shape).sum() + stats.halfnorm.logpdf(scale).sum()
         for bus, y in durations.items():
