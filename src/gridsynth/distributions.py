@@ -322,6 +322,17 @@ def _logpdf_dirichlet(x, concentration):
     return np.where(inside & _positive(concentration).all(axis=-1), body, -np.inf)
 
 
+def _logpmf_dirichlet_categorical(counts, concentration):
+    """Log-probability of a sequence of categorical outcomes with ``counts``
+    per category, its probabilities summed out over Dirichlet(concentration),
+    over the last axis: ``gammaln(A) - gammaln(A + N) + sum(gammaln(a + n) -
+    gammaln(a))`` with ``A`` and ``N`` the totals."""
+    total = concentration.sum(axis=-1)
+    body = gammaln(total) - gammaln(total + counts.sum(axis=-1))
+    body = body + (gammaln(concentration + counts) - gammaln(concentration)).sum(axis=-1)
+    return np.where(_positive(concentration).all(axis=-1), body, -np.inf)
+
+
 def _logpdf_halfnormal(x, sigma):
     body = _LOG_SQRT_2_OVER_PI - np.log(sigma) - 0.5 * (x / sigma) ** 2
     return np.where((x >= 0.0) & _positive(sigma), body, -np.inf)

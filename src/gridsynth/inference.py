@@ -18,7 +18,10 @@ scale ``_INIT_JITTER`` (0.1) in unconstrained coordinates; neither is a
 acceptance ratio carries only their log-Jacobian (the other parameters'
 terms cancel). Parameters whose full conditional is known are passed to
 :func:`fit` as ``exact`` steps instead: each sweep draws them from that
-conditional after the Metropolis blocks.
+conditional after the Metropolis blocks. A step whose parameters enter no
+term column has been summed out of the log-posterior the sweep samples
+(partially collapsed Gibbs; van Dyk & Park 2008, JASA 103:790), so it leaves
+the sweep and is drawn once, after it, for every kept row.
 
 All chains advance in lockstep, and every log-posterior call follows one
 rule: it scores up to four row sets of one row per chain, each the state
@@ -38,8 +41,9 @@ one row of term columns, per row, and scores each row as it would alone, to
 the last bit; a row with an out-of-domain parameter scores ``-inf``, and a
 row outside the open support never reaches the model; chain ``c`` draws only
 from its own substream ``(seed, "mcmc-chain", c)``, so its draws do not
-depend on the number of chains; and the values dict the model reads views a
-buffer the sampler reuses, which must not be kept or written to.
+depend on the number of chains; no step of the sweep reads a parameter that
+enters no term column; and the values dict the model reads views a buffer
+the sampler reuses, which must not be kept or written to.
 
 Chains are pooled after warm-up and thinning; the kept draws are the
 constrained rows. Split-R-hat and effective sample size are attached as
@@ -388,7 +392,16 @@ def fit(
     values for ``names``, drawing chain ``c``'s row only from ``rngs[c]``,
     under the same warning settings. These parameters leave the Metropolis
     blocks. Each sweep runs the Metropolis blocks, then each exact step in
-    order.
+    order, except a step whose parameters all enter no term column
+    (``terms[name] == []``): the sweep samples the log-posterior with them
+    summed out, so no Metropolis block, and no exact step of the sweep, may
+    read them (their columns of the state keep each chain's start). Such a
+    step is drawn once after the last sweep, for every kept row: ``draw``
+    gets values of shape ``(chains, kept, ...)``, chain ``c`` drawing from
+    ``rngs[c]`` after its sweeps, so the sweeps' draws do not depend on it. A
+    kept row it draws outside the open support takes the chain's previous
+    kept row of those parameters (its start before the first), and its
+    acceptance counts kept rows.
 
     Every Metropolis candidate of a sweep is proposed at its start, a
     Gaussian random-walk step in the unconstrained coordinates of its
@@ -424,7 +437,8 @@ def fit(
     and keeps its own step sizes and proposal covariance. Each sweep it draws
     one standard-normal vector covering the unconstrained coordinates of all
     Metropolis blocks (each block takes its slice, in block order), then one
-    uniform per block, then its exact steps' draws in order. Chains start
+    uniform per block, then its exact steps' draws in order; after the last
+    sweep, the draws of the steps that left it, in order. Chains start
     from ``init`` (the transform origin when it is None; a missing entry
     raises) with per-chain jitter; step sizes adapt during warm-up only, so
     the kept draws target the exact posterior. At most one ``UserWarning``
@@ -440,6 +454,9 @@ def fit(
     layout = _BlockLayout(space, blocks)
     starts = layout.starts
     colours, n_terms = _colours(space, blocks, terms, layout)
+    # a step whose parameters enter no term column leaves the sweep
+    leaves = [terms is not None and not any(terms[n] for n in names) for names, _ in exact]
+    sweep_steps = [(ei, names, draw) for ei, (names, draw) in enumerate(exact) if not leaves[ei]]
 
     def score(values, rows: int) -> np.ndarray:
         """Model log-posterior terms of the ``rows`` rows that ``values``
@@ -623,7 +640,7 @@ def fit(
                 log_step += (it + 10.0) ** -0.6 * (sweep_accept - _TARGET_ACCEPT)
             else:
                 accepted[:, : len(blocks)] += sweep_accept
-            for ei, (step_names, draw) in enumerate(exact):
+            for ei, step_names, draw in sweep_steps:
                 if pending is not None:
                     call()  # the draw before this one, in a call of its own
                 # the step reads ``held``, so writing its draw into the state
@@ -650,7 +667,27 @@ def fit(
                 kept += 1
         if pending is not None:
             call()  # the last sweep's draw
-    accept_rates = accepted / config.draws
+        # the steps that leave the sweep, once for every kept row; their
+        # columns of the state still hold each chain's start
+        kept_values = space._unpack(chain_draws)
+        for ei in np.flatnonzero(leaves):
+            step_names, draw = exact[ei]
+            cols = np.concatenate([np.arange(*space._columns[n]) for n in step_names])
+            start = current[:, None, cols]
+            new = draw(kept_values, rngs)
+            for name in step_names:
+                view = kept_values[name]
+                view[...] = np.reshape(new[name], view.shape)
+            # a row outside the open support takes the chain's previous kept
+            # row, or its start before the first
+            inside = ~space._outside(chain_draws)[..., cols].any(axis=-1)
+            last = np.maximum.accumulate(np.where(inside, np.arange(kept_per_chain), -1), axis=1)
+            rows = np.concatenate([start, chain_draws[..., cols]], axis=1)
+            chain_draws[..., cols] = np.take_along_axis(rows, last[..., None] + 1, axis=1)
+            accepted[:, len(blocks) + ei] = inside.sum(axis=1)
+    # a step that leaves the sweep counts its kept rows, any other step its
+    # post-warm-up sweeps
+    accept_rates = accepted / np.where([False] * len(blocks) + leaves, kept_per_chain, config.draws)
 
     names, pooled, rhat, ess = _summarize_chains(space, chain_draws)
     ensemble = PosteriorEnsemble(draws=pooled)

@@ -16,11 +16,13 @@ orders each line's ends for it and for ``generate.Feeder``.
 Base probabilities are zone-level Dirichlet-Categorical posteriors: a
 concentration row per zone with a HalfNormal(1) prior, a probability vector
 per zone drawn from it, and a categorical likelihood over the observed bus
-configurations. The fit draws every zone's base row exactly from its full
-conditional, Dirichlet(concentration + counts), in one step; only the
-concentration rows take Metropolis steps. The log-posterior returns one term
-column per zone, so the zones' concentration blocks share one colour of
-``fit`` and one call per sweep.
+configurations. The fit sums the base rows out (partially collapsed Gibbs;
+van Dyk & Park 2008, JASA 103:790): the concentration rows take Metropolis
+steps against the Dirichlet-multinomial marginal of the counts, one term
+column per zone, so the zones' blocks share one colour of ``fit`` and one
+call per sweep. The base rows enter no column, so ``fit`` draws them once
+after its sweeps, for every kept row, from their full conditional
+Dirichlet(concentration + counts).
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from enum import Enum
 from operator import attrgetter
 
 import numpy as np
-from scipy.special import xlogy
 
 from .distributions import (
     _cumulative,
-    _logpdf_dirichlet,
     _logpdf_halfnormal,
+    _logpmf_dirichlet_categorical,
     sample_dirichlet,
 )
 from .inference import FitConfig, ParamDef, ParamSpace, Posterior, fit
@@ -129,9 +130,10 @@ def fit_phase_model(
 ) -> Posterior:
     """Fit zone-conditioned base probabilities from observed bus configurations.
 
-    The base rows are drawn exactly given the concentration rows (see the
-    module docstring). Zones with no observations keep their prior (warning);
-    an empty dataset is an error.
+    The base rows are summed out of the concentration rows' log-posterior
+    and drawn exactly once per kept row (see the module docstring). Zones
+    with no observations keep their prior (warning); an empty dataset is an
+    error.
     """
     if not observed:
         raise ValueError("no observed phase configurations")
@@ -147,32 +149,28 @@ def fit_phase_model(
             stacklevel=2,
         )
     defs: list[ParamDef] = []
-    terms: dict[str, list[int]] = {}  # zone z's parameters enter its column alone
+    terms: dict[str, list[int]] = {}  # conc_z enters zone z's column alone, base_z none
     for z in range(1, z_count + 1):
         defs.append(ParamDef(f"conc_z{z}", (7,), "positive"))
         defs.append(ParamDef(f"base_z{z}", (7,), "simplex"))
-        terms[f"conc_z{z}"] = terms[f"base_z{z}"] = [z - 1]
+        terms[f"conc_z{z}"], terms[f"base_z{z}"] = [z - 1], []
     space = ParamSpace(defs)
     conc_names = [f"conc_z{z}" for z in range(1, z_count + 1)]
     base_names = [f"base_z{z}" for z in range(1, z_count + 1)]
 
     def logpost(values) -> np.ndarray:
-        # (rows, zones, 7) stacks of the concentration rows and base rows
+        # (rows, zones, 7) stack of the concentration rows, base summed out
         conc = np.stack([values[name] for name in conc_names], axis=-2)
-        base = np.stack([values[name] for name in base_names], axis=-2)
         lp = _logpdf_halfnormal(conc, 1.0).sum(axis=-1)
-        lp += _logpdf_dirichlet(base, conc)
-        # xlogy scores an unobserved configuration 0 even where its base
-        # probability underflowed to 0; the Dirichlet term is -inf there anyway
-        lp += xlogy(counts, base).sum(axis=-1)
+        lp += _logpmf_dirichlet_categorical(counts, conc)
         return lp  # one column per zone
 
     def draw_base(values, rngs) -> dict[str, np.ndarray]:
         # base_z | conc_z, counts ~ Dirichlet(conc_z + counts_z): every zone of
-        # every chain in one call, chain c from rngs[c]
+        # every kept row in one call, chain c from rngs[c]
         posterior = np.stack([values[name] for name in conc_names], axis=-2) + counts
         base = sample_dirichlet(rngs, posterior)
-        return {name: base[:, z] for z, name in enumerate(base_names)}
+        return {name: base[..., z, :] for z, name in enumerate(base_names)}
 
     init: dict[str, np.ndarray] = {}
     for z in range(1, z_count + 1):

@@ -5,12 +5,14 @@ gate decides whether a bus sees any interruption at all, and positive
 durations follow a per-zone Weibull. Interruption frequency (CAIFI,
 events/year) is Negative Binomial with a per-zone mean and one global
 overdispersion parameter. The hurdle indicator is marginalized analytically
-in the likelihood rather than sampled. The gate probabilities are
-independent of the Weibull block, so the fit draws them exactly from
-Beta(1 + positives, 1 + zeros); the Weibull parameters and the CAIFI model
-take Metropolis steps. Each zone's Weibull (shape, scale) pair is one block,
-and the log-posterior returns one term column per zone, so the five blocks
-share one colour of ``fit``.
+in the likelihood rather than sampled. The gate probabilities are a
+posteriori independent of the Weibull parameters: their terms factor out of
+the log-posterior as Beta(1 + positives, 1 + zeros), so they enter no term
+column and ``fit`` draws them exactly, once after its sweeps, for every kept
+row. The Weibull parameters and the CAIFI model take Metropolis steps. Each
+zone's Weibull (shape, scale) pair is one block, and the log-posterior
+returns one term column per zone, so the five blocks share one colour of
+``fit``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from .distributions import (
     ParameterError,
-    _logpdf_beta,
     _logpdf_halfnormal,
     _logpdf_weibull,
     _logpmf_negbinomial,
@@ -100,9 +100,9 @@ def fit_caidi(
         + [ParamDef(name, (), "positive") for pair in zone_names for name in pair],
         blocks=[list(pair) for pair in zone_names],
     )
-    # zone z's Weibull parameters enter its column alone; hurdle_p enters all
+    # zone z's Weibull parameters enter its column alone; hurdle_p none
     terms = {name: [z] for z, pair in enumerate(zone_names) for name in pair}
-    terms["hurdle_p"] = list(range(z_count))
+    terms["hurdle_p"] = []
 
     # positive durations by zone, padded to one length with masked ones
     width = max([1] + [p.size for p in positives])
@@ -111,21 +111,19 @@ def fit_caidi(
     durations_pos[valid] = np.concatenate(positives)
 
     def logpost(v) -> np.ndarray:
-        # one column per zone, (rows, zones)
-        p = v["hurdle_p"]
+        # one column per zone, (rows, zones); the hurdle indicator is
+        # marginalized (zeros -> log(1-p), positives -> log p + Weibull) and
+        # its gate terms, with their Beta(1, 1) prior, factor out
         shape, scale = (np.stack([v[pair[i]] for pair in zone_names], axis=-1) for i in (0, 1))
-        lp = _logpdf_beta(p, 1.0, 1.0)
-        lp += _logpdf_halfnormal(shape, 1.0) + _logpdf_halfnormal(scale, 1.0)
-        # hurdle indicator marginalized: zeros -> log(1-p), positives -> log p + Weibull
-        lp += xlog1py(n_zero, -p) + xlogy(n_pos, p)
+        lp = _logpdf_halfnormal(shape, 1.0) + _logpdf_halfnormal(scale, 1.0)
         weibull = _logpdf_weibull(durations_pos, shape[..., None], scale[..., None])
         lp += np.where(valid, weibull, 0.0).sum(axis=-1)
         return lp
 
     def draw_hurdle(values, rngs) -> dict[str, np.ndarray]:
-        # Beta(1, 1) prior, n_pos successes and n_zero failures per zone;
-        # chain c draws from rngs[c]
-        successes = np.tile(1.0 + n_pos, (len(rngs), 1))
+        # Beta(1, 1) prior, n_pos successes and n_zero failures per zone, for
+        # every kept row; chain c draws from rngs[c]
+        successes = np.broadcast_to(1.0 + n_pos, values["hurdle_p"].shape)
         return {"hurdle_p": sample_beta(rngs, successes, 1.0 + n_zero)}
 
     init = {"hurdle_p": np.clip(n_pos / np.maximum(n_pos + n_zero, 1.0), 0.02, 0.98)}

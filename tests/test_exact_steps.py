@@ -3,7 +3,9 @@
 Each step is taken from the ``exact`` argument the model passes to ``fit``
 (recorded by the ``fit_calls`` fixture) and run on many chains with the
 other parameters held fixed, so its draws can be compared with the full
-conditional it claims to sample.
+conditional it claims to sample. The phase base and CAIDI gate steps enter
+no term column, so ``fit`` calls them once, on every kept row of every
+chain: they get values of shape ``(chains, kept, ...)``.
 """
 
 import itertools
@@ -33,10 +35,11 @@ def recorded_step(fit_calls, model, data):
     return names, draw, init
 
 
-def chain_rows(values: dict, chains: int) -> dict:
-    """One copy of each value per chain, on a leading axis."""
+def chain_rows(values: dict, *rows: int) -> dict:
+    """One copy of each value per row, on leading axes of sizes ``rows``
+    (chains, then kept rows if given)."""
     return {
-        name: np.repeat(np.asarray(v, dtype=float)[None], chains, axis=0)
+        name: np.tile(np.asarray(v, dtype=float), rows + (1,) * np.ndim(v))
         for name, v in values.items()
     }
 
@@ -52,14 +55,14 @@ def test_phase_step_draws_dirichlet_of_concentration_plus_counts(fit_calls):
     counts = np.array([np.bincount(g.astype(int), minlength=7) for g in indices], dtype=float)
     # fixed concentration rows, entries below 1 included
     conc = {f"conc_z{z}": np.linspace(0.2, 2.0, 7) * z for z in range(1, z_count + 1)}
-    values = chain_rows({**init, **conc}, CHAINS)
+    values = chain_rows({**init, **conc}, CHAINS, 1500)
     rngs = [make_rng(700 + c) for c in range(CHAINS)]
-    draws = [draw(values, rngs) for _ in range(1500)]
+    draws = draw(values, rngs)
     for z in range(1, z_count + 1):
         alpha = conc[f"conc_z{z}"] + counts[z - 1]
         total = alpha.sum()
-        got = np.concatenate([d[f"base_z{z}"] for d in draws])
-        assert got.shape == (1500 * CHAINS, 7)
+        assert draws[f"base_z{z}"].shape == (CHAINS, 1500, 7)
+        got = draws[f"base_z{z}"].reshape(-1, 7)
         for k in range(7):
             mean = alpha[k] / total
             var = alpha[k] * (total - alpha[k]) / (total**2 * (total + 1.0))
@@ -73,10 +76,11 @@ def test_hurdle_step_draws_the_beta_posterior(fit_calls):
     grouped = group_by_zone(data["caidi"], ZONES.bus_zone, ZONES.zone_count)
     n_zero = np.array([np.sum(g == 0.0) for g in grouped], dtype=float)
     n_pos = np.array([np.sum(g > 0.0) for g in grouped], dtype=float)
-    values = chain_rows(init, CHAINS)
+    values = chain_rows(init, CHAINS, 1500)
     rngs = [make_rng(710 + c) for c in range(CHAINS)]
-    got = np.concatenate([draw(values, rngs)["hurdle_p"] for _ in range(1500)])
-    assert got.shape == (1500 * CHAINS, ZONES.zone_count)
+    got = draw(values, rngs)["hurdle_p"]
+    assert got.shape == (CHAINS, 1500, ZONES.zone_count)
+    got = got.reshape(-1, ZONES.zone_count)
     a, b = 1.0 + n_pos, 1.0 + n_zero
     for z in range(ZONES.zone_count):
         mean = a[z] / (a[z] + b[z])

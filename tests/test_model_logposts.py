@@ -121,15 +121,17 @@ def phase_reference(data):
     counts = np.array([np.bincount(g.astype(int), minlength=7) for g in indices], dtype=float)
 
     def logpost(values) -> float:
+        # the base rows summed out: the Dirichlet-multinomial marginal of the
+        # counts, up to the multinomial coefficient
         lp = 0.0
         for z in range(1, z_count + 1):
             conc = values[f"conc_z{z}"]
-            base = values[f"base_z{z}"]
             lp += float(np.sum(logpdf_halfnormal(conc, 1.0)))
-            lp += logpdf_dirichlet(base, conc)
-            if lp == -np.inf:
-                return lp
-            lp += float(np.dot(counts[z - 1], np.log(base)))
+            if lp == -np.inf or not np.all(conc > 0.0):
+                return -np.inf
+            n = counts[z - 1]
+            lp += float(gammaln(conc.sum()) - gammaln(conc.sum() + n.sum()))
+            lp += float(np.sum(gammaln(conc + n) - gammaln(conc)))
         return lp
 
     return [logpost]
@@ -175,19 +177,15 @@ def load_reference(data):
 def caidi_reference(data):
     z_count = ZONES.zone_count
     grouped = group_by_zone(data["caidi"], ZONES.bus_zone, z_count)
-    n_zero = np.array([float(np.sum(g == 0.0)) for g in grouped])
     positives = [g[g > 0.0] for g in grouped]
-    n_pos = np.array([float(p.size) for p in positives])
 
     def logpost(v) -> float:
-        p = np.atleast_1d(v["hurdle_p"])
-        # one (shape, scale) pair of scalars per zone
+        # one (shape, scale) pair of scalars per zone; the gate's terms factor
+        # out (tests/test_reliability.py)
         shape = np.array([v[f"weib_shape_z{z}"] for z in range(1, z_count + 1)])
         scale = np.array([v[f"weib_scale_z{z}"] for z in range(1, z_count + 1)])
-        lp = float(np.sum(stats.beta.logpdf(p, 1.0, 1.0)))
-        lp += float(np.sum(logpdf_halfnormal(shape, 1.0)))
+        lp = float(np.sum(logpdf_halfnormal(shape, 1.0)))
         lp += float(np.sum(logpdf_halfnormal(scale, 1.0)))
-        lp += float(np.dot(n_zero, np.log1p(-p)) + np.dot(n_pos, np.log(p)))
         for z in range(z_count):
             if positives[z].size:
                 weibull = stats.weibull_min.logpdf(positives[z], shape[z], scale=scale[z])

@@ -28,6 +28,7 @@ from gridsynth.topology import (
     compute_distances,
     shortest_path_tree,
 )
+from test_inference import constrain as constrain_values
 from test_topology import meshed_feeders, radial_trees
 
 FAST = FitConfig(chains=4, warmup=600, draws=600, thin=2, seed=31)
@@ -304,3 +305,34 @@ def test_fit_empty_dataset_errors():
     zones = assign_zones(compute_distances(topo), topo.lines, 1)
     with pytest.raises(ValueError):
         fit_phase_model({}, zones, FAST)
+
+
+def test_fit_sums_base_out_exactly(fit_calls):
+    # each zone's column minus its HalfNormal(1) prior is log E[prod base^n]
+    # over base ~ Dirichlet(conc), the probability of the observed sequence
+    # with base summed out; checked by Monte Carlo at several conc rows
+    zones = ZoneAssignment(
+        zone_count=2, bus_zone={f"b{i}": 1 + i % 2 for i in range(24)}, line_zone={}
+    )
+    observed = {f"b{i}": CONFIGS[(i * i) % 7] for i in range(24)}
+    fit_phase_model(observed, zones, FAST)
+    ((log_posterior, space, init, _, terms),) = fit_calls
+    assert all(terms[f"base_z{z}"] == [] for z in (1, 2))
+    counts = np.zeros((2, 7))
+    for bus, cfg in observed.items():
+        counts[zones.bus_zone[bus] - 1, cfg.index] += 1.0
+    rng = make_rng(808)
+    z = space.to_unconstrained(init) + 0.5 * rng.standard_normal((3, space.dim))
+    values, _ = constrain_values(space, z)
+    columns = log_posterior(values)
+    draws = 200_000
+    for row, zone in np.ndindex(3, 2):
+        conc = values[f"conc_z{zone + 1}"][row]
+        prior = np.sum(np.log(np.sqrt(2.0 / np.pi)) - 0.5 * conc**2)
+        log_w = np.log(rng.dirichlet(conc, draws)) @ counts[zone]
+        peak = log_w.max()
+        w = np.exp(log_w - peak)
+        mean, se = w.mean(), w.std() / np.sqrt(draws)
+        assert se < 0.05 * mean
+        exact = np.exp(columns[row, zone] - prior - peak)
+        assert abs(exact - mean) < 4.0 * se, (row, zone, exact, mean, se)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betaln
 
 from gridsynth.datasets import DEMO_CAIDI, DEMO_CAIFI, DEMO_ZONES
 from gridsynth.distributions import ParameterError, make_rng
@@ -85,26 +86,37 @@ def test_fits_recover_the_demo_truth():
 
 def test_caidi_likelihood_is_the_bernoulli_gated_weibull_mixture(fit_calls):
     # brute force over the gate: a duration's measure sums "no interruption"
-    # (a point mass at 0, weight 1 - p) and "interrupted" (Weibull, weight p)
+    # (a point mass at 0, weight 1 - p) and "interrupted" (Weibull, weight p).
+    # The gate's terms factor out: the joint is the model's columns plus
+    # log Beta(p; 1 + positives, 1 + zeros), up to one constant
     durations = observations()
     fit_caidi(durations, ZONES, TINY)
-    ((log_posterior, space, _, _, _),) = fit_calls
+    ((log_posterior, space, _, _, terms),) = fit_calls
+    assert terms["hurdle_p"] == []
     values, _ = constrain(space, make_rng(6).standard_normal((5, space.dim)))
     got = log_posterior(values).sum(axis=-1)  # one term column per zone
     zones = range(1, ZONES.zone_count + 1)
+    n_pos = np.zeros(ZONES.zone_count)
+    n_zero = np.zeros(ZONES.zone_count)
+    for bus, y in durations.items():
+        (n_pos if y > 0.0 else n_zero)[ZONES.bus_zone[bus] - 1] += 1.0
+    offsets = []
     for i in range(5):
         p = values["hurdle_p"][i]
         shape, scale = ([values[f"weib_{k}_z{z}"][i] for z in zones] for k in ("shape", "scale"))
-        expected = stats.beta.logpdf(p, 1.0, 1.0).sum()
-        expected += stats.halfnorm.logpdf(shape).sum() + stats.halfnorm.logpdf(scale).sum()
+        joint = stats.beta.logpdf(p, 1.0, 1.0).sum()
+        joint += stats.halfnorm.logpdf(shape).sum() + stats.halfnorm.logpdf(scale).sum()
         for bus, y in durations.items():
             z = ZONES.bus_zone[bus] - 1
             quiet = (1.0 - p[z]) * (y == 0.0)
             interrupted = 0.0
             if y > 0.0:
                 interrupted = p[z] * stats.weibull_min.pdf(y, shape[z], scale=scale[z])
-            expected += math.log(quiet + interrupted)
-        assert got[i] == pytest.approx(expected, rel=1e-12)
+            joint += math.log(quiet + interrupted)
+        gate = stats.beta.logpdf(p, 1.0 + n_pos, 1.0 + n_zero).sum()
+        offsets.append(joint - got[i] - gate)
+    # the constant is the Beta posteriors' log-normalizers
+    np.testing.assert_allclose(offsets, betaln(1.0 + n_pos, 1.0 + n_zero).sum(), rtol=1e-12)
 
 
 DRAW = {
