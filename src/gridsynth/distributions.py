@@ -290,65 +290,147 @@ def sample_truncnormal(rng: Generator, mu: float, sigma: float, lower: float) ->
 # Log-densities
 #
 # Each family the models score has one kernel (``_logpdf_*``) holding its
-# formula. A kernel broadcasts over its arguments, never raises, and scores
-# -inf wherever the value is outside the support or a parameter outside its
-# domain (finite and positive for every scale and shape); the caller silences
-# numpy's floating-point warnings. The kernels are private: the model
-# log-posteriors are their only callers.
+# formula, bound once per fit to the arguments that stay fixed for the fit (a
+# prior's parameters, the observations): ``_logpdf_halfnormal(sigma)`` returns
+# the function of ``x`` that every log-posterior call runs. Binding checks the
+# fixed arguments and computes what depends on them alone (normalizers, the
+# logs of the observations), so no call repeats it. Fixed parameters are
+# scalars, or one vector for the Dirichlet; any outside its domain makes every
+# score -inf. The bound function broadcasts over its arguments, never raises,
+# and scores -inf wherever the value is outside the support or a parameter
+# outside its domain. The one exception is the Gamma bound to observations,
+# which leaves the domain of its shape and rate to the caller: the line
+# mixtures mask whole rows, the load model its Gamma columns. The caller
+# silences numpy's floating-point warnings, when it binds as when it calls.
+# The kernels are private: the model log-posteriors are their only callers.
 
 
-def _logpdf_gamma(x, shape, rate):
-    body = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
-    return np.where(_positive(x) & _positive(shape) & _positive(rate), body, -np.inf)
+def _minus_inf(x):
+    """The score of a kernel bound to a parameter outside its domain."""
+    return np.full(np.shape(x), -np.inf)
 
 
-def _logpdf_weibull(x, shape, scale):
-    t = x / scale
-    body = np.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
-    return np.where(_positive(x) & _positive(shape) & _positive(scale), body, -np.inf)
+def _logpdf_gamma(x):
+    """Gamma(shape, rate) at the observations ``x``, as a function of
+    ``(shape, rate)``; where either is outside its domain the score is not
+    defined, and the caller masks it (see above). ``log(x)`` is taken once,
+    and an observation outside the support scores -inf through a mask fixed
+    at binding, applied only if there is one."""
+    x = np.asarray(x, dtype=float)
+    log_x = np.log(x)
+    inside = _positive(x)
+    inside = None if inside.all() else inside
+
+    def logpdf(shape, rate):
+        body = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * log_x - rate * x
+        return body if inside is None else np.where(inside, body, -np.inf)
+
+    return logpdf
 
 
-def _logpdf_beta(x, a, b):
+def _logpdf_weibull(x):
+    """Weibull(shape, scale) at the observations ``x``, as a function of
+    ``(shape, scale)``."""
+    x = np.asarray(x, dtype=float)
+    inside = _positive(x)
+
+    def logpdf(shape, scale):
+        t = x / scale
+        body = np.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
+        return np.where(inside & _positive(shape) & _positive(scale), body, -np.inf)
+
+    return logpdf
+
+
+def _logpdf_beta(a: float, b: float):
+    """Beta(a, b) as a function of the value."""
+    if not (_positive(a) and _positive(b)):
+        return _minus_inf
     norm = gammaln(a + b) - gammaln(a) - gammaln(b)
-    body = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) + norm
-    return np.where((x > 0.0) & (x < 1.0) & _positive(a) & _positive(b), body, -np.inf)
+    a1, b1 = a - 1.0, b - 1.0
+
+    def logpdf(x):
+        body = a1 * np.log(x) + b1 * np.log1p(-x) + norm
+        return np.where((x > 0.0) & (x < 1.0), body, -np.inf)
+
+    return logpdf
 
 
-def _logpdf_dirichlet(x, concentration):
-    """Over the last axis of ``x`` and ``concentration``."""
+def _logpdf_dirichlet(concentration):
+    """Dirichlet(concentration) as a function of the value, over its last
+    axis. At concentration 1 the density is its normalizer wherever the value
+    lies on the simplex."""
+    concentration = np.asarray(concentration, dtype=float)
+    if not _positive(concentration).all():
+        return lambda x: np.full(np.shape(x)[:-1], -np.inf)
     norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
-    body = norm + xlogy(concentration - 1.0, x).sum(axis=-1)
-    inside = (x > 0.0).all(axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9)
-    return np.where(inside & _positive(concentration).all(axis=-1), body, -np.inf)
+    power = concentration - 1.0
+
+    def inside(x):
+        return (x > 0.0).all(axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9)
+
+    if not power.any():
+        # xlogy(0, x) is +0 on the simplex, so the body is norm + 0
+        constant = norm + 0.0
+        return lambda x: np.where(inside(x), constant, -np.inf)
+    return lambda x: np.where(inside(x), norm + xlogy(power, x).sum(axis=-1), -np.inf)
 
 
-def _logpmf_dirichlet_categorical(counts, concentration):
+def _logpmf_dirichlet_categorical(counts):
     """Log-probability of a sequence of categorical outcomes with ``counts``
     per category, its probabilities summed out over Dirichlet(concentration),
-    over the last axis: ``gammaln(A) - gammaln(A + N) + sum(gammaln(a + n) -
-    gammaln(a))`` with ``A`` and ``N`` the totals."""
-    total = concentration.sum(axis=-1)
-    body = gammaln(total) - gammaln(total + counts.sum(axis=-1))
-    body = body + (gammaln(concentration + counts) - gammaln(concentration)).sum(axis=-1)
-    return np.where(_positive(concentration).all(axis=-1), body, -np.inf)
+    over the last axis, as a function of the concentration: ``gammaln(A) -
+    gammaln(A + N) + sum(gammaln(a + n) - gammaln(a))`` with ``A`` and ``N``
+    the totals."""
+    counts = np.asarray(counts, dtype=float)
+    total_counts = counts.sum(axis=-1)
+
+    def logpmf(concentration):
+        total = concentration.sum(axis=-1)
+        body = gammaln(total) - gammaln(total + total_counts)
+        body = body + (gammaln(concentration + counts) - gammaln(concentration)).sum(axis=-1)
+        return np.where(_positive(concentration).all(axis=-1), body, -np.inf)
+
+    return logpmf
 
 
-def _logpdf_halfnormal(x, sigma):
-    body = _LOG_SQRT_2_OVER_PI - np.log(sigma) - 0.5 * (x / sigma) ** 2
-    return np.where((x >= 0.0) & _positive(sigma), body, -np.inf)
+def _logpdf_halfnormal(sigma: float):
+    """HalfNormal(sigma) as a function of the value."""
+    if not _positive(sigma):
+        return _minus_inf
+    norm = _LOG_SQRT_2_OVER_PI - np.log(sigma)
+    return lambda x: np.where(x >= 0.0, norm - 0.5 * (x / sigma) ** 2, -np.inf)
 
 
-def _logpmf_negbinomial(k, mu, alpha):
+def _logpmf_negbinomial(k, group):
+    """Negative Binomial at the counts ``k``, count ``i`` with mean ``mu[...,
+    group[i]]`` and the dispersion ``alpha`` shared, as a function of ``(mu,
+    alpha)``: one score per count, ``(..., counts)``.
+
+    Counts repeat, so ``gammaln(k + alpha)`` is taken once per distinct count
+    and gathered, and the log ratios once per group and gathered; every score
+    has the bits of the formula taken count by count."""
+    k = np.asarray(k, dtype=float)
+    group = np.asarray(group, dtype=int)
     integral = (k >= 0.0) & (k < math.inf) & (k == np.floor(k))
     safe = np.where(integral, k, 0.0)
-    body = (
-        gammaln(safe + alpha)
-        - gammaln(alpha)
-        - gammaln(safe + 1.0)
-        + alpha * np.log(alpha / (alpha + mu))
-        + safe * np.log(mu / (alpha + mu))
-    )
-    return np.where(integral & _positive(mu) & _positive(alpha), body, -np.inf)
+    distinct, index = np.unique(safe, return_inverse=True)
+    log_k_factorial = gammaln(safe + 1.0)
+    integral = None if integral.all() else integral
+
+    def logpmf(mu, alpha):
+        alpha = np.asarray(alpha)[..., None]
+        total = alpha + mu
+        body = np.take(gammaln(distinct + alpha), index, axis=-1) - gammaln(alpha)
+        body -= log_k_factorial
+        body += np.take(alpha * np.log(alpha / total), group, axis=-1)
+        body += safe * np.take(np.log(mu / total), group, axis=-1)
+        valid = np.take(_positive(mu) & _positive(alpha), group, axis=-1)
+        if integral is not None:
+            valid &= integral
+        return np.where(valid, body, -np.inf)
+
+    return logpmf
 
 
 def _truncnormal_stats(x) -> np.ndarray:
@@ -370,16 +452,20 @@ def _truncnormal_stats(x) -> np.ndarray:
     return np.stack([np.full(anchor.shape, float(x.shape[0])), anchor, offset, ss])
 
 
-def _logpdf_truncnormal_stats(stats, mu, sigma, lower):
+def _logpdf_truncnormal_stats(stats, lower: float):
     """Log-density of Normal(mu, sigma^2) renormalized to [lower, inf),
-    summed over observations at or above ``lower``, from their statistics
-    ``stats = (n, anchor, offset, ss)`` of :func:`_truncnormal_stats`:
-    ``-(ss + n d^2) / (2 sigma^2) - n (log sigma + log sqrt(2 pi) + log
-    Phi((mu - lower) / sigma))`` with ``d = mean - mu``. Broadcasts like the
-    other kernels; a column needs ``n >= 1``."""
+    summed over observations at or above ``lower``, bound to their statistics
+    ``stats = (n, anchor, offset, ss)`` of :func:`_truncnormal_stats`, as a
+    function of ``(mu, sigma)``: ``-(ss + n d^2) / (2 sigma^2) - n (log sigma
+    + log sqrt(2 pi) + log Phi((mu - lower) / sigma))`` with ``d = mean -
+    mu``. A column needs ``n >= 1``."""
     n, anchor, offset, ss = stats
-    d = (anchor - mu) + offset
-    log_tail = log_ndtr((mu - lower) / sigma)
-    quadratic = -0.5 * (ss + n * d * d) / (sigma * sigma)
-    body = quadratic - n * (np.log(sigma) + _LOG_SQRT_2PI + log_tail)
-    return np.where(_positive(sigma), body, -np.inf)
+
+    def logpdf(mu, sigma):
+        d = (anchor - mu) + offset
+        log_tail = log_ndtr((mu - lower) / sigma)
+        quadratic = -0.5 * (ss + n * d * d) / (sigma * sigma)
+        body = quadratic - n * (np.log(sigma) + _LOG_SQRT_2PI + log_tail)
+        return np.where(_positive(sigma), body, -np.inf)
+
+    return logpdf

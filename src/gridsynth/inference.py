@@ -42,8 +42,10 @@ the last bit; a row with an out-of-domain parameter scores ``-inf``, and a
 row outside the open support never reaches the model; chain ``c`` draws only
 from its own substream ``(seed, "mcmc-chain", c)``, so its draws do not
 depend on the number of chains; no step of the sweep reads a parameter that
-enters no term column; and the values dict the model reads views a buffer
-the sampler reuses, which must not be kept or written to.
+enters no term column; and the values dict the model reads holds read-only
+views of a buffer the sampler reuses, which must not be kept. A model reads
+parameters side by side through :meth:`ParamSpace.stack`, which views the
+rows where their columns are evenly spaced instead of copying them.
 
 Chains are pooled after warm-up and thinning; the kept draws are the
 constrained rows. Split-R-hat and effective sample size are attached as
@@ -154,6 +156,8 @@ class ParamSpace:
                 raise ValueError(f"parameter listed twice in blocks: {n!r}")
             seen.add(n)
         self.blocks = [list(g) for g in grouped] + [[n] for n in names if n not in seen]
+        # where the parameters that ``stack`` is asked for sit in the row
+        self._spacings: dict[tuple[str, ...], tuple | None] = {}
         self._groups = _transform_groups(self.defs, self._offsets, self._columns)
         # open support of each constrained column: lower < value < upper
         self._lower = np.full(cpos, -np.inf)
@@ -179,10 +183,47 @@ class ParamSpace:
 
     def _unpack(self, flat: np.ndarray) -> dict[str, float | np.ndarray]:
         """Named views into a constrained row (or stack of rows)."""
-        return {
-            d.name: flat[..., lo] if not d.shape else flat[..., lo:hi]
-            for d, (lo, hi) in zip(self.defs, self._columns.values())
-        }
+        return _Rows(self, flat)
+
+    def stack(self, values, names: tuple[str, ...]) -> np.ndarray:
+        """``values[name]`` for each of ``names``, parameters of one shape,
+        side by side on a new axis after the leading row axes, as
+        ``np.stack`` puts them. Where ``values`` are the views that ``fit``
+        hands a model and the parameters' columns are evenly spaced in the
+        row, the result is a read-only view of the rows instead of a copy,
+        made once per buffer; a model scores it to the same bits."""
+        if isinstance(values, _Rows):
+            if names not in values.stacked:
+                values.stacked[names] = values.space._stack_view(values.flat, names)
+            if values.stacked[names] is not None:
+                return values.stacked[names]
+        axis = -1 - len(self._by_name[names[0]].shape)
+        return np.stack([values[name] for name in names], axis=axis)
+
+    def _stack_view(self, flat: np.ndarray, names: tuple[str, ...]) -> np.ndarray | None:
+        """The view :meth:`stack` returns for the C-contiguous rows ``flat``,
+        or None where the parameters differ in shape or their columns are
+        not evenly spaced."""
+        if names not in self._spacings:
+            shapes = {self._by_name[name].shape for name in names}
+            firsts = [self._columns[name][0] for name in names]
+            step = firsts[1] - firsts[0] if len(names) > 1 else 1
+            even = len(shapes) == 1 and step > 0
+            even = even and firsts == list(range(firsts[0], firsts[-1] + 1, step))
+            self._spacings[names] = (firsts[0], step, *shapes) if even else None
+        if self._spacings[names] is None or not flat.flags.c_contiguous:
+            return None
+        first, step, shape = self._spacings[names]
+        item = flat.itemsize
+        view = np.ndarray(
+            flat.shape[:-1] + (len(names),) + shape,
+            flat.dtype,
+            flat,
+            first * item,
+            flat.strides[:-1] + (step * item,) + (item,) * len(shape),
+        )
+        view.flags.writeable = False
+        return view
 
     def _outside(self, flat: np.ndarray) -> np.ndarray:
         """Whether each value of the constrained rows ``flat`` lies outside
@@ -205,6 +246,26 @@ class ParamSpace:
             lo, hi = self._offsets[d.name]
             z[lo:hi] = _inverse(d, values[d.name])
         return z
+
+
+class _Rows(dict):
+    """Named views of a buffer of constrained rows, ``flat``, and the views
+    :meth:`ParamSpace.stack` has made of it, by names."""
+
+    def __init__(self, space: ParamSpace, flat: np.ndarray):
+        super().__init__(
+            (d.name, flat[..., lo] if not d.shape else flat[..., lo:hi])
+            for d, (lo, hi) in zip(space.defs, space._columns.values())
+        )
+        self.space, self.flat, self.stacked = space, flat, {}
+
+
+def _read_only(flat: np.ndarray) -> np.ndarray:
+    """A view of ``flat`` that cannot be written to, nor can any view taken
+    from it: what ``fit`` hands to a model."""
+    view = flat.view()
+    view.flags.writeable = False
+    return view
 
 
 def _as_slice(idx: np.ndarray):
@@ -271,13 +332,14 @@ def _forward(support: str, z: np.ndarray):
         # v_i = expit(z_i - log(k - 1 - i)) centres z = 0 on the uniform point
         free = z.shape[-1]
         v = _expit(z - np.log(np.arange(free, 0, -1.0)))
-        left = np.cumprod(1.0 - v, axis=-1)
+        rest = 1.0 - v
+        left = np.cumprod(rest, axis=-1)
         stick = np.concatenate([np.ones(z.shape[:-1] + (1,)), left[..., :-1]], axis=-1)
         x = np.concatenate([stick * v, left[..., -1:]], axis=-1)
         lj = (
             np.log(np.maximum(stick, 1e-300))
             + np.log(np.maximum(v, 1e-300))
-            + np.log(np.maximum(1.0 - v, 1e-300))
+            + np.log(np.maximum(rest, 1e-300))
         )
         return x, lj.sum(axis=-1)
     raise AssertionError(support)  # pragma: no cover
@@ -382,9 +444,9 @@ def fit(
     model never sees a row outside the open support (an overflow to inf, an
     underflow to 0, a unit value rounded to 1): the row is swapped for the
     state it was proposed from and scored ``-inf``. The values dict passed
-    to ``log_posterior`` (and to ``draw`` below) holds views into a buffer
-    the sampler reuses: it is valid for that call only, and must not be kept
-    or written to.
+    to ``log_posterior`` (and to ``draw`` below) holds read-only views into a
+    buffer the sampler reuses: it is valid for that call only and must not be
+    kept, and a write to it raises.
 
     ``exact`` lists the parameters whose full conditional can be drawn
     directly, as ``(names, draw)`` pairs. ``draw(values, rngs)`` gets the
@@ -454,6 +516,13 @@ def fit(
     layout = _BlockLayout(space, blocks)
     starts = layout.starts
     colours, n_terms = _colours(space, blocks, terms, layout)
+    # each colour's accept probabilities, computed in place, and the
+    # candidates' and the state's scores side by side
+    colours = [colour + (np.empty((chains, len(colour[2]))),) for colour in colours]
+    lp_pair = np.empty((2, chains, n_terms))
+    coords_end = layout.starts[-1]
+    columns_end = coords_end + width
+    blocks_end = columns_end + len(blocks)
     # a step whose parameters enter no term column leaves the sweep
     leaves = [terms is not None and not any(terms[n] for n in names) for names, _ in exact]
     sweep_steps = [(ei, names, draw) for ei, (names, draw) in enumerate(exact) if not leaves[ei]]
@@ -481,27 +550,29 @@ def fit(
     # score it: ``held`` keeps their rows from before it, and ``pending``
     # which chains moved, the step, its sweep's warm-up flag and kept row
     held = np.empty((chains, width))
-    held_values = space._unpack(held)
+    held_values = space._unpack(_read_only(held))
     pending = None
     # the rows of every call: up to four row sets of one row per chain, each
     # the state with the candidate columns of some blocks copied in
     cand = np.empty((4 * chains, width))
     cand_sets = cand.reshape(4, chains, width)
-    cand_values = {sets: space._unpack(cand[: sets * chains]) for sets in (1, 2, 3, 4)}
+    cand_values = {sets: space._unpack(_read_only(cand[: sets * chains])) for sets in (1, 2, 3, 4)}
     # each call's colours and its row sets as masks of the columns taken from
-    # the candidates: the first colour, the second on the state, and both. A
-    # pending exact draw is the set with nothing taken
+    # the candidates: the first colour, the second on the state, and both;
+    # then the set with nothing taken, which a pending exact draw is
+    nothing = np.zeros(width, dtype=bool)
     calls = []
     for ci in range(0, len(colours), 2):
         pair = colours[ci : ci + 2]
-        taken = [columns.any(axis=0) for *_, columns, _ in pair]
-        calls.append((pair, np.array(taken + [taken[0] | taken[-1]] * (len(pair) - 1))))
-    nothing = np.zeros((1, width), dtype=bool)
+        taken = [owned[:, coords_end:columns_end].any(axis=0) for _, _, _, owned, _ in pair]
+        calls.append((pair, np.array(taken + [taken[0] | taken[-1]] * (len(pair) - 1) + [nothing])))
     # each sweep's random numbers: one normal per Metropolis coordinate, each
     # block reading its slice of them, and one uniform per block; every
     # block's candidate values in its own constrained columns
     noise = np.empty((chains, starts[-1]))
     uniform = np.empty((chains, len(blocks)))
+    streams = list(zip(rngs, noise, uniform))
+    cand_z = np.empty((chains, starts[-1]))
     prop = np.zeros((chains, width))
     sweep_accept = np.empty((chains, len(blocks)))
     kept_per_chain = config.draws // config.thin
@@ -529,18 +600,18 @@ def fit(
         np.copyto(rows, prop, where=masks[:, None])
         return cand_values[len(masks)]
 
-    def call(masks=nothing[:0]) -> np.ndarray:
-        """Score the row sets of ``masks`` (none by default) in one
-        log-posterior call, with a pending exact draw as one more set, which
-        settles it: a chain whose drawn row scores non-finite goes back to its
-        row from before the draw, kept row included, and the sets are scored
-        again."""
+    def call(masks=nothing[None]) -> np.ndarray:
+        """Score the row sets of ``masks`` but the last, the empty set (none
+        by default), in one log-posterior call, with a pending exact draw as
+        that last set, which settles it: a chain whose drawn row scores
+        non-finite goes back to its row from before the draw, kept row
+        included, and the sets are scored again."""
         nonlocal pending
-        rows = len(masks) * chains
+        rows = (len(masks) - 1) * chains
         if pending is not None:
             moved, ei, warm, kept_row = pending
             pending = None
-            lp_rows = score(fill(np.concatenate([masks, nothing])), rows + chains)
+            lp_rows = score(fill(masks), rows + chains)
             draw_lp = lp_rows[rows:]
             move = moved & np.isfinite(draw_lp).all(axis=1)
             np.copyto(lp, draw_lp, where=move[:, None])
@@ -552,31 +623,39 @@ def fit(
                 chain_draws[back, kept_row] = held[back]
             if not (rows and back.any()):
                 return lp_rows[:rows]
-        return score(fill(masks), rows)
+        return score(fill(masks[:-1]), rows)
 
     def decide(colour, cand_lp: np.ndarray) -> np.ndarray | None:
         """Decide every block of ``colour`` on its own term columns of
         ``cand_lp`` (one row per chain); return which term columns of each
         chain's score moved, None where no block moved."""
-        members, single, reads, coords, columns, own = colour
+        members, single, reads, owned, accept_prob = colour
         if single is not None:  # each block reads one column
             new, old = cand_lp[:, single], lp[:, single]
         else:
             # each block's columns, zero where it reads none, on a trailing
             # axis of its own: each row sums the same way for any number of
             # rows, and as the one column would where the block reads one
-            new, old = np.where(reads, np.stack((cand_lp, lp))[:, :, None], 0.0).sum(axis=-1)
+            lp_pair[0], lp_pair[1] = cand_lp, lp
+            new, old = np.where(reads, lp_pair[:, :, None], 0.0).sum(axis=-1)
         # min(1, exp(log ratio)), floored at exp(-700)
-        log_ratio = (new + cand_lj[:, members]) - (old + log_jac[:, members])
-        accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
+        np.add(new, cand_lj[:, members], out=accept_prob)
+        accept_prob -= old + log_jac[:, members]
+        np.maximum(accept_prob, -700.0, out=accept_prob)
+        np.minimum(accept_prob, 0.0, out=accept_prob)
+        np.exp(accept_prob, out=accept_prob)
         sweep_accept[:, members] = accept_prob
         move = uniform[:, members] < accept_prob
         if not move.any():
             return None
-        np.copyto(zb, cand_z, where=move @ coords)
-        np.copyto(current, prop, where=move @ columns)
-        np.copyto(log_jac, cand_lj, where=move @ own)
-        took = move @ reads
+        # what each chain's moves take from the candidates: its block-ordered
+        # coordinates, constrained columns, blocks' log-Jacobians and term
+        # columns, in one product
+        took = move @ owned
+        np.copyto(zb, cand_z, where=took[:, :coords_end])
+        np.copyto(current, prop, where=took[:, coords_end:columns_end])
+        np.copyto(log_jac, cand_lj, where=took[:, columns_end:blocks_end])
+        took = took[:, blocks_end:]
         np.copyto(lp, cand_lp, where=took)
         return took
 
@@ -584,7 +663,7 @@ def fit(
         # the model sees the init row only inside the support
         lp = np.full((1, n_terms), -np.inf)
         if not space._outside(init_flat).any():
-            lp = score(space._unpack(init_flat), 1)
+            lp = score(space._unpack(_read_only(init_flat)), 1)
         if not np.isfinite(lp).all():
             raise InitializationError("log-posterior is not finite at the initialization point")
         lp = np.repeat(lp, chains, axis=0)  # the state's score, per term column
@@ -593,18 +672,18 @@ def fit(
         for _ in range(20):
             if not waiting:
                 break
-            cand_z = init_z + _INIT_JITTER * np.array(
+            start_z = init_z + _INIT_JITTER * np.array(
                 [rngs[c].standard_normal(space.dim) for c in waiting]
             )
             rows = current[waiting]
-            _transform(space._groups, cand_z, rows)
+            _transform(space._groups, start_z, rows)
             outside = space._outside(rows).any(axis=-1)
             rows[outside] = current[waiting][outside]
-            cand_lp = score(space._unpack(rows), len(waiting))
-            finite = ~outside & np.isfinite(cand_lp).all(axis=1)
+            start_lp = score(space._unpack(_read_only(rows)), len(waiting))
+            finite = ~outside & np.isfinite(start_lp).all(axis=1)
             for row, c in enumerate(waiting):
                 if finite[row]:
-                    z[c], lp[c], current[c] = cand_z[row], cand_lp[row], rows[row]
+                    z[c], lp[c], current[c] = start_z[row], start_lp[row], rows[row]
             waiting = [c for row, c in enumerate(waiting) if not finite[row]]
         # the blocks' unconstrained coordinates, and the per-chain log-Jacobian
         # of each block's current values: only that block's moves change either
@@ -614,15 +693,18 @@ def fit(
         for it in range(config.warmup + config.draws):
             warm = it < config.warmup
             keep = not warm and (it - config.warmup) % config.thin == config.thin - 1
-            for c, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[c])
-                rng.random(out=uniform[c])
+            for rng, chain_noise, chain_uniform in streams:
+                rng.standard_normal(out=chain_noise)
+                rng.random(out=chain_uniform)
+            if it <= config.warmup:  # the step adapts at the end of each warm-up sweep
+                step = np.exp(log_step)[:, layout.coord_block]
             # every block's candidate, each on the state at the sweep's start
             # (a block's own coordinates change only at its own decision);
             # a block outside the support proposes its current values, and
             # its log-Jacobian of -inf rejects it
             shift = noise if chol is None else layout.correlate(chol, noise)
-            cand_z = zb + np.exp(log_step)[:, layout.coord_block] * shift
+            np.multiply(step, shift, out=cand_z)
+            cand_z += zb
             cand_lj = layout.transform(cand_z, prop)
             outside = space._outside(prop) @ layout.members
             if outside.any():
@@ -670,11 +752,12 @@ def fit(
         # the steps that leave the sweep, once for every kept row; their
         # columns of the state still hold each chain's start
         kept_values = space._unpack(chain_draws)
+        kept_read_only = space._unpack(_read_only(chain_draws))
         for ei in np.flatnonzero(leaves):
             step_names, draw = exact[ei]
             cols = np.concatenate([np.arange(*space._columns[n]) for n in step_names])
             start = current[:, None, cols]
-            new = draw(kept_values, rngs)
+            new = draw(kept_read_only, rngs)
             for name in step_names:
                 view = kept_values[name]
                 view[...] = np.reshape(new[name], view.shape)
@@ -715,8 +798,9 @@ def _colours(space: ParamSpace, blocks: list[list[str]], terms, layout) -> tuple
     ``terms``, every block reads the one column). Per colour: its blocks (a
     slice where they run in order); the column each reads where each reads
     one (None otherwise); then one boolean row per block of the term columns
-    it reads, and of the block-ordered coordinates, constrained columns and
-    blocks it owns. Also the number of term columns."""
+    it reads; and one boolean row per block of what its move takes, side by
+    side: the block-ordered coordinates, constrained columns and blocks it
+    owns, and the term columns it reads. Also the number of term columns."""
     if terms is None:
         reads = np.ones((len(blocks), 1), dtype=bool)
     else:
@@ -744,7 +828,8 @@ def _colours(space: ParamSpace, blocks: list[list[str]], terms, layout) -> tuple
             single = _as_slice(reads[g].argmax(axis=1))
         coords, columns = g[:, None] == layout.coord_block, layout.members[:, g].T
         own = g[:, None] == np.arange(len(blocks))
-        colours.append((_as_slice(g), single, reads[g], coords, columns, own))
+        owned = np.concatenate([coords, columns, own, reads[g]], axis=1)
+        colours.append((_as_slice(g), single, reads[g], owned))
     return colours, reads.shape[1]
 
 
@@ -788,7 +873,9 @@ class _BlockLayout:
         self.jacobian = []
         for (_, g, length), (members, firsts) in sorted(spans.items(), key=lambda kv: kv[0][0]):
             span = np.add.outer(firsts, np.arange(length)).ravel()
-            self.jacobian.append((_as_slice(np.array(members)), len(members), g, _as_slice(span)))
+            self.jacobian.append(
+                (_as_slice(np.array(members)), len(members), g, _as_slice(span), length)
+            )
         # which constrained columns each block owns
         self.members = np.zeros((space._lower.size, len(blocks)), dtype=bool)
         for bi, block in enumerate(blocks):
@@ -808,10 +895,14 @@ class _BlockLayout:
         terms = _transform(self.groups, z, prop)
         rows = z.shape[0]
         log_jacobian = np.zeros((rows, len(self.starts) - 1))
-        for members, count, g, span in self.jacobian:
+        for members, count, g, span, length in self.jacobian:
             # each block's span of terms on a trailing axis of its own, which
-            # sums as the block's terms alone would
-            log_jacobian[:, members] += terms[g][:, span].reshape(rows, count, -1).sum(axis=-1)
+            # sums as the block's terms alone would; a span of one term is
+            # that term
+            span_terms = terms[g][:, span]
+            if length > 1:
+                span_terms = span_terms.reshape(rows, count, length).sum(axis=-1)
+            log_jacobian[:, members] += span_terms
         return log_jacobian
 
     def correlate(self, chol: list[np.ndarray], noise: np.ndarray) -> np.ndarray:

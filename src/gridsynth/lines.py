@@ -173,46 +173,54 @@ def _mixture_space(zone_count: int) -> tuple[ParamSpace, dict[str, list[int]]]:
     return ParamSpace(defs), terms
 
 
-def _mixtures(grouped: list[list[np.ndarray]]):
+def _mixtures(grouped: list[list[np.ndarray]], space: ParamSpace):
     """Both mixtures' batched log-posterior and the exact step of ``fit`` for
     their zone weights, ``(logpost, (names, draw))``, over one set of shared
-    terms. ``grouped`` holds each mixture's observations by zone, with the
-    same number of lines in each zone; the mixtures stack on an axis after
-    the leading row axis, and the log-posterior returns one term column per
-    mixture."""
+    terms, for the parameters of ``space`` (``_mixture_space``). ``grouped``
+    holds each mixture's observations by zone, with the same number of lines
+    in each zone; the mixtures stack on an axis after the leading row axis,
+    and the log-posterior returns one term column per mixture."""
     observed = np.stack([np.concatenate(g) for g in grouped])  # (mixtures, lines)
     zone_count = len(grouped[0])
     zone_of = np.repeat(np.arange(zone_count), [g.size for g in grouped[0]])
-    names = [f"{p}_weights_z{z}" for p in _PREFIXES for z in range(1, zone_count + 1)]
+    names = tuple(f"{p}_weights_z{z}" for p in _PREFIXES for z in range(1, zone_count + 1))
+    means_names = tuple(f"{p}_means" for p in _PREFIXES)
+    cv_names = tuple(f"{p}_cv" for p in _PREFIXES)
     cells = len(names) * _MIXTURE_COMPONENTS
-
-    def stacked(v, suffix):
-        return np.stack([v[f"{p}{suffix}"] for p in _PREFIXES], axis=1)
+    # each line's first count cell of each mixture, (mixtures, lines)
+    first_cell = (zone_of + zone_count * np.arange(len(_PREFIXES))[:, None]) * _MIXTURE_COMPONENTS
+    # the kernels bound to what the fit holds fixed: the observations and the
+    # priors' parameters
+    gamma = _logpdf_gamma(observed)
+    means_prior, cv_prior = _logpdf_halfnormal(1.0), _logpdf_halfnormal(0.5)
+    weights_prior = _logpdf_dirichlet(np.ones(_MIXTURE_COMPONENTS))
 
     def components(v):
         """The weights stacked (rows, mixtures, zones, K), the Gamma shapes
         and rates, and each line's log weight plus component log-density,
         (K, rows, mixtures, lines)."""
-        weights = np.stack([v[name] for name in names], axis=1)
+        weights = space.stack(v, names)
         weights = weights.reshape(len(weights), len(_PREFIXES), -1, _MIXTURE_COMPONENTS)
         # components lead from here on, so reductions over them run over the
         # first axis. A weight that underflowed to 0 is off the simplex (-inf
         # in the log-posterior); log 1 stands in for its log so no log(0) runs.
         log_w = np.log(np.where(weights > 0.0, weights, 1.0))
-        log_w = np.take(np.moveaxis(log_w, -1, 0), zone_of, axis=-1)
-        shape, rates = _gamma_shape_rates(stacked(v, "_means"), stacked(v, "_cv")[..., None])
+        log_w = np.ascontiguousarray(np.moveaxis(log_w, -1, 0))[..., zone_of]
+        cv = space.stack(v, cv_names)
+        shape, rates = _gamma_shape_rates(space.stack(v, means_names), cv[..., None])
         # (rows stay contiguous, so each row's sum over lines runs the same
-        # way for any number of rows)
+        # way for any number of rows). A shape or rate out of the Gamma's
+        # domain scores garbage here, and logpost rules out its whole row.
         rates_first = np.ascontiguousarray(np.moveaxis(rates, -1, 0))[..., None]
-        return weights, shape, rates, log_w + _logpdf_gamma(observed, shape, rates_first)
+        return weights, shape, rates, log_w + gamma(shape, rates_first)
 
     def logpost(v) -> np.ndarray:
-        means = stacked(v, "_means")
-        lp = _logpdf_halfnormal(means[..., 0], 1.0)
-        lp += _logpdf_halfnormal(np.diff(means, axis=-1), 1.0).sum(axis=-1)
-        lp += _logpdf_halfnormal(stacked(v, "_cv"), 0.5)
+        means = space.stack(v, means_names)
+        lp = means_prior(means[..., 0])
+        lp += means_prior(np.diff(means, axis=-1)).sum(axis=-1)
+        lp += cv_prior(space.stack(v, cv_names))
         weights, shape, rates, comp = components(v)
-        lp += _logpdf_dirichlet(weights, np.ones(_MIXTURE_COMPONENTS)).sum(axis=-1)
+        lp += weights_prior(weights).sum(axis=-1)
         # the floor keeps a line whose components are all -inf at -inf, not nan
         peak = np.maximum(comp.max(axis=0), -1e300)
         lp += (peak + np.log(np.sum(np.exp(comp - peak), axis=0))).sum(axis=-1)
@@ -230,14 +238,13 @@ def _mixtures(grouped: list[list[np.ndarray]]):
         u = np.stack([rng.random(observed.shape) for rng in rngs]) * cum[-1]
         picked = (u >= cum[:-1]).sum(axis=0)  # (chains, mixtures, lines)
         # weights given the indicators: Dirichlet(1 + counts) per mixture and zone
-        cell = (zone_of + zone_count * np.arange(len(_PREFIXES))[:, None]) * _MIXTURE_COMPONENTS
-        cell = cell + picked + cells * np.arange(len(rngs))[:, None, None]
+        cell = first_cell + picked + cells * np.arange(len(rngs))[:, None, None]
         counts = np.bincount(cell.ravel(), minlength=len(rngs) * cells)
         counts = counts.reshape(len(rngs), len(names), _MIXTURE_COMPONENTS)
         weights = sample_dirichlet(rngs, 1.0 + counts)
         return {name: weights[:, i] for i, name in enumerate(names)}
 
-    return logpost, (names, draw)
+    return logpost, (list(names), draw)
 
 
 def _mixture_init(prefix: str, grouped: list[np.ndarray]) -> dict:
@@ -276,8 +283,8 @@ def fit_line_model(
         )
     z_count = zones.zone_count
     grouped = [group_by_zone(data, zones.line_zone, z_count) for data in (r1, rho)]
-    logpost, weights_step = _mixtures(grouped)
     space, terms = _mixture_space(z_count)
+    logpost, weights_step = _mixtures(grouped, space)
     init = {}
     for prefix, by_zone in zip(_PREFIXES, grouped):
         init.update(_mixture_init(prefix, by_zone))

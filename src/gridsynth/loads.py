@@ -31,6 +31,7 @@ from .distributions import (
     _logpdf_gamma,
     _logpdf_halfnormal,
     _logpdf_truncnormal_stats,
+    _positive,
     _truncnormal_stats,
     sample_truncnormal,
 )
@@ -133,6 +134,14 @@ def sample_demand(draw, config: PhaseConfig, rng, pf: float) -> BusDemand:
     return BusDemand(p_kw=np.array(p), q_kvar=np.array([x * ratio for x in p]))
 
 
+def _float_array(value) -> np.ndarray | None:
+    """``value`` as a float array, or None where numpy cannot convert it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 def fit_load_model(
     demands: dict[str, np.ndarray],
     allocations: dict[str, PhaseConfig],
@@ -144,40 +153,56 @@ def fit_load_model(
     phases must be zero. Empty categories fall back toward the shared
     hyperprior with a warning.
     """
-    mono_rows: list[np.ndarray] = []
-    bi_rows: list[np.ndarray] = []
-    tri_rows: list[np.ndarray] = []
-    for bus, vec in demands.items():
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError(f"bus {bus}: demand must be a 3-vector")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"bus {bus}: non-finite demand {vec.tolist()}")
-        if np.any(vec < 0.0):
-            raise ValueError(f"bus {bus}: negative demand")
-        cfg = allocations.get(bus)
-        if cfg is None:
-            raise ValueError(f"bus {bus}: no phase configuration")
-        active = list(cfg._phase_indices)
-        inactive = [i for i in (0, 1, 2) if i not in active]
-        if np.any(vec[inactive] != 0.0):
-            raise ValueError(
-                f"bus {bus}: nonzero demand on a phase absent from {cfg.name}"
-            )
-        row = vec[active]
-        {1: mono_rows, 2: bi_rows, 3: tri_rows}[len(active)].append(row)
-    if not (mono_rows or bi_rows or tri_rows):
+    if not demands:
         raise ValueError("no demand observations")
-    for name, rows in (("mono", mono_rows), ("bi", bi_rows), ("tri", tri_rows)):
-        if not rows:
+    buses = list(demands)
+    vectors = [_float_array(vec) for vec in demands.values()]
+    configs = [allocations.get(bus) for bus in buses]
+    shaped = [vec is not None and vec.shape == (3,) for vec in vectors]
+    rows = np.array([vec if ok else np.zeros(3) for vec, ok in zip(vectors, shaped)])
+    # whether each phase of each bus is active (all, for a bus with none)
+    active_of = {cfg: [i in cfg._phase_indices for i in range(3)] for cfg in set(configs) - {None}}
+    active = np.array([active_of.get(cfg, [True] * 3) for cfg in configs])
+    # each bus's checks in the order they are reported; the first bus that
+    # fails one is named, with the first it fails
+    faults = np.stack(
+        [
+            np.array([vec is None for vec in vectors], dtype=bool),
+            ~np.array(shaped, dtype=bool),
+            ~np.isfinite(rows).all(axis=1),
+            (rows < 0.0).any(axis=1),
+            np.array([cfg is None for cfg in configs], dtype=bool),
+            ((rows != 0.0) & ~active).any(axis=1),
+        ],
+        axis=1,
+    )
+    if faults.any():
+        i = int(faults.any(axis=1).argmax())
+        check = int(faults[i].argmax())
+        if check == 0:  # not numbers: numpy's own error, as converting the bus raises it
+            np.asarray(demands[buses[i]], dtype=float)
+        absent = f"nonzero demand on a phase absent from {getattr(configs[i], 'name', '')}"
+        raise ValueError(
+            f"bus {buses[i]}: "
+            + (
+                "demand must be a 3-vector",
+                f"non-finite demand {vectors[i].tolist()}",
+                "negative demand",
+                "no phase configuration",
+                absent,
+            )[check - 1]
+        )
+    # each category's rows, the active phases of each bus in order
+    count = active.sum(axis=1)
+    mono, bi, tri = (rows[count == k][active[count == k]].reshape(-1, k) for k in (1, 2, 3))
+    for name, category in (("mono", mono), ("bi", bi), ("tri", tri)):
+        if not category.size:
             warnings.warn(
                 f"no {name}-phase observations; its potential falls back to the "
                 "shared hyperprior",
                 stacklevel=2,
             )
-    mono = np.array(mono_rows).reshape(-1) if mono_rows else np.empty(0)
-    bi = np.array(bi_rows) if bi_rows else np.empty((0, 2))
-    tri = np.array(tri_rows) if tri_rows else np.empty((0, 3))
+    mono = mono.reshape(-1)
 
     all_values = np.concatenate([mono, bi.ravel(), tri.ravel()])
     sigma_scale = float(np.std(all_values)) or 1.0
@@ -203,6 +228,12 @@ def fit_load_model(
     observed = [(rows, cols) for rows, cols in by_category if rows.size]
     stats = np.concatenate([_truncnormal_stats(rows) for rows, _ in observed], axis=1)
     columns = [c for _, cols in observed for c in cols]
+    # the kernels bound to what the fit holds fixed: the priors' parameters
+    # and the observations' statistics
+    delta_bi_prior = _logpdf_beta(2.0, 2.0)
+    delta_tri_prior = _logpdf_dirichlet(_DELTA_TRI_CONCENTRATION)
+    sigma_prior = _logpdf_halfnormal(sigma_scale)
+    likelihood = _logpdf_truncnormal_stats(stats, 0.0)
 
     def logpost(v) -> np.ndarray:
         # the terms as columns: the eleven Gamma terms, the hyperparameters
@@ -210,18 +241,21 @@ def fit_load_model(
         # the hyperparameters and each potential under its category's shape
         # and rate; the priors of delta_bi, delta_tri and sigma_p; then one
         # truncated-normal likelihood term per observed column
-        g = np.stack([v[name] for name in _GAMMA_NAMES], axis=-1)
+        g = space.stack(v, _GAMMA_NAMES)
         shape = np.empty_like(g)
         rate = np.empty_like(g)
         shape[..., :2], rate[..., :2] = _HYPER_SHAPE, _HYPER_RATE
         shape[..., 2:8], rate[..., 2:8] = g[..., :1], g[..., 1:2]
         shape[..., 8:], rate[..., 8:] = g[..., 2:8:2], g[..., 3:8:2]
         lp = np.empty(g.shape[:-1] + (_FIRST_LIKELIHOOD + len(columns),))
-        lp[..., :11] = _logpdf_gamma(g, shape, rate)
-        lp[..., 11] = _logpdf_beta(v["delta_bi"], 2.0, 2.0)
-        lp[..., 12] = _logpdf_dirichlet(v["delta_tri"], _DELTA_TRI_CONCENTRATION)
+        # the values scored are parameters here, so the Gamma binds them per
+        # call, and the shapes and rates out of its domain are masked here
+        in_domain = _positive(shape) & _positive(rate)
+        lp[..., :11] = np.where(in_domain, _logpdf_gamma(g)(shape, rate), -np.inf)
+        lp[..., 11] = delta_bi_prior(v["delta_bi"])
+        lp[..., 12] = delta_tri_prior(v["delta_tri"])
         sigma = v["sigma_p"]
-        lp[..., 13] = _logpdf_halfnormal(sigma, sigma_scale)
+        lp[..., 13] = sigma_prior(sigma)
         # each category potential split over its active phases
         delta_bi = v["delta_bi"]
         means = np.empty(g.shape[:-1] + (6,))
@@ -229,9 +263,7 @@ def fit_load_model(
         means[..., 1] = g[..., 9] * delta_bi
         means[..., 2] = g[..., 9] * (1.0 - delta_bi)
         means[..., 3:] = g[..., 10:] * v["delta_tri"]
-        lp[..., _FIRST_LIKELIHOOD:] = _logpdf_truncnormal_stats(
-            stats, means[..., columns], sigma[..., None], 0.0
-        )
+        lp[..., _FIRST_LIKELIHOOD:] = likelihood(means[..., columns], sigma[..., None])
         return lp
 
     # the columns each parameter enters: its own term, the Gamma terms it is

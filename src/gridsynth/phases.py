@@ -155,20 +155,22 @@ def fit_phase_model(
         defs.append(ParamDef(f"base_z{z}", (7,), "simplex"))
         terms[f"conc_z{z}"], terms[f"base_z{z}"] = [z - 1], []
     space = ParamSpace(defs)
-    conc_names = [f"conc_z{z}" for z in range(1, z_count + 1)]
+    conc_names = tuple(f"conc_z{z}" for z in range(1, z_count + 1))
     base_names = [f"base_z{z}" for z in range(1, z_count + 1)]
+    conc_prior = _logpdf_halfnormal(1.0)
+    marginal = _logpmf_dirichlet_categorical(counts)
 
     def logpost(values) -> np.ndarray:
         # (rows, zones, 7) stack of the concentration rows, base summed out
-        conc = np.stack([values[name] for name in conc_names], axis=-2)
-        lp = _logpdf_halfnormal(conc, 1.0).sum(axis=-1)
-        lp += _logpmf_dirichlet_categorical(counts, conc)
+        conc = space.stack(values, conc_names)
+        lp = conc_prior(conc).sum(axis=-1)
+        lp += marginal(conc)
         return lp  # one column per zone
 
     def draw_base(values, rngs) -> dict[str, np.ndarray]:
         # base_z | conc_z, counts ~ Dirichlet(conc_z + counts_z): every zone of
         # every kept row in one call, chain c from rngs[c]
-        posterior = np.stack([values[name] for name in conc_names], axis=-2) + counts
+        posterior = space.stack(values, conc_names) + counts
         base = sample_dirichlet(rngs, posterior)
         return {name: base[..., z, :] for z, name in enumerate(base_names)}
 

@@ -95,6 +95,7 @@ def fit_caidi(
 
     # one (shape, scale) block per zone, as scalars that the fit stacks back
     zone_names = [(f"weib_shape_z{z}", f"weib_scale_z{z}") for z in range(1, z_count + 1)]
+    shape_names, scale_names = zip(*zone_names)
     space = ParamSpace(
         [ParamDef("hurdle_p", (z_count,), "unit")]
         + [ParamDef(name, (), "positive") for pair in zone_names for name in pair],
@@ -109,15 +110,16 @@ def fit_caidi(
     valid = np.arange(width) < n_pos[:, None]
     durations_pos = np.ones((z_count, width))
     durations_pos[valid] = np.concatenate(positives)
+    prior = _logpdf_halfnormal(1.0)
+    weibull = _logpdf_weibull(durations_pos)
 
     def logpost(v) -> np.ndarray:
         # one column per zone, (rows, zones); the hurdle indicator is
         # marginalized (zeros -> log(1-p), positives -> log p + Weibull) and
         # its gate terms, with their Beta(1, 1) prior, factor out
-        shape, scale = (np.stack([v[pair[i]] for pair in zone_names], axis=-1) for i in (0, 1))
-        lp = _logpdf_halfnormal(shape, 1.0) + _logpdf_halfnormal(scale, 1.0)
-        weibull = _logpdf_weibull(durations_pos, shape[..., None], scale[..., None])
-        lp += np.where(valid, weibull, 0.0).sum(axis=-1)
+        shape, scale = space.stack(v, shape_names), space.stack(v, scale_names)
+        lp = prior(shape) + prior(scale)
+        lp += np.where(valid, weibull(shape[..., None], scale[..., None]), 0.0).sum(axis=-1)
         return lp
 
     def draw_hurdle(values, rngs) -> dict[str, np.ndarray]:
@@ -164,13 +166,14 @@ def fit_caifi(
 
     observed = np.concatenate(grouped)
     zone_of = np.repeat(np.arange(z_count), [g.size for g in grouped])
+    prior = _logpdf_halfnormal(1.0)
+    likelihood = _logpmf_negbinomial(observed, zone_of)
 
     def logpost(v) -> np.ndarray:
         mu, alpha = v["freq_mean"], v["dispersion"]
-        lp = _logpdf_halfnormal(mu, 1.0).sum(axis=-1)
-        lp += _logpdf_halfnormal(alpha, 1.0)
-        mu_of = np.take(mu, zone_of, axis=-1)  # row-major, see fit_caidi
-        lp += _logpmf_negbinomial(observed, mu_of, alpha[:, None]).sum(axis=-1)
+        lp = prior(mu).sum(axis=-1)
+        lp += prior(alpha)
+        lp += likelihood(mu, alpha).sum(axis=-1)
         return lp
 
     init = {

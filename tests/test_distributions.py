@@ -4,7 +4,9 @@ Moment tests compare 1e5-draw empirical means/variances against analytic
 values within 4 standard errors; seeds are fixed so the suite is
 deterministic. Support checks run at 1e6 draws. Each sampler is called as the
 package calls it: the per-item samplers one value at a time, the per-chain
-ones with one generator per row.
+ones with one generator per row. Each log-density kernel is bound to its
+fixed arguments, as the models bind it, and checked against scipy and, bit
+for bit under hypothesis, against a copy of the unbound formula it replaced.
 """
 
 import math
@@ -12,8 +14,10 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammaln, log_ndtr
+from scipy.special import gammaln, log_ndtr, xlogy
 
 from gridsynth.distributions import (
     ParameterError,
@@ -24,7 +28,9 @@ from gridsynth.distributions import (
     _logpdf_halfnormal,
     _logpdf_truncnormal_stats,
     _logpdf_weibull,
+    _logpmf_dirichlet_categorical,
     _logpmf_negbinomial,
+    _positive,
     _truncnormal_stats,
     make_rng,
     sample_beta,
@@ -39,12 +45,27 @@ from gridsynth.distributions import (
 N = 100_000
 
 
-def kernel(logpdf, x, *params):
-    """A log-density kernel called as the models call it: on arrays, with
-    numpy's floating-point warnings silenced."""
-    params = [np.asarray(p, dtype=float) for p in params]
+def kernel(logpdf, *args):
+    """A bound log-density kernel called as the models call it: on arrays,
+    with numpy's floating-point warnings silenced."""
     with np.errstate(all="ignore"):
-        return logpdf(np.asarray(x, dtype=float), *params)
+        return logpdf(*(np.asarray(a, dtype=float) for a in args))
+
+
+def bound(make, *fixed):
+    """The kernel ``make`` bound to ``fixed`` as the models bind it, with
+    numpy's floating-point warnings silenced."""
+    with np.errstate(all="ignore"):
+        return make(*fixed)
+
+
+def gamma_in_domain(x, shape, rate):
+    """The Gamma kernel bound to ``x`` with the mask its callers apply: -inf
+    where the shape or the rate is outside its domain."""
+    shape, rate = np.asarray(shape, dtype=float), np.asarray(rate, dtype=float)
+    with np.errstate(all="ignore"):
+        body = _logpdf_gamma(np.asarray(x, dtype=float))(shape, rate)
+    return np.where(_positive(shape) & _positive(rate), body, -np.inf)
 
 
 def logpdf_truncnormal(x, mu, sigma, lower):
@@ -59,7 +80,7 @@ def truncnormal_each(x, mu, sigma, lower):
     """The summed truncated-normal kernel on one observation per column: the
     log-density of each entry of the vector ``x``."""
     stats_each = _truncnormal_stats(np.asarray(x)[None])
-    return kernel(_logpdf_truncnormal_stats, stats_each, mu, sigma, lower)
+    return kernel(_logpdf_truncnormal_stats(stats_each, lower), mu, sigma)
 
 
 def assert_moments(draws, mean, var):
@@ -356,20 +377,20 @@ def test_categorical_errors(probs, message):
 
 
 def test_logpdf_gamma_exponential_value():
-    assert kernel(_logpdf_gamma, 1.0, 1.0, 1.0) == pytest.approx(-1.0)
-    assert kernel(_logpdf_gamma, -0.5, 2.0, 1.0) == -np.inf
+    assert kernel(_logpdf_gamma(1.0), 1.0, 1.0) == pytest.approx(-1.0)
+    assert kernel(bound(_logpdf_gamma, -0.5), 2.0, 1.0) == -np.inf
 
 
 def test_gamma_logpdf_integrates_to_one():
     # trapezoid oracle over a fine grid
     x = np.linspace(1e-6, 12.0, 200_001)
-    total = np.trapezoid(np.exp(kernel(_logpdf_gamma, x, 4.0, 4.0)), x)
+    total = np.trapezoid(np.exp(kernel(_logpdf_gamma(x), 4.0, 4.0)), x)
     assert abs(total - 1.0) < 1e-3
 
 
 def test_weibull_logpdf_integrates_to_one():
     x = np.linspace(1e-9, 30.0, 200_001)
-    total = np.trapezoid(np.exp(kernel(_logpdf_weibull, x, 1.7, 3.0)), x)
+    total = np.trapezoid(np.exp(kernel(_logpdf_weibull(x), 1.7, 3.0)), x)
     assert abs(total - 1.0) < 1e-3
 
 
@@ -381,20 +402,19 @@ def test_truncnormal_logpdf_integrates_to_one():
 
 def test_negbinomial_pmf_sums_to_one():
     ks = np.arange(0, 400)
-    total = np.exp(kernel(_logpmf_negbinomial, ks, 2.0, 1.0)).sum()
+    total = np.exp(kernel(_logpmf_negbinomial(ks, np.zeros(400)), [2.0], 1.0)).sum()
     assert abs(total - 1.0) < 1e-9
-    assert kernel(_logpmf_negbinomial, -1, 2.0, 1.0) == -np.inf
-    assert kernel(_logpmf_negbinomial, [0.5], 2.0, 1.0)[0] == -np.inf
+    assert kernel(_logpmf_negbinomial([-1], [0]), [2.0], 1.0)[0] == -np.inf
+    assert kernel(_logpmf_negbinomial([0.5], [0]), [2.0], 1.0)[0] == -np.inf
 
 
 def test_beta_dirichlet_uniform_logpdfs():
-    assert kernel(_logpdf_beta, 0.3, 1.0, 1.0) == pytest.approx(0.0)
-    assert kernel(_logpdf_beta, 1.5, 2.0, 2.0) == -np.inf
-    assert kernel(_logpdf_dirichlet, [0.2, 0.3, 0.5], [1.0, 1.0, 1.0]) == pytest.approx(
-        float(gammaln(3.0))
-    )
-    assert kernel(_logpdf_dirichlet, [0.2, 0.3, 0.4], [1.0, 1.0, 1.0]) == -np.inf
-    assert kernel(_logpdf_halfnormal, -0.1, 1.0) == -np.inf
+    assert kernel(_logpdf_beta(1.0, 1.0), 0.3) == pytest.approx(0.0)
+    assert kernel(_logpdf_beta(2.0, 2.0), 1.5) == -np.inf
+    flat = _logpdf_dirichlet([1.0, 1.0, 1.0])
+    assert kernel(flat, [0.2, 0.3, 0.5]) == pytest.approx(float(gammaln(3.0)))
+    assert kernel(flat, [0.2, 0.3, 0.4]) == -np.inf
+    assert kernel(_logpdf_halfnormal(1.0), -0.1) == -np.inf
 
 
 def test_parameter_errors():
@@ -442,10 +462,10 @@ def test_logdensities_match_scipy():
     u = np.array([0.05, 0.4, 0.7, 0.95])
     k = np.array([0, 1, 4, 11])
     pairs = [
-        (kernel(_logpdf_gamma, x, 2.5, 1.5), stats.gamma.logpdf(x, 2.5, scale=1 / 1.5)),
-        (kernel(_logpdf_weibull, x, 1.7, 3.0), stats.weibull_min.logpdf(x, 1.7, scale=3.0)),
-        (kernel(_logpdf_beta, u, 2.0, 5.0), stats.beta.logpdf(u, 2.0, 5.0)),
-        (kernel(_logpdf_halfnormal, x, 0.7), stats.halfnorm.logpdf(x, scale=0.7)),
+        (kernel(_logpdf_gamma(x), 2.5, 1.5), stats.gamma.logpdf(x, 2.5, scale=1 / 1.5)),
+        (kernel(_logpdf_weibull(x), 1.7, 3.0), stats.weibull_min.logpdf(x, 1.7, scale=3.0)),
+        (kernel(_logpdf_beta(2.0, 5.0), u), stats.beta.logpdf(u, 2.0, 5.0)),
+        (kernel(_logpdf_halfnormal(0.7), x), stats.halfnorm.logpdf(x, scale=0.7)),
         # with no lower bound the truncated normal is the normal itself
         (truncnormal_each(x, 0.3, 1.2, -np.inf), stats.norm.logpdf(x, 0.3, 1.2)),
         (
@@ -457,12 +477,19 @@ def test_logdensities_match_scipy():
             stats.truncnorm.logpdf(x + 0.5, (0.5 - 1.0) / 1.5, np.inf, loc=1.0, scale=1.5),
         ),
         (
-            kernel(_logpmf_negbinomial, k, 2.0, 1.3),
-            stats.nbinom.logpmf(k, 1.3, 1.3 / (1.3 + 2.0)),
+            kernel(_logpmf_negbinomial(k, [0, 1, 1, 0]), [2.0, 0.6], 1.3),
+            stats.nbinom.logpmf(k, 1.3, 1.3 / (1.3 + np.array([2.0, 0.6, 0.6, 2.0]))),
         ),
         (
-            kernel(_logpdf_dirichlet, [0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
+            kernel(_logpdf_dirichlet([0.8, 2.0, 3.5]), [0.2, 0.3, 0.5]),
             stats.dirichlet.logpdf([0.2, 0.3, 0.5], [0.8, 2.0, 3.5]),
+        ),
+        (
+            kernel(_logpmf_dirichlet_categorical([[3.0, 0.0, 1.0]]), [[0.8, 2.0, 3.5]]),
+            [
+                stats.dirichlet_multinomial.logpmf([3, 0, 1], [0.8, 2.0, 3.5], 4)
+                - math.log(4.0)  # the multinomial coefficient of one sequence
+            ],
         ),
     ]
     for ours, oracle in pairs:
@@ -473,30 +500,36 @@ def test_logdensities_broadcast_over_parameters():
     # a leading axis of parameter rows, as the batched log-posteriors pass them
     shape = np.array([[0.5], [2.5], [9.0]])
     x = np.array([0.1, 1.0, 4.0])
-    rows = kernel(_logpdf_gamma, x, shape, 1.5)
+    rows = kernel(_logpdf_gamma(x), shape, 1.5)
     assert rows.shape == (3, 3)
     for i, a in enumerate(shape[:, 0]):
-        np.testing.assert_allclose(rows[i], kernel(_logpdf_gamma, x, a, 1.5), rtol=1e-14)
-    conc = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 4.0]])
-    w = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-    np.testing.assert_allclose(
-        kernel(_logpdf_dirichlet, w, conc),
-        [kernel(_logpdf_dirichlet, w[i], conc[i]) for i in range(2)],
-        rtol=1e-14,
-    )
+        np.testing.assert_array_equal(rows[i], kernel(_logpdf_gamma(x), a, 1.5))
+    for conc in ([1.0, 1.0, 1.0], [2.0, 3.0, 4.0]):
+        w = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+        dirichlet = _logpdf_dirichlet(conc)
+        np.testing.assert_array_equal(
+            kernel(dirichlet, w), [kernel(dirichlet, w[i]) for i in range(2)]
+        )
     # an out-of-domain row scores -inf and leaves the others alone
-    bad = kernel(_logpdf_gamma, x, np.array([[1.0], [0.0], [2.0]]), 1.5)
+    bad = kernel(_logpdf_weibull(x), np.array([[1.0], [0.0], [2.0]]), 1.5)
     assert np.all(bad[1] == -np.inf) and np.all(np.isfinite(bad[[0, 2]]))
 
 
 def test_kernels_score_out_of_domain_parameters_minus_inf():
-    # the kernels the models use never raise
+    # the kernels the models use never raise, bound or called; the Gamma
+    # leaves its shape and rate to the caller, and scores observations
+    # outside its support -inf
     bad = np.array([1.0, 0.0, -1.0, math.inf, math.nan])
     with np.errstate(all="ignore"):
-        gamma = _logpdf_gamma(1.0, bad, 1.0)
-        weibull = _logpdf_weibull(1.0, 1.0, bad)
-    assert math.isfinite(gamma[0]) and math.isfinite(weibull[0])
-    assert np.all(gamma[1:] == -np.inf) and np.all(weibull[1:] == -np.inf)
+        gamma = _logpdf_gamma(bad)(1.0, 1.0)
+        weibull = _logpdf_weibull(1.0)(1.0, bad)
+        halfnormal = [_logpdf_halfnormal(sigma)(np.array([0.5])) for sigma in bad]
+        beta = [_logpdf_beta(a, 2.0)(np.array([0.5])) for a in bad]
+        dirichlet = [_logpdf_dirichlet([a, 1.0])(np.array([0.5, 0.5])) for a in bad]
+        negbinomial = _logpmf_negbinomial([2.0], [0])(bad[:, None], np.ones(5))
+    for scores in (gamma, weibull, halfnormal, beta, dirichlet, negbinomial):
+        scores = np.ravel(scores)
+        assert math.isfinite(scores[0]) and np.all(scores[1:] == -np.inf)
 
 
 @pytest.mark.parametrize(
@@ -515,7 +548,7 @@ def test_truncnormal_stats_kernel_matches_sum_over_observations(case):
         # mu / sigma = -30: the retained tail mass is about exp(-454)
         x, mu, sigma = repeat(100, lambda: sample_truncnormal(rng, -30.0, 1.0, 0.0)), -30.0, 1.0
     expected = math.fsum(logpdf_truncnormal(x, mu, sigma, 0.0))
-    got = _logpdf_truncnormal_stats(_truncnormal_stats(x), mu, sigma, 0.0)
+    got = _logpdf_truncnormal_stats(_truncnormal_stats(x), 0.0)(mu, sigma)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -524,7 +557,7 @@ def test_truncnormal_stats_kernel_broadcasts_over_columns_and_rows():
     x = np.abs(rng.standard_normal((40, 2))) + np.array([1.0, 3.0])
     mu = np.array([[1.0, 3.0], [2.0, 2.5], [0.5, 4.0]])
     sigma = np.array([[0.5], [1.0], [2.0]])
-    got = _logpdf_truncnormal_stats(_truncnormal_stats(x), mu, sigma, 0.0)
+    got = _logpdf_truncnormal_stats(_truncnormal_stats(x), 0.0)(mu, sigma)
     assert got.shape == (3, 2)
     for r in range(3):
         for c in range(2):
@@ -535,5 +568,177 @@ def test_truncnormal_stats_kernel_broadcasts_over_columns_and_rows():
 def test_truncnormal_stats_kernel_scores_invalid_scale_minus_inf():
     stats = _truncnormal_stats(np.array([0.5, 1.0, 2.0]))
     with np.errstate(all="ignore"):
-        scores = _logpdf_truncnormal_stats(stats, 1.0, np.array([0.0, math.inf, math.nan]), 0.0)
+        scores = _logpdf_truncnormal_stats(stats, 0.0)(1.0, np.array([0.0, math.inf, math.nan]))
     assert np.all(scores == -np.inf)
+
+
+# ---------------------------------------------------------------------------
+# Each bound kernel against a copy of the unbound formula it replaced, which
+# took every argument on every call: the same bits wherever the two are
+# defined, on inputs that include 0, negatives, infinities, NaN and
+# subnormals.
+
+
+def unbound_gamma(x, shape, rate):
+    body = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+    return np.where(_positive(x) & _positive(shape) & _positive(rate), body, -np.inf)
+
+
+def unbound_weibull(x, shape, scale):
+    t = x / scale
+    body = np.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
+    return np.where(_positive(x) & _positive(shape) & _positive(scale), body, -np.inf)
+
+
+def unbound_beta(x, a, b):
+    norm = gammaln(a + b) - gammaln(a) - gammaln(b)
+    body = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) + norm
+    return np.where((x > 0.0) & (x < 1.0) & _positive(a) & _positive(b), body, -np.inf)
+
+
+def unbound_dirichlet(x, concentration):
+    norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
+    body = norm + xlogy(concentration - 1.0, x).sum(axis=-1)
+    inside = (x > 0.0).all(axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9)
+    return np.where(inside & _positive(concentration).all(axis=-1), body, -np.inf)
+
+
+def unbound_dirichlet_categorical(counts, concentration):
+    total = concentration.sum(axis=-1)
+    body = gammaln(total) - gammaln(total + counts.sum(axis=-1))
+    body = body + (gammaln(concentration + counts) - gammaln(concentration)).sum(axis=-1)
+    return np.where(_positive(concentration).all(axis=-1), body, -np.inf)
+
+
+def unbound_halfnormal(x, sigma):
+    body = 0.5 * math.log(2.0 / math.pi) - np.log(sigma) - 0.5 * (x / sigma) ** 2
+    return np.where((x >= 0.0) & _positive(sigma), body, -np.inf)
+
+
+def unbound_negbinomial(k, mu, alpha):
+    integral = (k >= 0.0) & (k < math.inf) & (k == np.floor(k))
+    safe = np.where(integral, k, 0.0)
+    body = (
+        gammaln(safe + alpha)
+        - gammaln(alpha)
+        - gammaln(safe + 1.0)
+        + alpha * np.log(alpha / (alpha + mu))
+        + safe * np.log(mu / (alpha + mu))
+    )
+    return np.where(integral & _positive(mu) & _positive(alpha), body, -np.inf)
+
+
+def unbound_truncnormal_stats(stats, mu, sigma, lower):
+    n, anchor, offset, ss = stats
+    d = (anchor - mu) + offset
+    log_tail = log_ndtr((mu - lower) / sigma)
+    quadratic = -0.5 * (ss + n * d * d) / (sigma * sigma)
+    body = quadratic - n * (np.log(sigma) + 0.5 * math.log(2.0 * math.pi) + log_tail)
+    return np.where(_positive(sigma), body, -np.inf)
+
+
+SPECIAL = (0.0, -0.0, -1.0, -7.5, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e-300)
+SPECIAL += (1e300, 0.5, 1.0, 2.0, 3.0)
+ANY = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+# parameters: mostly inside their domain, with the special values mixed in
+PARAMETER = st.one_of(st.sampled_from(SPECIAL), st.floats(min_value=1e-3, max_value=1e3))
+COUNT = st.sampled_from((0.0, 1.0, 2.0, 3.0, 5.0, 12.0, -0.0, 0.5, -1.0, math.inf, math.nan))
+
+
+def vector(elements, size):
+    return st.lists(elements, min_size=size, max_size=size).map(np.array)
+
+
+def vectors(elements, min_size=1, max_size=8):
+    return st.lists(elements, min_size=min_size, max_size=max_size).map(np.array)
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+def unbound(formula, *args):
+    with np.errstate(all="ignore"):
+        return formula(*(np.asarray(a, dtype=float) for a in args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=vectors(ANY), sigma=PARAMETER)
+def test_bound_halfnormal_keeps_the_bits(x, sigma):
+    same_bits(kernel(bound(_logpdf_halfnormal, sigma), x), unbound(unbound_halfnormal, x, sigma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=vectors(ANY), a=PARAMETER, b=PARAMETER)
+def test_bound_beta_keeps_the_bits(x, a, b):
+    same_bits(kernel(bound(_logpdf_beta, a, b), x), unbound(unbound_beta, x, a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 4), flat=st.booleans(), rows=st.integers(1, 5))
+def test_bound_dirichlet_keeps_the_bits(data, k, flat, rows):
+    conc = np.ones(k) if flat else data.draw(vector(PARAMETER, k))
+    # points on the simplex, where the density is finite, and anywhere else
+    point = vector(st.floats(min_value=1e-300, max_value=1.0), k).map(lambda w: w / w.sum())
+    x = np.array([data.draw(st.one_of(point, vector(ANY, k))) for _ in range(rows)])
+    same_bits(kernel(bound(_logpdf_dirichlet, conc), x), unbound(unbound_dirichlet, x, conc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=vectors(ANY), shape=vectors(PARAMETER, 1, 4), rate=vectors(PARAMETER, 1, 4))
+def test_bound_gamma_keeps_the_bits_where_its_callers_use_them(x, shape, rate):
+    # rows of shapes against rows of rates, as the line mixtures pass them
+    shape, rate = shape[:, None, None], rate[None, :, None]
+    same_bits(gamma_in_domain(x, shape, rate), unbound(unbound_gamma, x, shape, rate))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=vectors(ANY), shape=vectors(PARAMETER, 1, 4), scale=vectors(PARAMETER, 1, 4))
+def test_bound_weibull_keeps_the_bits(x, shape, scale):
+    shape, scale = shape[:, None, None], scale[None, :, None]
+    expected = unbound(unbound_weibull, x, shape, scale)
+    same_bits(kernel(bound(_logpdf_weibull, x), shape, scale), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), zones=st.integers(1, 3), rows=st.integers(1, 3))
+def test_bound_dirichlet_categorical_keeps_the_bits(data, zones, rows):
+    counts = data.draw(vector(COUNT, zones * 7)).reshape(zones, 7)
+    conc = data.draw(vector(PARAMETER, rows * zones * 7)).reshape(rows, zones, 7)
+    same_bits(
+        kernel(bound(_logpmf_dirichlet_categorical, counts), conc),
+        unbound(unbound_dirichlet_categorical, counts, conc),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), groups=st.integers(1, 4), rows=st.integers(1, 4))
+def test_tabled_negbinomial_keeps_the_bits(data, groups, rows):
+    # counts that repeat, each in one of the groups but the last, which has
+    # none, as a zone without counts has none
+    k = data.draw(vectors(COUNT, 1, 12))
+    group = data.draw(vector(st.integers(0, groups - 1), k.size))
+    mu = data.draw(vector(PARAMETER, rows * (groups + 1))).reshape(rows, groups + 1)
+    alpha = data.draw(vector(PARAMETER, rows))
+    expected = unbound(unbound_negbinomial, k, np.take(mu, group, axis=-1), alpha[:, None])
+    same_bits(kernel(bound(_logpmf_negbinomial, k, group), mu, alpha), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    lower=st.sampled_from((0.0, 0.5, -math.inf)),
+    columns=st.integers(1, 3),
+    rows=st.integers(1, 3),
+)
+def test_bound_truncnormal_stats_keeps_the_bits(data, lower, columns, rows):
+    x = data.draw(vector(st.floats(min_value=0.0, max_value=50.0), 4 * columns))
+    stats = _truncnormal_stats(x.reshape(4, columns))
+    mu = data.draw(vector(ANY, rows * columns)).reshape(rows, columns)
+    sigma = data.draw(vector(PARAMETER, rows)).reshape(rows, 1)
+    same_bits(
+        kernel(bound(_logpdf_truncnormal_stats, stats, lower), mu, sigma),
+        unbound(unbound_truncnormal_stats, stats, mu, sigma, lower),
+    )

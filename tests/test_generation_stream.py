@@ -8,16 +8,18 @@ sub-model fits on that network at a short ``FitConfig`` whose warm-up reaches
 the proposal-covariance adaptation, and the hierarchy and allocation on a
 random tree of 2000 buses.
 Every value is formatted to 12 significant digits, and
-tests/test_bit_identity.py holds full bits. The contract is bit for bit on
-one numpy build and SIMD target; the rounding does not absorb a change of
-target. Across targets numpy's exp, log, log1p, expm1 and power differ in
-the last bits, so fit draws agree to about 1e-12 relative until an accept
-decision flips, and that crosses 12 digits: under numpy's AVX2 kernels the
-fit pin's draws drift from those under its AVX-512 kernels, and its digest
-changes. So the two fit pins keep one digest per target, keyed by the
-target numpy dispatches float64 ``exp`` and ``log`` to (``X86_V4`` with the
-AVX-512 kernels, ``X86_V3`` with ``NPY_DISABLE_CPU_FEATURES="X86_V4
-AVX512_ICL AVX512_SPR"``), and a target with no recorded digest fails.
+tests/test_bit_identity.py holds full bits. So does the full-bit fit pin: it
+hashes the bytes of every draw of the same five fits, so a change to a
+draw's last bit fails it. The contract is bit for bit on one numpy build and
+SIMD target; the rounding does not absorb a change of target. Across targets
+numpy's exp, log, log1p, expm1 and power differ in the last bits, so fit
+draws agree to about 1e-12 relative until an accept decision flips, and that
+crosses 12 digits: under numpy's AVX2 kernels the fit pin's draws drift from
+those under its AVX-512 kernels, and its digest changes. So the three fit
+pins keep one digest per target, keyed by the target numpy dispatches
+float64 ``exp`` and ``log`` to (``X86_V4`` with the AVX-512 kernels,
+``X86_V3`` with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"``), and a target with no recorded digest fails.
 """
 
 import hashlib
@@ -50,6 +52,7 @@ EXPECTED_DIGEST = "f0dc0cee8139dcd1"
 # by the SIMD target of float64 exp and log (see the module docstring)
 EXPECTED_FIT_DIGESTS = {"X86_V4": "dc8d288edf243561", "X86_V3": "dc561ff696e11a24"}
 EXPECTED_ACCEPTANCE_DIGESTS = {"X86_V4": "3567531bb45be466", "X86_V3": "3567531bb45be466"}
+EXPECTED_FIT_BITS_DIGESTS = {"X86_V4": "5d23abb5b56f3b86", "X86_V3": "1c53c716d00ef64c"}
 EXPECTED_TREE_DIGEST = "77a8d19ad019ea9c"
 
 # 150 sweeps: the adaptation first factors the proposal covariance after 100
@@ -140,6 +143,15 @@ def test_fit_streams_are_pinned(pinned_fits):
         for name, draws in posterior.ensemble.draws.items():
             values += [name, *draws.ravel().tolist()]
     assert stream_digest(values) == recorded(EXPECTED_FIT_DIGESTS, "fit")
+
+
+def test_fit_bits_are_pinned(pinned_fits):
+    """Every draw's bytes, which the 12-digit fit pin rounds away."""
+    h = hashlib.sha256()
+    for posterior in pinned_fits:
+        for name, draws in posterior.ensemble.draws.items():
+            h.update(name.encode() + b";" + np.ascontiguousarray(draws, dtype="<f8").tobytes())
+    assert h.hexdigest()[:16] == recorded(EXPECTED_FIT_BITS_DIGESTS, "full-bit fit")
 
 
 def test_fit_acceptance_is_pinned(pinned_fits):

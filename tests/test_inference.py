@@ -907,3 +907,78 @@ def test_posterior_predictive_gamma_recovery():
         sample_gamma(pick, 25.0, 25.0 / mu[int(pick.random() * mu.size)]) for _ in range(4000)
     ]
     assert np.mean(predictive) == pytest.approx(5.0, abs=0.3)
+
+
+# ---------------------------------------------------------------------------
+# The values a model gets
+
+
+def writes(name):
+    """A log-posterior that writes to the values it is given."""
+
+    def logpost(v):
+        v[name][...] = 0.0
+        return -0.5 * v["x"] ** 2
+
+    return logpost
+
+
+def test_the_values_a_model_gets_are_read_only():
+    space = ParamSpace([ParamDef("x", (), "real"), ParamDef("w", (), "positive")])
+    config = FitConfig(chains=2, warmup=3, draws=3, thin=1, seed=47)
+    quiet = lambda v: -0.5 * v["x"] ** 2  # noqa: E731
+
+    def rewrite(v, rngs):
+        v["w"][...] = 1.0
+        return {"w": np.ones(np.shape(v["w"]))}
+
+    def stack_and_write(v):
+        space.stack(v, ("x", "w"))[...] = 0.0
+        return quiet(v)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(ValueError, match="read-only"):
+            fit(writes("x"), space, config)
+        with pytest.raises(ValueError, match="read-only"):
+            fit(stack_and_write, space, config)
+        # an exact step in the sweep, and one drawn after it for the kept rows
+        with pytest.raises(ValueError, match="read-only"):
+            fit(quiet, space, config, exact=[(["w"], rewrite)])
+        with pytest.raises(ValueError, match="read-only"):
+            fit(
+                lambda v: quiet(v)[:, None],
+                space,
+                config,
+                exact=[(["w"], rewrite)],
+                terms={"x": [0], "w": []},
+            )
+
+
+def test_stack_views_evenly_spaced_parameters_and_copies_the_rest():
+    space = ParamSpace(
+        [
+            ParamDef("a", (2,), "positive"),
+            ParamDef("p", (), "real"),
+            ParamDef("b", (2,), "positive"),
+            ParamDef("q", (), "real"),
+            ParamDef("c", (2,), "positive"),
+        ]
+    )
+    flat = make_rng(53).standard_normal((4, 8))
+    rows = space._unpack(flat)
+    plain = dict(rows)
+    for names in (("a", "b", "c"), ("p", "q"), ("a", "c"), ("c", "a"), ("p",)):
+        expected = np.stack([plain[name] for name in names], axis=-1 - (names[0] in "abc"))
+        view = space.stack(rows, names)
+        np.testing.assert_array_equal(view, expected)
+        np.testing.assert_array_equal(space.stack(plain, names), expected)
+        # a view of the rows where the columns are evenly spaced; a copy
+        # where they are not
+        assert np.shares_memory(view, flat) == (names != ("c", "a"))
+        assert space.stack(rows, names) is view or names == ("c", "a")
+    # kept draws carry a chain axis and a draw axis before the parameters
+    kept = space._unpack(flat.reshape(2, 2, 8))
+    np.testing.assert_array_equal(
+        space.stack(kept, ("a", "b")), np.stack([kept["a"], kept["b"]], axis=-2)
+    )

@@ -15,6 +15,7 @@ from gridsynth.lines import (
     _CARSON,
     LineParams,
     _carson_zabc,
+    _mixture_space,
     _mixtures,
     _self_term,
     fit_line_model,
@@ -197,7 +198,7 @@ def test_mixture_logpost_matches_scipy_reference():
     # each mixture in a column of its own: rho is given the same values
     batch = {name: np.asarray(value)[None] for name, value in values.items()}
     batch.update({"rho" + name[1:]: value for name, value in batch.items()})
-    lp = _mixtures([grouped, grouped])[0](batch)
+    lp = _mixtures([grouped, grouped], _mixture_space(1)[0])[0](batch)
     assert lp.shape == (1, 2)
     assert lp[0] == pytest.approx([expected, expected], rel=1e-12)
 
@@ -213,11 +214,11 @@ def test_mixture_logpost_zero_weight_is_off_support():
     values["r_weights_z1"] = np.array([[1.0, 0.0, 0.0]])
     values["rho_weights_z1"] = np.array([[0.5, 0.5, 0.0]])
     with np.errstate(divide="raise", invalid="raise"):
-        lp = _mixtures([grouped, grouped])[0](values)
+        lp = _mixtures([grouped, grouped], _mixture_space(1)[0])[0](values)
     assert lp[0, 0] == -np.inf
     assert lp[0, 1] == -np.inf
     values["rho_weights_z1"] = np.array([[0.5, 0.25, 0.25]])
-    lp = _mixtures([grouped, grouped])[0](values)
+    lp = _mixtures([grouped, grouped], _mixture_space(1)[0])[0](values)
     assert lp[0, 0] == -np.inf and np.isfinite(lp[0, 1])
 
 

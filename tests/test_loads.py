@@ -198,3 +198,41 @@ def test_fit_rejects_non_finite_demand_naming_the_bus(value):
     allocations = {"b0": PhaseConfig.A, "b7": PhaseConfig.A}
     with pytest.raises(ValueError, match="bus b7: non-finite demand"):
         fit_load_model(demands, allocations, FAST)
+
+
+def test_fit_rejects_a_negative_demand_naming_the_bus():
+    demands = {"b0": np.array([1.0, 0.0, 0.0]), "b3": np.array([2.0, -0.5, 0.0])}
+    allocations = {"b0": PhaseConfig.A, "b3": PhaseConfig.AB}
+    with pytest.raises(ValueError, match="^bus b3: negative demand$"):
+        fit_load_model(demands, allocations, FAST)
+
+
+@pytest.mark.parametrize("demand", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 1.0, [[1.0, 2.0, 3.0]]])
+def test_fit_rejects_a_demand_that_is_not_a_3_vector_naming_the_bus(demand):
+    demands = {"b0": np.array([1.0, 2.0, 3.0]), "b5": demand}
+    allocations = {"b0": PhaseConfig.ABC, "b5": PhaseConfig.ABC}
+    with pytest.raises(ValueError, match="^bus b5: demand must be a 3-vector$"):
+        fit_load_model(demands, allocations, FAST)
+
+
+def test_fit_names_the_first_faulty_bus_in_input_order():
+    # b2's fault is checked before b1's for one bus, but b1 comes first
+    demands = {
+        "b0": np.array([1.0, 0.0, 0.0]),
+        "b1": np.array([1.0, 1.0, 0.0]),
+        "b2": np.array([math.nan, 0.0, 0.0]),
+    }
+    allocations = {"b0": PhaseConfig.A, "b1": PhaseConfig.A, "b2": PhaseConfig.A}
+    with pytest.raises(ValueError, match="^bus b1: nonzero demand on a phase absent from A$"):
+        fit_load_model(demands, allocations, FAST)
+    # and a bus at fault twice is named with the first check it fails
+    demands["b1"] = np.array([-1.0, math.inf, 0.0])
+    with pytest.raises(ValueError, match=r"^bus b1: non-finite demand \[-1.0, inf, 0.0\]$"):
+        fit_load_model(demands, allocations, FAST)
+    # a demand that is not numbers raises numpy's own error, in its turn
+    demands["b2"] = "1.0 kW"
+    with pytest.raises(ValueError, match="^bus b1: non-finite"):
+        fit_load_model(demands, allocations, FAST)
+    demands["b1"] = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="could not convert"):
+        fit_load_model(demands, allocations, FAST)
