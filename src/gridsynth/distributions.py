@@ -237,7 +237,10 @@ def sample_negbinomial(rng: Generator, mu: float, alpha: float) -> int:
     Drawn as a Gamma-Poisson mixture: lambda ~ Gamma(alpha, alpha/mu),
     count ~ Poisson(lambda).
     """
-    _require(mu > 0.0 and alpha > 0.0, "negbinomial needs positive mean and dispersion")
+    _require(
+        0.0 < mu < math.inf and 0.0 < alpha < math.inf,
+        "negbinomial needs finite positive mean and dispersion",
+    )
     return int(rng.poisson(sample_gamma(rng, alpha, alpha / mu)))
 
 

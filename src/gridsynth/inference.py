@@ -2,56 +2,31 @@
 exact Gibbs steps where a full conditional can be drawn directly.
 
 Models declare a :class:`ParamSpace` (named parameters with supports) and a
-log-posterior over the constrained values. Each support has a bijective
-transform to unconstrained coordinates with a log-Jacobian, so positivity,
-unit-interval, simplex, and ordered-positive constraints hold on every draw
-by construction.
+log-posterior over the constrained values; :func:`fit` states the contract
+between them in full. Each support has a bijective transform to
+unconstrained coordinates with a log-Jacobian, so positivity, unit-interval,
+simplex and ordered-positive constraints hold on every draw by construction.
 
-The sampler's state is each chain's row of constrained values. Metropolis
-blocks are deliberately simple: one Gaussian random-walk block per parameter
-group in unconstrained coordinates, with per-block step sizes adapted during
-warm-up by a Robbins-Monro recursion targeting 0.35 acceptance. Each step
-size starts at ``_INITIAL_STEP`` (0.5) over the square root of its block's
-size, and each chain starts from the init point plus Gaussian jitter of
-scale ``_INIT_JITTER`` (0.1) in unconstrained coordinates; neither is a
-``FitConfig`` field. A block transforms only its own parameters, and its
-acceptance ratio carries only their log-Jacobian (the other parameters'
-terms cancel). Parameters whose full conditional is known are passed to
-:func:`fit` as ``exact`` steps instead: each sweep draws them from that
-conditional after the Metropolis blocks. A step whose parameters enter no
-term column has been summed out of the log-posterior the sweep samples
-(partially collapsed Gibbs; van Dyk & Park 2008, JASA 103:790), so it leaves
-the sweep and is drawn once, after it, for every kept row.
+All chains advance in lockstep, and the sampler's state is each chain's row
+of constrained values. Each parameter group is one Gaussian random-walk
+block in unconstrained coordinates, whose step size warm-up adapts toward
+0.35 acceptance by a Robbins-Monro recursion and whose proposal it shapes by
+the block's covariance. Blocks that read disjoint term columns of the
+log-posterior are conditionally independent, so they are coloured greedily
+and each colour is decided on one row set (chromatic Gibbs; Gonzalez, Low,
+Gretton & Guestrin 2011, AISTATS), two colours per call, the second on the
+sets that match the first's decisions (pre-fetching; Brockwell 2006, J.
+Comput. Graph. Stat. 15:246). Exact steps
+follow the blocks, and an exact draw is provisional until the next call
+scores it. A step whose parameters enter no term column has been summed out
+of the log-posterior the sweep samples (partially collapsed Gibbs; van Dyk
+& Park 2008, JASA 103:790), so it is drawn once, after the sweeps, for
+every kept row.
 
-All chains advance in lockstep, and every log-posterior call follows one
-rule: it scores up to four row sets of one row per chain, each the state
-with the candidate columns of some blocks copied in (a boolean mask over
-the columns). A log-posterior may return its terms as columns and state
-which columns each parameter enters. Blocks that read disjoint columns are
-conditionally independent, so :func:`fit` colours the blocks greedily and
-decides each colour on one row set (chromatic Gibbs; Gonzalez, Low, Gretton
-& Guestrin 2011, AISTATS), two colours per call, the second on the sets
-that match the first's decisions (pre-fetching; Brockwell 2006, J. Comput.
-Graph. Stat. 15:246). An exact draw moves the chains at once and is
-provisional: the next call scores it as one more set and settles it.
-
-The contract, stated in full at :func:`fit`: values carry a leading row axis
-of up to four times the chain count; the log-posterior returns one value, or
-one row of term columns, per row, and scores each row as it would alone, to
-the last bit; a row with an out-of-domain parameter scores ``-inf``, and a
-row outside the open support never reaches the model; chain ``c`` draws only
-from its own substream ``(seed, "mcmc-chain", c)``, so its draws do not
-depend on the number of chains; no step of the sweep reads a parameter that
-enters no term column; and the values dict the model reads holds read-only
-views of a buffer the sampler reuses, which must not be kept. A model reads
-parameters side by side through :meth:`ParamSpace.stack`, which views the
-rows where their columns are evenly spaced instead of copying them.
-
-Chains are pooled after warm-up and thinning; the kept draws are the
-constrained rows. Split-R-hat and effective sample size are attached as
-diagnostics (chains stuck at different constants have an infinite R-hat),
-computed for all scalars at once; R-hats above the threshold are listed in
-one ``UserWarning`` per fit, never a hard failure.
+Chains are pooled after warm-up and thinning. Split-R-hat and effective
+sample size are attached as diagnostics, computed for all scalars at once;
+R-hats above the threshold are listed in one ``UserWarning`` per fit, never
+a hard failure.
 """
 
 from __future__ import annotations
@@ -169,22 +144,6 @@ class ParamSpace:
             if d.support == "unit":
                 self._upper[lo:hi] = 1.0
 
-    def _constrain_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """All constrained values of ``z`` (shape ``(..., dim)``) as one
-        ``(..., constrained size)`` array, and the log-Jacobian of the
-        transform, both keeping the leading axes of ``z``."""
-        z = np.asarray(z, dtype=float)
-        flat = np.empty(z.shape[:-1] + self._lower.shape)
-        log_jacobian = 0.0
-        for terms in _transform(self._groups, z, flat):
-            if terms is not None:
-                log_jacobian = log_jacobian + terms.sum(axis=-1)
-        return flat, log_jacobian
-
-    def _unpack(self, flat: np.ndarray) -> dict[str, float | np.ndarray]:
-        """Named views into a constrained row (or stack of rows)."""
-        return _Rows(self, flat)
-
     def stack(self, values, names: tuple[str, ...]) -> np.ndarray:
         """``values[name]`` for each of ``names``, parameters of one shape,
         side by side on a new axis after the leading row axes, as
@@ -215,15 +174,14 @@ class ParamSpace:
             return None
         first, step, shape = self._spacings[names]
         item = flat.itemsize
-        view = np.ndarray(
+        # read-only, as the buffer ``flat`` is
+        return np.ndarray(
             flat.shape[:-1] + (len(names),) + shape,
             flat.dtype,
             flat,
             first * item,
             flat.strides[:-1] + (step * item,) + (item,) * len(shape),
         )
-        view.flags.writeable = False
-        return view
 
     def _outside(self, flat: np.ndarray) -> np.ndarray:
         """Whether each value of the constrained rows ``flat`` lies outside
@@ -250,22 +208,18 @@ class ParamSpace:
 
 class _Rows(dict):
     """Named views of a buffer of constrained rows, ``flat``, and the views
-    :meth:`ParamSpace.stack` has made of it, by names."""
+    :meth:`ParamSpace.stack` has made of it, by names: what ``fit`` hands a
+    model. They view ``flat`` read-only, and so does any view taken from
+    them."""
 
     def __init__(self, space: ParamSpace, flat: np.ndarray):
+        flat = flat.view()
+        flat.flags.writeable = False
         super().__init__(
             (d.name, flat[..., lo] if not d.shape else flat[..., lo:hi])
             for d, (lo, hi) in zip(space.defs, space._columns.values())
         )
         self.space, self.flat, self.stacked = space, flat, {}
-
-
-def _read_only(flat: np.ndarray) -> np.ndarray:
-    """A view of ``flat`` that cannot be written to, nor can any view taken
-    from it: what ``fit`` hands to a model."""
-    view = flat.view()
-    view.flags.writeable = False
-    return view
 
 
 def _as_slice(idx: np.ndarray):
@@ -386,8 +340,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        counts = (self.chains, self.warmup, self.draws, self.thin)
         if (
-            self.chains < 1
+            not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts)
+            or self.chains < 1
             or self.warmup < 0
             or self.draws < 1
             or not 1 <= self.thin <= self.draws
@@ -516,11 +472,9 @@ def fit(
     layout = _BlockLayout(space, blocks)
     starts = layout.starts
     colours, n_terms = _colours(space, blocks, terms, layout)
-    # each colour's accept probabilities, computed in place, and the
-    # candidates' and the state's scores side by side
-    colours = [colour + (np.empty((chains, len(colour[2]))),) for colour in colours]
-    lp_pair = np.empty((2, chains, n_terms))
-    coords_end = layout.starts[-1]
+    # where each part of a colour's move table ends: coordinates, constrained
+    # columns, blocks, then term columns
+    coords_end = starts[-1]
     columns_end = coords_end + width
     blocks_end = columns_end + len(blocks)
     # a step whose parameters enter no term column leaves the sweep
@@ -540,23 +494,31 @@ def fit(
         lp = lp.reshape(rows, n_terms)
         return np.where(np.isfinite(lp), lp, -np.inf)
 
+    def write(rows: np.ndarray, names: list[str], new: dict) -> None:
+        """Write an exact step's draw ``new`` of ``names`` into their columns
+        of the constrained rows ``rows``."""
+        for name in names:
+            lo, hi = space._columns[name]
+            rows[..., lo:hi] = np.reshape(new[name], rows.shape[:-1] + (hi - lo,))
+
     init_z = space.to_unconstrained(init) if init is not None else np.zeros(space.dim)
-    init_flat, _ = space._constrain_flat(init_z[None])
+    init_flat = np.empty((1, width))
+    _transform(space._groups, init_z[None], init_flat)
     rngs = [substream(config.seed, "mcmc-chain", c) for c in range(chains)]
-    z = np.repeat(init_z[None], chains, axis=0)
     current = np.repeat(init_flat, chains, axis=0)  # the state: constrained rows
-    current_values = space._unpack(current)
+    # the blocks' unconstrained coordinates: only a block's moves change them
+    zb = np.repeat(init_z[None, layout.coords], chains, axis=0)
     # an exact draw moves the chains at once and waits for the next call to
     # score it: ``held`` keeps their rows from before it, and ``pending``
     # which chains moved, the step, its sweep's warm-up flag and kept row
     held = np.empty((chains, width))
-    held_values = space._unpack(_read_only(held))
+    held_values = _Rows(space, held)
     pending = None
     # the rows of every call: up to four row sets of one row per chain, each
     # the state with the candidate columns of some blocks copied in
     cand = np.empty((4 * chains, width))
     cand_sets = cand.reshape(4, chains, width)
-    cand_values = {sets: space._unpack(_read_only(cand[: sets * chains])) for sets in (1, 2, 3, 4)}
+    cand_values = {sets: _Rows(space, cand[: sets * chains]) for sets in (1, 2, 3, 4)}
     # each call's colours and its row sets as masks of the columns taken from
     # the candidates: the first colour, the second on the state, and both;
     # then the set with nothing taken, which a pending exact draw is
@@ -564,15 +526,13 @@ def fit(
     calls = []
     for ci in range(0, len(colours), 2):
         pair = colours[ci : ci + 2]
-        taken = [owned[:, coords_end:columns_end].any(axis=0) for _, _, _, owned, _ in pair]
+        taken = [owned[:, coords_end:columns_end].any(axis=0) for *_, owned in pair]
         calls.append((pair, np.array(taken + [taken[0] | taken[-1]] * (len(pair) - 1) + [nothing])))
     # each sweep's random numbers: one normal per Metropolis coordinate, each
     # block reading its slice of them, and one uniform per block; every
     # block's candidate values in its own constrained columns
     noise = np.empty((chains, starts[-1]))
     uniform = np.empty((chains, len(blocks)))
-    streams = list(zip(rngs, noise, uniform))
-    cand_z = np.empty((chains, starts[-1]))
     prop = np.zeros((chains, width))
     sweep_accept = np.empty((chains, len(blocks)))
     kept_per_chain = config.draws // config.thin
@@ -629,28 +589,22 @@ def fit(
         """Decide every block of ``colour`` on its own term columns of
         ``cand_lp`` (one row per chain); return which term columns of each
         chain's score moved, None where no block moved."""
-        members, single, reads, owned, accept_prob = colour
+        members, single, reads, owned = colour
         if single is not None:  # each block reads one column
             new, old = cand_lp[:, single], lp[:, single]
         else:
             # each block's columns, zero where it reads none, on a trailing
             # axis of its own: each row sums the same way for any number of
             # rows, and as the one column would where the block reads one
-            lp_pair[0], lp_pair[1] = cand_lp, lp
-            new, old = np.where(reads, lp_pair[:, :, None], 0.0).sum(axis=-1)
+            new, old = np.where(reads, np.stack((cand_lp, lp))[:, :, None], 0.0).sum(axis=-1)
         # min(1, exp(log ratio)), floored at exp(-700)
-        np.add(new, cand_lj[:, members], out=accept_prob)
-        accept_prob -= old + log_jac[:, members]
-        np.maximum(accept_prob, -700.0, out=accept_prob)
-        np.minimum(accept_prob, 0.0, out=accept_prob)
-        np.exp(accept_prob, out=accept_prob)
+        log_ratio = (new + cand_lj[:, members]) - (old + log_jac[:, members])
+        accept_prob = np.exp(np.minimum(np.maximum(log_ratio, -700.0), 0.0))
         sweep_accept[:, members] = accept_prob
         move = uniform[:, members] < accept_prob
         if not move.any():
             return None
-        # what each chain's moves take from the candidates: its block-ordered
-        # coordinates, constrained columns, blocks' log-Jacobians and term
-        # columns, in one product
+        # what each chain's moves take from the candidates, in one product
         took = move @ owned
         np.copyto(zb, cand_z, where=took[:, :coords_end])
         np.copyto(current, prop, where=took[:, coords_end:columns_end])
@@ -663,7 +617,7 @@ def fit(
         # the model sees the init row only inside the support
         lp = np.full((1, n_terms), -np.inf)
         if not space._outside(init_flat).any():
-            lp = score(space._unpack(_read_only(init_flat)), 1)
+            lp = score(_Rows(space, init_flat), 1)
         if not np.isfinite(lp).all():
             raise InitializationError("log-posterior is not finite at the initialization point")
         lp = np.repeat(lp, chains, axis=0)  # the state's score, per term column
@@ -679,32 +633,27 @@ def fit(
             _transform(space._groups, start_z, rows)
             outside = space._outside(rows).any(axis=-1)
             rows[outside] = current[waiting][outside]
-            start_lp = score(space._unpack(_read_only(rows)), len(waiting))
+            start_lp = score(_Rows(space, rows), len(waiting))
             finite = ~outside & np.isfinite(start_lp).all(axis=1)
             for row, c in enumerate(waiting):
                 if finite[row]:
-                    z[c], lp[c], current[c] = start_z[row], start_lp[row], rows[row]
+                    zb[c], lp[c], current[c] = start_z[row, layout.coords], start_lp[row], rows[row]
             waiting = [c for row, c in enumerate(waiting) if not finite[row]]
-        # the blocks' unconstrained coordinates, and the per-chain log-Jacobian
-        # of each block's current values: only that block's moves change either
-        zb = z[:, layout.coords]
+        # the per-chain log-Jacobian of each block's current values
         log_jac = layout.transform(zb, prop)
 
         for it in range(config.warmup + config.draws):
             warm = it < config.warmup
             keep = not warm and (it - config.warmup) % config.thin == config.thin - 1
-            for rng, chain_noise, chain_uniform in streams:
-                rng.standard_normal(out=chain_noise)
-                rng.random(out=chain_uniform)
-            if it <= config.warmup:  # the step adapts at the end of each warm-up sweep
-                step = np.exp(log_step)[:, layout.coord_block]
+            for c, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[c])
+                rng.random(out=uniform[c])
             # every block's candidate, each on the state at the sweep's start
             # (a block's own coordinates change only at its own decision);
             # a block outside the support proposes its current values, and
             # its log-Jacobian of -inf rejects it
             shift = noise if chol is None else layout.correlate(chol, noise)
-            np.multiply(step, shift, out=cand_z)
-            cand_z += zb
+            cand_z = zb + np.exp(log_step)[:, layout.coord_block] * shift
             cand_lj = layout.transform(cand_z, prop)
             outside = space._outside(prop) @ layout.members
             if outside.any():
@@ -728,10 +677,7 @@ def fit(
                 # the step reads ``held``, so writing its draw into the state
                 # cannot change what it returned
                 np.copyto(held, current)
-                new = draw(held_values, rngs)
-                for name in step_names:
-                    view = current_values[name]
-                    view[...] = np.reshape(new[name], view.shape)
+                write(current, step_names, draw(held_values, rngs))
                 outside = space._outside(current).any(axis=-1)
                 current[outside] = held[outside]
                 pending = (~outside, ei, warm, kept if keep else None)
@@ -751,16 +697,12 @@ def fit(
             call()  # the last sweep's draw
         # the steps that leave the sweep, once for every kept row; their
         # columns of the state still hold each chain's start
-        kept_values = space._unpack(chain_draws)
-        kept_read_only = space._unpack(_read_only(chain_draws))
+        kept_values = _Rows(space, chain_draws)
         for ei in np.flatnonzero(leaves):
             step_names, draw = exact[ei]
             cols = np.concatenate([np.arange(*space._columns[n]) for n in step_names])
             start = current[:, None, cols]
-            new = draw(kept_read_only, rngs)
-            for name in step_names:
-                view = kept_values[name]
-                view[...] = np.reshape(new[name], view.shape)
+            write(chain_draws, step_names, draw(kept_values, rngs))
             # a row outside the open support takes the chain's previous kept
             # row, or its start before the first
             inside = ~space._outside(chain_draws)[..., cols].any(axis=-1)
@@ -850,32 +792,9 @@ class _BlockLayout:
             offsets[d.name] = (pos, pos + d.unconstrained_size)
             pos += d.unconstrained_size
         self.groups = _transform_groups(defs, offsets, space._columns)
-        # A block's log-Jacobian adds, in the order its parameters first meet
-        # each transform group, the sum of its span of that group's terms, as
-        # a transform of the block alone would: one sum per (order, group,
-        # span length) over all blocks that share them
-        group_of = {(support, w): g for g, (support, w, _, _) in enumerate(self.groups)}
-        used = [0] * len(self.groups)
-        spans: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
-        for bi, block in enumerate(blocks):
-            own: dict[int, list[int]] = {}
-            for d in (space._by_name[n] for n in block):
-                vector = d.support in ("simplex", "ordered_positive")
-                g = group_of[d.support, d.unconstrained_size if vector else 0]
-                units = 1 if vector else d.unconstrained_size
-                own.setdefault(g, [used[g], used[g]])[1] += units
-                used[g] += units
-            terms = [(g, lo, hi) for g, (lo, hi) in own.items() if self.groups[g][0] != "real"]
-            for order, (g, lo, hi) in enumerate(terms):
-                members, firsts = spans.setdefault((order, g, hi - lo), ([], []))
-                members.append(bi)
-                firsts.append(lo)
-        self.jacobian = []
-        for (_, g, length), (members, firsts) in sorted(spans.items(), key=lambda kv: kv[0][0]):
-            span = np.add.outer(firsts, np.arange(length)).ravel()
-            self.jacobian.append(
-                (_as_slice(np.array(members)), len(members), g, _as_slice(span), length)
-            )
+        # the block that owns each log-Jacobian term of each group: one term
+        # per coordinate, or per vector of the vector supports
+        self.owners = [self.coord_block[ucols[:: width or 1]] for _, width, ucols, _ in self.groups]
         # which constrained columns each block owns
         self.members = np.zeros((space._lower.size, len(blocks)), dtype=bool)
         for bi, block in enumerate(blocks):
@@ -892,17 +811,12 @@ class _BlockLayout:
         """Write every block's constrained values from the block-ordered
         ``z`` (``(rows, coordinates)``) into its columns of ``prop``, and
         return each block's log-Jacobian, ``(rows, blocks)``."""
-        terms = _transform(self.groups, z, prop)
-        rows = z.shape[0]
-        log_jacobian = np.zeros((rows, len(self.starts) - 1))
-        for members, count, g, span, length in self.jacobian:
-            # each block's span of terms on a trailing axis of its own, which
-            # sums as the block's terms alone would; a span of one term is
-            # that term
-            span_terms = terms[g][:, span]
-            if length > 1:
-                span_terms = span_terms.reshape(rows, count, length).sum(axis=-1)
-            log_jacobian[:, members] += span_terms
+        log_jacobian = np.zeros((z.shape[0], len(self.starts) - 1))
+        for terms, owners in zip(_transform(self.groups, z, prop), self.owners):
+            if terms is not None:
+                # term by term into each block, in order: for fewer than 8
+                # terms of one group, the bits of numpy's sum of them alone
+                np.add.at(log_jacobian, (slice(None), owners), terms)
         return log_jacobian
 
     def correlate(self, chol: list[np.ndarray], noise: np.ndarray) -> np.ndarray:
@@ -951,11 +865,12 @@ def _metropolis_blocks(space: ParamSpace, exact_names: list[str]) -> list[list[s
 
 
 def _summarize_chains(space: ParamSpace, chain_draws: np.ndarray):
-    """Pool the kept constrained rows and compute per-scalar R-hat / ESS, all
-    scalars in one call each."""
+    """Pool the kept constrained rows, as arrays of their own that the caller
+    may write, and compute per-scalar R-hat / ESS, all scalars in one call
+    each."""
     chains, kept, width = chain_draws.shape
-    rows = space._unpack(chain_draws.reshape(chains * kept, width))
-    pooled = {name: np.ascontiguousarray(arr) for name, arr in rows.items()}
+    rows = _Rows(space, chain_draws.reshape(chains * kept, width))
+    pooled = {name: arr.copy() for name, arr in rows.items()}
     names = [
         f"{d.name}[{j}]" if d.shape else d.name
         for d in space.defs

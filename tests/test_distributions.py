@@ -243,6 +243,15 @@ def test_weibull_rejects_non_finite_parameters(shape, scale):
         sample_weibull(make_rng(1), shape, scale)
 
 
+@pytest.mark.parametrize(
+    "mu, alpha", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]
+)
+def test_negbinomial_rejects_non_finite_parameters(mu, alpha):
+    # its own message, not one from the gamma it draws through
+    with pytest.raises(ParameterError, match="negbinomial needs finite positive mean"):
+        sample_negbinomial(make_rng(1), mu, alpha)
+
+
 def test_dirichlet_simplex_one_million():
     rng = make_rng(25)
     draws = sample_dirichlet([rng], rows_of([0.5, 1.0, 2.0], 1_000_000))[0]

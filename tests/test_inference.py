@@ -32,9 +32,12 @@ FAST = FitConfig(chains=4, warmup=800, draws=800, thin=2, seed=42)
 
 def constrain(space, z):
     """Named constrained values of ``z`` (shape ``(..., dim)``) and the
-    log-Jacobian of the transform."""
-    flat, log_jacobian = space._constrain_flat(z)
-    return space._unpack(flat), log_jacobian
+    log-Jacobian of the transform, the sum of its terms."""
+    z = np.asarray(z, dtype=float)
+    flat = np.empty(z.shape[:-1] + space._lower.shape)
+    terms = inference._transform(space._groups, z, flat)
+    log_jacobian = sum(t.sum(axis=-1) for t in terms if t is not None)
+    return inference._Rows(space, flat), log_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,25 @@ def test_thinning_past_the_draw_count_is_rejected():
     with pytest.raises(ValueError, match="invalid fit configuration"):
         FitConfig(draws=3, thin=4)
     assert FitConfig(draws=4, thin=4).thin == 4
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("chains", 2.5),
+        ("draws", 10.0),
+        ("thin", 2.0),
+        ("warmup", 1.5),
+        ("chains", True),
+        ("warmup", False),
+        ("draws", "8"),
+    ],
+)
+def test_counts_that_are_not_integers_are_rejected(field, value):
+    # rejected when the configuration is made, not later inside fit
+    with pytest.raises(ValueError, match="invalid fit configuration"):
+        FitConfig(**{field: value})
+    assert FitConfig(chains=np.int64(2)).chains == 2
 
 
 # The per-scalar diagnostics the vectorised summary replaced, copied here as
@@ -955,6 +977,82 @@ def test_the_values_a_model_gets_are_read_only():
             )
 
 
+def test_the_draws_a_fit_returns_are_writable():
+    config = FitConfig(chains=2, warmup=3, draws=3, thin=1, seed=59)
+    # one scalar, or one vector, fills the whole row: its column of the kept
+    # rows is contiguous, and the draws must still be arrays of their own
+    for defs in (
+        [ParamDef("x", (), "real")],
+        [ParamDef("w", (3,), "positive")],
+        [ParamDef("x", (), "real"), ParamDef("w", (3,), "positive")],
+    ):
+        first = defs[0].name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            ensemble = fit(lambda v: np.zeros(len(v[first])), ParamSpace(defs), config)
+        for arr in ensemble.draws.values():
+            assert arr.flags.writeable
+            arr[...] = 0.0
+
+
+def test_an_exact_step_that_swaps_the_values_it_was_handed_draws_the_swap():
+    space = ParamSpace([ParamDef(n, (), "real") for n in ("x", "a", "b")])
+    config = FitConfig(chains=2, warmup=0, draws=6, thin=1, seed=61)
+
+    def swap(v, rngs):
+        return {"a": v["b"], "b": v["a"]}
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ensemble = fit(
+            lambda v: -0.5 * (v["x"] ** 2 + v["a"] ** 2 + v["b"] ** 2),
+            space,
+            config,
+            init={"x": 0.0, "a": 1.0, "b": 2.0},
+            exact=[(["a", "b"], swap)],
+        )
+    a, b = ensemble.draws["a"].reshape(2, 6), ensemble.draws["b"].reshape(2, 6)
+    # each sweep swaps the pair, so each chain alternates between two rows
+    assert (a != b).all()
+    np.testing.assert_array_equal(a[:, 1:], b[:, :-1])
+    np.testing.assert_array_equal(b[:, 1:], a[:, :-1])
+
+
+@pytest.mark.parametrize(
+    "defs, blocks",
+    [
+        (
+            [
+                ParamDef("p", (2,), "positive"),
+                ParamDef("u", (), "unit"),
+                ParamDef("s", (3,), "simplex"),
+                ParamDef("o", (2,), "ordered_positive"),
+                ParamDef("r", (), "real"),
+                ParamDef("q", (), "positive"),
+            ],
+            [["p", "u", "s", "o", "r"], ["q"]],
+        ),
+        ([ParamDef("v", (9,), "positive")], [["v"]]),
+    ],
+)
+def test_a_block_log_jacobian_sums_its_parameters_terms(defs, blocks):
+    space = ParamSpace(defs, blocks)
+    layout = inference._BlockLayout(space, space.blocks)
+    z = make_rng(67).standard_normal((5, space.dim))
+    log_jacobian = layout.transform(z[:, layout.coords], np.empty((5, space._lower.size)))
+    for bi, block in enumerate(space.blocks):
+        expected = np.zeros(5)
+        for name in block:
+            d = space._by_name[name]
+            zd = z[:, slice(*space._offsets[name])]
+            if d.support in ("simplex", "ordered_positive"):
+                zd = zd[:, None]  # one vector per row
+            _, terms = inference._forward(d.support, zd)
+            if terms is not None:
+                expected += terms.sum(axis=-1)
+        np.testing.assert_allclose(log_jacobian[:, bi], expected, rtol=0.0, atol=1e-12)
+
+
 def test_stack_views_evenly_spaced_parameters_and_copies_the_rest():
     space = ParamSpace(
         [
@@ -966,7 +1064,7 @@ def test_stack_views_evenly_spaced_parameters_and_copies_the_rest():
         ]
     )
     flat = make_rng(53).standard_normal((4, 8))
-    rows = space._unpack(flat)
+    rows = inference._Rows(space, flat)
     plain = dict(rows)
     for names in (("a", "b", "c"), ("p", "q"), ("a", "c"), ("c", "a"), ("p",)):
         expected = np.stack([plain[name] for name in names], axis=-1 - (names[0] in "abc"))
@@ -978,7 +1076,7 @@ def test_stack_views_evenly_spaced_parameters_and_copies_the_rest():
         assert np.shares_memory(view, flat) == (names != ("c", "a"))
         assert space.stack(rows, names) is view or names == ("c", "a")
     # kept draws carry a chain axis and a draw axis before the parameters
-    kept = space._unpack(flat.reshape(2, 2, 8))
+    kept = inference._Rows(space, flat.reshape(2, 2, 8))
     np.testing.assert_array_equal(
         space.stack(kept, ("a", "b")), np.stack([kept["a"], kept["b"]], axis=-2)
     )
