@@ -702,7 +702,9 @@ def fit(
             step_names, draw = exact[ei]
             cols = np.concatenate([np.arange(*space._columns[n]) for n in step_names])
             start = current[:, None, cols]
-            write(chain_draws, step_names, draw(kept_values, rngs))
+            # the draw may view the rows it was handed: copy it before writing
+            new = draw(kept_values, rngs)
+            write(chain_draws, step_names, {n: np.array(new[n]) for n in step_names})
             # a row outside the open support takes the chain's previous kept
             # row, or its start before the first
             inside = ~space._outside(chain_draws)[..., cols].any(axis=-1)

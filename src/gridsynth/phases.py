@@ -238,12 +238,8 @@ def _line_ends(
     """Upstream and downstream end positions of each line, in line order, by
     the rule ``consistency_violations`` states."""
     index = topology._index
-    n = len(index.ids)
-    dist = np.fromiter(map(distances.__getitem__, index.ids), float, n)
-    seq = np.empty(n, dtype=np.int64)  # pop order position of each bus
-    seq[index.order] = np.arange(n)
-    a = np.array(index.line_from, dtype=np.int64)
-    b = np.array(index.line_to, dtype=np.int64)
+    a, b, seq = index.line_from, index.line_to, index.seq
+    dist = np.fromiter(map(distances.__getitem__, index.ids), float, len(index.ids))
     a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
     return np.where(a_up, a, b), np.where(a_up, b, a)
 

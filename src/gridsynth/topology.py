@@ -9,10 +9,17 @@ phase allocation.
 Construction builds one integer index of the feeder: each bus is its position
 in ``buses``, and each line is the pair of its endpoint positions, with the
 bus degrees beside them. The shortest-path tree from the source is kept on the
-same positions as three arrays: distance, tree parent and the order Dijkstra
-pops the buses in. ``shortest_path_tree``, ``build_hierarchy`` and
-``phases.consistency_violations`` read these arrays instead of walking
-id-keyed maps, and return id-keyed results as before.
+same positions as arrays: distance, tree parent, the order Dijkstra pops the
+buses in and each bus's place in that order. ``shortest_path_tree``,
+``build_hierarchy`` and ``phases.consistency_violations`` read these arrays
+instead of walking id-keyed maps, and return id-keyed results as before.
+
+A radial feeder, one with one line fewer than it has buses, gets its tree from
+one pass that peels leaves toward the source and one sort by distance
+(``_radial_tree``). Every other feeder, and a tree with a line too short to
+change the float distance, gets it from a heap Dijkstra (``_dijkstra``). Both
+give the same index bit for bit; the choice reads only the line count and the
+tree's own distances.
 """
 
 from __future__ import annotations
@@ -84,18 +91,22 @@ class _Index(NamedTuple):
     """Integer view of a feeder, built once by ``NetworkTopology``.
 
     A bus is its position in ``buses``; ``line_from[i]`` and ``line_to[i]``
-    are the endpoint positions of ``lines[i]``. The shortest-path tree is
-    kept as ``dist`` and ``parent`` by position (-1 for the source) and
-    ``order``, the positions in the order Dijkstra pops them.
+    are the endpoint positions of ``lines[i]``, as int arrays. The
+    shortest-path tree is kept as ``dist`` and ``parent`` by position (-1 for
+    the source), ``order``, the positions in the order Dijkstra pops them, and
+    ``seq``, each bus's position in ``order`` as an int array. The radial path
+    (``_radial_tree``) and the heap (``_dijkstra``) build the same index, bit
+    for bit, wherever the radial path applies.
     """
 
     ids: tuple[str, ...]
-    line_from: list[int]
-    line_to: list[int]
+    line_from: np.ndarray
+    line_to: np.ndarray
     degree: list[int]
     dist: list[float]
     parent: list[int]
     order: list[int]
+    seq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,9 @@ class NetworkTopology:
     endpoints, and full reachability from the source. Cycles are accepted.
     Construction also builds the integer index (see ``_Index``) and the
     shortest-path tree from the source, once; every topology layer reads them.
+    A feeder with one line fewer than it has buses takes the radial path,
+    ``_radial_tree``; a mesh, a disconnected feeder, and a tree with a line too
+    short to change the float distance take the heap, ``_dijkstra``.
     """
 
     buses: tuple[Bus, ...]
@@ -114,44 +128,61 @@ class NetworkTopology:
     _index: _Index = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = tuple(b.id for b in self.buses)
-        position = dict(zip(ids, range(len(ids))))
-        if len(position) != len(ids):
+        ids = tuple(map(attrgetter("id"), self.buses))
+        n = len(ids)
+        position = dict(zip(ids, range(n)))
+        if len(position) != n:
             _reject_duplicates("bus", ids)
-        _reject_duplicates("line", [l.id for l in self.lines])
+        line_ids, from_ids, to_ids, lengths = zip(*self.lines) if self.lines else ((),) * 4
+        _reject_duplicates("line", line_ids)
         source = position.get(self.source)
         if source is None:
             raise TopologyError(f"source bus {self.source!r} not among buses")
-        neighbors: list[list[tuple[int, float]]] = [[] for _ in ids]
-        line_from: list[int] = []
-        line_to: list[int] = []
-        for line_id, from_bus, to_bus, w in self.lines:
-            u = position.get(from_bus)
-            v = position.get(to_bus)
-            if u is None or v is None:
-                raise TopologyError(f"line {line_id!r} references unknown bus")
-            if not _positive_finite(w):
-                raise TopologyError(
-                    f"line {line_id!r} length must be strictly positive, got {w!r}"
-                )
-            if u == v:
-                raise TopologyError(f"line {line_id!r} is a self-loop")
-            line_from.append(u)
-            line_to.append(v)
-            neighbors[u].append((v, w))
-            neighbors[v].append((u, w))
-        dist, parent, order = _dijkstra(ids, neighbors, source)
-        if len(order) != len(ids):
-            raise DisconnectedGraphError([b for b, d in zip(ids, dist) if d is None])
-        index = _Index(ids, line_from, line_to, [len(e) for e in neighbors], dist, parent, order)
+        try:
+            ends = np.array([list(map(position.get, end)) for end in (from_ids, to_ids)], np.intp)
+        except TypeError:  # None: an unknown bus
+            ends = None
+        if ends is None or not _positive_floats(lengths) or (ends[0] == ends[1]).any():
+            for line in self.lines:
+                _check_line(line, position)
+        degree = np.bincount(ends.ravel(), minlength=n)
+        tree = _radial_tree(ids, ends, lengths, degree, source) if len(lengths) == n - 1 else None
+        if tree is None:
+            tree = _dijkstra(ids, _neighbors(ends, lengths, n), source)
+            if len(tree[2]) != n:
+                raise DisconnectedGraphError([b for b, d in zip(ids, tree[0]) if d is None])
+        seq = np.empty(n, np.intp)
+        seq[tree[2]] = np.arange(n)
+        index = _Index(ids, ends[0], ends[1], degree.tolist(), *tree, seq)
         object.__setattr__(self, "_index", index)
 
 
-def _positive_finite(value) -> bool:
+def _positive_floats(lengths) -> bool:
+    """Whether the lengths form a float array whose every entry is positive
+    and finite: one test that accepts only what ``_check_line`` accepts."""
     try:
-        return value > 0.0 and math.isfinite(value)
-    except TypeError:
+        w = np.array(lengths)
+    except ValueError:  # lengths of different shapes
         return False
+    return w.dtype == np.float64 and w.ndim == 1 and bool(((w > 0.0) & (w < math.inf)).all())
+
+
+def _check_line(line: Line, position: dict[str, int]) -> None:
+    """Raise naming ``line`` if an endpoint is unknown, its length is not a
+    positive finite number, or it is a self-loop, in that order."""
+    line_id, from_bus, to_bus, w = line
+    u = position.get(from_bus)
+    v = position.get(to_bus)
+    if u is None or v is None:
+        raise TopologyError(f"line {line_id!r} references unknown bus")
+    try:
+        positive = w > 0.0 and math.isfinite(w)
+    except TypeError:
+        positive = False
+    if not positive:
+        raise TopologyError(f"line {line_id!r} length must be strictly positive, got {w!r}")
+    if u == v:
+        raise TopologyError(f"line {line_id!r} is a self-loop")
 
 
 def _reject_duplicates(kind: str, ids: list[str]) -> None:
@@ -191,6 +222,79 @@ class RamificationHierarchy:
     parent: dict[str, str]
 
 
+def _neighbors(ends: np.ndarray, lengths, n: int) -> list[list[tuple[int, float]]]:
+    """Each bus's (neighbour position, line length) pairs, in line order."""
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in zip(ends[0].tolist(), ends[1].tolist(), lengths):
+        neighbors[u].append((v, w))
+        neighbors[v].append((u, w))
+    return neighbors
+
+
+def _radial_tree(
+    ids: tuple[str, ...], ends: np.ndarray, lengths, degree: np.ndarray, source: int
+) -> tuple[list[float], list[int], list[int]] | None:
+    """``_dijkstra``'s distances, parents and pop order on a tree, without the
+    heap, or None where the lines do not make a tree whose every bus is
+    strictly farther than its parent.
+
+    One pass peels leaves toward the source: a bus with one line left hangs
+    off its far end. Each bus keeps the sum of the indices of its unpeeled
+    lines, so a leaf's sum is its line. Peeled in reverse, the buses come after
+    their parents, and each distance is its parent's plus the line's length
+    object, the float sum the heap makes. With n - 1 lines, a bus left unpeeled
+    means a cycle, so a bus out of reach. The pop order is one sort by
+    distance, with tied distances ranked by id; the heap pops in that order
+    only when each bus is strictly farther than its parent, which a line too
+    short to change the float distance breaks.
+    """
+    n = len(ids)
+    line_of = np.arange(len(lengths))
+    held = np.zeros(n, np.intp)
+    np.add.at(held, ends[0], line_of)
+    np.add.at(held, ends[1], line_of)
+    held = held.tolist()
+    far = (ends[0] + ends[1]).tolist()  # a line's far end from bus v is far[k] - v
+    left = degree.copy()
+    left[source] = 0  # counts down from 0, so the source is never a leaf
+    peeled = np.flatnonzero(left == 1).tolist()
+    left = left.tolist()
+    parent = [-1] * n
+    via = [-1] * n
+    for v in peeled:
+        if not left[v]:  # the last bus of a part without the source
+            return None
+        k = held[v]
+        p = far[k] - v
+        parent[v] = p
+        via[v] = k
+        held[p] -= k
+        left[p] -= 1
+        if left[p] == 1:
+            peeled.append(p)
+    if len(peeled) != n - 1:
+        return None
+    dist: list = [None] * n
+    dist[source] = 0.0
+    for v in reversed(peeled):
+        dist[v] = dist[parent[v]] + lengths[via[v]]
+    d = np.array(dist)
+    order = np.argsort(d)  # runs of equal distances are put in id order below
+    d_sorted = d[order]
+    tied = d_sorted[1:] == d_sorted[:-1]
+    if tied.any():
+        run = np.zeros(n, bool)  # the sorted positions in a run of equal distances
+        run[1:] = tied
+        run[:-1] |= tied
+        members = order[run].tolist()
+        up = np.fromiter(map(parent.__getitem__, members), np.intp, len(members))
+        if (d[up] == d_sorted[run]).any():
+            return None
+        by_id = np.array(sorted(members, key=ids.__getitem__), np.intp)
+        order[run] = by_id[np.argsort(d[by_id], kind="stable")]
+    return dist, parent, order.tolist()
+
+
 def _dijkstra(
     ids: tuple[str, ...], neighbors: list[list[tuple[int, float]]], source: int
 ) -> tuple[list, list[int], list[int]]:
@@ -199,7 +303,8 @@ def _dijkstra(
     The heap pops by (distance, bus id), and between equal distances a bus
     keeps the predecessor with the smaller id. A bus is popped after its
     predecessor, so parents precede children in pop order even across a line
-    too short to change the float distance.
+    too short to change the float distance. Construction runs it on every
+    feeder that ``_radial_tree`` declines.
     """
     dist: list = [None] * len(ids)
     parent = [-1] * len(ids)

@@ -1017,6 +1017,27 @@ def test_an_exact_step_that_swaps_the_values_it_was_handed_draws_the_swap():
     np.testing.assert_array_equal(a[:, 1:], b[:, :-1])
     np.testing.assert_array_equal(b[:, 1:], a[:, :-1])
 
+    # a step that leaves the sweep swaps each kept row once: against a step
+    # that returns the values as it was handed them, a and b trade places
+    def handed(v, rngs):
+        return {"a": v["a"], "b": v["b"]}
+
+    after = {}
+    for step in (swap, handed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            after[step] = fit(
+                lambda v: -0.5 * v["x"][:, None] ** 2,
+                space,
+                FitConfig(chains=2, warmup=0, draws=4, thin=1, seed=61),
+                init={"x": 0.0, "a": 1.0, "b": 2.0},
+                exact=[(["a", "b"], step)],
+                terms={"x": [0], "a": [], "b": []},
+            ).draws
+    assert (after[swap]["a"] != after[swap]["b"]).all()
+    np.testing.assert_array_equal(after[swap]["a"], after[handed]["b"])
+    np.testing.assert_array_equal(after[swap]["b"], after[handed]["a"])
+
 
 @pytest.mark.parametrize(
     "defs, blocks",

@@ -2,6 +2,7 @@
 
 import heapq
 import json
+import math
 import re
 import time
 import warnings
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsynth import topology
 from gridsynth.distributions import make_rng
 from gridsynth.phases import CONFIGS, PhaseConfig, allocate, consistency_violations, constrain
 from gridsynth.topology import (
@@ -512,6 +514,28 @@ def test_topology_rejects_a_length_that_is_not_a_positive_number(length):
             "line 's' length must be strictly positive",
         ),
         ([Line("s", "b", "b", 1.0), Line("z", "a", "b", 0.0)], "line 's' is a self-loop"),
+        # lengths that are no float array: valid ones of other types pass,
+        # and the first faulty line is still the one named
+        (
+            [
+                Line("i", "a", "b", 2),
+                Line("f", "b", "c", np.float32(0.5)),
+                Line("n", "c", "b", None),
+            ],
+            "line 'n' length must be strictly positive, got None",
+        ),
+        (
+            [Line("big", "a", "b", 2**64), Line("t", "b", "c", True), Line("x", "c", "a", "1.5")],
+            "line 'x' length must be strictly positive, got '1.5'",
+        ),
+        (
+            [Line("f", "a", "b", False), Line("n", "b", "c", math.nan)],
+            "line 'f' length must be strictly positive, got False",
+        ),
+        (
+            [Line("p", "a", "b", 1.0), Line("n", "b", "c", -math.inf), Line("s", "c", "c", 1.0)],
+            "line 'n' length must be strictly positive, got -inf",
+        ),
     ],
 )
 def test_validation_names_the_first_faulty_line(faulty, message):
@@ -667,6 +691,136 @@ def test_index_layers_match_string_keyed_references(topo, zone_count, seed):
         )
 
 
+@st.composite
+def pure_trees(draw):
+    """Feeders with one line fewer than buses, as (buses, lines, twin): trees
+    with each line's ends in random order and lengths on a half-km grid so
+    that distances tie; sometimes one line of 1e-17 km, too short to change a
+    float distance; and when ``twin``, one line replaced by a parallel twin of
+    another, which leaves a bus out of reach."""
+    n = draw(st.integers(1, 30))
+    names = [f"b{k:02d}" for k in draw(st.permutations(range(n)))]
+    lines = []
+    for i in range(1, n):
+        ends = [names[draw(st.integers(0, i - 1))], names[i]]
+        if draw(st.booleans()):
+            ends.reverse()
+        lines.append(Line(f"t{i:02d}", *ends, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))))
+    twin = n > 2 and draw(st.booleans())
+    if twin:
+        k, j = draw(st.permutations(range(n - 1)))[:2]
+        lines[j] = Line(lines[j].id, lines[k].to_bus, lines[k].from_bus, lines[k].length_km)
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, n - 2))
+        lines[k] = lines[k]._replace(length_km=1e-17)
+    lines = tuple(draw(st.permutations(lines)))
+    return tuple(Bus(b) for b in names), lines, twin
+
+
+def _index_matches_reference(topo):
+    """Every field of the topology's index against ``_reference_tree``."""
+    dist, parent, order, degree = _reference_tree(topo)
+    index = topo._index
+    ids = index.ids
+    position = {b: i for i, b in enumerate(ids)}
+    assert index.dist == [dist[b] for b in ids]
+    assert index.parent == [-1 if parent[b] is None else position[parent[b]] for b in ids]
+    assert [ids[b] for b in index.order] == order
+    assert index.degree == [degree[b] for b in ids]
+    assert index.seq.tolist() == [order.index(b) for b in ids]
+    assert index.line_from.tolist() == [position[l.from_bus] for l in topo.lines]
+    assert index.line_to.tolist() == [position[l.to_bus] for l in topo.lines]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pure_trees())
+def test_the_radial_path_builds_the_tree_the_heap_builds(feeder):
+    buses, lines, twin = feeder
+    if twin:
+        with pytest.raises(DisconnectedGraphError):
+            NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
+        return
+    topo = NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
+    _index_matches_reference(topo)
+
+    # with the heap gone, a tree whose every bus is strictly farther than its
+    # parent still builds, and only a tree with a line too short to change
+    # the float distance reaches the heap
+    dist, parent, _, _ = _reference_tree(topo)
+    strict = all(dist[b] > dist[p] for b, p in parent.items() if p is not None)
+
+    def no_heap(*args):
+        raise AssertionError("the heap was reached")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "_dijkstra", no_heap)
+        if strict:
+            _index_matches_reference(NetworkTopology(buses=buses, lines=lines, source=buses[0].id))
+        else:
+            with pytest.raises(AssertionError, match="the heap was reached"):
+                NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
+
+
+def _per_line_fault(buses, lines):
+    """The message naming the first faulty line by the per-line rule, or None:
+    an unknown endpoint, then a length that is not a positive finite number,
+    then a self-loop."""
+    known = {b.id for b in buses}
+    for line_id, u, v, w in lines:
+        if u not in known or v not in known:
+            return f"line {line_id!r} references unknown bus"
+        try:
+            positive = w > 0.0 and math.isfinite(w)
+        except TypeError:
+            positive = False
+        if not positive:
+            return f"line {line_id!r} length must be strictly positive, got {w!r}"
+        if u == v:
+            return f"line {line_id!r} is a self-loop"
+    return None
+
+
+LENGTHS = [
+    1.5, 2, True, False, np.float64(0.5), np.float32(0.25), 2**64, -1, 0.0, -1.0,
+    "1.5", None, math.nan, math.inf, -math.inf,
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(LENGTHS), st.floats(0.1, 5.0)),
+            st.sampled_from(["ok"] * 8 + ["unknown", "self-loop"]),
+        ),
+        max_size=8,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_validation_accepts_and_rejects_what_the_per_line_rule_does(drawn, random):
+    """Lengths of every kind mixed within one feeder, with now and then an
+    unknown endpoint or a self-loop: construction rejects exactly the feeders
+    the per-line rule rejects, naming the same first faulty line, and builds
+    the reference tree on every other."""
+    buses = tuple(Bus(f"b{i}") for i in range(len(drawn) + 1))
+    lines = []
+    for i, (length, kind) in enumerate(drawn, start=1):
+        ends = [f"b{random.randrange(i)}", f"b{i}"]
+        if kind == "unknown":
+            ends[random.randrange(2)] = "zz"
+        elif kind == "self-loop":
+            ends[0] = ends[1]
+        lines.append(Line(f"l{i}", *ends, length))
+    fault = _per_line_fault(buses, lines)
+    if fault is None:
+        topo = NetworkTopology(buses=buses, lines=tuple(lines), source="b0")
+        _index_matches_reference(topo)
+    else:
+        with pytest.raises(TopologyError) as err:
+            NetworkTopology(buses=buses, lines=tuple(lines), source="b0")
+        assert str(err.value) == fault
+
+
 # ---------------------------------------------------------------------------
 # Scaling
 
@@ -681,14 +835,16 @@ def _feeder(n, parents, rng):
     return buses, lines
 
 
-@pytest.mark.parametrize("shape", ["chain", "random tree"])
+@pytest.mark.parametrize("shape", ["chain", "random tree", "meshed"])
 def test_topology_layers_scale_to_100k_buses(shape):
     """Construct, tree, zones, hierarchy, allocation and the consistency check
     on 100k buses in under 2 s. Both the integer-index layers and the
     id-keyed ones they replaced run inside this bound (on a shared 2-core
     machine, 0.4-0.7 s against 0.55-1.7 s for the chain and the tree), so it
     does not tell them apart: it guards against a quadratic path, such as a
-    walk to the root per bus on a chain."""
+    walk to the root per bus on a chain. The chain and the tree take the
+    radial path; the meshed feeder, the random tree with ten more lines,
+    takes the heap."""
     n = 100_000
     rng = make_rng(3)
     if shape == "chain":
@@ -696,13 +852,24 @@ def test_topology_layers_scale_to_100k_buses(shape):
     else:
         parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
     buses, lines = _feeder(n, parents, rng)
+    if shape == "meshed":
+        ends = rng.permutation(n)[:20].tolist()
+        lines += tuple(
+            Line(f"m{k}", buses[a].id, buses[b].id, 0.3)
+            for k, (a, b) in enumerate(zip(ends[::2], ends[1::2]))
+        )
     start = time.perf_counter()
     topo = NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
-    d, _ = shortest_path_tree(topo)
+    d, parent = shortest_path_tree(topo)
     zones = assign_zones(d, topo.lines, 5)
     hierarchy = build_hierarchy(topo)
     allocation = allocate(topo, hierarchy, zones, np.full((zones.zone_count, 7), 1.0), rng)
     violations = consistency_violations(topo, allocation, d)
     elapsed = time.perf_counter() - start
-    assert violations == [] and len(allocation) == n
+    # only a line off the shortest-path tree can violate
+    on_tree = {
+        l.id for l in lines if parent[l.to_bus] == l.from_bus or parent[l.from_bus] == l.to_bus
+    }
+    assert not set(violations) & on_tree and len(allocation) == n
+    assert shape == "meshed" or violations == []
     assert elapsed < 2.0, f"{shape}: {elapsed:.2f} s"
