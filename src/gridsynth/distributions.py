@@ -12,7 +12,8 @@ attribute. The per-chain samplers (Dirichlet, Beta) take one generator per
 entry of the parameters' first axis, as the fits' exact steps draw every
 chain in one call.
 
-Log-densities return ``-inf`` outside the support. A categorical pick has no
+Each log-density kernel is its formula on the support; its callers keep
+every argument there (see the kernels' section). A categorical pick has no
 sampler of its own: the callers draw one uniform each and place it on the
 running totals of ``_cumulative``, which holds the checks.
 """
@@ -295,38 +296,28 @@ def sample_truncnormal(rng: Generator, mu: float, sigma: float, lower: float) ->
 # Each family the models score has one kernel (``_logpdf_*``) holding its
 # formula, bound once per fit to the arguments that stay fixed for the fit (a
 # prior's parameters, the observations): ``_logpdf_halfnormal(sigma)`` returns
-# the function of ``x`` that every log-posterior call runs. Binding checks the
-# fixed arguments and computes what depends on them alone (normalizers, the
-# logs of the observations), so no call repeats it. Fixed parameters are
-# scalars, or one vector for the Dirichlet; any outside its domain makes every
-# score -inf. The bound function broadcasts over its arguments, never raises,
-# and scores -inf wherever the value is outside the support or a parameter
-# outside its domain. The one exception is the Gamma bound to observations,
-# which leaves the domain of its shape and rate to the caller: the line
-# mixtures mask whole rows, the load model its Gamma columns. The caller
+# the function of ``x`` that every log-posterior call runs. Binding computes
+# what depends on the fixed arguments alone (normalizers, the logs of the
+# observations), so no call repeats it. Fixed parameters are scalars, or one
+# vector for the Dirichlet. A kernel is its formula on the support and tests
+# no argument: ``inference.fit`` hands a model only values inside each
+# parameter's open support, the ``fit_*`` functions reject observations
+# outside a density's support before binding, and the models bind only
+# parameters inside their domains. Where a model derives a parameter (the
+# line mixtures' Gamma rates), it masks the rows whose derived value leaves
+# the domain. Any non-finite term rejects its row in ``fit``. The caller
 # silences numpy's floating-point warnings, when it binds as when it calls.
 # The kernels are private: the model log-posteriors are their only callers.
 
 
-def _minus_inf(x):
-    """The score of a kernel bound to a parameter outside its domain."""
-    return np.full(np.shape(x), -np.inf)
-
-
 def _logpdf_gamma(x):
     """Gamma(shape, rate) at the observations ``x``, as a function of
-    ``(shape, rate)``; where either is outside its domain the score is not
-    defined, and the caller masks it (see above). ``log(x)`` is taken once,
-    and an observation outside the support scores -inf through a mask fixed
-    at binding, applied only if there is one."""
+    ``(shape, rate)``; ``log(x)`` is taken once."""
     x = np.asarray(x, dtype=float)
     log_x = np.log(x)
-    inside = _positive(x)
-    inside = None if inside.all() else inside
 
     def logpdf(shape, rate):
-        body = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * log_x - rate * x
-        return body if inside is None else np.where(inside, body, -np.inf)
+        return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * log_x - rate * x
 
     return logpdf
 
@@ -335,48 +326,32 @@ def _logpdf_weibull(x):
     """Weibull(shape, scale) at the observations ``x``, as a function of
     ``(shape, scale)``."""
     x = np.asarray(x, dtype=float)
-    inside = _positive(x)
 
     def logpdf(shape, scale):
         t = x / scale
-        body = np.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
-        return np.where(inside & _positive(shape) & _positive(scale), body, -np.inf)
+        return np.log(shape / scale) + (shape - 1.0) * np.log(t) - t**shape
 
     return logpdf
 
 
 def _logpdf_beta(a: float, b: float):
     """Beta(a, b) as a function of the value."""
-    if not (_positive(a) and _positive(b)):
-        return _minus_inf
     norm = gammaln(a + b) - gammaln(a) - gammaln(b)
     a1, b1 = a - 1.0, b - 1.0
-
-    def logpdf(x):
-        body = a1 * np.log(x) + b1 * np.log1p(-x) + norm
-        return np.where((x > 0.0) & (x < 1.0), body, -np.inf)
-
-    return logpdf
+    return lambda x: a1 * np.log(x) + b1 * np.log1p(-x) + norm
 
 
 def _logpdf_dirichlet(concentration):
     """Dirichlet(concentration) as a function of the value, over its last
-    axis. At concentration 1 the density is its normalizer wherever the value
-    lies on the simplex."""
+    axis. At concentration 1 the density is its normalizer."""
     concentration = np.asarray(concentration, dtype=float)
-    if not _positive(concentration).all():
-        return lambda x: np.full(np.shape(x)[:-1], -np.inf)
     norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
     power = concentration - 1.0
-
-    def inside(x):
-        return (x > 0.0).all(axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9)
-
     if not power.any():
         # xlogy(0, x) is +0 on the simplex, so the body is norm + 0
         constant = norm + 0.0
-        return lambda x: np.where(inside(x), constant, -np.inf)
-    return lambda x: np.where(inside(x), norm + xlogy(power, x).sum(axis=-1), -np.inf)
+        return lambda x: np.full(np.shape(x)[:-1], constant)
+    return lambda x: norm + xlogy(power, x).sum(axis=-1)
 
 
 def _logpmf_dirichlet_categorical(counts):
@@ -391,18 +366,15 @@ def _logpmf_dirichlet_categorical(counts):
     def logpmf(concentration):
         total = concentration.sum(axis=-1)
         body = gammaln(total) - gammaln(total + total_counts)
-        body = body + (gammaln(concentration + counts) - gammaln(concentration)).sum(axis=-1)
-        return np.where(_positive(concentration).all(axis=-1), body, -np.inf)
+        return body + (gammaln(concentration + counts) - gammaln(concentration)).sum(axis=-1)
 
     return logpmf
 
 
 def _logpdf_halfnormal(sigma: float):
     """HalfNormal(sigma) as a function of the value."""
-    if not _positive(sigma):
-        return _minus_inf
     norm = _LOG_SQRT_2_OVER_PI - np.log(sigma)
-    return lambda x: np.where(x >= 0.0, norm - 0.5 * (x / sigma) ** 2, -np.inf)
+    return lambda x: norm - 0.5 * (x / sigma) ** 2
 
 
 def _logpmf_negbinomial(k, group):
@@ -415,11 +387,8 @@ def _logpmf_negbinomial(k, group):
     has the bits of the formula taken count by count."""
     k = np.asarray(k, dtype=float)
     group = np.asarray(group, dtype=int)
-    integral = (k >= 0.0) & (k < math.inf) & (k == np.floor(k))
-    safe = np.where(integral, k, 0.0)
-    distinct, index = np.unique(safe, return_inverse=True)
-    log_k_factorial = gammaln(safe + 1.0)
-    integral = None if integral.all() else integral
+    distinct, index = np.unique(k, return_inverse=True)
+    log_k_factorial = gammaln(k + 1.0)
 
     def logpmf(mu, alpha):
         alpha = np.asarray(alpha)[..., None]
@@ -427,11 +396,8 @@ def _logpmf_negbinomial(k, group):
         body = np.take(gammaln(distinct + alpha), index, axis=-1) - gammaln(alpha)
         body -= log_k_factorial
         body += np.take(alpha * np.log(alpha / total), group, axis=-1)
-        body += safe * np.take(np.log(mu / total), group, axis=-1)
-        valid = np.take(_positive(mu) & _positive(alpha), group, axis=-1)
-        if integral is not None:
-            valid &= integral
-        return np.where(valid, body, -np.inf)
+        body += k * np.take(np.log(mu / total), group, axis=-1)
+        return body
 
     return logpmf
 
@@ -468,7 +434,6 @@ def _logpdf_truncnormal_stats(stats, lower: float):
         d = (anchor - mu) + offset
         log_tail = log_ndtr((mu - lower) / sigma)
         quadratic = -0.5 * (ss + n * d * d) / (sigma * sigma)
-        body = quadratic - n * (np.log(sigma) + _LOG_SQRT_2PI + log_tail)
-        return np.where(_positive(sigma), body, -np.inf)
+        return quadratic - n * (np.log(sigma) + _LOG_SQRT_2PI + log_tail)
 
     return logpdf

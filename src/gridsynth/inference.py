@@ -144,13 +144,14 @@ class ParamSpace:
             if d.support == "unit":
                 self._upper[lo:hi] = 1.0
 
-    def stack(self, values, names: tuple[str, ...]) -> np.ndarray:
-        """``values[name]`` for each of ``names``, parameters of one shape,
-        side by side on a new axis after the leading row axes, as
-        ``np.stack`` puts them. Where ``values`` are the views that ``fit``
-        hands a model and the parameters' columns are evenly spaced in the
-        row, the result is a read-only view of the rows instead of a copy,
-        made once per buffer; a model scores it to the same bits."""
+    def stack(self, values, names) -> np.ndarray:
+        """``values[name]`` for each of ``names`` (any sequence), parameters
+        of one shape, side by side on a new axis after the leading row axes,
+        as ``np.stack`` puts them. Where ``values`` are the views that
+        ``fit`` hands a model and the parameters' columns are evenly spaced
+        in the row, the result is a read-only view of the rows instead of a
+        copy, made once per buffer; a model scores it to the same bits."""
+        names = tuple(names)
         if isinstance(values, _Rows):
             if names not in values.stacked:
                 values.stacked[names] = values.space._stack_view(values.flat, names)
@@ -390,16 +391,20 @@ def fit(
     keep its bits when only a parameter that does not enter it changes;
     without, its one value per row is one column that every parameter
     enters. A call gets up to ``4 * chains`` rows, and each row must score as
-    it would alone, bit for bit, whatever else shares the call. It runs with
-    numpy's overflow, divide-by-zero and invalid-value warnings off: the
-    batched kernels evaluate every row's formula before masking, and a row
-    that is finite but extreme (a positive value above 1e154 squares to inf
-    in a half-normal prior) must be rejected, not abort the fit where
-    warnings are errors. A row with an out-of-domain parameter should score
-    ``-inf`` rather than raise, and any non-finite term rejects the row. The
-    model never sees a row outside the open support (an overflow to inf, an
+    it would alone, bit for bit, whatever else shares the call. The model
+    never sees a row outside the open support (an overflow to inf, an
     underflow to 0, a unit value rounded to 1): the row is swapped for the
-    state it was proposed from and scored ``-inf``. The values dict passed
+    state it was proposed from and scored ``-inf``. That is the one test of
+    the parameters' support, as the ``fit_*`` functions are the one test of
+    the observations: a model evaluates its formulas on what it is handed
+    and tests neither. It masks only a quantity it derives that can leave a
+    density's domain while the values it comes from stay in their support
+    (a Gamma rate made from a mean and a CV), and any non-finite term, NaN
+    included, rejects its row. It runs with numpy's overflow, divide-by-zero
+    and invalid-value warnings off, so that a row inside the support but
+    extreme (a positive value above 1e154 squares to inf in a half-normal
+    prior) is rejected rather than aborting the fit where warnings are
+    errors. The values dict passed
     to ``log_posterior`` (and to ``draw`` below) holds read-only views into a
     buffer the sampler reuses: it is valid for that call only and must not be
     kept, and a write to it raises.
@@ -754,7 +759,8 @@ def _colours(space: ParamSpace, blocks: list[list[str]], terms, layout) -> tuple
             raise ValueError(
                 f"terms must state every parameter: missing {missing}, unknown {unknown}"
             )
-        reads = np.zeros((len(blocks), 1 + max(c for cols in terms.values() for c in cols)), bool)
+        last = max((c for cols in terms.values() for c in cols), default=-1)
+        reads = np.zeros((len(blocks), 1 + last), bool)
         for row, block in zip(reads, blocks):
             row[[c for n in block for c in terms[n]]] = True
     groups: list[list[int]] = []

@@ -202,9 +202,9 @@ def _mixtures(grouped: list[list[np.ndarray]], space: ParamSpace):
         weights = space.stack(v, names)
         weights = weights.reshape(len(weights), len(_PREFIXES), -1, _MIXTURE_COMPONENTS)
         # components lead from here on, so reductions over them run over the
-        # first axis. A weight that underflowed to 0 is off the simplex (-inf
-        # in the log-posterior); log 1 stands in for its log so no log(0) runs.
-        log_w = np.log(np.where(weights > 0.0, weights, 1.0))
+        # first axis. ``fit`` hands no weight of 0 (the open simplex), so
+        # every log is finite.
+        log_w = np.log(weights)
         log_w = np.ascontiguousarray(np.moveaxis(log_w, -1, 0))[..., zone_of]
         cv = space.stack(v, cv_names)
         shape, rates = _gamma_shape_rates(space.stack(v, means_names), cv[..., None])
@@ -268,11 +268,15 @@ def fit_line_model(
 ) -> Posterior:
     """Fit both mixtures (resistance and ratio) over the line observations,
     as one model; the mixtures' weights are drawn exactly (see the module
-    docstring). ``r1`` and ``rho`` must observe the same lines."""
-    for name, data in (("r1", r1), ("rho", rho)):
-        if any(v <= 0.0 for v in data.values()):
-            raise ValueError(f"{name} observations must be positive")
+    docstring). ``r1`` and ``rho`` must observe the same lines, each value
+    positive."""
+    z_count = zones.zone_count
+    grouped = [group_by_zone(data, zones.line_zone, z_count) for data in (r1, rho)]
     for name, data, other in (("r1", r1, rho), ("rho", rho, r1)):
+        # group_by_zone has checked that every value is a finite number
+        bad = next((line for line, v in data.items() if float(v) <= 0.0), None)
+        if bad is not None:
+            raise ValueError(f"line {bad!r}: {name} observations must be positive")
         alone = next((line for line in data if line not in other), None)
         if alone is not None:
             raise ValueError(f"line {alone!r} is observed in {name} only")
@@ -281,8 +285,6 @@ def fit_line_model(
             f"fewer observations ({len(r1)}) than mixture components; fit proceeds",
             stacklevel=2,
         )
-    z_count = zones.zone_count
-    grouped = [group_by_zone(data, zones.line_zone, z_count) for data in (r1, rho)]
     space, terms = _mixture_space(z_count)
     logpost, weights_step = _mixtures(grouped, space)
     init = {}

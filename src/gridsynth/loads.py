@@ -31,7 +31,6 @@ from .distributions import (
     _logpdf_gamma,
     _logpdf_halfnormal,
     _logpdf_truncnormal_stats,
-    _positive,
     _truncnormal_stats,
     sample_truncnormal,
 )
@@ -249,9 +248,8 @@ def fit_load_model(
         shape[..., 8:], rate[..., 8:] = g[..., 2:8:2], g[..., 3:8:2]
         lp = np.empty(g.shape[:-1] + (_FIRST_LIKELIHOOD + len(columns),))
         # the values scored are parameters here, so the Gamma binds them per
-        # call, and the shapes and rates out of its domain are masked here
-        in_domain = _positive(shape) & _positive(rate)
-        lp[..., :11] = np.where(in_domain, _logpdf_gamma(g)(shape, rate), -np.inf)
+        # call
+        lp[..., :11] = _logpdf_gamma(g)(shape, rate)
         lp[..., 11] = delta_bi_prior(v["delta_bi"])
         lp[..., 12] = delta_tri_prior(v["delta_tri"])
         sigma = v["sigma_p"]

@@ -81,8 +81,10 @@ def fit_caidi(
         raise ValueError("no duration observations")
     z_count = zones.zone_count
     grouped = group_by_zone(durations, zones.bus_zone, z_count)
-    if any(v < 0.0 for v in durations.values()):
-        raise ValueError("durations must be nonnegative")
+    # group_by_zone has checked that every value is a finite number
+    bad = next((bus for bus, v in durations.items() if float(v) < 0.0), None)
+    if bad is not None:
+        raise ValueError(f"bus {bad!r}: durations must be nonnegative")
     n_zero = np.array([float(np.sum(g == 0.0)) for g in grouped])
     positives = [g[g > 0.0] for g in grouped]
     n_pos = np.array([float(p.size) for p in positives])
@@ -151,8 +153,10 @@ def fit_caifi(
         raise ValueError("no count observations")
     z_count = zones.zone_count
     grouped = group_by_zone(counts, zones.bus_zone, z_count)
-    if any(v < 0 or int(v) != v for v in counts.values()):
-        raise ValueError("counts must be nonnegative integers")
+    # group_by_zone has checked that every value is a finite number
+    bad = next((bus for bus, v in counts.items() if float(v) < 0.0 or float(v) % 1.0), None)
+    if bad is not None:
+        raise ValueError(f"bus {bad!r}: counts must be nonnegative integers")
     empty = [z + 1 for z, g in enumerate(grouped) if g.size == 0]
     if empty:
         warnings.warn(f"zones without count observations keep the prior: {empty}", stacklevel=2)

@@ -399,15 +399,18 @@ def group_by_zone(
     """Per-zone arrays of the observed values, zone 1 first, each in input order.
 
     ``zone_of`` maps an id to its zone (``ZoneAssignment.bus_zone`` or
-    ``line_zone``). A value that is NaN or infinite, or an id with no zone,
-    raises ``ValueError`` naming the id.
+    ``line_zone``). A value that is not a number, NaN or infinite, or an id
+    with no zone, raises ``ValueError`` naming the id.
     """
     grouped: list[list[float]] = [[] for _ in range(zone_count)]
     for key, value in observations.items():
         zone = zone_of.get(key)
         if zone is None:
             raise ValueError(f"{key!r} has no zone")
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key!r}: observation {value!r} is not a number") from None
         if not math.isfinite(value):
             raise ValueError(f"{key!r}: observation {value} is not finite")
         grouped[zone - 1].append(value)

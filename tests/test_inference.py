@@ -14,7 +14,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from gridsynth import inference
-from gridsynth.distributions import make_rng, sample_gamma
+from gridsynth.distributions import make_rng, sample_dirichlet, sample_gamma
 from gridsynth.inference import (
     FitConfig,
     InitializationError,
@@ -724,6 +724,30 @@ def test_a_step_no_column_reads_is_drawn_once_for_the_kept_rows():
     assert ensemble.draws["w"].shape == (30,)
 
 
+def test_a_fit_whose_parameters_enter_no_term_column():
+    # one exact step and no Metropolis block: the log-posterior has no term
+    # columns, and the step draws every kept row, each inside the simplex
+    def draw(v, rngs):
+        return {"w": sample_dirichlet(rngs, np.broadcast_to([1.0, 2.0, 3.0], v["w"].shape))}
+
+    space = ParamSpace([ParamDef("w", (3,), "simplex")])
+    shapes = []
+
+    def log_posterior(v):
+        shapes.append(v["w"].shape)
+        return np.zeros((len(v["w"]), 0))
+
+    config = FitConfig(chains=4, warmup=0, draws=200, thin=1, seed=19)
+    ensemble = fit(log_posterior, space, config, exact=[(["w"], draw)], terms={"w": []})
+    assert shapes == [(1, 3), (4, 3)]  # the init row and the jittered starts
+    assert ensemble.diagnostics["acceptance"]["w"] == 1.0
+    w = ensemble.draws["w"]
+    assert w.shape == (800, 3)
+    # Dirichlet(1, 2, 3) means 1/6, 1/3, 1/2, each within 4 standard errors
+    se = np.sqrt(np.array([5.0, 8.0, 9.0]) / 36.0 / 7.0 / 800.0)
+    assert np.all(np.abs(w.mean(axis=0) - np.array([1.0, 2.0, 3.0]) / 6.0) < 4.0 * se)
+
+
 def test_first_chain_of_a_step_after_the_sweep_does_not_depend_on_chain_count():
     one, three = after_sweep_fit(draw_w, chains=1), after_sweep_fit(draw_w, chains=3)
     for name in ("x", "w"):
@@ -1101,3 +1125,24 @@ def test_stack_views_evenly_spaced_parameters_and_copies_the_rest():
     np.testing.assert_array_equal(
         space.stack(kept, ("a", "b")), np.stack([kept["a"], kept["b"]], axis=-2)
     )
+
+
+def test_a_model_that_stacks_by_list_draws_what_one_that_stacks_by_tuple_draws():
+    space = ParamSpace(
+        [ParamDef("a", (), "positive"), ParamDef("b", (), "positive"), ParamDef("c", (2,), "real")]
+    )
+
+    def model(names):
+        def log_posterior(v):
+            x = space.stack(v, names)
+            return -0.5 * (x * x).sum(axis=-1) - 0.5 * (v["c"] ** 2).sum(axis=-1)
+
+        return log_posterior
+
+    config = FitConfig(chains=2, warmup=20, draws=20, thin=1, seed=23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a short fit
+        by_tuple = fit(model(("a", "b")), space, config)
+        by_list = fit(model(["a", "b"]), space, config)
+    for name, draws in by_tuple.draws.items():
+        np.testing.assert_array_equal(by_list.draws[name], draws, err_msg=name)

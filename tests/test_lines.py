@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
+import gridsynth.lines
 from gridsynth.datasets import DEMO_ZONES, demo_draw
 from gridsynth.distributions import ParameterError, make_rng
 from gridsynth.inference import FitConfig
@@ -53,6 +54,23 @@ def test_non_finite_observation_names_the_line(value, field):
 def test_line_without_zone_is_named():
     with pytest.raises(ValueError, match="'l99'"):
         fit_line_model(observations(0.5, line="l99"), observations(), ZONES, TINY)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5])
+@pytest.mark.parametrize("field", ["r1", "rho"])
+def test_observation_that_is_not_positive_names_the_line(value, field):
+    data = {"r1": observations(), "rho": observations()}
+    data[field] = observations(value)
+    with pytest.raises(ValueError, match=f"^line 'l3': {field} observations must be positive$"):
+        fit_line_model(data["r1"], data["rho"], ZONES, TINY)
+
+
+@pytest.mark.parametrize("field", ["r1", "rho"])
+def test_observation_that_is_not_a_number_names_the_line(field):
+    data = {"r1": observations(), "rho": observations()}
+    data[field] = observations("n/a")
+    with pytest.raises(ValueError, match="^'l3': observation 'n/a' is not a number$"):
+        fit_line_model(data["r1"], data["rho"], ZONES, TINY)
 
 
 @pytest.mark.parametrize("field", ["r1", "rho"])
@@ -203,23 +221,45 @@ def test_mixture_logpost_matches_scipy_reference():
     assert lp[0] == pytest.approx([expected, expected], rel=1e-12)
 
 
-def test_mixture_logpost_zero_weight_is_off_support():
-    # a weight that underflowed to 0 scores -inf without running np.log(0)
-    # in its own mixture's column only
-    grouped = [np.array([0.15, 0.3])]
-    values = {}
-    for prefix in ("r", "rho"):
-        values[f"{prefix}_means"] = np.array([[0.2, 0.45, 0.8]])
-        values[f"{prefix}_cv"] = np.array([0.3])
-    values["r_weights_z1"] = np.array([[1.0, 0.0, 0.0]])
-    values["rho_weights_z1"] = np.array([[0.5, 0.5, 0.0]])
-    with np.errstate(divide="raise", invalid="raise"):
-        lp = _mixtures([grouped, grouped], _mixture_space(1)[0])[0](values)
-    assert lp[0, 0] == -np.inf
-    assert lp[0, 1] == -np.inf
-    values["rho_weights_z1"] = np.array([[0.5, 0.25, 0.25]])
-    lp = _mixtures([grouped, grouped], _mixture_space(1)[0])[0](values)
-    assert lp[0, 0] == -np.inf and np.isfinite(lp[0, 1])
+def test_mixture_logpost_zero_weight_is_off_support(monkeypatch):
+    # a weights draw with an exact 0 in one chain leaves the open simplex:
+    # ``fit`` sends that chain back to its weights, so the row never reaches
+    # the log-posterior, which takes no log(0)
+    drawn, seen = [], []
+    real_dirichlet, real_fit = gridsynth.lines.sample_dirichlet, gridsynth.lines.fit
+
+    def dirichlet(rngs, concentration):
+        weights = real_dirichlet(rngs, concentration)
+        if len(drawn) == 1:  # the second sweep: chain 0's r_weights_z1 gets a 0
+            weights[0, 0, 1] = 0.0
+        drawn.append(weights.copy())
+        return weights
+
+    def fit(log_posterior, space, *args, **kwargs):
+        names = [d.name for d in space.defs if d.support == "simplex"]
+
+        def scored(values):
+            seen.append(min(float(values[name].min()) for name in names))
+            return log_posterior(values)
+
+        return real_fit(scored, space, *args, **kwargs)
+
+    monkeypatch.setattr(gridsynth.lines, "sample_dirichlet", dirichlet)
+    monkeypatch.setattr(gridsynth.lines, "fit", fit)
+    config = FitConfig(chains=2, warmup=0, draws=4, thin=1, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ensemble = fit_line_model(observations(), observations(), ZONES, config).ensemble
+    assert len(drawn) == 4 and drawn[1][0, 0, 1] == 0.0
+    assert min(seen) > 0.0
+    # the kept rows, chain by chain: chain 0 keeps its first sweep's weights
+    # at the second sweep, and chain 1 takes its draw
+    kept = ensemble.draws["r_weights_z1"].reshape(2, 4, 3)
+    np.testing.assert_array_equal(kept[:, 0], drawn[0][:, 0])
+    np.testing.assert_array_equal(kept[0, 1], drawn[0][0, 0])
+    np.testing.assert_array_equal(kept[1, 1], drawn[1][1, 0])
+    step = "r_weights_z1-r_weights_z2-rho_weights_z1-rho_weights_z2"
+    assert ensemble.diagnostics["acceptance"][step] == pytest.approx((3 / 4 + 1) / 2)
 
 
 def test_carson_kron_reduced_neutral_matches_independent_value():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gridsynth.distributions import make_rng, sample_truncnormal
-from gridsynth.inference import FitConfig
+from gridsynth.inference import FitConfig, InitializationError
 from gridsynth.loads import (
     BusDemand,
     _mean_vector,
@@ -178,6 +178,18 @@ def test_fit_constant_loads_shrink_sigma():
     with pytest.warns(UserWarning):
         posterior = fit_load_model(demands, allocations, FAST)
     assert posterior.ensemble.draws["sigma_p"].mean() < 0.05 * 4.0
+
+
+def test_demands_whose_spread_overflows_fail_to_initialize():
+    # their standard deviation overflows to inf, and with it the scale of the
+    # sigma_p prior and sigma_p's init: fit cannot start, and says so
+    demands = {"a": np.array([1.7e308, 0.0, 0.0]), "b": np.zeros(3), "c": np.array([1.0, 0, 0])}
+    allocations = dict.fromkeys(demands, PhaseConfig.A)
+    with warnings.catch_warnings():
+        # numpy's overflow in the spread, and the categories with no buses
+        warnings.simplefilter("ignore")
+        with pytest.raises(InitializationError):
+            fit_load_model(demands, allocations, FAST)
 
 
 def test_fit_rejects_demand_on_inactive_phase():

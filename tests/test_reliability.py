@@ -39,6 +39,40 @@ def test_non_finite_observation_names_the_bus(fit_model, value):
         fit_model(observations(value), ZONES, TINY)
 
 
+@pytest.mark.parametrize("fit_model, value", [(fit_caidi, "n/a"), (fit_caifi, None)])
+def test_observation_that_is_not_a_number_names_the_bus(fit_model, value):
+    data = observations()
+    data["b7"] = value
+    with pytest.raises(ValueError, match=f"^'b7': observation {value!r} is not a number$"):
+        fit_model(data, ZONES, TINY)
+
+
+@pytest.mark.parametrize(
+    "fit_model, value, message",
+    [
+        (fit_caidi, -0.5, "durations must be nonnegative"),
+        (fit_caifi, -1, "counts must be nonnegative integers"),
+        (fit_caifi, 1.5, "counts must be nonnegative integers"),
+        (fit_caifi, "0.5", "counts must be nonnegative integers"),
+    ],
+)
+def test_an_invalid_observation_names_the_bus(fit_model, value, message):
+    with pytest.raises(ValueError, match=f"^bus 'b7': {message}$"):
+        fit_model(observations(value), ZONES, TINY)
+
+
+@pytest.mark.parametrize("fit_model", [fit_caidi, fit_caifi])
+def test_an_observation_given_as_a_numeric_string_is_read_as_its_number(fit_model):
+    data = observations()
+    data["b7"] = "3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # R-hat of a short fit
+        got = fit_model(data, ZONES, TINY).ensemble.draws
+        expected = fit_model(observations(3.0), ZONES, TINY).ensemble.draws
+    for name, draws in expected.items():
+        np.testing.assert_array_equal(got[name], draws, err_msg=name)
+
+
 @pytest.mark.parametrize("fit_model", [fit_caidi, fit_caifi])
 def test_bus_without_zone_is_named(fit_model):
     with pytest.raises(ValueError, match="'b99'"):
