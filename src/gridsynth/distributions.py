@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import gammaln, log_ndtr, ndtr, xlogy
 
 __all__ = [
     "ParameterError",
@@ -245,9 +244,13 @@ def sample_negbinomial(rng: Generator, mu: float, alpha: float) -> int:
     return int(rng.poisson(sample_gamma(rng, alpha, alpha / mu)))
 
 
-# When at least this much of the parent normal lies above the bound, plain
-# rejection is used; otherwise Robert's one-sided exponential proposal.
-_TRUNCNORM_REJECTION_MIN_ACCEPT = 0.1
+# Plain rejection is used while at least 0.1 of the parent normal lies above
+# the standardized bound a, otherwise Robert's one-sided exponential proposal.
+# The test is on a itself: this is the largest float with
+# ``scipy.special.ndtr(-a) >= 0.1`` (the 0.9 quantile of the standard normal,
+# rounded down; the next float up reads 0.09999999999999998), so the two
+# tests decide alike at every a.
+_TRUNCNORM_REJECTION_MAX_A = 1.2815515655446004
 # Proposals drawn per round, under either scheme: at an acceptance of 0.1 or
 # more, all 64 miss with probability at most 0.9**64, about 1e-3.
 _TRUNCNORM_BATCH = 64
@@ -257,7 +260,9 @@ def sample_truncnormal(rng: Generator, mu: float, sigma: float, lower: float) ->
     """One draw from ``rng`` of Normal(mu, sigma^2) conditioned on being >=
     lower: the first accepted proposal of plain rejection, or of Robert's
     (1995) shifted-exponential proposal with the optimal rate when less than
-    ``_TRUNCNORM_REJECTION_MIN_ACCEPT`` of the normal lies above the bound.
+    0.1 of the normal lies above the bound: when the standardized bound
+    ``a = (lower - mu) / sigma`` exceeds ``_TRUNCNORM_REJECTION_MAX_A``,
+    1.2815515655446004.
 
     ``mu`` and ``sigma`` must be finite and ``lower`` not NaN; a ``lower`` of
     -inf leaves the normal untruncated. ``sigma=0`` is accepted as the
@@ -273,7 +278,7 @@ def sample_truncnormal(rng: Generator, mu: float, sigma: float, lower: float) ->
         _require(mu >= lower, "degenerate truncnormal needs mu >= lower")
         return mu
     a = (lower - mu) / sigma
-    if ndtr(-a) >= _TRUNCNORM_REJECTION_MIN_ACCEPT:
+    if a <= _TRUNCNORM_REJECTION_MAX_A:
         while True:
             z = rng.standard_normal(_TRUNCNORM_BATCH)
             z = z[z >= a]
@@ -308,11 +313,15 @@ def sample_truncnormal(rng: Generator, mu: float, sigma: float, lower: float) ->
 # the domain. Any non-finite term rejects its row in ``fit``. The caller
 # silences numpy's floating-point warnings, when it binds as when it calls.
 # The kernels are private: the model log-posteriors are their only callers.
+# A binder imports the ``scipy.special`` functions its formula uses, so scipy
+# loads when a fit first binds a kernel; generating a network needs numpy only.
 
 
 def _logpdf_gamma(x):
     """Gamma(shape, rate) at the observations ``x``, as a function of
     ``(shape, rate)``; ``log(x)`` is taken once."""
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     log_x = np.log(x)
 
@@ -336,6 +345,8 @@ def _logpdf_weibull(x):
 
 def _logpdf_beta(a: float, b: float):
     """Beta(a, b) as a function of the value."""
+    from scipy.special import gammaln
+
     norm = gammaln(a + b) - gammaln(a) - gammaln(b)
     a1, b1 = a - 1.0, b - 1.0
     return lambda x: a1 * np.log(x) + b1 * np.log1p(-x) + norm
@@ -344,6 +355,8 @@ def _logpdf_beta(a: float, b: float):
 def _logpdf_dirichlet(concentration):
     """Dirichlet(concentration) as a function of the value, over its last
     axis. At concentration 1 the density is its normalizer."""
+    from scipy.special import gammaln, xlogy
+
     concentration = np.asarray(concentration, dtype=float)
     norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
     power = concentration - 1.0
@@ -360,6 +373,8 @@ def _logpmf_dirichlet_categorical(counts):
     over the last axis, as a function of the concentration: ``gammaln(A) -
     gammaln(A + N) + sum(gammaln(a + n) - gammaln(a))`` with ``A`` and ``N``
     the totals."""
+    from scipy.special import gammaln
+
     counts = np.asarray(counts, dtype=float)
     total_counts = counts.sum(axis=-1)
 
@@ -385,6 +400,8 @@ def _logpmf_negbinomial(k, group):
     Counts repeat, so ``gammaln(k + alpha)`` is taken once per distinct count
     and gathered, and the log ratios once per group and gathered; every score
     has the bits of the formula taken count by count."""
+    from scipy.special import gammaln
+
     k = np.asarray(k, dtype=float)
     group = np.asarray(group, dtype=int)
     distinct, index = np.unique(k, return_inverse=True)
@@ -428,6 +445,8 @@ def _logpdf_truncnormal_stats(stats, lower: float):
     function of ``(mu, sigma)``: ``-(ss + n d^2) / (2 sigma^2) - n (log sigma
     + log sqrt(2 pi) + log Phi((mu - lower) / sigma))`` with ``d = mean -
     mu``. A column needs ``n >= 1``."""
+    from scipy.special import log_ndtr
+
     n, anchor, offset, ss = stats
 
     def logpdf(mu, sigma):

@@ -203,9 +203,6 @@ def fit_load_model(
             )
     mono = mono.reshape(-1)
 
-    all_values = np.concatenate([mono, bi.ravel(), tri.ravel()])
-    sigma_scale = float(np.std(all_values)) or 1.0
-
     space = ParamSpace(
         [
             *(ParamDef(name, (), "positive") for name in _GAMMA_NAMES),
@@ -225,7 +222,11 @@ def fit_load_model(
     # (category, active phase), in the order of the means below
     by_category = ((mono[:, None], [0]), (bi, [1, 2]), (tri, [3, 4, 5]))
     observed = [(rows, cols) for rows, cols in by_category if rows.size]
-    stats = np.concatenate([_truncnormal_stats(rows) for rows, _ in observed], axis=1)
+    # demands whose spread overflows leave sigma_p no scale and the
+    # statistics infinite: fit cannot start, and says so
+    with np.errstate(over="ignore"):
+        sigma_scale = float(np.std(np.concatenate([mono, bi.ravel(), tri.ravel()]))) or 1.0
+        stats = np.concatenate([_truncnormal_stats(rows) for rows, _ in observed], axis=1)
     columns = [c for _, cols in observed for c in cols]
     # the kernels bound to what the fit holds fixed: the priors' parameters
     # and the observations' statistics

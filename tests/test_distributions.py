@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammaln, log_ndtr, xlogy
+from scipy.special import gammaln, log_ndtr, ndtr, xlogy
 
 from gridsynth.distributions import (
+    _TRUNCNORM_REJECTION_MAX_A,
     ParameterError,
     _cumulative,
     _logpdf_beta,
@@ -224,6 +225,18 @@ def test_truncnormal_without_a_bound_is_the_normal():
     rng = make_rng(26)
     assert math.isfinite(sample_truncnormal(rng, 0.5, 2.0, -math.inf))
     assert_moments(repeat(N, lambda: sample_truncnormal(rng, 0.5, 2.0, -math.inf)), 0.5, 4.0)
+
+
+def test_truncnormal_branch_threshold_is_where_the_normal_tail_reaches_a_tenth():
+    # the sampler picks plain rejection while ndtr(-a) >= 0.1, tested on the
+    # standardized bound a alone: the threshold is the last float that passes
+    a_max = _TRUNCNORM_REJECTION_MAX_A
+    assert ndtr(-a_max) >= 0.1
+    assert ndtr(-np.nextafter(a_max, math.inf)) < 0.1
+    ulps = np.arange(-5000, 5001, dtype=np.int64)
+    near = (np.array(a_max).view(np.int64) + ulps).view(np.float64)
+    a = np.concatenate([np.linspace(-40.0, 40.0, 2_000_001), near, [-math.inf, math.inf]])
+    assert np.array_equal(a <= a_max, ndtr(-a) >= 0.1)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """The generator: fit, then generate, on the demo, and the downstream end of
 a line off the shortest-path tree."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,3 +76,30 @@ def test_an_off_tree_line_takes_z_abc_from_its_downstream_end():
     swapped = {**net.phases, "a": PhaseConfig.A, "a1": PhaseConfig.A}
     swapped.update(b=PhaseConfig.ABC, b1=PhaseConfig.ABC)
     assert consistency_violations(topo, swapped, distances) == ["m"]
+
+
+NO_SCIPY_UNTIL_A_FIT = """
+import sys
+from gridsynth.datasets import DEMO_ZONES, demo_draw, demo_topology
+from gridsynth.generate import Feeder, network
+
+net = network(demo_draw(), Feeder(demo_topology(), DEMO_ZONES), 0, "no-scipy")
+assert len(net.lines) == 135
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"generation loaded {loaded[:5]}"
+
+from gridsynth.distributions import _logpdf_beta
+
+_logpdf_beta(2.0, 3.0)
+assert "scipy.special" in sys.modules, "binding a kernel did not load scipy.special"
+"""
+
+
+def test_generating_a_network_loads_no_scipy_until_a_kernel_is_bound():
+    """A fresh interpreter imports the generator and draws the demo network
+    with numpy alone; scipy loads when a fit binds its first kernel."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_UNTIL_A_FIT], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
