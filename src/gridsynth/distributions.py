@@ -354,16 +354,12 @@ def _logpdf_beta(a: float, b: float):
 
 def _logpdf_dirichlet(concentration):
     """Dirichlet(concentration) as a function of the value, over its last
-    axis. At concentration 1 the density is its normalizer."""
+    axis."""
     from scipy.special import gammaln, xlogy
 
     concentration = np.asarray(concentration, dtype=float)
     norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
     power = concentration - 1.0
-    if not power.any():
-        # xlogy(0, x) is +0 on the simplex, so the body is norm + 0
-        constant = norm + 0.0
-        return lambda x: np.full(np.shape(x)[:-1], constant)
     return lambda x: norm + xlogy(power, x).sum(axis=-1)
 
 

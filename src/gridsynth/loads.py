@@ -9,12 +9,13 @@ through a Dirichlet simplex. Per-bus demand deviates from the category mean
 through an independent zero-truncated normal on each active phase, and
 reactive power follows a network-wide power factor.
 
-The fit scores that likelihood on sufficient statistics: the count, mean and
-centred sum of squares of the observations in each (category, active phase)
-column, computed once per fit, so a log-posterior call costs the same for
-any number of buses. It returns its terms as columns and states which
-columns each parameter enters, so ``fit`` decides its ten blocks in three
-colours.
+The fit checks each bus's demand and files it under its category in one
+pass, in input order, naming the first bus at fault. It scores the
+likelihood on sufficient statistics: the count, mean and centred sum of
+squares of the observations in each (category, active phase) column,
+computed once per fit, so a log-posterior call costs the same for any
+number of buses. It returns its terms as columns and states which columns
+each parameter enters, so ``fit`` decides its ten blocks in three colours.
 """
 
 from __future__ import annotations
@@ -74,18 +75,13 @@ _DELTA_TRI_CONCENTRATION = np.array([2.0, 2.0, 2.0])
 _FIRST_LIKELIHOOD = 14
 
 
-def _power_factor_from_uniform(u: float) -> float:
-    """Map a uniform draw to the three-level network power factor."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"uniform draw outside [0, 1]: {u}")
+def draw_power_factor(rng) -> float:
+    """Draw the three-level network power factor from one uniform."""
+    u = rng.random()
     for threshold, pf in _PF_RULES:
         if 0.0 < u <= threshold:
             return pf
     return _PF_DEFAULT
-
-
-def draw_power_factor(rng) -> float:
-    return _power_factor_from_uniform(rng.random())
 
 
 @dataclass(frozen=True)
@@ -101,44 +97,31 @@ class BusDemand:
             raise ValueError("p_kw must be a nonnegative 3-vector")
 
 
-def _mean_vector(draw, config: PhaseConfig) -> np.ndarray:
-    """Category mean demand placed on the configuration's active phases.
-
-    Dual-phase splits give the alphabetically first active phase the
-    ``delta_bi`` share; three-phase splits follow ``delta_tri``.
-    """
-    mu = np.zeros(3)
-    active = config._phase_indices
-    if len(active) == 1:
-        mu[active[0]] = draw["p_pot_mono"]
-    elif len(active) == 2:
-        pot = draw["p_pot_bi"]
-        delta = draw["delta_bi"]
-        mu[active[0]] = pot * delta
-        mu[active[1]] = pot * (1.0 - delta)
-    else:
-        mu[:] = draw["p_pot_tri"] * np.asarray(draw["delta_tri"], dtype=float)
-    return mu
-
-
 def sample_demand(draw, config: PhaseConfig, rng, pf: float) -> BusDemand:
     """Draw one bus demand. ``pf`` is the network-level power factor,
-    drawn once per network sample, not per bus."""
-    mu = _mean_vector(draw, config).tolist()
+    drawn once per network sample, not per bus.
+
+    Each active phase draws a zero-truncated normal of scale ``sigma_p``
+    around its share of the category potential: a single-phase bus takes
+    all of ``p_pot_mono``; a dual-phase bus gives the ``delta_bi`` share of
+    ``p_pot_bi`` to its alphabetically first active phase and the rest to
+    the other; a three-phase bus splits ``p_pot_tri`` by ``delta_tri``.
+    Absent phases draw nothing and stay zero.
+    """
+    active = config._phase_indices
+    if len(active) == 1:
+        means = [draw["p_pot_mono"]]
+    elif len(active) == 2:
+        pot, delta = draw["p_pot_bi"], draw["delta_bi"]
+        means = [pot * delta, pot * (1.0 - delta)]
+    else:
+        means = draw["p_pot_tri"] * np.asarray(draw["delta_tri"], dtype=float)
     sigma = float(draw["sigma_p"])
     p = [0.0, 0.0, 0.0]
-    for i in config._phase_indices:
-        p[i] = sample_truncnormal(rng, mu[i], sigma, 0.0)
+    for i, mean in zip(active, means):
+        p[i] = sample_truncnormal(rng, mean, sigma, 0.0)
     ratio = math.tan(math.acos(pf))
     return BusDemand(p_kw=np.array(p), q_kvar=np.array([x * ratio for x in p]))
-
-
-def _float_array(value) -> np.ndarray | None:
-    """``value`` as a float array, or None where numpy cannot convert it."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        return None
 
 
 def fit_load_model(
@@ -154,46 +137,31 @@ def fit_load_model(
     """
     if not demands:
         raise ValueError("no demand observations")
-    buses = list(demands)
-    vectors = [_float_array(vec) for vec in demands.values()]
-    configs = [allocations.get(bus) for bus in buses]
-    shaped = [vec is not None and vec.shape == (3,) for vec in vectors]
-    rows = np.array([vec if ok else np.zeros(3) for vec, ok in zip(vectors, shaped)])
-    # whether each phase of each bus is active (all, for a bus with none)
-    active_of = {cfg: [i in cfg._phase_indices for i in range(3)] for cfg in set(configs) - {None}}
-    active = np.array([active_of.get(cfg, [True] * 3) for cfg in configs])
-    # each bus's checks in the order they are reported; the first bus that
-    # fails one is named, with the first it fails
-    faults = np.stack(
-        [
-            np.array([vec is None for vec in vectors], dtype=bool),
-            ~np.array(shaped, dtype=bool),
-            ~np.isfinite(rows).all(axis=1),
-            (rows < 0.0).any(axis=1),
-            np.array([cfg is None for cfg in configs], dtype=bool),
-            ((rows != 0.0) & ~active).any(axis=1),
-        ],
-        axis=1,
+    # each category's observations, the active phases of each bus in A, B, C
+    # order; the first bus at fault is named, with the first check it fails
+    observations = ([], [], [])
+    for bus, vec in demands.items():
+        p = np.asarray(vec, dtype=float)  # numpy's own error if not numbers
+        values = p.tolist()
+        cfg = allocations.get(bus)
+        if p.shape != (3,):
+            fault = "demand must be a 3-vector"
+        elif not all(map(math.isfinite, values)):
+            fault = f"non-finite demand {values}"
+        elif min(values) < 0.0:
+            fault = "negative demand"
+        elif cfg is None:
+            fault = "no phase configuration"
+        elif any(x for i, x in enumerate(values) if i not in cfg._phase_indices):
+            fault = f"nonzero demand on a phase absent from {cfg.name}"
+        else:
+            active = cfg._phase_indices
+            observations[len(active) - 1].append([values[i] for i in active])
+            continue
+        raise ValueError(f"bus {bus}: {fault}")
+    mono, bi, tri = (
+        np.array(rows, dtype=float).reshape(-1, k) for k, rows in enumerate(observations, 1)
     )
-    if faults.any():
-        i = int(faults.any(axis=1).argmax())
-        check = int(faults[i].argmax())
-        if check == 0:  # not numbers: numpy's own error, as converting the bus raises it
-            np.asarray(demands[buses[i]], dtype=float)
-        absent = f"nonzero demand on a phase absent from {getattr(configs[i], 'name', '')}"
-        raise ValueError(
-            f"bus {buses[i]}: "
-            + (
-                "demand must be a 3-vector",
-                f"non-finite demand {vectors[i].tolist()}",
-                "negative demand",
-                "no phase configuration",
-                absent,
-            )[check - 1]
-        )
-    # each category's rows, the active phases of each bus in order
-    count = active.sum(axis=1)
-    mono, bi, tri = (rows[count == k][active[count == k]].reshape(-1, k) for k in (1, 2, 3))
     for name, category in (("mono", mono), ("bi", bi), ("tri", tri)):
         if not category.size:
             warnings.warn(
@@ -222,11 +190,30 @@ def fit_load_model(
     # (category, active phase), in the order of the means below
     by_category = ((mono[:, None], [0]), (bi, [1, 2]), (tri, [3, 4, 5]))
     observed = [(rows, cols) for rows, cols in by_category if rows.size]
-    # demands whose spread overflows leave sigma_p no scale and the
-    # statistics infinite: fit cannot start, and says so
-    with np.errstate(over="ignore"):
+    # demands whose totals or spread overflow leave the potentials' init,
+    # sigma_p's scale and the statistics infinite: fit cannot start, and says
+    # so; a three-phase split that such a total leaves 0 or NaN starts uniform
+    with np.errstate(over="ignore", invalid="ignore"):
         sigma_scale = float(np.std(np.concatenate([mono, bi.ravel(), tri.ravel()]))) or 1.0
         stats = np.concatenate([_truncnormal_stats(rows) for rows, _ in observed], axis=1)
+        bi_share = bi[:, 0].mean() / max(bi.sum(axis=1).mean(), 1e-9) if bi.size else 0.5
+        tri_share = tri.mean(axis=0) / tri.mean(axis=0).sum() if tri.size else np.zeros(3)
+        init = {
+            "alpha_hp": 4.0,
+            "beta_hp": 1.0,
+            "alpha_mono": 2.0,
+            "beta_mono": 1.0,
+            "alpha_bi": 2.0,
+            "beta_bi": 1.0,
+            "alpha_tri": 2.0,
+            "beta_tri": 1.0,
+            "p_pot_mono": float(np.mean(mono)) if mono.size else 1.0,
+            "p_pot_bi": float(np.mean(bi.sum(axis=1))) if bi.size else 1.0,
+            "p_pot_tri": float(np.mean(tri.sum(axis=1))) if tri.size else 1.0,
+            "delta_bi": float(np.clip(bi_share, 0.05, 0.95)),
+            "delta_tri": tri_share if np.all(tri_share > 0.0) else np.full(3, 1.0 / 3.0),
+            "sigma_p": max(sigma_scale * 0.5, 1e-3),
+        }
     columns = [c for _, cols in observed for c in cols]
     # the kernels bound to what the fit holds fixed: the priors' parameters
     # and the observations' statistics
@@ -279,25 +266,5 @@ def fit_load_model(
         for name in (*mean_of[c], "sigma_p"):
             terms[name].append(j)
 
-    init = {
-        "alpha_hp": 4.0,
-        "beta_hp": 1.0,
-        "alpha_mono": 2.0,
-        "beta_mono": 1.0,
-        "alpha_bi": 2.0,
-        "beta_bi": 1.0,
-        "alpha_tri": 2.0,
-        "beta_tri": 1.0,
-        "p_pot_mono": float(np.mean(mono)) if mono.size else 1.0,
-        "p_pot_bi": float(np.mean(bi.sum(axis=1))) if bi.size else 1.0,
-        "p_pot_tri": float(np.mean(tri.sum(axis=1))) if tri.size else 1.0,
-        "delta_bi": float(np.clip(bi[:, 0].mean() / max(bi.sum(axis=1).mean(), 1e-9), 0.05, 0.95))
-        if bi.size
-        else 0.5,
-        "delta_tri": (tri.mean(axis=0) / tri.mean(axis=0).sum())
-        if tri.size and np.all(tri.mean(axis=0) > 0)
-        else np.full(3, 1.0 / 3.0),
-        "sigma_p": max(sigma_scale * 0.5, 1e-3),
-    }
     ensemble = fit(logpost, space, config, init=init, terms=terms)
     return Posterior(ensemble)

@@ -6,6 +6,11 @@ other parameters held fixed, so its draws can be compared with the full
 conditional it claims to sample. The phase base and CAIDI gate steps enter
 no term column, so ``fit`` calls them once, on every kept row of every
 chain: they get values of shape ``(chains, kept, ...)``.
+
+The joint-distribution tests (Geweke 2004) run exact steps through ``fit``
+itself: the data are a parameter that an exact step redraws from its
+likelihood, so ``fit`` samples the joint prior and the kept parameter draws
+must match the prior's moments.
 """
 
 import itertools
@@ -16,7 +21,7 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from gridsynth.distributions import make_rng
-from gridsynth.inference import _effective_sample_size
+from gridsynth.inference import FitConfig, ParamDef, ParamSpace, _effective_sample_size, fit
 from gridsynth.lines import _MIXTURE_COMPONENTS, fit_line_model
 from gridsynth.topology import ZoneAssignment, group_by_zone
 from test_distributions import assert_moments
@@ -147,3 +152,61 @@ def test_mixture_weights_step_matches_enumeration(fit_calls):
             series = trace[:, :, i, k].T  # (chains, draws)
             se = series.std() / np.sqrt(_effective_sample_size(series[..., None])[0])
             assert abs(series.mean() - expected[z, k]) < 4 * se, (name, k, series.mean(), expected)
+
+
+def geweke_draws(with_phi: bool) -> dict:
+    """Kept draws of a joint-distribution test (Geweke 2004): theta ~ Gamma(2,
+    1) on a Metropolis block, three y_i | theta ~ Normal(theta, 1) redrawn by
+    an exact step each sweep, and, with ``with_phi``, phi | theta ~
+    Normal(theta, 1) in a step that leaves the sweep. ``fit`` then samples
+    the joint prior, so theta's kept draws follow Gamma(2, 1) and phi's have
+    mean 2 and variance 3. Each array is ``(chains, kept)``."""
+
+    def normal_about_theta(name, size):
+        def draw(v, rngs):
+            return {name: np.array([r.normal(t, 1.0, size) for r, t in zip(rngs, v["theta"])])}
+
+        return [name], draw
+
+    def logpost(v):
+        theta = v["theta"]
+        likelihood = -0.5 * ((v["y"] - theta[:, None]) ** 2).sum(axis=1)
+        lp = np.stack([np.log(theta) - theta, likelihood], axis=1)
+        return lp if with_phi else lp.sum(axis=1)
+
+    defs = [ParamDef("theta", (), "positive"), ParamDef("y", (3,), "real")]
+    exact = [normal_about_theta("y", 3)]
+    init = {"theta": 2.0, "y": np.full(3, 2.0)}
+    terms = None
+    if with_phi:
+        defs.append(ParamDef("phi", (), "real"))
+        exact.append(normal_about_theta("phi", None))
+        init["phi"] = 2.0
+        terms = {"theta": [0, 1], "y": [1], "phi": []}
+    config = FitConfig(chains=4, warmup=500, draws=8000, thin=4, seed=3)
+    ensemble = fit(logpost, ParamSpace(defs), config, init=init, exact=exact, terms=terms)
+    return {name: draws.reshape(config.chains, -1) for name, draws in ensemble.draws.items()}
+
+
+def z_score(series: np.ndarray, expected: float) -> float:
+    """The mean of a ``(chains, draws)`` series against ``expected``, in
+    standard errors from its effective sample size."""
+    se = series.std() / np.sqrt(_effective_sample_size(series[..., None])[0])
+    return float((series.mean() - expected) / se)
+
+
+def assert_prior_moments(series: np.ndarray, mean: float, var: float) -> None:
+    """Mean and variance within 4 standard errors of the prior's."""
+    z = z_score(series, mean), z_score((series - mean) ** 2, var)
+    assert max(map(abs, z)) < 4.0, z
+
+
+def test_joint_distribution_with_an_exact_step_in_the_sweep():
+    draws = geweke_draws(with_phi=False)
+    assert_prior_moments(draws["theta"], 2.0, 2.0)
+
+
+def test_joint_distribution_with_a_step_that_leaves_the_sweep():
+    draws = geweke_draws(with_phi=True)
+    assert_prior_moments(draws["theta"], 2.0, 2.0)
+    assert_prior_moments(draws["phi"], 2.0, 3.0)

@@ -1,6 +1,7 @@
 """Demand model checks: mean vectors, power factor, sampling, fitting."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,14 +9,7 @@ import pytest
 
 from gridsynth.distributions import make_rng, sample_truncnormal
 from gridsynth.inference import FitConfig, InitializationError
-from gridsynth.loads import (
-    BusDemand,
-    _mean_vector,
-    _power_factor_from_uniform,
-    draw_power_factor,
-    fit_load_model,
-    sample_demand,
-)
+from gridsynth.loads import BusDemand, draw_power_factor, fit_load_model, sample_demand
 from gridsynth.phases import CONFIGS, PhaseConfig
 
 FAST = FitConfig(chains=4, warmup=600, draws=600, thin=2, seed=77)
@@ -31,12 +25,12 @@ TRUTH = {
 
 
 def test_power_factor_thresholds_exact():
-    cases = {0.10: 0.85, 0.1649: 0.85, 0.20: 0.90, 0.27: 0.90, 0.50: 0.95}
+    above = math.nextafter
+    cases = {0.0: 0.95, 0.10: 0.85, 0.1649: 0.85, above(0.1649, 1.0): 0.90, 0.20: 0.90}
+    cases.update({0.27: 0.90, above(0.27, 1.0): 0.95, 0.50: 0.95, 1.0: 0.95})
     for u, pf in cases.items():
-        assert _power_factor_from_uniform(u) == pf
-    assert _power_factor_from_uniform(1.0) == 0.95
-    with pytest.raises(ValueError):
-        _power_factor_from_uniform(1.2)
+        # a stub generator whose one uniform is u
+        assert draw_power_factor(types.SimpleNamespace(random=lambda u=u: u)) == pf, u
 
 
 def test_draw_power_factor_levels():
@@ -45,32 +39,38 @@ def test_draw_power_factor_levels():
     assert levels == {0.85, 0.90, 0.95}
 
 
+def mean_vector(draw, config):
+    """The category means sample_demand places on the active phases: its
+    draw at sigma_p = 0."""
+    return sample_demand(dict(draw, sigma_p=0.0), config, make_rng(0), 0.95).p_kw
+
+
 def test_mean_vector_symmetric_bi_split():
     draw = dict(TRUTH, p_pot_bi=10.0, delta_bi=0.5)
-    np.testing.assert_allclose(_mean_vector(draw, PhaseConfig.AB), [5.0, 5.0, 0.0])
+    np.testing.assert_allclose(mean_vector(draw, PhaseConfig.AB), [5.0, 5.0, 0.0])
 
 
 def test_mean_vector_balanced_tri():
     draw = dict(TRUTH, p_pot_tri=9.0, delta_tri=np.full(3, 1 / 3))
-    np.testing.assert_allclose(_mean_vector(draw, PhaseConfig.ABC), [3.0, 3.0, 3.0])
+    np.testing.assert_allclose(mean_vector(draw, PhaseConfig.ABC), [3.0, 3.0, 3.0])
 
 
 def test_mean_vector_mono_b():
     draw = dict(TRUTH, p_pot_mono=7.0)
-    np.testing.assert_allclose(_mean_vector(draw, PhaseConfig.B), [0.0, 7.0, 0.0])
+    np.testing.assert_allclose(mean_vector(draw, PhaseConfig.B), [0.0, 7.0, 0.0])
 
 
 def test_mean_vector_ca_puts_delta_on_a():
     # alphabetically first active phase takes the delta share
     draw = dict(TRUTH, p_pot_bi=10.0, delta_bi=0.7)
-    np.testing.assert_allclose(_mean_vector(draw, PhaseConfig.CA), [7.0, 0.0, 3.0])
-    np.testing.assert_allclose(_mean_vector(draw, PhaseConfig.BC), [0.0, 7.0, 3.0])
+    np.testing.assert_allclose(mean_vector(draw, PhaseConfig.CA), [7.0, 0.0, 3.0])
+    np.testing.assert_allclose(mean_vector(draw, PhaseConfig.BC), [0.0, 7.0, 3.0])
 
 
 def test_split_conservation():
     for cfg in (PhaseConfig.AB, PhaseConfig.BC, PhaseConfig.CA):
-        assert _mean_vector(TRUTH, cfg).sum() == pytest.approx(TRUTH["p_pot_bi"])
-    assert _mean_vector(TRUTH, PhaseConfig.ABC).sum() == pytest.approx(TRUTH["p_pot_tri"])
+        assert mean_vector(TRUTH, cfg).sum() == pytest.approx(TRUTH["p_pot_bi"])
+    assert mean_vector(TRUTH, PhaseConfig.ABC).sum() == pytest.approx(TRUTH["p_pot_tri"])
 
 
 def test_reactive_power_arithmetic():
@@ -88,10 +88,18 @@ def test_sample_demand_q_follows_pf():
 
 
 def test_sample_demand_degenerate_sigma():
+    # at sigma_p = 0 each active phase takes its mean exactly
     draw = dict(TRUTH, sigma_p=0.0)
     rng = make_rng(3)
-    d = sample_demand(draw, PhaseConfig.AB, rng, 0.95)
-    np.testing.assert_array_equal(d.p_kw, _mean_vector(draw, PhaseConfig.AB))
+    bi, delta_bi = TRUTH["p_pot_bi"], TRUTH["delta_bi"]
+    cases = {
+        PhaseConfig.C: [0.0, 0.0, TRUTH["p_pot_mono"]],
+        PhaseConfig.AB: [bi * delta_bi, bi * (1.0 - delta_bi), 0.0],
+        PhaseConfig.CA: [bi * delta_bi, 0.0, bi * (1.0 - delta_bi)],
+        PhaseConfig.ABC: TRUTH["p_pot_tri"] * TRUTH["delta_tri"],
+    }
+    for cfg, means in cases.items():
+        np.testing.assert_array_equal(sample_demand(draw, cfg, rng, 0.95).p_kw, means)
 
 
 def test_sample_demand_sparsity_all_configs():
@@ -190,6 +198,28 @@ def test_demands_whose_spread_overflows_fail_to_initialize():
         warnings.filterwarnings("ignore", "no (bi|tri)-phase observations", UserWarning)
         with pytest.raises(InitializationError):
             fit_load_model(demands, allocations, FAST)
+
+
+@pytest.mark.parametrize(
+    "demand, config",
+    [
+        ([1.7e308, 0.0, 0.0], PhaseConfig.A),
+        ([1.7e308, 1.7e308, 0.0], PhaseConfig.AB),
+        ([8e307] * 3, PhaseConfig.ABC),
+    ],
+    ids=["mono", "bi", "tri"],
+)
+def test_demands_whose_totals_overflow_fail_to_initialize(demand, config):
+    # the mean total of the category, the potential's init, overflows: fit
+    # cannot start, and says so; the three-phase means are finite but their
+    # total is not, so the split's init falls back to uniform first
+    demands = {"a": np.array(demand), "b": np.array(demand)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the categories with no buses
+        warnings.filterwarnings("ignore", "no (mono|bi|tri)-phase observations", UserWarning)
+        with pytest.raises(InitializationError):
+            fit_load_model(demands, dict.fromkeys(demands, config), FAST)
 
 
 def test_fit_rejects_demand_on_inactive_phase():

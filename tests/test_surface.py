@@ -20,6 +20,10 @@ attribute of that name is read. A member that shares its name with a member
 that is read is invisible to them: a ``NetworkTopology.degree`` method that
 only tests call would pass, because the topology layers read
 ``_Index.degree``.
+
+A fourth check keeps every import of the package inside ``src/gridsynth``
+relative, so that a second copy of the package imported under another name
+(to time two versions in one process) loads its own modules.
 """
 
 import ast
@@ -161,3 +165,22 @@ def test_every_class_member_has_a_reader():
         if member not in read
     )
     assert unread == [], "members read only by tests, if at all: " + ", ".join(unread)
+
+
+def test_the_package_imports_itself_relatively():
+    absolute = sorted(
+        f"{path.name}:{node.lineno}"
+        for path, tree in parsed()
+        if path.parent == PACKAGE
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.split(".")[0] == PACKAGE.name
+        )
+        or (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == PACKAGE.name for alias in node.names)
+        )
+    )
+    assert absolute == [], "absolute imports of the package: " + ", ".join(absolute)
