@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import substream
 from .lines import LineParams, attach_zabc, sample_line
 from .loads import BusDemand, draw_power_factor, sample_demand
-from .phases import PhaseConfig, _line_ends, allocate
+from .phases import PhaseConfig, allocate
 from .reliability import sample_caidi, sample_caifi
 from .topology import NetworkTopology, assign_zones, build_hierarchy, compute_distances
 
@@ -28,16 +28,16 @@ __all__ = ["Feeder", "SyntheticNetwork", "network"]
 class Feeder:
     """A topology with what generation derives from it, computed once: its
     distance zones, its ramification hierarchy and each line's downstream
-    bus id, in line order (the end ``phases.consistency_violations`` calls
-    downstream)."""
+    bus id, in line order: the line's end that is the other's tree child."""
 
     def __init__(self, topology: NetworkTopology, zone_count: int) -> None:
-        distances = compute_distances(topology)
         self.topology = topology
-        self.zones = assign_zones(distances, topology.lines, zone_count)
+        self.zones = assign_zones(compute_distances(topology), topology.lines, zone_count)
         self.hierarchy = build_hierarchy(topology)
-        ids = topology._index.ids
-        self.downstream = [ids[b] for b in _line_ends(topology, distances)[1].tolist()]
+        index = topology._index
+        a, b = index.line_from, index.line_to
+        child = np.where(np.array(index.parent)[b] == a, b, a)
+        self.downstream = [index.ids[v] for v in child.tolist()]
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,8 @@ def _forward(support: str, z: np.ndarray):
 
 def _inverse(d: ParamDef, value: float | np.ndarray) -> np.ndarray:
     v = np.atleast_1d(np.asarray(value, dtype=float))
+    if np.isnan(v).any():  # NaN passes every range check below
+        raise ValueError(f"{d.name}: {d.support} parameter initialized NaN")
     if d.support == "real":
         return v.copy()
     if d.support == "positive":

@@ -192,7 +192,8 @@ def fit_load_model(
     observed = [(rows, cols) for rows, cols in by_category if rows.size]
     # demands whose totals or spread overflow leave the potentials' init,
     # sigma_p's scale and the statistics infinite: fit cannot start, and says
-    # so; a three-phase split that such a total leaves 0 or NaN starts uniform
+    # so; a split that such a total leaves NaN (or 0, three-phase) starts
+    # uniform
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_scale = float(np.std(np.concatenate([mono, bi.ravel(), tri.ravel()]))) or 1.0
         stats = np.concatenate([_truncnormal_stats(rows) for rows, _ in observed], axis=1)
@@ -210,7 +211,7 @@ def fit_load_model(
             "p_pot_mono": float(np.mean(mono)) if mono.size else 1.0,
             "p_pot_bi": float(np.mean(bi.sum(axis=1))) if bi.size else 1.0,
             "p_pot_tri": float(np.mean(tri.sum(axis=1))) if tri.size else 1.0,
-            "delta_bi": float(np.clip(bi_share, 0.05, 0.95)),
+            "delta_bi": float(np.clip(bi_share, 0.05, 0.95)) if np.isfinite(bi_share) else 0.5,
             "delta_tri": tri_share if np.all(tri_share > 0.0) else np.full(3, 1.0 / 3.0),
             "sigma_p": max(sigma_scale * 0.5, 1e-3),
         }

@@ -1,17 +1,16 @@
 """Phase configurations, the subset-consistency constraint, and allocation.
 
 A bus is served by one of seven configurations {A, B, C, AB, BC, CA, ABC}.
-The allocation rule is structural and walks the shortest-path tree: the
-source is three-phase, branch (ramification) nodes sample their configuration
-from zone-conditioned base probabilities masked to subsets of their tree
-parent's phases, and every other bus copies its tree parent. The subset rule
-therefore holds on every line of that tree. On a meshed feeder a line off the
-tree joins two buses allocated independently, so it can break the rule;
-``consistency_violations`` reports every line that does. One 7x7 table by
-configuration index, ``_ALLOWED[parent, child]``, holds the subset rule:
-``constrain`` masks by the parent's row and ``consistency_violations`` looks
-up each line's (upstream, downstream) pair. One helper, ``_line_ends``,
-orders each line's ends for it and for ``generate.Feeder``.
+The allocation rule is structural and walks the feeder's tree: the source is
+three-phase, branch (ramification) nodes sample their configuration from
+zone-conditioned base probabilities masked to subsets of their tree parent's
+phases, and every other bus copies its tree parent. A feeder is radial, so
+every line is a tree line and the subset rule holds on every line by
+construction; ``consistency_violations`` checks it independently, from the
+distances it is given. One 7x7 table by configuration index,
+``_ALLOWED[parent, child]``, holds the subset rule: ``constrain`` masks by the
+parent's row and ``consistency_violations`` looks up each line's (upstream,
+downstream) pair.
 
 Base probabilities are zone-level Dirichlet-Categorical posteriors: a
 concentration row per zone with a HalfNormal(1) prior, a probability vector
@@ -194,15 +193,15 @@ def allocate(
 ) -> dict[str, PhaseConfig]:
     """Draw one subset-consistent allocation from zone base probabilities.
 
-    ``base`` is a (Z, 7) matrix (one posterior draw). One walk down the
-    shortest-path tree: the source is three-phase, each other ramification
-    node draws from its zone's row constrained to its tree parent's
-    configuration, and every other bus copies its tree parent. A constrained
-    row is computed once per (zone, parent configuration), so a fallback
-    warns once per pair. One ``rng.random(k)`` call gives one uniform per
-    branch point in ramification order, scaled by the row total and placed
-    by ``bisect_right`` on the row's running totals (``_cumulative``). The
-    result is keyed in ``topology.buses`` order.
+    ``base`` is a (Z, 7) matrix (one posterior draw). One walk down the tree:
+    the source is three-phase, each other ramification node draws from its
+    zone's row constrained to its tree parent's configuration, and every
+    other bus copies its tree parent. A constrained row is computed once per
+    (zone, parent configuration), so a fallback warns once per pair. One
+    ``rng.random(k)`` call gives one uniform per branch point in ramification
+    order, scaled by the row total and placed by ``bisect_right`` on the
+    row's running totals (``_cumulative``). The result is keyed in
+    ``topology.buses`` order.
     """
     base = np.asarray(base, dtype=float)
     if base.shape != (zones.zone_count, 7):
@@ -232,18 +231,6 @@ def allocate(
 _VALUE = attrgetter("_value_")
 
 
-def _line_ends(
-    topology: NetworkTopology, distances: dict[str, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upstream and downstream end positions of each line, in line order, by
-    the rule ``consistency_violations`` states."""
-    index = topology._index
-    a, b, seq = index.line_from, index.line_to, index.seq
-    dist = np.fromiter(map(distances.__getitem__, index.ids), float, len(index.ids))
-    a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
-    return np.where(a_up, a, b), np.where(a_up, b, a)
-
-
 def consistency_violations(
     topology: NetworkTopology,
     allocation: dict[str, PhaseConfig],
@@ -251,12 +238,15 @@ def consistency_violations(
 ) -> list[str]:
     """Line ids where the downstream phase set is not a subset of the upstream one.
 
-    The upstream end is the one closer to the source; between equidistant
-    ends, the one the shortest-path tree reaches first.
+    The upstream end is the one closer to the source by ``distances``;
+    between equidistant ends, the one earlier in the tree's order.
     """
-    ids = topology._index.ids
+    index = topology._index
+    ids, a, b, seq = index.ids, index.line_from, index.line_to, index.seq
     # _value_ is the plain member attribute; .value goes through a descriptor
     config = np.fromiter(map(_VALUE, map(allocation.__getitem__, ids)), np.int64, len(ids))
-    up, down = _line_ends(topology, distances)
+    dist = np.fromiter(map(distances.__getitem__, ids), float, len(ids))
+    a_up = (dist[a] < dist[b]) | ((dist[a] == dist[b]) & (seq[a] < seq[b]))
+    up, down = np.where(a_up, a, b), np.where(a_up, b, a)
     bad = np.flatnonzero(_ALLOWED[config[up], config[down]] == 0.0)
     return [topology.lines[i].id for i in bad.tolist()]

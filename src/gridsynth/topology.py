@@ -1,30 +1,27 @@
 """Feeder graph representation, path distances, zones, and branch hierarchy.
 
-The topology is an undirected graph of buses and lines with one designated
-source (substation) bus. Everything downstream-facing in the generator is
-keyed off two derived structures: the quantile-binned distance zones of each
-bus/line, and the hierarchy of ramification (branching) nodes that drives
-phase allocation.
+The topology is a radial feeder: a tree of buses and lines, one line fewer
+than it has buses, rooted at one designated source (substation) bus.
+Everything downstream-facing in the generator is keyed off two derived
+structures: the quantile-binned distance zones of each bus/line, and the
+hierarchy of ramification (branching) nodes that drives phase allocation.
 
 Construction builds one integer index of the feeder: each bus is its position
 in ``buses``, and each line is the pair of its endpoint positions, with the
-bus degrees beside them. The shortest-path tree from the source is kept on the
-same positions as arrays: distance, tree parent, the order Dijkstra pops the
-buses in and each bus's place in that order. ``shortest_path_tree``,
+bus degrees beside them. The tree from the source is kept on the same
+positions as arrays: distance, tree parent, the buses in order of distance
+and each bus's place in that order. ``shortest_path_tree``,
 ``build_hierarchy`` and ``phases.consistency_violations`` read these arrays
 instead of walking id-keyed maps, and return id-keyed results as before.
 
-A radial feeder, one with one line fewer than it has buses, gets its tree from
-one pass that peels leaves toward the source and one sort by distance
-(``_radial_tree``). Every other feeder, and a tree with a line too short to
-change the float distance, gets it from a heap Dijkstra (``_dijkstra``). Both
-give the same index bit for bit; the choice reads only the line count and the
-tree's own distances.
+The tree comes from one pass that peels leaves toward the source and one sort
+by distance (``_radial_tree``). Construction rejects a feeder with more lines
+than buses - 1, a bus the tree does not reach from the source, and a line
+too short to change the float distance from the source.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import os
@@ -59,12 +56,13 @@ class TopologyError(ValueError):
 
 
 class DisconnectedGraphError(TopologyError):
-    """Graph has buses unreachable from the source."""
+    """Buses the feeder's tree does not reach from the source: in a part
+    without the source, on a cycle or below one."""
 
     def __init__(self, unreachable: list[str]):
         self.unreachable = list(unreachable)
         super().__init__(
-            "buses unreachable from source: " + ", ".join(sorted(self.unreachable))
+            "buses the tree does not reach from the source: " + ", ".join(sorted(self.unreachable))
         )
 
 
@@ -91,12 +89,10 @@ class _Index(NamedTuple):
     """Integer view of a feeder, built once by ``NetworkTopology``.
 
     A bus is its position in ``buses``; ``line_from[i]`` and ``line_to[i]``
-    are the endpoint positions of ``lines[i]``, as int arrays. The
-    shortest-path tree is kept as ``dist`` and ``parent`` by position (-1 for
-    the source), ``order``, the positions in the order Dijkstra pops them, and
-    ``seq``, each bus's position in ``order`` as an int array. The radial path
-    (``_radial_tree``) and the heap (``_dijkstra``) build the same index, bit
-    for bit, wherever the radial path applies.
+    are the endpoint positions of ``lines[i]``, as int arrays. The tree is
+    kept as ``dist`` and ``parent`` by position (-1 for the source),
+    ``order``, the positions by distance with tied distances ranked by id,
+    and ``seq``, each bus's position in ``order`` as an int array.
     """
 
     ids: tuple[str, ...]
@@ -111,15 +107,14 @@ class _Index(NamedTuple):
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Immutable bus/line graph with a designated source bus.
+    """Immutable radial feeder: buses and lines with a designated source bus.
 
     Validated on construction: unique ids, positive line lengths, known
-    endpoints, and full reachability from the source. Cycles are accepted.
-    Construction also builds the integer index (see ``_Index``) and the
-    shortest-path tree from the source, once; every topology layer reads them.
-    A feeder with one line fewer than it has buses takes the radial path,
-    ``_radial_tree``; a mesh, a disconnected feeder, and a tree with a line too
-    short to change the float distance take the heap, ``_dijkstra``.
+    endpoints, no more lines than buses - 1, every bus reached from the source
+    along the tree, and every bus strictly farther from the source in floats
+    than its tree parent. Construction also builds the integer index (see
+    ``_Index``) and the tree from the source, once, by ``_radial_tree``;
+    every topology layer reads them.
     """
 
     buses: tuple[Bus, ...]
@@ -145,12 +140,10 @@ class NetworkTopology:
         if ends is None or not _positive_floats(lengths) or (ends[0] == ends[1]).any():
             for line in self.lines:
                 _check_line(line, position)
+        if len(lengths) > n - 1:
+            raise TopologyError(f"{len(lengths)} lines for {n} buses: a radial feeder has {n - 1}")
         degree = np.bincount(ends.ravel(), minlength=n)
-        tree = _radial_tree(ids, ends, lengths, degree, source) if len(lengths) == n - 1 else None
-        if tree is None:
-            tree = _dijkstra(ids, _neighbors(ends, lengths, n), source)
-            if len(tree[2]) != n:
-                raise DisconnectedGraphError([b for b, d in zip(ids, tree[0]) if d is None])
+        tree = _radial_tree(ids, ends, line_ids, lengths, degree, source)
         seq = np.empty(n, np.intp)
         seq[tree[2]] = np.arange(n)
         index = _Index(ids, ends[0], ends[1], degree.tolist(), *tree, seq)
@@ -213,47 +206,34 @@ class RamificationHierarchy:
     """Branch points (degree > 2, plus the source) in topological order.
 
     ``parent`` maps each non-source ramification bus to the nearest
-    ramification bus on its shortest path to the source. ``phases.allocate``
-    draws a configuration at each non-source ramification bus; every other
-    bus copies its parent on the shortest-path tree.
+    ramification bus on its path to the source. ``phases.allocate`` draws a
+    configuration at each non-source ramification bus; every other bus
+    copies its tree parent.
     """
 
     ramification_set: tuple[str, ...]
     parent: dict[str, str]
 
 
-def _neighbors(ends: np.ndarray, lengths, n: int) -> list[list[tuple[int, float]]]:
-    """Each bus's (neighbour position, line length) pairs, in line order."""
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in zip(ends[0].tolist(), ends[1].tolist(), lengths):
-        neighbors[u].append((v, w))
-        neighbors[v].append((u, w))
-    return neighbors
-
-
 def _radial_tree(
-    ids: tuple[str, ...], ends: np.ndarray, lengths, degree: np.ndarray, source: int
-) -> tuple[list[float], list[int], list[int]] | None:
-    """``_dijkstra``'s distances, parents and pop order on a tree, without the
-    heap, or None where the lines do not make a tree whose every bus is
-    strictly farther than its parent.
+    ids: tuple[str, ...], ends: np.ndarray, line_ids, lengths, degree: np.ndarray, source: int
+) -> tuple[list[float], list[int], list[int]]:
+    """Distances from the source, tree parents (-1 for the source) and the
+    buses in order of distance, tied distances ranked by id.
 
     One pass peels leaves toward the source: a bus with one line left hangs
     off its far end. Each bus keeps the sum of the indices of its unpeeled
     lines, so a leaf's sum is its line. Peeled in reverse, the buses come after
     their parents, and each distance is its parent's plus the line's length
-    object, the float sum the heap makes. With n - 1 lines, a bus left unpeeled
-    means a cycle, so a bus out of reach. The pop order is one sort by
-    distance, with tied distances ranked by id; the heap pops in that order
-    only when each bus is strictly farther than its parent, which a line too
-    short to change the float distance breaks.
+    object. A bus whose parents do not lead to the source (one in a part
+    without the source, on a cycle or below one) raises
+    ``DisconnectedGraphError`` naming every such bus. The order is one sort by
+    distance, so a line too short to change the float distance, which ties a
+    bus with its parent, raises ``TopologyError`` naming the first such line.
     """
     n = len(ids)
-    line_of = np.arange(len(lengths))
-    held = np.zeros(n, np.intp)
-    np.add.at(held, ends[0], line_of)
-    np.add.at(held, ends[1], line_of)
-    held = held.tolist()
+    line_of = np.tile(np.arange(len(lengths)), 2)  # the line of each entry of ends.ravel()
+    held = np.bincount(ends.ravel(), line_of, n).astype(np.intp).tolist()  # float sums < 2**53
     far = (ends[0] + ends[1]).tolist()  # a line's far end from bus v is far[k] - v
     left = degree.copy()
     left[source] = 0  # counts down from 0, so the source is never a leaf
@@ -263,7 +243,7 @@ def _radial_tree(
     via = [-1] * n
     for v in peeled:
         if not left[v]:  # the last bus of a part without the source
-            return None
+            continue
         k = held[v]
         p = far[k] - v
         parent[v] = p
@@ -272,10 +252,14 @@ def _radial_tree(
         left[p] -= 1
         if left[p] == 1:
             peeled.append(p)
-    if len(peeled) != n - 1:
-        return None
-    dist: list = [None] * n
-    dist[source] = 0.0
+    # with fewer lines the peel can take every bus, each part's last one unhung
+    if len(peeled) != n - 1 or len(lengths) != n - 1:
+        reached = {source}
+        for v in reversed(peeled):
+            if parent[v] in reached:
+                reached.add(v)
+        raise DisconnectedGraphError([b for v, b in enumerate(ids) if v not in reached])
+    dist = [0.0] * n  # the source's; the pass below sets every other bus
     for v in reversed(peeled):
         dist[v] = dist[parent[v]] + lengths[via[v]]
     d = np.array(dist)
@@ -288,54 +272,19 @@ def _radial_tree(
         run[:-1] |= tied
         members = order[run].tolist()
         up = np.fromiter(map(parent.__getitem__, members), np.intp, len(members))
-        if (d[up] == d_sorted[run]).any():
-            return None
+        short = np.flatnonzero(d[up] == d_sorted[run]).tolist()
+        if short:
+            line_id = line_ids[min(via[members[i]] for i in short)]  # the first in line order
+            raise TopologyError(f"line {line_id!r} is too short to change the float distance")
         by_id = np.array(sorted(members, key=ids.__getitem__), np.intp)
         order[run] = by_id[np.argsort(d[by_id], kind="stable")]
     return dist, parent, order.tolist()
 
 
-def _dijkstra(
-    ids: tuple[str, ...], neighbors: list[list[tuple[int, float]]], source: int
-) -> tuple[list, list[int], list[int]]:
-    """Distances (None where unreached), tree parents and pop order by position.
-
-    The heap pops by (distance, bus id), and between equal distances a bus
-    keeps the predecessor with the smaller id. A bus is popped after its
-    predecessor, so parents precede children in pop order even across a line
-    too short to change the float distance. Construction runs it on every
-    feeder that ``_radial_tree`` declines.
-    """
-    dist: list = [None] * len(ids)
-    parent = [-1] * len(ids)
-    done = [False] * len(ids)
-    order: list[int] = []
-    dist[source] = 0.0
-    heap = [(0.0, ids[source], source)]
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        order.append(u)
-        for v, w in neighbors[u]:
-            nd = d + w
-            dv = dist[v]
-            if dv is None or nd < dv:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, ids[v], v))
-            elif nd == dv and not done[v] and parent[v] >= 0 and ids[u] < ids[parent[v]]:
-                parent[v] = u
-    return dist, parent, order
-
-
 def shortest_path_tree(topology: NetworkTopology) -> tuple[dict[str, float], dict[str, str | None]]:
-    """Dijkstra distances from the source plus a deterministic predecessor map.
-
-    Ties in distance are broken toward the smaller predecessor bus id so the
-    tree (and everything derived from it) is reproducible. The tree is
-    computed once when the topology is built; these are copies of it.
+    """Distances from the source along the tree, and each bus's tree parent
+    (None for the source). The tree is computed once when the topology is
+    built; these are copies of it.
     """
     index = topology._index
     ids = index.ids
@@ -344,7 +293,7 @@ def shortest_path_tree(topology: NetworkTopology) -> tuple[dict[str, float], dic
 
 
 def compute_distances(topology: NetworkTopology) -> dict[str, float]:
-    """Shortest-path distance in km from the source to every bus."""
+    """Distance in km from the source to every bus along the tree."""
     index = topology._index
     return dict(zip(index.ids, index.dist))
 
@@ -356,10 +305,10 @@ def assign_zones(
 
     Lines take the zone of their upstream endpoint, the one closer to the
     source. Zones never decrease with distance, so that is the smaller of the
-    two endpoint zones, and equidistant endpoints share a zone. Only bins
-    that hold a bus are numbered, so every zone 1..``zone_count`` holds one.
-    Requesting more bins than that degrades gracefully: duplicate edges and
-    empty bins are merged and a warning is emitted.
+    two endpoint zones. Only bins that hold a bus are numbered, so every zone
+    1..``zone_count`` holds one. Requesting more bins than that degrades
+    gracefully: duplicate edges and empty bins are merged and a warning is
+    emitted.
     """
     if zone_count < 1:
         raise TopologyError(f"zone count must be >= 1, got {zone_count}")

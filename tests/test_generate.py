@@ -1,20 +1,21 @@
-"""The generator: fit, then generate, on the demo, and the downstream end of
-a line off the shortest-path tree."""
+"""The generator: fit, then generate, on the demo, and each line's
+downstream end."""
 
 import os
 import subprocess
 import sys
+import warnings
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridsynth.datasets import demo_draw
 from gridsynth.generate import Feeder, network
 from gridsynth.inference import FitConfig
-from gridsynth.lines import _carson_zabc
 from gridsynth.phases import PhaseConfig, consistency_violations
-from gridsynth.topology import Bus, Line, NetworkTopology, compute_distances
+from gridsynth.topology import compute_distances
 from test_generation_stream import SEED, demo_network, fit_network
+from test_topology import radial_trees
 
 SMOKE_CONFIG = FitConfig(chains=2, warmup=60, draws=20, thin=1, seed=0)
 
@@ -46,36 +47,25 @@ def test_networks_drawn_from_a_fit_are_consistent_and_complete():
             assert not params.z_abc[gone].any() and not params.z_abc[:, gone].any()
 
 
-def test_an_off_tree_line_takes_z_abc_from_its_downstream_end():
-    """Mesh line ``m`` runs from ``a`` (1 km from the source) to ``b`` (2 km,
-    reached through the source), so ``b`` is its downstream end although it
-    is no tree child of ``a``. Zone 1 draws only ABC and zone 2 only A."""
-    topo = NetworkTopology(
-        buses=tuple(map(Bus, ["s", "a", "a1", "b", "b1"])),
-        lines=(
-            Line("sa", "s", "a", 1.0),
-            Line("sb", "s", "b", 2.0),
-            Line("aa1", "a", "a1", 0.5),
-            Line("bb1", "b", "b1", 0.5),
-            Line("m", "a", "b", 5.0),
-        ),
-        source="s",
-    )
-    feeder = Feeder(topo, 2)
-    draw = {**demo_draw(), "base_z1": np.eye(7)[PhaseConfig.ABC.index]}
-    draw["base_z2"] = np.eye(7)[PhaseConfig.A.index]
-    net = network(draw, feeder, 0, "mesh")
-    assert (net.phases["a"], net.phases["b"]) == (PhaseConfig.ABC, PhaseConfig.A)
-    m = net.lines["m"]
-    np.testing.assert_array_equal(m.z_abc, _carson_zabc(m, PhaseConfig.A))
-
-    # consistency_violations reads the same ends: with the two branches
-    # swapped, only m has a downstream phase set outside its upstream one
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(radial_trees(), st.integers(1, 4))
+def test_downstream_is_the_end_consistency_violations_calls_downstream(topo, zone_count):
+    """``Feeder`` takes each line's downstream end from the tree and
+    ``consistency_violations`` from the distances: they agree on every line.
+    With one bus at A and every other at ABC, the violations are exactly the
+    lines whose upstream end is that bus."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        feeder = Feeder(topo, zone_count)
     distances = compute_distances(topo)
-    assert consistency_violations(topo, net.phases, distances) == []
-    swapped = {**net.phases, "a": PhaseConfig.A, "a1": PhaseConfig.A}
-    swapped.update(b=PhaseConfig.ABC, b1=PhaseConfig.ABC)
-    assert consistency_violations(topo, swapped, distances) == ["m"]
+    upstream = {}
+    for bus in topo.buses:
+        phases = {b.id: PhaseConfig.ABC for b in topo.buses}
+        phases[bus.id] = PhaseConfig.A
+        upstream.update(dict.fromkeys(consistency_violations(topo, phases, distances), bus.id))
+    for line, down in zip(topo.lines, feeder.downstream):
+        ends = {line.from_bus, line.to_bus}
+        assert ends - {upstream[line.id]} == {down}
 
 
 NO_SCIPY_UNTIL_A_FIT = """

@@ -206,6 +206,26 @@ def test_init_entries_must_match_the_space(init, message):
         fit(lambda v: np.zeros(v["x"].shape), space, FAST, init=init)
 
 
+@pytest.mark.parametrize(
+    "support, shape, value",
+    [
+        ("real", (), math.nan),
+        ("positive", (), math.nan),
+        ("unit", (), math.nan),
+        ("simplex", (3,), [0.5, math.nan, 0.5]),
+        ("ordered_positive", (2,), [1.0, math.nan]),
+    ],
+)
+def test_a_nan_init_is_rejected_naming_the_parameter(support, shape, value):
+    # NaN fails every range comparison silently, so it is checked by itself
+    space = ParamSpace([ParamDef("w", shape, support)])
+    message = f"^w: {support} parameter initialized NaN$"
+    with pytest.raises(ValueError, match=message):
+        space.to_unconstrained({"w": value})
+    with pytest.raises(ValueError, match=message):
+        fit(lambda v: np.zeros(len(v["w"])), space, FAST, init={"w": value})
+
+
 def test_initialization_error():
     space = ParamSpace([ParamDef("x", (), "real")])
     with pytest.raises(InitializationError):

@@ -29,7 +29,7 @@ from gridsynth.topology import (
     shortest_path_tree,
 )
 from test_inference import constrain as constrain_values
-from test_topology import meshed_feeders, radial_trees
+from test_topology import radial_trees
 
 FAST = FitConfig(chains=4, warmup=600, draws=600, thin=2, seed=31)
 
@@ -174,32 +174,11 @@ def test_allocate_consistency_on_demo_feeder():
         assert consistency_violations(topo, phi, d) == []
 
 
-def test_mesh_line_off_the_tree_can_break_the_subset_rule():
-    # x is a branch point of the shortest-path tree (s-x, x-z, x-y) and draws
-    # A; y hangs off the source on the tree and copies its ABC, so the mesh
-    # line x-y, whose upstream end is x, carries phases x lacks
-    buses = tuple(Bus(i) for i in ("s", "x", "y", "z"))
-    lines = (
-        Line("l_sx", "s", "x", 0.5),
-        Line("l_sy", "s", "y", 1.0),
-        Line("l_xz", "x", "z", 0.3),
-        Line("l_xy", "x", "y", 0.6),
-    )
-    topo = NetworkTopology(buses=buses, lines=lines, source="s")
-    d, zones, hierarchy = _prepared(topo)
-    base = np.zeros((1, 7))
-    base[0, PhaseConfig.A.index] = 1.0
-    phi = allocate(topo, hierarchy, zones, base, make_rng(0))
-    assert phi["x"] is PhaseConfig.A and phi["y"] is PhaseConfig.ABC
-    assert consistency_violations(topo, phi, d) == ["l_xy"]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.one_of(radial_trees(), meshed_feeders()), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@given(radial_trees(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_allocation_follows_the_tree(topo, zone_count, seed):
-    """On radial and meshed feeders alike, every non-source bus holds its
-    tree parent's configuration unless it is a branch point, whose phase set
-    is a subset of its tree parent's."""
+    """Every non-source bus holds its tree parent's configuration unless it
+    is a branch point, whose phase set is a subset of its tree parent's."""
     distances, tree_parent = shortest_path_tree(topo)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

@@ -8,6 +8,7 @@ import time
 import warnings
 from bisect import bisect_right
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,13 +166,13 @@ def test_zone_of_source_is_one_and_line_upstream_rule():
 
 
 def test_line_zone_tie_breaks_to_smaller_bus_id():
-    buses = (Bus("src"), Bus("a"), Bus("b"))
+    # assign_zones reads distances and lines alone: equidistant ends, which
+    # no feeder's own distances give a line, still take one zone
     lines = (Line("l1", "src", "a", 1.0), Line("l2", "src", "b", 1.0), Line("l3", "b", "a", 2.0))
-    topo = NetworkTopology(buses=buses, lines=lines, source="src")
-    d = compute_distances(topo)
+    d = {"src": 0.0, "a": 1.0, "b": 1.0}
     # the median edge is 1.0, the distance of a and b, so the far bin is empty
     with pytest.warns(UserWarning, match="merging degenerate bins"):
-        za = assign_zones(d, topo.lines, 2)
+        za = assign_zones(d, lines, 2)
     # l3 endpoints are equidistant; 'a' < 'b' so the upstream pick is 'a'
     assert za.line_zone["l3"] == za.bus_zone["a"]
 
@@ -258,7 +259,7 @@ def test_topological_order_parents_first():
 
 def test_triangle_inequality_on_random_paths():
     rng = make_rng(10)
-    topo = _random_tree(rng, 80, extra_edges=10)
+    topo = _random_tree(rng, 80)
     dist, parent = shortest_path_tree(topo)
     neighbors = {bus: [] for bus in bus_ids(topo)}
     for line in topo.lines:
@@ -281,7 +282,7 @@ def test_triangle_inequality_on_random_paths():
             assert dist[v] <= dist[bus] + w + 1e-12
 
 
-def _random_tree(rng, n, extra_edges=0):
+def _random_tree(rng, n):
     buses = [Bus("src")] + [Bus(f"n{i:03d}") for i in range(1, n)]
     lines = []
     for i in range(1, n):
@@ -289,11 +290,6 @@ def _random_tree(rng, n, extra_edges=0):
         lines.append(
             Line(f"l{i:03d}", buses[j].id, buses[i].id, float(0.1 + rng.random()))
         )
-    for k in range(extra_edges):
-        a = int(rng.random() * n)
-        b = int(rng.random() * n)
-        if a != b:
-            lines.append(Line(f"x{k:03d}", buses[a].id, buses[b].id, float(0.1 + rng.random())))
     return NetworkTopology(buses=tuple(buses), lines=tuple(lines), source="src")
 
 
@@ -325,8 +321,8 @@ def test_group_by_zone_keeps_input_order():
 
 
 def test_line_shorter_than_distance_resolution():
-    # m-a is too short to change the float distance: dist[a] == dist[m], and a
-    # sorts before m by id although a hangs off m
+    # m-a is too short to change the float distance: 1.0 + 1e-17 == 1.0, so
+    # a would tie with its parent m (and sort before it by id); it is named
     buses = tuple(Bus(i) for i in ("src", "m", "x", "a", "p", "q"))
     lines = (
         Line("l1", "src", "m", 1.0),
@@ -335,17 +331,47 @@ def test_line_shorter_than_distance_resolution():
         Line("l4", "a", "p", 1.0),
         Line("l5", "a", "q", 1.0),
     )
-    topo = NetworkTopology(buses=buses, lines=lines, source="src")
-    d = compute_distances(topo)
-    assert d["a"] == d["m"]
-    h = build_hierarchy(topo)
-    assert h.ramification_set == ("src", "m", "a")
-    assert h.parent == {"m": "src", "a": "m"}
-    zones = assign_zones(d, topo.lines, 2)
-    base = np.full((zones.zone_count, 7), 1.0 / 7.0)
-    for seed in range(200):
-        allocation = allocate(topo, h, zones, base, make_rng(seed))
-        assert consistency_violations(topo, allocation, d) == []
+    message = "^line 'l3' is too short to change the float distance$"
+    with pytest.raises(TopologyError, match=message):
+        NetworkTopology(buses=buses, lines=lines, source="src")
+    # off the source the same length changes the distance, from 0.0 to 1e-17
+    topo = NetworkTopology(buses=buses[:2], lines=(Line("l1", "src", "m", 1e-17),), source="src")
+    assert compute_distances(topo) == {"src": 0.0, "m": 1e-17}
+
+
+def test_a_mesh_is_rejected_naming_both_counts():
+    buses = (Bus("src"), Bus("a"), Bus("b"))
+    lines = (Line("l1", "src", "a", 1.0), Line("l2", "src", "b", 1.0), Line("l3", "b", "a", 2.0))
+    with pytest.raises(TopologyError, match="^3 lines for 3 buses: a radial feeder has 2$"):
+        NetworkTopology(buses=buses, lines=lines, source="src")
+
+
+def test_a_cycle_names_every_bus_it_cuts_off():
+    # n - 1 lines, with x and y joined twice (a two-line cycle) apart from the
+    # source: x, y and the subtree z-w below the cycle are all named
+    buses = tuple(Bus(i) for i in ("src", "a", "x", "y", "z", "w"))
+    lines = (
+        Line("l1", "src", "a", 1.0),
+        Line("l2", "x", "y", 1.0),
+        Line("l3", "y", "x", 2.0),
+        Line("l4", "y", "z", 1.0),
+        Line("l5", "z", "w", 1.0),
+    )
+    with pytest.raises(DisconnectedGraphError) as err:
+        NetworkTopology(buses=buses, lines=lines, source="src")
+    assert sorted(err.value.unreachable) == ["w", "x", "y", "z"]
+    assert str(err.value) == "buses the tree does not reach from the source: w, x, y, z"
+    # a two-line cycle at the source cuts off its far bus and what hangs below
+    lines = (
+        Line("l1", "src", "a", 1.0),
+        Line("l2", "a", "src", 2.0),
+        Line("l3", "src", "x", 1.0),
+        Line("l4", "a", "y", 1.0),
+        Line("l5", "y", "z", 1.0),
+    )
+    with pytest.raises(DisconnectedGraphError) as err:
+        NetworkTopology(buses=buses, lines=lines, source="src")
+    assert sorted(err.value.unreachable) == ["a", "w", "y", "z"]
 
 
 def _walk_to_root_hierarchy(topology):
@@ -632,35 +658,8 @@ def _reference_violations(topology, allocation, distances, order):
     return bad
 
 
-@st.composite
-def meshed_feeders(draw):
-    """Random trees with extra edges (meshes), a parallel line of another
-    length, lengths on a half-km grid so that distances tie, and sometimes one
-    line of 1e-17 km, too short to change a float distance."""
-    n = draw(st.integers(1, 30))
-    names = [f"b{k:02d}" for k in draw(st.permutations(range(n)))]
-    length = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.1, 5.0))
-    lines = [
-        Line(f"t{i:02d}", names[draw(st.integers(0, i - 1))], names[i], draw(length))
-        for i in range(1, n)
-    ]
-    if n > 1:
-        for k in range(draw(st.integers(0, 6))):
-            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            if a != b:
-                lines.append(Line(f"m{k}", names[a], names[b], draw(length)))
-        twin = lines[draw(st.integers(0, len(lines) - 1))]
-        if draw(st.booleans()):
-            lines.append(Line("par", twin.to_bus, twin.from_bus, twin.length_km + 0.5))
-        if draw(st.booleans()):
-            k = draw(st.integers(0, len(lines) - 1))
-            lines[k] = Line(lines[k].id, lines[k].from_bus, lines[k].to_bus, 1e-17)
-    lines = tuple(draw(st.permutations(lines)))
-    return NetworkTopology(buses=tuple(Bus(b) for b in names), lines=lines, source=names[0])
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(meshed_feeders(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@given(radial_trees(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_index_layers_match_string_keyed_references(topo, zone_count, seed):
     dist, parent, order, degree = _reference_tree(topo)
     assert shortest_path_tree(topo) == (dist, parent)
@@ -682,7 +681,8 @@ def test_index_layers_match_string_keyed_references(topo, zone_count, seed):
     assert list(allocation) == bus_ids(topo)
     assert rng.random() == reference_rng.random()  # both consumed the same draws
 
-    # a mesh line between two branches can violate; a tree line never does
+    # the allocation violates on no line, scrambled configurations on some;
+    # both by the reference's rule
     configs = make_rng(seed).integers(0, 7, len(topo.buses)).tolist()
     scrambled = {b: CONFIGS[i] for b, i in zip(bus_ids(topo), configs)}
     for phases in (allocation, scrambled):
@@ -735,30 +735,34 @@ def _index_matches_reference(topo):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(pure_trees())
 def test_the_radial_path_builds_the_tree_the_heap_builds(feeder):
+    """Where every bus is strictly farther than its tree parent, the index is
+    the reference heap's; a twin names at least every bus the heap cannot
+    reach, and a line too short to change the float distance is named."""
     buses, lines, twin = feeder
+    source = buses[0].id
     if twin:
-        with pytest.raises(DisconnectedGraphError):
-            NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
+        dist, _, _, _ = _reference_tree(SimpleNamespace(buses=buses, lines=lines, source=source))
+        with pytest.raises(DisconnectedGraphError) as err:
+            NetworkTopology(buses=buses, lines=lines, source=source)
+        assert {b.id for b in buses} - set(dist) <= set(err.value.unreachable)
+        assert source not in err.value.unreachable
         return
-    topo = NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
-    _index_matches_reference(topo)
+    fault = _short_line_fault(buses, lines, source)
+    if fault is None:
+        _index_matches_reference(NetworkTopology(buses=buses, lines=lines, source=source))
+    else:
+        with pytest.raises(TopologyError, match="^" + re.escape(fault) + "$"):
+            NetworkTopology(buses=buses, lines=lines, source=source)
 
-    # with the heap gone, a tree whose every bus is strictly farther than its
-    # parent still builds, and only a tree with a line too short to change
-    # the float distance reaches the heap
-    dist, parent, _, _ = _reference_tree(topo)
-    strict = all(dist[b] > dist[p] for b, p in parent.items() if p is not None)
 
-    def no_heap(*args):
-        raise AssertionError("the heap was reached")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(topology, "_dijkstra", no_heap)
-        if strict:
-            _index_matches_reference(NetworkTopology(buses=buses, lines=lines, source=buses[0].id))
-        else:
-            with pytest.raises(AssertionError, match="the heap was reached"):
-                NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
+def _short_line_fault(buses, lines, source):
+    """The message naming the first line, in line order, whose ends the
+    reference puts at one float distance, or None."""
+    dist, _, _, _ = _reference_tree(SimpleNamespace(buses=buses, lines=lines, source=source))
+    for line_id, u, v, _ in lines:
+        if dist[u] == dist[v]:
+            return f"line {line_id!r} is too short to change the float distance"
+    return None
 
 
 def _per_line_fault(buses, lines):
@@ -800,8 +804,9 @@ LENGTHS = [
 def test_validation_accepts_and_rejects_what_the_per_line_rule_does(drawn, random):
     """Lengths of every kind mixed within one feeder, with now and then an
     unknown endpoint or a self-loop: construction rejects exactly the feeders
-    the per-line rule rejects, naming the same first faulty line, and builds
-    the reference tree on every other."""
+    the per-line rule rejects, naming the same first faulty line, then those
+    with a line too short to change the float distance (a huge length such as
+    2**64 makes one), and builds the reference tree on every other."""
     buses = tuple(Bus(f"b{i}") for i in range(len(drawn) + 1))
     lines = []
     for i, (length, kind) in enumerate(drawn, start=1):
@@ -811,7 +816,7 @@ def test_validation_accepts_and_rejects_what_the_per_line_rule_does(drawn, rando
         elif kind == "self-loop":
             ends[0] = ends[1]
         lines.append(Line(f"l{i}", *ends, length))
-    fault = _per_line_fault(buses, lines)
+    fault = _per_line_fault(buses, lines) or _short_line_fault(buses, lines, "b0")
     if fault is None:
         topo = NetworkTopology(buses=buses, lines=tuple(lines), source="b0")
         _index_matches_reference(topo)
@@ -835,16 +840,14 @@ def _feeder(n, parents, rng):
     return buses, lines
 
 
-@pytest.mark.parametrize("shape", ["chain", "random tree", "meshed"])
+@pytest.mark.parametrize("shape", ["chain", "random tree"])
 def test_topology_layers_scale_to_100k_buses(shape):
     """Construct, tree, zones, hierarchy, allocation and the consistency check
     on 100k buses in under 2 s. Both the integer-index layers and the
     id-keyed ones they replaced run inside this bound (on a shared 2-core
     machine, 0.4-0.7 s against 0.55-1.7 s for the chain and the tree), so it
     does not tell them apart: it guards against a quadratic path, such as a
-    walk to the root per bus on a chain. The chain and the tree take the
-    radial path; the meshed feeder, the random tree with ten more lines,
-    takes the heap."""
+    walk to the root per bus on a chain."""
     n = 100_000
     rng = make_rng(3)
     if shape == "chain":
@@ -852,12 +855,6 @@ def test_topology_layers_scale_to_100k_buses(shape):
     else:
         parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
     buses, lines = _feeder(n, parents, rng)
-    if shape == "meshed":
-        ends = rng.permutation(n)[:20].tolist()
-        lines += tuple(
-            Line(f"m{k}", buses[a].id, buses[b].id, 0.3)
-            for k, (a, b) in enumerate(zip(ends[::2], ends[1::2]))
-        )
     start = time.perf_counter()
     topo = NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
     d, parent = shortest_path_tree(topo)
@@ -866,10 +863,27 @@ def test_topology_layers_scale_to_100k_buses(shape):
     allocation = allocate(topo, hierarchy, zones, np.full((zones.zone_count, 7), 1.0), rng)
     violations = consistency_violations(topo, allocation, d)
     elapsed = time.perf_counter() - start
-    # only a line off the shortest-path tree can violate
-    on_tree = {
-        l.id for l in lines if parent[l.to_bus] == l.from_bus or parent[l.from_bus] == l.to_bus
-    }
-    assert not set(violations) & on_tree and len(allocation) == n
-    assert shape == "meshed" or violations == []
+    assert violations == [] and len(allocation) == n and len(parent) == n
     assert elapsed < 2.0, f"{shape}: {elapsed:.2f} s"
+
+
+def test_a_100k_bus_tree_with_ten_more_lines_is_rejected_before_tree_work(monkeypatch):
+    """A random 100k-bus tree with ten more lines is a mesh: construction
+    names both counts after the per-line checks and before any tree work."""
+    n = 100_000
+    rng = make_rng(3)
+    parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
+    buses, lines = _feeder(n, parents, rng)
+    ends = rng.permutation(n)[:20].tolist()
+    lines += tuple(
+        Line(f"m{k}", buses[a].id, buses[b].id, 0.3)
+        for k, (a, b) in enumerate(zip(ends[::2], ends[1::2]))
+    )
+
+    def no_tree(*args):
+        raise AssertionError("the tree was built")
+
+    monkeypatch.setattr(topology, "_radial_tree", no_tree)
+    message = "^100009 lines for 100000 buses: a radial feeder has 99999$"
+    with pytest.raises(TopologyError, match=message):
+        NetworkTopology(buses=buses, lines=lines, source=buses[0].id)
